@@ -55,66 +55,48 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-# (section, key, cast, default) for every config-file setting; flag dests
-# are "<section>_<key>" unless the key is unambiguous.
-_SCHEMA = [
-    ("run", "dataset_root", str, None),
-    ("run", "split", str, None),
-    ("run", "output_dir", str, None),
-    ("run", "mode", str, "rpn_brn_brn"),
-    ("run", "seed", int, 0),
-    ("run", "jobs", int, 0),
-    ("scatter", "s", float, 0.5),
-    ("scatter", "stride", float, 1.6),
-    ("thresholds", "objectness", float, 0.25),
-    ("thresholds", "nms", float, 0.05),
-    ("oracle", "dims_noise_sigma", float, 0.0),
-    ("oracle", "yaw_noise_sigma", float, 0.0),
-    ("oracle", "center_noise_sigma", float, 0.0),
-    ("oracle", "box2d_noise_sigma", float, 0.0),
-    ("pipeline", "radius", float, 2.0),
-    ("pipeline", "y_min", float, -1.0),
-    ("pipeline", "y_max", float, 3.0),
-    ("pipeline", "bound", float, 2.0),
-    ("pipeline", "voxel_resolution", float, 0.1),
-    ("pipeline", "sample_count", int, 512),
-    ("pipeline", "residual_cap", float, 10.0),
-    ("pipeline", "rotation_bins", int, 12),
-    ("pipeline", "size_clusters_file", str, ""),
-    ("eval", "iou_threshold", float, 0.7),
-    ("eval", "difficulty", str, "moderate"),
-    ("eval", "ap_mode", str, "r11"),
-    ("eval", "match_metric", str, "iou_3d"),
-    ("desync", "vertical_ratio", float, 0.25),
-    ("desync", "metric", str, "recall"),
-    ("desync", "seeds", int, 1),
-]
+_PIPELINE = PipelineConfig()
+_ORACLE = OracleConfig()
+_EVAL = EvalConfig()
 
-_FLAG_DEST = {
-    ("run", "dataset_root"): "dataset_root",
-    ("run", "split"): "split",
-    ("run", "output_dir"): "output_dir",
-    ("run", "mode"): "mode",
-    ("run", "seed"): "seed",
-    ("run", "jobs"): "jobs",
-    ("scatter", "s"): "scatter_s",
-    ("scatter", "stride"): "scatter_stride",
-    ("thresholds", "objectness"): "objectness_threshold",
-    ("thresholds", "nms"): "nms_threshold",
-    ("oracle", "dims_noise_sigma"): "dims_noise",
-    ("oracle", "yaw_noise_sigma"): "yaw_noise",
-    ("oracle", "center_noise_sigma"): "center_noise",
-    ("oracle", "box2d_noise_sigma"): "box2d_noise",
-    ("pipeline", "radius"): "radius",
-    ("pipeline", "residual_cap"): "residual_cap",
-    ("pipeline", "size_clusters_file"): "size_clusters_file",
-    ("eval", "iou_threshold"): "iou_threshold",
-    ("eval", "difficulty"): "difficulty",
-    ("eval", "ap_mode"): "ap_mode",
-    ("eval", "match_metric"): "match_metric",
-    ("desync", "metric"): "desync_metric",
-    ("desync", "seeds"): "desync_seeds",
-}
+# (section, key, cast, default, flag dest or None) for every config-file
+# setting.  Defaults come from the config dataclasses; jobs, the size
+# clusters file and the desync settings belong to none of them.
+_SCHEMA = [
+    ("run", "dataset_root", str, None, "dataset_root"),
+    ("run", "split", str, None, "split"),
+    ("run", "output_dir", str, None, "output_dir"),
+    ("run", "mode", str, _PIPELINE.mode, "mode"),
+    ("run", "seed", int, _PIPELINE.seed, "seed"),
+    ("run", "jobs", int, 0, "jobs"),
+    ("scatter", "s", float, _PIPELINE.scatter.s, "scatter_s"),
+    ("scatter", "stride", float, _PIPELINE.scatter.stride, "scatter_stride"),
+    ("thresholds", "objectness", float, _PIPELINE.objectness_threshold,
+     "objectness_threshold"),
+    ("thresholds", "nms", float, _PIPELINE.nms_threshold, "nms_threshold"),
+    ("oracle", "dims_noise_sigma", float, _ORACLE.dims_noise_sigma, "dims_noise"),
+    ("oracle", "yaw_noise_sigma", float, _ORACLE.yaw_noise_sigma, "yaw_noise"),
+    ("oracle", "center_noise_sigma", float, _ORACLE.center_noise_sigma,
+     "center_noise"),
+    ("oracle", "box2d_noise_sigma", float, _ORACLE.box2d_noise_sigma,
+     "box2d_noise"),
+    ("pipeline", "radius", float, _PIPELINE.region_radius, "radius"),
+    ("pipeline", "y_min", float, _PIPELINE.region_y_extent[0], None),
+    ("pipeline", "y_max", float, _PIPELINE.region_y_extent[1], None),
+    ("pipeline", "bound", float, _PIPELINE.region_bounds[0], None),
+    ("pipeline", "voxel_resolution", float, _PIPELINE.voxel_resolution, None),
+    ("pipeline", "sample_count", int, _PIPELINE.sample_count, None),
+    ("pipeline", "residual_cap", float, _PIPELINE.residual_cap, "residual_cap"),
+    ("pipeline", "rotation_bins", int, _PIPELINE.bins.n_bins, None),
+    ("pipeline", "size_clusters_file", str, "", "size_clusters_file"),
+    ("eval", "iou_threshold", float, _EVAL.iou_threshold, "iou_threshold"),
+    ("eval", "difficulty", str, _EVAL.difficulty, "difficulty"),
+    ("eval", "ap_mode", str, _EVAL.ap_mode, "ap_mode"),
+    ("eval", "match_metric", str, _EVAL.match_metric, "match_metric"),
+    ("desync", "vertical_ratio", float, 0.25, None),
+    ("desync", "metric", str, "recall", "desync_metric"),
+    ("desync", "seeds", int, 1, "desync_seeds"),
+]
 
 
 class UsageError(Exception):
@@ -135,11 +117,10 @@ def _resolve_settings(args):
             raise MissingFile(f"config file {config_path} not found")
         cfg.read(config_path)
     settings = {}
-    for section, key, cast, default in _SCHEMA:
+    for section, key, cast, default, dest in _SCHEMA:
         value = default
         if cfg.has_option(section, key):
             value = cast(cfg.get(section, key))
-        dest = _FLAG_DEST.get((section, key))
         if dest is not None and getattr(args, dest, None) is not None:
             value = getattr(args, dest)
         settings[(section, key)] = value
@@ -282,7 +263,7 @@ def cmd_solve_pose(args):
 def _detect_one(frame, predictors, config):
     try:
         return detect_frame(frame, predictors, config)
-    except Exception as exc:
+    except ValueError as exc:
         print(f"frame {frame.frame_id} failed: {exc}", file=sys.stderr)
         return None
 
@@ -315,7 +296,9 @@ def cmd_detect(args):
     n_failed = 0
     for frame, dets in zip(frames, all_dets):
         if dets is None:
+            # a failed frame detects nothing: its ground truths stay misses
             n_failed += 1
+            per_frame.append(([], frame.labels))
             continue
         write_detections(os.path.join(det_dir, frame.frame_id + ".txt"),
                          frame.frame_id, dets)
@@ -323,7 +306,8 @@ def cmd_detect(args):
     stats = evaluate_detections(per_frame, _eval_config(settings))
     summary = (
         f"frames {len(frames)} tp {stats['tp']} fp {stats['fp']} "
-        f"fn {stats['fn']} recall {stats['recall']:.6f} ap {stats['ap']:.6f}"
+        f"fn {stats['fn']} recall {stats['recall']:.6f} ap {stats['ap']:.6f} "
+        f"failed {n_failed}"
     )
     print(summary)
     with open(os.path.join(output_dir, "summary.txt"), "w",

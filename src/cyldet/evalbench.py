@@ -17,15 +17,17 @@ import numpy as np
 from .geometry import iou_3d, iou_bev
 from .kitti import FrameData, PointCloud, WrongFrame, stable_id_hash
 from .pipeline import (
+    EmptyCloud,
     PipelineConfig,
     detect_frame,
     derive_seed,
-    gather_cylinder,
     objectness,
-    sample_points,
+    region_points,
     seed_proposals,
-    voxel_downsample,
 )
+
+# Unused here, but perfbench/layers.py patches these names on this module.
+from .pipeline import gather_cylinder, sample_points, voxel_downsample  # noqa: F401
 
 _ACTIVE = {
     "easy": ("easy",),
@@ -263,14 +265,13 @@ def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
         for obj_idx, seed_idx, _, region in seed_proposals(
             frame, predictors.monocular, config
         ):
-            gathered = gather_cylinder(frame.cloud, region)
-            if len(gathered) == 0:
+            try:
+                points = region_points(
+                    frame, region, config,
+                    derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0),
+                )
+            except EmptyCloud:
                 continue
-            points = sample_points(
-                voxel_downsample(gathered, config.voxel_resolution),
-                config.sample_count,
-                derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0),
-            )
             out = predictors.rpn(points, region, frame)
             scored.append((objectness(out.t_obj), region.center))
         scored_frames.append((scored, frame.labels))

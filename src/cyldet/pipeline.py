@@ -48,7 +48,6 @@ from .mono import (
 logger = logging.getLogger(__name__)
 
 PREDICT_SAMPLE_COUNT = 512
-TRAIN_SAMPLE_COUNT = 256  # training-time figure; kept for reference only
 PIPELINE_MODES = ("single_stage", "single_stage_twice", "rpn_brn_brn")
 
 DEFAULT_SIZE_CLUSTERS = SizeClusters(
@@ -173,13 +172,7 @@ class OracleMonocularPredictor:
         out = []
         for idx, lab in enumerate(frame.labels):
             rng = _label_rng(self.cfg, frame.frame_id, idx, stream=1)
-            w, h, length = lab.box3d.dims
-            dims = np.array([w, h, length])
-            dims = dims * (
-                1.0 + self.cfg.dims_noise_sigma * rng.standard_normal(3)
-            )
-            dims = np.maximum(dims, 0.2 * np.array([w, h, length]))
-            yaw = lab.box3d.yaw + self.cfg.yaw_noise_sigma * rng.standard_normal()
+            dims, yaw = _noised_dims_yaw(self.cfg, lab.box3d, rng)
             b = lab.bbox2d
             coords = np.array([b.xmin, b.ymin, b.xmax, b.ymax])
             coords += self.cfg.box2d_noise_sigma * rng.standard_normal(4)
@@ -200,6 +193,15 @@ class OracleMonocularPredictor:
         return out
 
 
+def _noised_dims_yaw(cfg, box3d, rng):
+    """Dims (W, H, L) with relative noise, floored at a fifth of the true
+    dims, and yaw with absolute noise; draws three normals, then one."""
+    dims = np.array(box3d.dims)
+    noised = dims * (1.0 + cfg.dims_noise_sigma * rng.standard_normal(3))
+    yaw = box3d.yaw + cfg.yaw_noise_sigma * rng.standard_normal()
+    return np.maximum(noised, 0.2 * dims), yaw
+
+
 def _noised_truth(cfg, frame, idx):
     """Noised copy of label idx's box, shared by both point-head oracles."""
     lab = frame.labels[idx]
@@ -207,12 +209,7 @@ def _noised_truth(cfg, frame, idx):
     center = np.asarray(lab.box3d.center) + (
         cfg.center_noise_sigma * rng.standard_normal(3)
     )
-    w, h, length = lab.box3d.dims
-    dims = np.array([w, h, length]) * (
-        1.0 + cfg.dims_noise_sigma * rng.standard_normal(3)
-    )
-    dims = np.maximum(dims, 0.2 * np.array([w, h, length]))
-    yaw = lab.box3d.yaw + cfg.yaw_noise_sigma * rng.standard_normal()
+    dims, yaw = _noised_dims_yaw(cfg, lab.box3d, rng)
     return center, dims, yaw
 
 
@@ -234,6 +231,12 @@ def _graded_objectness(ground_dist, radius):
     away; this stands in for a point network's falloff as the object
     drifts off the region's receptive center."""
     return 0.98 * math.exp(-7.0 * (ground_dist / radius) ** 2) + 0.01
+
+
+def _within_bounds(center, region):
+    """Whether center lies strictly inside the region's location bounds."""
+    off = (np.asarray(center) - np.asarray(region.center)) / np.asarray(region.bounds)
+    return np.abs(off).max() < 1.0
 
 
 def _clamped_encode(center, region):
@@ -260,10 +263,7 @@ class OracleRpnPredictor:
         )
         prob = _graded_objectness(ground_dist, region.radius)
         t_obj = float(logit(prob))
-        off_norm = np.abs(
-            (true_center - np.asarray(region.center)) / np.asarray(region.bounds)
-        ).max()
-        if off_norm >= 1.0:
+        if not _within_bounds(true_center, region):
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=t_obj)
         center, _, _ = _noised_truth(self.cfg, frame, idx)
         return RpnOutput(t_loc=tuple(_clamped_encode(center, region)), t_obj=t_obj)
@@ -288,12 +288,7 @@ class OracleBrnPredictor:
             size_residuals=np.zeros((self.clusters.n_clusters, 3)),
         )
         idx, true_center = _nearest_label(frame, region)
-        if idx is None:
-            return zeros
-        off_norm = np.abs(
-            (true_center - np.asarray(region.center)) / np.asarray(region.bounds)
-        ).max()
-        if off_norm >= 1.0:
+        if idx is None or not _within_bounds(true_center, region):
             return zeros
         center, dims_whl, yaw = _noised_truth(self.cfg, frame, idx)
         w, h, length = dims_whl
@@ -367,7 +362,10 @@ def decode_box(brn_out, region, clusters, bins):
     return Box3D(tuple(center), (w, h, length), yaw)
 
 
-def _region_points(frame, region, config, sample_seed):
+def region_points(frame, region, config, sample_seed):
+    """The point-head input for one region: gather, voxel-downsample, then
+    sample config.sample_count points.  Raises EmptyCloud when the region
+    holds no point."""
     gathered = gather_cylinder(frame.cloud, region)
     if len(gathered) == 0:
         raise EmptyCloud("no points inside the proposal region")
@@ -406,8 +404,11 @@ def seed_proposals(frame, monocular, config=PipelineConfig()):
 def detect_frame(frame, predictors, config=PipelineConfig()):
     """Run the staged pipeline on one frame and return NMS-kept detections.
 
-    A failing proposal (empty region, infeasible pose, predictor error) is
-    logged and dropped; it never aborts the frame.
+    A proposal that raises a data error (any ValueError: EmptyCloud for an
+    empty region, BehindCamera, OutOfBounds, NonPositiveDims,
+    SingularSystem, WrongFrame, or an invalid box) is logged and dropped;
+    it never aborts the frame.  Any other exception is a programming error
+    and propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
     proposals = seed_proposals(frame, predictors.monocular, config)
@@ -419,9 +420,7 @@ def detect_frame(frame, predictors, config=PipelineConfig()):
                 frame, predictors, config, region,
                 (frame_hash, obj_idx, seed_idx), det2d,
             )
-        except Exception as exc:
-            # per-proposal isolation: empty regions, degenerate geometry,
-            # or predictor failures drop the proposal, never the frame
+        except ValueError as exc:
             logger.warning(
                 "frame %s proposal obj%d.seed%d dropped: %s: %s",
                 frame.frame_id, obj_idx, seed_idx, type(exc).__name__, exc,
@@ -430,7 +429,6 @@ def detect_frame(frame, predictors, config=PipelineConfig()):
         if det is not None:
             detections.append(det)
 
-    detections.sort(key=lambda d: -d.confidence)
     return nms_bev(detections, config.nms_threshold)
 
 
@@ -438,7 +436,7 @@ def _run_proposal(frame, predictors, config, region, ids, det2d):
     frame_hash, obj_idx, seed_idx = ids
 
     def staged_points(reg, stage):
-        return _region_points(
+        return region_points(
             frame, reg, config,
             derive_seed(config.seed, frame_hash, obj_idx, seed_idx, stage),
         )

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import cyldet.cli
 from cyldet.cli import main
 from cyldet.codec import load_size_clusters
 from cyldet.synthetic import make_frames, write_dataset
@@ -134,6 +135,43 @@ class TestDetect:
         rc = main(["detect", "--dataset-root", root, "--split", "nope.txt",
                    "--output-dir", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_failed_frames_count_against_recall(self, dataset, tmp_path,
+                                                monkeypatch, capsys):
+        root, split, frames = dataset
+        detect_frame = cyldet.cli.detect_frame
+        failing = {frames[0].frame_id}
+
+        def flaky_detect_frame(frame, predictors, config):
+            if frame.frame_id in failing:
+                raise ValueError("simulated data error")
+            return detect_frame(frame, predictors, config)
+
+        monkeypatch.setattr(cyldet.cli, "detect_frame", flaky_detect_frame)
+        args = ["detect", "--dataset-root", root, "--split", split,
+                "--seed", "3"]
+        assert main(args + ["--output-dir", str(tmp_path / "one")]) == 0
+        tokens = capsys.readouterr().out.split()
+        summary = dict(zip(tokens[::2], tokens[1::2]))
+        # every frame is found at zero noise (test_zero_noise_summary)
+        assert float(summary["recall"]) < 1.0
+        assert int(summary["fn"]) == len(frames[0].labels)
+        assert summary["failed"] == "1"
+
+        failing.update(frame.frame_id for frame in frames)
+        assert main(args + ["--output-dir", str(tmp_path / "all")]) == 2
+
+    def test_programming_error_is_internal_error(self, dataset, tmp_path,
+                                                 monkeypatch):
+        root, split, _ = dataset
+
+        def broken_detect_frame(frame, predictors, config):
+            raise TypeError("detector bug")
+
+        monkeypatch.setattr(cyldet.cli, "detect_frame", broken_detect_frame)
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 3
 
     def test_config_file_with_flag_override(self, dataset, tmp_path, capsys):
         root, split, _ = dataset

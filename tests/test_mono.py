@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cyldet import (
     Box2D,
@@ -150,6 +152,37 @@ class TestAgreementSearch:
         assert est1.best_config == est2.best_config
         np.testing.assert_allclose(est2.solved_center, est1.solved_center,
                                    atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        z=st.floats(6.0, 50.0),
+        x_over_z=st.floats(-0.25, 0.25),
+        y=st.floats(-1.0, 2.0),
+        dims=st.tuples(st.floats(1.5, 1.9), st.floats(1.3, 1.8),
+                       st.floats(3.4, 4.6)),
+        yaw=st.floats(-math.pi, math.pi),
+        dims_scale=st.floats(0.9, 1.1),
+    )
+    def test_scalar_solve_matches_search(self, calib, z, x_over_z, y, dims,
+                                         yaw, dims_scale):
+        box = Box3D((x_over_z * z, y, z), dims, yaw)
+        b2d = project_box(box, calib.p2)
+        seed_dims = tuple(dims_scale * d for d in dims)
+        try:
+            est = geometric_agreement_search(b2d, seed_dims, yaw, calib.p2)
+        except NoFeasibleConfiguration:
+            assume(False)
+        solved = solve_translation(
+            b2d, est.dims, est.yaw, est.best_config, calib.p2
+        )
+        assert solved is not None
+        center, residual = solved
+        # one solver, but BLAS rounds a one-row product and the full-table
+        # product differently, so the two agree to about one ulp
+        assert (np.linalg.norm(center - np.array(est.solved_center))
+                <= 1e-9 * np.linalg.norm(center))
+        # exact fits leave a residual near zero; 1e-9 px is the floor there
+        assert residual == pytest.approx(est.residual, rel=1e-9, abs=1e-9)
 
     def test_degenerate_2d_box(self, calib):
         tiny = Box2D(600.0, 180.0, 600.0 + 1e-7, 180.0 + 1e-7)

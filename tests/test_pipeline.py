@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,6 +267,18 @@ class TestDetectFrame:
             )
             assert det.confidence == pytest.approx(recomputed, abs=1e-9)
 
+    def test_data_errors_drop_proposals_other_errors_propagate(self):
+        frame = make_frame("000018", seed=18, n_cars=2)
+        no_points = dataclasses.replace(frame, cloud=camera_cloud(np.zeros((0, 4))))
+        assert detect_frame(no_points, oracle_predictors(), PipelineConfig()) == []
+
+        def broken_rpn(points, region, frame):
+            raise TypeError("proposal head bug")
+
+        predictors = dataclasses.replace(oracle_predictors(), rpn=broken_rpn)
+        with pytest.raises(TypeError, match="proposal head bug"):
+            detect_frame(frame, predictors, PipelineConfig())
+
     def test_all_modes_run(self):
         frame = make_frame("000016", seed=16, n_cars=2)
         for mode in ("single_stage", "single_stage_twice", "rpn_brn_brn"):
@@ -299,24 +312,33 @@ class TestNmsBev:
         assert len(nms_bev(dets, 1.0)) == 2
 
     def test_matches_reference_on_random_sets(self):
-        rng = np.random.default_rng(20)
-        for trial in range(100):
-            n = int(rng.integers(1, 12))
-            dets = [
-                make_detection(
-                    (rng.uniform(-8, 8), 0.0, rng.uniform(10, 25)),
-                    rng.uniform(-math.pi, math.pi),
-                    float(rng.uniform(0, 1)),
+        # tied confidences pin the tie order (insertion index) that
+        # detect_frame relies on when it hands detections over unsorted
+        def distinct(rng):
+            return float(rng.uniform(0, 1))
+
+        def tied(rng):
+            return float(rng.choice([0.5, 0.7, 0.9]))
+
+        for draw_confidence in (distinct, tied):
+            rng = np.random.default_rng(20)
+            for trial in range(100):
+                n = int(rng.integers(1, 12))
+                dets = [
+                    make_detection(
+                        (rng.uniform(-8, 8), 0.0, rng.uniform(10, 25)),
+                        rng.uniform(-math.pi, math.pi),
+                        draw_confidence(rng),
+                    )
+                    for _ in range(n)
+                ]
+                threshold = float(rng.uniform(0.0, 0.7))
+                kept = nms_bev(dets, threshold)
+                ref = greedy_nms_reference(
+                    [d.box3d for d in dets], [d.confidence for d in dets],
+                    threshold, cyldet.iou_bev,
                 )
-                for _ in range(n)
-            ]
-            threshold = float(rng.uniform(0.0, 0.7))
-            kept = nms_bev(dets, threshold)
-            ref = greedy_nms_reference(
-                [d.box3d for d in dets], [d.confidence for d in dets],
-                threshold, cyldet.iou_bev,
-            )
-            assert kept == [dets[i] for i in ref]
+                assert kept == [dets[i] for i in ref]
 
     def test_kept_pairs_below_threshold(self):
         rng = np.random.default_rng(21)
