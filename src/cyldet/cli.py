@@ -35,12 +35,14 @@ from .evalbench import (
 from .geometry import Box2D
 from .kitti import MissingFile, load_split, parse_calibration
 from .mono import (
+    DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
     ScatterParams,
     geometric_agreement_search,
 )
 from .pipeline import (
     DEFAULT_SIZE_CLUSTERS,
+    PIPELINE_MODES,
     OracleConfig,
     PipelineConfig,
     detect_frame,
@@ -379,9 +381,7 @@ def build_parser():
         p.add_argument("--seed", dest="seed", type=int)
         p.add_argument("--jobs", dest="jobs", type=int,
                        help="parallel frame workers (default: all cores)")
-        p.add_argument("--mode", dest="mode",
-                       choices=("single_stage", "single_stage_twice",
-                                "rpn_brn_brn"))
+        p.add_argument("--mode", dest="mode", choices=PIPELINE_MODES)
         p.add_argument("--scatter-s", dest="scatter_s", type=float)
         p.add_argument("--scatter-stride", dest="scatter_stride", type=float)
         p.add_argument("--objectness-threshold", dest="objectness_threshold",
@@ -411,7 +411,7 @@ def build_parser():
     p_solve.add_argument("--dims", required=True, help="W,H,L in meters")
     p_solve.add_argument("--yaw", required=True, type=float)
     p_solve.add_argument("--residual-cap", dest="residual_cap", type=float,
-                         default=10.0)
+                         default=DEFAULT_RESIDUAL_CAP)
     p_solve.add_argument("--reduced", action="store_true",
                          help="use the reduced upright-box configuration search")
     p_solve.add_argument("--json", action="store_true")

@@ -17,17 +17,17 @@ import numpy as np
 from .geometry import iou_3d, iou_bev
 from .kitti import FrameData, PointCloud, WrongFrame, stable_id_hash
 from .pipeline import (
-    EmptyCloud,
     PipelineConfig,
     detect_frame,
     derive_seed,
-    objectness,
-    region_points,
+    run_proposals,
+    score_region,
     seed_proposals,
 )
 
 # Unused here, but perfbench/layers.py patches these names on this module.
-from .pipeline import gather_cylinder, sample_points, voxel_downsample  # noqa: F401
+from .pipeline import gather_cylinder, objectness  # noqa: F401
+from .pipeline import sample_points, voxel_downsample  # noqa: F401
 
 _ACTIVE = {
     "easy": ("easy",),
@@ -223,6 +223,22 @@ def _clamped_scatter(config, s):
     return replace(config, scatter=replace(config.scatter, s=s_eff))
 
 
+def _capture_row(value, frames, radius):
+    """(value, capture recall, seeds per GT) over (seed centers, gts)
+    pairs, one pair per frame."""
+    captured = total_gts = total_seeds = 0
+    for seeds, gts in frames:
+        recall, _ = proposal_recall(seeds, gts, radius)
+        captured += recall * len(gts)
+        total_gts += len(gts)
+        total_seeds += len(seeds)
+    return (
+        float(value),
+        captured / total_gts if total_gts else 0.0,
+        total_seeds / total_gts if total_gts else 0.0,
+    )
+
+
 def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     """Capture recall and seeds-per-GT of the scattered proposals, per s.
 
@@ -233,66 +249,44 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     rows = []
     for s in s_values:
         cfg = _clamped_scatter(config, s)
-        captured = total_gts = total_seeds = 0
-        for frame in frames:
-            seeds = np.array(
-                [r.center for _, _, _, r in seed_proposals(frame, monocular, cfg)]
-            ).reshape(-1, 3)
-            recall, _ = proposal_recall(seeds, frame.labels, cfg.region_radius)
-            captured += recall * len(frame.labels)
-            total_gts += len(frame.labels)
-            total_seeds += len(seeds)
-        rows.append((
-            float(s),
-            captured / total_gts if total_gts else 0.0,
-            total_seeds / total_gts if total_gts else 0.0,
-        ))
+        rows.append(_capture_row(s, [
+            ([r.center for _, _, _, r in seed_proposals(frame, monocular, cfg)],
+             frame.labels)
+            for frame in frames
+        ], cfg.region_radius))
     return rows
+
+
+def _score_seed_region(frame, predictors, config, proposal, frame_hash):
+    """Stage-0 objectness of one seed region, with the region center."""
+    obj_idx, seed_idx, _, region = proposal
+    score, _ = score_region(
+        frame, predictors, config, region,
+        derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0),
+    )
+    return score, region.center
 
 
 def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
     """Capture recall and kept-proposals-per-GT after objectness filtering.
 
-    The proposal head scores every seed region once; each threshold row
-    then filters the same scored set, so the sweep is exactly nested.
+    The proposal head scores every seed region once, dropping proposals
+    as detect_frame does; each threshold row then filters the same scored
+    set, so the sweep is exactly nested.
     Returns (threshold, recall, proposals_per_gt) rows.
     """
-    scored_frames = []
-    total_gts = 0
-    for frame in frames:
-        frame_hash = stable_id_hash(frame.frame_id)
-        scored = []
-        for obj_idx, seed_idx, _, region in seed_proposals(
-            frame, predictors.monocular, config
-        ):
-            try:
-                points = region_points(
-                    frame, region, config,
-                    derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0),
-                )
-            except EmptyCloud:
-                continue
-            out = predictors.rpn(points, region, frame)
-            scored.append((objectness(out.t_obj), region.center))
-        scored_frames.append((scored, frame.labels))
-        total_gts += len(frame.labels)
-
-    rows = []
-    for threshold in thresholds:
-        captured = kept_total = 0
-        for scored, gts in scored_frames:
-            kept = np.array(
-                [center for score, center in scored if score >= threshold]
-            ).reshape(-1, 3)
-            recall, _ = proposal_recall(kept, gts, config.region_radius)
-            captured += recall * len(gts)
-            kept_total += len(kept)
-        rows.append((
-            float(threshold),
-            captured / total_gts if total_gts else 0.0,
-            kept_total / total_gts if total_gts else 0.0,
-        ))
-    return rows
+    scored_frames = [
+        (run_proposals(frame, predictors, config, _score_seed_region),
+         frame.labels)
+        for frame in frames
+    ]
+    return [
+        _capture_row(threshold, [
+            ([center for score, center in scored if score >= threshold], gts)
+            for scored, gts in scored_frames
+        ], config.region_radius)
+        for threshold in thresholds
+    ]
 
 
 def desync_frame(frame, cfg=DesyncConfig()):

@@ -8,12 +8,12 @@ the unknown translation per side; the 4x3 system is solved by least
 squares.  The configuration whose re-projected box best overlaps the 2D
 box wins.
 
-The constraint matrix depends only on the 2D box and the projection, not
-on the configuration, so the full enumeration is solved as a single
-batched matrix product.  That one batched solve serves all three callers:
-the agreement search passes the whole configuration table, while
-solve_translation and the two re-solves of spatial_scatter pass a
-one-row table.  The scatter re-solves skip the feasibility check.
+The constraint system depends only on the 2D box and the projection, so
+it is built and factored once per caller and the whole enumeration is
+solved as one batched matrix product: the agreement search passes the
+full configuration table, solve_translation and the two re-solves of
+spatial_scatter (which share one system) a one-row table.  The scatter
+re-solves skip the feasibility check.
 """
 
 import math
@@ -105,26 +105,24 @@ class ScatterResult:
 
 
 def _side_system(box2d, p):
-    """Constraint rows for [left, right, top, bottom].
+    """Constraint rows for [left, right, top, bottom] and their
+    pseudo-inverse: (a, k, coords, rows, pinv).
 
     Side i with image coordinate q_i taken from projection row r_i gives
-    a_i . (T + o) + k_i = 0 with a_i = P[r_i,:3] - q_i P[2,:3].
+    a_i . (T + o) + k_i = 0 with a_i = P[r_i,:3] - q_i P[2,:3].  Raises
+    SingularSystem when the constraint matrix is rank deficient.
     """
     p = np.asarray(p, dtype=float)
     coords = np.array([box2d.xmin, box2d.xmax, box2d.ymin, box2d.ymax])
     rows = np.array([0, 0, 1, 1])
     a = p[rows, :3] - coords[:, None] * p[2, :3]
     k = p[rows, 3] - coords * p[2, 3]
-    return a, k, coords, rows
-
-
-def _pseudo_inverse(a):
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[0] <= 0.0 or s[-1] / s[0] < RANK_RCOND:
         raise SingularSystem(
             f"constraint matrix is rank deficient (singular values {s})"
         )
-    return (vt.T / s) @ u.T
+    return a, k, coords, rows, (vt.T / s) @ u.T
 
 
 def _config_table(config):
@@ -139,17 +137,15 @@ def _config_table(config):
     return config.as_array()[None, :]
 
 
-def _solve_configs(box2d, sel_offsets, p):
+def _solve_configs(system, sel_offsets):
     """Least-squares translations (M, 3) for the constrained corner
-    offsets (M, 4, 3) of an (M, 4) configuration table.  Raises
-    SingularSystem when the constraint matrix is rank deficient."""
-    a, k, _, _ = _side_system(box2d, p)
-    pinv = _pseudo_inverse(a)
+    offsets (M, 4, 3) of an (M, 4) configuration table."""
+    a, k, _, _, pinv = system
     b = -(np.einsum("ij,mij->mi", a, sel_offsets) + k)      # (M, 4)
     return b @ pinv.T
 
 
-def _feasibility(box2d, sel_offsets, p, centers, residual_cap):
+def _feasibility(system, sel_offsets, p, centers, residual_cap):
     """(rms pixel residuals (M,), feasible (M,)) of solved translations.
 
     A solution is infeasible when its center lies behind the camera, a
@@ -157,7 +153,7 @@ def _feasibility(box2d, sel_offsets, p, centers, residual_cap):
     or the residual exceeds the cap.
     """
     p = np.asarray(p, dtype=float)
-    _, _, coords, rows = _side_system(box2d, p)
+    _, _, coords, rows, _ = system
     corners = centers[:, None, :] + sel_offsets
     w = corners @ p[2, :3] + p[2, 3]
     num = np.einsum("...ij,ij->...i", corners, p[rows, :3]) + p[rows, 3]
@@ -184,8 +180,9 @@ def solve_translation(box2d, dims, yaw, config, p, residual_cap=DEFAULT_RESIDUAL
     configurations (one corner pinned to both members of opposite sides).
     """
     sel_offsets = corner_offsets(dims, yaw)[_config_table(config)]
-    centers = _solve_configs(box2d, sel_offsets, p)
-    rms, feasible = _feasibility(box2d, sel_offsets, p, centers, residual_cap)
+    system = _side_system(box2d, p)
+    centers = _solve_configs(system, sel_offsets)
+    rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
     if not feasible[0]:
         return None
     return centers[0], float(rms[0])
@@ -234,10 +231,11 @@ def geometric_agreement_search(
     # the same gather as offsets[configs], about four times faster
     sel_offsets = np.take(offsets, configs, axis=0)   # (M, 4, 3)
     try:
-        centers = _solve_configs(box2d, sel_offsets, p)
+        system = _side_system(box2d, p)
     except SingularSystem as exc:
         raise NoFeasibleConfiguration(str(exc)) from exc
-    rms, feasible = _feasibility(box2d, sel_offsets, p, centers, residual_cap)
+    centers = _solve_configs(system, sel_offsets)
+    rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
     feasible &= (configs[:, 0] != configs[:, 1]) & (configs[:, 2] != configs[:, 3])
     if not np.any(feasible):
         raise NoFeasibleConfiguration(
@@ -298,8 +296,9 @@ def spatial_scatter(est, params, p):
     """
     dims = np.asarray(est.dims, dtype=float)
     table = _config_table(est.best_config)
+    system = _side_system(est.box2d, p)
     p1, p2 = (
-        _solve_configs(est.box2d, corner_offsets(dims * scale, est.yaw)[table], p)[0]
+        _solve_configs(system, corner_offsets(dims * scale, est.yaw)[table])[0]
         for scale in (1.0 - params.s, 1.0 + params.s)
     )
     span = float(np.linalg.norm(p2 - p1))

@@ -4,8 +4,13 @@ Stages per frame: (a) a monocular predictor yields 2D boxes with dims and
 heading, which the agreement search plus spatial scattering turns into 3D
 seed points; (b) cylinder regions around the seeds are scored by a
 proposal head (objectness plus a re-centering location); (c) a box head
-regresses the full box, optionally re-centered and run twice; (d) each
-detection is scored by the IoU between its source 2D box and the
+regresses the full box, in a head sequence set by the mode (MODE_STAGES):
+  single_stage        rpn, then brn on the same region;
+  single_stage_twice  rpn, brn, then rpn and brn again on the region
+                      re-centered at the first box;
+  rpn_brn_brn         rpn, brn on the region re-centered at the rpn
+                      location, then brn re-centered at that box;
+(d) each detection is scored by the IoU between its source 2D box and the
 projected 3D box, then bird's-eye-view NMS removes duplicates.
 
 Predictors are callables: monocular(frame) -> [Mono2DDetection];
@@ -38,6 +43,7 @@ from .codec import (
 from .geometry import Box2D, Box3D, iou_2d, iou_bev, project_box
 from .kitti import PointCloud, WrongFrame, stable_id_hash
 from .mono import (
+    DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
     ScatterParams,
     SingularSystem,
@@ -48,7 +54,15 @@ from .mono import (
 logger = logging.getLogger(__name__)
 
 PREDICT_SAMPLE_COUNT = 512
-PIPELINE_MODES = ("single_stage", "single_stage_twice", "rpn_brn_brn")
+# (head, recenter) per stage of each mode, as listed for stage (c) above;
+# recenter moves the region onto this stage's output for the next stage.
+MODE_STAGES = {
+    "single_stage": (("rpn", False), ("brn", False)),
+    "single_stage_twice": (("rpn", False), ("brn", True),
+                           ("rpn", False), ("brn", False)),
+    "rpn_brn_brn": (("rpn", True), ("brn", True), ("brn", False)),
+}
+PIPELINE_MODES = tuple(MODE_STAGES)
 
 DEFAULT_SIZE_CLUSTERS = SizeClusters(
     np.array([[1.4, 1.5, 3.4], [1.5, 1.65, 3.9], [1.8, 1.9, 4.6]])
@@ -329,7 +343,6 @@ class Detection:
     box2d_source: Box2D
     objectness: float
     confidence: float
-    provenance: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -343,8 +356,7 @@ class PipelineConfig:
     region_bounds: tuple = (2.0, 2.0, 2.0)
     voxel_resolution: float = 0.1
     sample_count: int = PREDICT_SAMPLE_COUNT
-    residual_cap: float = 10.0
-    reduced_configs: bool = False
+    residual_cap: float = DEFAULT_RESIDUAL_CAP
     clusters: SizeClusters = DEFAULT_SIZE_CLUSTERS
     bins: RotationBins = DEFAULT_ROTATION_BINS
     seed: int = 0
@@ -384,7 +396,6 @@ def seed_proposals(frame, monocular, config=PipelineConfig()):
             est = geometric_agreement_search(
                 det2d.box2d, det2d.dims, det2d.yaw, p,
                 residual_cap=config.residual_cap,
-                reduced=config.reduced_configs,
             )
             scatter = spatial_scatter(est, config.scatter, p)
         except (NoFeasibleConfiguration, SingularSystem) as exc:
@@ -401,8 +412,9 @@ def seed_proposals(frame, monocular, config=PipelineConfig()):
     return proposals
 
 
-def detect_frame(frame, predictors, config=PipelineConfig()):
-    """Run the staged pipeline on one frame and return NMS-kept detections.
+def run_proposals(frame, predictors, config, run):
+    """The non-None results of run(frame, predictors, config, proposal,
+    frame_hash) over the frame's seeded proposals.
 
     A proposal that raises a data error (any ValueError: EmptyCloud for an
     empty region, BehindCamera, OutOfBounds, NonPositiveDims,
@@ -411,75 +423,59 @@ def detect_frame(frame, predictors, config=PipelineConfig()):
     and propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
-    proposals = seed_proposals(frame, predictors.monocular, config)
-
-    detections = []
-    for obj_idx, seed_idx, det2d, region in proposals:
+    results = []
+    for proposal in seed_proposals(frame, predictors.monocular, config):
         try:
-            det = _run_proposal(
-                frame, predictors, config, region,
-                (frame_hash, obj_idx, seed_idx), det2d,
-            )
+            result = run(frame, predictors, config, proposal, frame_hash)
         except ValueError as exc:
+            obj_idx, seed_idx, _, _ = proposal
             logger.warning(
                 "frame %s proposal obj%d.seed%d dropped: %s: %s",
                 frame.frame_id, obj_idx, seed_idx, type(exc).__name__, exc,
             )
             continue
-        if det is not None:
-            detections.append(det)
+        if result is not None:
+            results.append(result)
+    return results
 
+
+def detect_frame(frame, predictors, config=PipelineConfig()):
+    """Run the staged pipeline on one frame and return NMS-kept detections;
+    dropped proposals are handled as in run_proposals."""
+    detections = run_proposals(frame, predictors, config, _run_proposal)
     return nms_bev(detections, config.nms_threshold)
 
 
-def _run_proposal(frame, predictors, config, region, ids, det2d):
-    frame_hash, obj_idx, seed_idx = ids
+def score_region(frame, predictors, config, region, sample_seed):
+    """Proposal-head objectness of one region and its decoded location."""
+    out = predictors.rpn(region_points(frame, region, config, sample_seed),
+                         region, frame)
+    return objectness(out.t_obj), decode_location(out.t_loc, region)
 
-    def staged_points(reg, stage):
-        return region_points(
-            frame, reg, config,
-            derive_seed(config.seed, frame_hash, obj_idx, seed_idx, stage),
-        )
 
-    def rpn_score(reg, stage):
-        out = predictors.rpn(staged_points(reg, stage), reg, frame)
-        return objectness(out.t_obj), decode_location(out.t_loc, reg)
+def _run_proposal(frame, predictors, config, proposal, frame_hash):
+    obj_idx, seed_idx, det2d, region = proposal
+    for stage, (head, recenter) in enumerate(MODE_STAGES[config.mode]):
+        sample_seed = derive_seed(config.seed, frame_hash, obj_idx, seed_idx, stage)
+        if head == "rpn":
+            score, center = score_region(frame, predictors, config, region,
+                                         sample_seed)
+            if score < config.objectness_threshold:
+                return None
+        else:
+            points = region_points(frame, region, config, sample_seed)
+            out = predictors.brn(points, region, frame)
+            box = decode_box(out, region, config.clusters, config.bins)
+            center = box.center
+        if recenter:
+            region = region.recentered(center)
 
-    def brn_box(reg, stage):
-        out = predictors.brn(staged_points(reg, stage), reg, frame)
-        return decode_box(out, reg, config.clusters, config.bins)
-
-    if config.mode == "rpn_brn_brn":
-        score, center = rpn_score(region, 0)
-        if score < config.objectness_threshold:
-            return None
-        region1 = region.recentered(center)
-        box1 = brn_box(region1, 1)
-        region2 = region1.recentered(box1.center)
-        final = brn_box(region2, 2)
-    elif config.mode == "single_stage":
-        score, _ = rpn_score(region, 0)
-        if score < config.objectness_threshold:
-            return None
-        final = brn_box(region, 1)
-    else:  # single_stage_twice
-        score, _ = rpn_score(region, 0)
-        if score < config.objectness_threshold:
-            return None
-        box1 = brn_box(region, 1)
-        region1 = region.recentered(box1.center)
-        score, _ = rpn_score(region1, 2)
-        if score < config.objectness_threshold:
-            return None
-        final = brn_box(region1, 3)
-
-    confidence = iou_2d(det2d.box2d, project_box(final, frame.calib.p2))
+    confidence = iou_2d(det2d.box2d, project_box(box, frame.calib.p2))
     return Detection(
-        box3d=final,
+        box3d=box,
         box2d_source=det2d.box2d,
         objectness=float(score),
         confidence=float(confidence),
-        provenance=(f"obj{obj_idx}.seed{seed_idx}",),
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -12,9 +14,11 @@ from cyldet import (
     GroundTruthLabel,
     OracleConfig,
     PipelineConfig,
+    PointCloud,
     average_precision,
     desync_frame,
     desync_robustness_curve,
+    detect_frame,
     detection_recall,
     evaluate_detections,
     iou_3d,
@@ -248,6 +252,34 @@ class TestSweeps:
         per_gts = [p for _, _, p in rows]
         assert recalls == sorted(recalls, reverse=True)
         assert per_gts == sorted(per_gts, reverse=True)
+
+    def test_objectness_logs_dropped_proposals_like_detect_frame(self, caplog):
+        frame = self.frames[0]
+        empty = dataclasses.replace(
+            frame, cloud=PointCloud(np.zeros((0, 4)), frame="camera")
+        )
+        preds = oracle_predictors()
+
+        def drops(run):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="cyldet"):
+                run()
+            return list(caplog.records)
+
+        swept = drops(lambda: sweep_objectness([empty], preds, [0.0],
+                                               PipelineConfig()))
+        detected = drops(lambda: detect_frame(empty, preds, PipelineConfig()))
+        assert swept
+        assert all(len(r.args) == 5 and r.args[3] == "EmptyCloud" for r in swept)
+        assert [r.getMessage() for r in swept] == [r.getMessage() for r in detected]
+
+    def test_objectness_propagates_programming_errors(self):
+        def broken_rpn(points, region, frame):
+            raise TypeError("proposal head bug")
+
+        preds = dataclasses.replace(oracle_predictors(), rpn=broken_rpn)
+        with pytest.raises(TypeError, match="proposal head bug"):
+            sweep_objectness(self.frames, preds, [0.5], PipelineConfig())
 
 
 class TestDesync:

@@ -3,18 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logit
 
 import cyldet
 from cyldet import (
     Box3D,
+    BrnOutput,
     Detection,
     EmptyCloud,
     OracleConfig,
     PipelineConfig,
     PointCloud,
     ProposalRegion,
+    RpnOutput,
+    ScatterParams,
     WrongFrame,
     decode_box,
+    decode_location,
     detect_frame,
     gather_cylinder,
     iou_2d,
@@ -23,12 +28,14 @@ from cyldet import (
     oracle_predictors,
     project_box,
     sample_points,
+    seed_proposals,
     voxel_downsample,
 )
 from cyldet.pipeline import (
     OracleBrnPredictor,
     OracleMonocularPredictor,
     OracleRpnPredictor,
+    Predictors,
     format_detection,
     parse_detection_line,
 )
@@ -285,6 +292,76 @@ class TestDetectFrame:
             dets = detect_frame(frame, oracle_predictors(),
                                 PipelineConfig(mode=mode))
             assert len(dets) == 2
+
+
+class TestModeStages:
+    """Each mode's head sequence on one proposal, logged as (head, region
+    center) by point heads that move every region by a fixed encoded
+    offset, so each re-centering shows in the log."""
+
+    frame = make_frame("000017", seed=17, n_cars=1)
+    rpn_t_loc = (0.5, 0.0, -0.5)
+    brn_t_loc = (-0.25, 0.0, 0.25)
+
+    def run(self, mode):
+        config = PipelineConfig(mode=mode, scatter=ScatterParams(s=1e-3))
+        monocular = OracleMonocularPredictor()
+        (_, _, _, seed_region), = seed_proposals(self.frame, monocular, config)
+        calls = []
+        probs = iter([0.6, 0.9])
+
+        def rpn(points, region, frame):
+            calls.append(("rpn", region.center))
+            return RpnOutput(t_loc=self.rpn_t_loc, t_obj=float(logit(next(probs))))
+
+        def brn(points, region, frame):
+            calls.append(("brn", region.center))
+            n_bins, n_clusters = config.bins.n_bins, config.clusters.n_clusters
+            return BrnOutput(
+                t_loc=self.brn_t_loc,
+                rot_logits=np.zeros(n_bins), rot_residuals=np.zeros(n_bins),
+                size_logits=np.zeros(n_clusters),
+                size_residuals=np.zeros((n_clusters, 3)),
+            )
+
+        dets = detect_frame(self.frame, Predictors(monocular, rpn, brn), config)
+        assert len(dets) == 1
+        return seed_region, calls, dets[0]
+
+    @staticmethod
+    def moved(region, t_loc):
+        return region.recentered(decode_location(t_loc, region))
+
+    @staticmethod
+    def assert_calls(calls, expected):
+        assert [head for head, _ in calls] == [head for head, _ in expected]
+        np.testing.assert_allclose([c for _, c in calls],
+                                   [r.center for _, r in expected],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_single_stage(self):
+        region, calls, det = self.run("single_stage")
+        self.assert_calls(calls, [("rpn", region), ("brn", region)])
+        assert det.objectness == pytest.approx(0.6)
+
+    def test_single_stage_twice(self):
+        region, calls, det = self.run("single_stage_twice")
+        region1 = self.moved(region, self.brn_t_loc)
+        self.assert_calls(calls, [("rpn", region), ("brn", region),
+                                  ("rpn", region1), ("brn", region1)])
+        assert det.objectness == pytest.approx(0.9)
+        np.testing.assert_allclose(det.box3d.center,
+                                   self.moved(region1, self.brn_t_loc).center)
+
+    def test_rpn_brn_brn(self):
+        region, calls, det = self.run("rpn_brn_brn")
+        region1 = self.moved(region, self.rpn_t_loc)
+        region2 = self.moved(region1, self.brn_t_loc)
+        self.assert_calls(calls, [("rpn", region), ("brn", region1),
+                                  ("brn", region2)])
+        assert det.objectness == pytest.approx(0.6)
+        np.testing.assert_allclose(det.box3d.center,
+                                   self.moved(region2, self.brn_t_loc).center)
 
 
 def make_detection(center, yaw, confidence, dims=(1.6, 1.5, 3.9)):
