@@ -73,6 +73,7 @@ from .kitti import (
     emit_calibration,
     emit_labels,
     emit_velodyne,
+    iter_split,
     lidar_to_camera,
     load_frame,
     load_split,

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from .codec import (
     RotationBins,
@@ -33,7 +32,7 @@ from .evalbench import (
     write_csv,
 )
 from .geometry import Box2D
-from .kitti import MissingFile, load_split, parse_calibration
+from .kitti import MissingFile, iter_split, parse_calibration
 from .mono import (
     DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
@@ -62,15 +61,14 @@ _ORACLE = OracleConfig()
 _EVAL = EvalConfig()
 
 # (section, key, cast, default, flag dest or None) for every config-file
-# setting.  Defaults come from the config dataclasses; jobs, the size
-# clusters file and the desync settings belong to none of them.
+# setting.  Defaults come from the config dataclasses; the size clusters
+# file and the desync settings belong to none of them.
 _SCHEMA = [
     ("run", "dataset_root", str, None, "dataset_root"),
     ("run", "split", str, None, "split"),
     ("run", "output_dir", str, None, "output_dir"),
     ("run", "mode", str, _PIPELINE.mode, "mode"),
     ("run", "seed", int, _PIPELINE.seed, "seed"),
-    ("run", "jobs", int, 0, "jobs"),
     ("scatter", "s", float, _PIPELINE.scatter.s, "scatter_s"),
     ("scatter", "stride", float, _PIPELINE.scatter.stride, "scatter_stride"),
     ("thresholds", "objectness", float, _PIPELINE.objectness_threshold,
@@ -188,6 +186,7 @@ def _eval_config(settings):
 
 
 def _load_frames(settings):
+    """The split's frames, loaded one at a time as the caller reads them."""
     root = settings[("run", "dataset_root")]
     split = settings[("run", "split")]
     if not root or not split:
@@ -196,7 +195,7 @@ def _load_frames(settings):
     split_path = split if os.path.exists(split) else os.path.join(root, split)
     if not os.path.exists(split_path):
         raise MissingFile(f"split list {split} not found")
-    return load_split(split_path, root)
+    return iter_split(split_path, root)
 
 
 def _parse_floats(text):
@@ -270,16 +269,9 @@ def _detect_one(frame, predictors, config):
         return None
 
 
-def _run_detections(frames, predictors, config, jobs):
-    workers = jobs if jobs > 0 else (os.cpu_count() or 1)
-    if workers == 1:
-        return [_detect_one(f, predictors, config) for f in frames]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda f: _detect_one(f, predictors, config),
-                             frames))
-
-
-def cmd_detect(args):
+def _prepare_run(args):
+    """Settings, output directory, frames, pipeline config and predictors
+    of a detect or sweep run; echoes the settings into the output dir."""
     settings = _resolve_settings(args)
     output_dir = settings[("run", "output_dir")]
     if not output_dir:
@@ -290,24 +282,27 @@ def cmd_detect(args):
         _oracle_config(settings), clusters=config.clusters, bins=config.bins
     )
     _echo_settings(settings, output_dir)
+    return settings, output_dir, frames, config, predictors
+
+
+def cmd_detect(args):
+    settings, output_dir, frames, config, predictors = _prepare_run(args)
     det_dir = os.path.join(output_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)
-    all_dets = _run_detections(frames, predictors, config,
-                               settings[("run", "jobs")])
     per_frame = []
     n_failed = 0
-    for frame, dets in zip(frames, all_dets):
+    for frame in frames:
+        dets = _detect_one(frame, predictors, config)
         if dets is None:
             # a failed frame detects nothing: its ground truths stay misses
             n_failed += 1
-            per_frame.append(([], frame.labels))
-            continue
-        write_detections(os.path.join(det_dir, frame.frame_id + ".txt"),
-                         frame.frame_id, dets)
-        per_frame.append((dets, frame.labels))
+        else:
+            write_detections(os.path.join(det_dir, frame.frame_id + ".txt"),
+                             frame.frame_id, dets)
+        per_frame.append((dets or [], frame.labels))
     stats = evaluate_detections(per_frame, _eval_config(settings))
     summary = (
-        f"frames {len(frames)} tp {stats['tp']} fp {stats['fp']} "
+        f"frames {len(per_frame)} tp {stats['tp']} fp {stats['fp']} "
         f"fn {stats['fn']} recall {stats['recall']:.6f} ap {stats['ap']:.6f} "
         f"failed {n_failed}"
     )
@@ -315,22 +310,13 @@ def cmd_detect(args):
     with open(os.path.join(output_dir, "summary.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(summary + "\n")
-    if frames and n_failed == len(frames):
+    if per_frame and n_failed == len(per_frame):
         return EXIT_DATA
     return EXIT_OK
 
 
 def cmd_sweep(args):
-    settings = _resolve_settings(args)
-    output_dir = settings[("run", "output_dir")]
-    if not output_dir:
-        raise UsageError("--output-dir is required")
-    frames = _load_frames(settings)
-    config = _pipeline_config(settings)
-    predictors = oracle_predictors(
-        _oracle_config(settings), clusters=config.clusters, bins=config.bins
-    )
-    _echo_settings(settings, output_dir)
+    settings, output_dir, frames, config, predictors = _prepare_run(args)
     values = _parse_values(args.values)
     if args.kind == "scatter":
         rows = sweep_scatter(frames, predictors.monocular, values, config)
@@ -380,7 +366,7 @@ def build_parser():
         p.add_argument("--output-dir", dest="output_dir")
         p.add_argument("--seed", dest="seed", type=int)
         p.add_argument("--jobs", dest="jobs", type=int,
-                       help="parallel frame workers (default: all cores)")
+                       help="ignored: frames always run one at a time")
         p.add_argument("--mode", dest="mode", choices=PIPELINE_MODES)
         p.add_argument("--scatter-s", dest="scatter_s", type=float)
         p.add_argument("--scatter-stride", dest="scatter_stride", type=float)

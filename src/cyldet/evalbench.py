@@ -244,17 +244,17 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
 
     Counts raw stage-(a) seed regions, before any objectness filtering,
     so the seeds-per-GT column reflects the scatter arithmetic alone.
+    frames may be any iterable; it is read once.
     Returns (s, recall, proposals_per_gt) rows.
     """
-    rows = []
-    for s in s_values:
-        cfg = _clamped_scatter(config, s)
-        rows.append(_capture_row(s, [
-            ([r.center for _, _, _, r in seed_proposals(frame, monocular, cfg)],
-             frame.labels)
-            for frame in frames
-        ], cfg.region_radius))
-    return rows
+    rows = [(s, _clamped_scatter(config, s), []) for s in s_values]
+    for frame in frames:
+        for _, cfg, pairs in rows:
+            pairs.append((
+                [r.center for _, _, _, r in seed_proposals(frame, monocular, cfg)],
+                frame.labels,
+            ))
+    return [_capture_row(s, pairs, cfg.region_radius) for s, cfg, pairs in rows]
 
 
 def _score_seed_region(frame, predictors, config, proposal, frame_hash):
@@ -272,7 +272,8 @@ def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
 
     The proposal head scores every seed region once, dropping proposals
     as detect_frame does; each threshold row then filters the same scored
-    set, so the sweep is exactly nested.
+    set, so the sweep is exactly nested.  frames may be any iterable; it
+    is read once.
     Returns (threshold, recall, proposals_per_gt) rows.
     """
     scored_frames = [
@@ -334,28 +335,31 @@ def desync_robustness_curve(frames, predictors, magnitudes,
     frame, run the detector, and evaluate; averaged over n_seeds draws.
 
     The vertical cap scales as vertical_ratio times the ground-plane cap.
-    metric selects 'recall' or 'map'.
+    metric selects 'recall' or 'map'.  frames may be any iterable; it is
+    read once.
     """
     if metric not in ("recall", "map"):
         raise ValueError("metric must be 'recall' or 'map'")
-    rows = []
-    for magnitude in magnitudes:
-        values = []
-        for k in range(n_seeds):
-            desync_cfg = DesyncConfig(
-                max_xy=magnitude,
-                max_z_vertical=magnitude * vertical_ratio,
-                rng_seed=derive_seed(seed, k),
-            )
-            per_frame = []
-            for frame in frames:
-                shifted = desync_frame(frame, desync_cfg)
-                dets = detect_frame(shifted, predictors, config)
-                per_frame.append((dets, shifted.labels))
-            stats = evaluate_detections(per_frame, eval_cfg)
-            values.append(stats["recall"] if metric == "recall" else stats["ap"])
-        rows.append((float(magnitude), float(np.mean(values))))
-    return rows
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
+    magnitudes = list(magnitudes)
+    draws = [
+        (DesyncConfig(max_xy=m, max_z_vertical=m * vertical_ratio,
+                      rng_seed=derive_seed(seed, k)), [])
+        for m in magnitudes for k in range(n_seeds)
+    ]
+    for frame in frames:
+        for desync_cfg, per_frame in draws:
+            shifted = desync_frame(frame, desync_cfg)
+            dets = detect_frame(shifted, predictors, config)
+            per_frame.append((dets, shifted.labels))
+    key = "recall" if metric == "recall" else "ap"
+    values = [evaluate_detections(per_frame, eval_cfg)[key]
+              for _, per_frame in draws]
+    return [
+        (float(m), float(np.mean(values[i * n_seeds:(i + 1) * n_seeds])))
+        for i, m in enumerate(magnitudes)
+    ]
 
 
 def write_csv(path, header, rows):

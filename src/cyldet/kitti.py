@@ -10,7 +10,9 @@ File conventions handled here:
   velodyne/<id>.bin   little-endian float32 (x, y, z, reflectance) records.
 
 Internally a 3D box stores its geometric center; the bottom-face-center
-shift happens at parse/emit.  All loaded values are immutable.
+shift happens only in box_to_fields / box_from_fields, which the label
+and detection-document readers and writers share.  All loaded values are
+immutable.
 """
 
 import os
@@ -199,6 +201,20 @@ def assign_difficulty(bbox2d, occlusion, truncation):
     return "ignored"
 
 
+def box_to_fields(box3d):
+    """The 7 KITTI box fields of a Box3D: h w l, bottom-face-center x y z,
+    yaw."""
+    w, h, length = box3d.dims
+    x, y, z = box3d.center
+    return h, w, length, x, y + h / 2.0, z, box3d.yaw
+
+
+def box_from_fields(fields):
+    """Inverse of box_to_fields: a Box3D from its 7 KITTI box fields."""
+    h, w, length, x, y_bottom, z, yaw = fields
+    return Box3D((x, y_bottom - h / 2.0, z), (w, h, length), yaw)
+
+
 def parse_labels(text, classes=("Car",)):
     """Parse KITTI label text into GroundTruthLabel objects.
 
@@ -226,10 +242,6 @@ def parse_labels(text, classes=("Car",)):
             raise MalformedNumber(f"line {lineno}: {exc}") from None
         truncation, occlusion, alpha = nums[0], int(nums[1]), nums[2]
         bbox = Box2D(*nums[3:7])
-        h, w, length = nums[7:10]
-        x, y_bottom, z = nums[10:13]
-        yaw = nums[13]
-        box3d = Box3D((x, y_bottom - h / 2.0, z), (w, h, length), yaw)
         labels.append(
             GroundTruthLabel(
                 class_name=name,
@@ -237,7 +249,7 @@ def parse_labels(text, classes=("Car",)):
                 occlusion=occlusion,
                 alpha=alpha,
                 bbox2d=bbox,
-                box3d=box3d,
+                box3d=box_from_fields(nums[7:14]),
                 difficulty=assign_difficulty(bbox, occlusion, truncation),
             )
         )
@@ -248,25 +260,10 @@ def emit_labels(labels):
     """Render labels back to KITTI 15-field text (bottom-face-center y)."""
     lines = []
     for lab in labels:
-        w, h, length = lab.box3d.dims
-        x, y, z = lab.box3d.center
         b = lab.bbox2d
-        fields = [
-            lab.class_name,
-            repr(lab.truncation),
-            str(lab.occlusion),
-            repr(lab.alpha),
-            repr(b.xmin),
-            repr(b.ymin),
-            repr(b.xmax),
-            repr(b.ymax),
-            repr(h),
-            repr(w),
-            repr(length),
-            repr(x),
-            repr(y + h / 2.0),
-            repr(z),
-            repr(lab.box3d.yaw),
+        fields = [lab.class_name, repr(lab.truncation), str(lab.occlusion)] + [
+            repr(v) for v in (lab.alpha, b.xmin, b.ymin, b.xmax, b.ymax,
+                              *box_to_fields(lab.box3d))
         ]
         lines.append(" ".join(fields))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -363,16 +360,18 @@ def load_frame(
     )
 
 
-def load_split(list_path, dataset_root, classes=("Car",), image_size=None):
-    """Load every frame named in a split list file."""
+def iter_split(list_path, dataset_root, classes=("Car",), image_size=None):
+    """Yield the frames named in a split list file in list order, loading
+    each one only when the caller reaches it."""
     sizes = _read_image_sizes(dataset_root)
-    frames = []
     for frame_id in read_split_ids(list_path):
         size = image_size or sizes.get(frame_id, DEFAULT_IMAGE_SIZE)
-        frames.append(
-            load_frame(dataset_root, frame_id, classes=classes, image_size=size)
-        )
-    return frames
+        yield load_frame(dataset_root, frame_id, classes=classes, image_size=size)
+
+
+def load_split(list_path, dataset_root, classes=("Car",), image_size=None):
+    """Load every frame named in a split list file."""
+    return list(iter_split(list_path, dataset_root, classes, image_size))
 
 
 def stable_id_hash(frame_id):

@@ -42,6 +42,7 @@ from .codec import (
 )
 from .geometry import Box2D, Box3D, iou_2d, iou_bev, project_box
 from .kitti import PointCloud, WrongFrame, stable_id_hash
+from .kitti import box_from_fields, box_to_fields
 from .mono import (
     DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
@@ -100,12 +101,20 @@ def voxel_downsample(cloud, resolution=0.1):
     if len(pts) == 0:
         return cloud
     keys = np.floor(pts[:, :3] / resolution).astype(np.int64)
-    _, inverse, counts = np.unique(
+    voxels, inverse, counts = np.unique(
         keys, axis=0, return_inverse=True, return_counts=True
     )
     sums = np.zeros((len(counts), 4))
     np.add.at(sums, inverse, pts)
-    return PointCloud(sums / counts[:, None], frame=cloud.frame)
+    centroids = sums / counts[:, None]
+    # rounding can carry the mean of points on a voxel face across it; the
+    # range of the voxel's own points holds it inside
+    outside = np.floor(centroids[:, :3] / resolution) != voxels
+    for v, axis in zip(*np.nonzero(outside)):
+        coords = pts[inverse == v, axis]
+        centroids[v, axis] = np.clip(centroids[v, axis], coords.min(),
+                                     coords.max())
+    return PointCloud(centroids, frame=cloud.frame)
 
 
 def sample_points(cloud, n, seed):
@@ -502,10 +511,7 @@ def format_detection(frame_id, det, class_name="Car"):
     """One text line: frame id, class, 2D box, KITTI-ordered 3D box fields
     (h w l, bottom-face-center location, yaw), objectness, confidence."""
     b = det.box2d_source
-    w, h, length = det.box3d.dims
-    x, y, z = det.box3d.center
-    values = [b.xmin, b.ymin, b.xmax, b.ymax,
-              h, w, length, x, y + h / 2.0, z, det.box3d.yaw,
+    values = [b.xmin, b.ymin, b.xmax, b.ymax, *box_to_fields(det.box3d),
               det.objectness, det.confidence]
     return " ".join([str(frame_id), class_name] + [f"{v:.9f}" for v in values])
 
@@ -523,13 +529,9 @@ def parse_detection_line(line):
         raise ValueError(f"expected 15 fields, got {len(fields)}")
     frame_id, class_name = fields[0], fields[1]
     nums = [float(t) for t in fields[2:]]
-    box2d = Box2D(*nums[0:4])
-    h, w, length = nums[4:7]
-    x, y_bottom, z = nums[7:10]
-    yaw = nums[10]
     det = Detection(
-        box3d=Box3D((x, y_bottom - h / 2.0, z), (w, h, length), yaw),
-        box2d_source=box2d,
+        box3d=box_from_fields(nums[4:11]),
+        box2d_source=Box2D(*nums[0:4]),
         objectness=nums[11],
         confidence=nums[12],
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cyldet.cli
+import cyldet.kitti
 from cyldet.cli import main
 from cyldet.codec import load_size_clusters
 from cyldet.synthetic import make_frames, write_dataset
@@ -173,6 +174,39 @@ class TestDetect:
                    "--output-dir", str(tmp_path / "out")])
         assert rc == 3
 
+    def test_frames_stream_through_one_serial_loop(self, dataset, tmp_path,
+                                                   monkeypatch):
+        root, split, frames = dataset
+        load_frame = cyldet.kitti.load_frame
+        detect_frame = cyldet.cli.detect_frame
+        calls = []
+
+        def logged_load_frame(dataset_root, frame_id, **kwargs):
+            calls.append(("load", frame_id))
+            return load_frame(dataset_root, frame_id, **kwargs)
+
+        def logged_detect_frame(frame, predictors, config):
+            calls.append(("detect", frame.frame_id))
+            return detect_frame(frame, predictors, config)
+
+        monkeypatch.setattr(cyldet.kitti, "load_frame", logged_load_frame)
+        monkeypatch.setattr(cyldet.cli, "detect_frame", logged_detect_frame)
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(tmp_path / "out"), "--jobs", "2"])
+        assert rc == 0
+        assert calls == [(step, frame.frame_id) for frame in frames
+                         for step in ("load", "detect")]
+
+    def test_missing_last_frame_file_is_data_error(self, tmp_path):
+        root = tmp_path / "data"
+        split = write_dataset(str(root), make_frames(3, seed=42))
+        os.remove(root / "velodyne" / "000002.bin")
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", str(root), "--split", split,
+                   "--output-dir", str(out_dir)])
+        assert rc == 2
+        assert not (out_dir / "summary.txt").exists()
+
     def test_config_file_with_flag_override(self, dataset, tmp_path, capsys):
         root, split, _ = dataset
         config = tmp_path / "run.ini"
@@ -203,6 +237,17 @@ class TestSweep:
         lines = open(os.path.join(out_dir, "sweep_desync.csv")).read().splitlines()
         assert lines[0] == "discrepancy_m,recall"
         assert len(lines) == 10
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_desync_without_seed_draws_is_data_error(self, dataset, tmp_path,
+                                                     seeds):
+        root, split, _ = dataset
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", "desync", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--values", "0.2",
+                   "--desync-seeds", seeds])
+        assert rc == 2
+        assert not (out_dir / "sweep_desync.csv").exists()
 
     def test_scatter_includes_zero(self, dataset, tmp_path):
         root, split, _ = dataset

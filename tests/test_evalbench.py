@@ -281,6 +281,21 @@ class TestSweeps:
         with pytest.raises(TypeError, match="proposal head bug"):
             sweep_objectness(self.frames, preds, [0.5], PipelineConfig())
 
+    def test_sweeps_read_frames_once(self):
+        # an iterator can be read only once: every row must come from the
+        # same single pass that a list gives
+        preds = oracle_predictors(OracleConfig(dims_noise_sigma=0.1,
+                                               yaw_noise_sigma=0.1, rng_seed=4))
+        config = PipelineConfig()
+        scatter_s = [0.0, 0.3, 0.6]
+        thresholds = [0.1, 0.3, 0.5]
+        assert (sweep_scatter(iter(self.frames), preds.monocular, scatter_s,
+                              config)
+                == sweep_scatter(self.frames, preds.monocular, scatter_s,
+                                 config))
+        assert (sweep_objectness(iter(self.frames), preds, thresholds, config)
+                == sweep_objectness(self.frames, preds, thresholds, config))
+
 
 class TestDesync:
     frames = make_frames(4, seed=31, cars_per_frame=(1, 3))
@@ -345,6 +360,27 @@ class TestDesync:
             EvalConfig(iou_threshold=0.5), metric="map", n_seeds=1,
         )
         assert rows[0][1] == 1.0
+
+    def test_curve_reads_frames_once(self):
+        preds = oracle_predictors(OracleConfig(dims_noise_sigma=0.1, rng_seed=2))
+
+        def curve(frames):
+            return desync_robustness_curve(
+                frames, preds, [0.0, 0.4], PipelineConfig(),
+                EvalConfig(iou_threshold=0.5), metric="map", n_seeds=2,
+            )
+
+        assert curve(iter(self.frames)) == curve(self.frames)
+
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_no_seed_draws_is_an_error(self, n_seeds):
+        def exhausted():
+            raise AssertionError("frames read before the check")
+            yield
+
+        with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+            desync_robustness_curve(exhausted(), oracle_predictors(), [0.2],
+                                    n_seeds=n_seeds)
 
 
 class TestEvaluateDetections:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logit
 
 import cyldet
@@ -113,6 +115,40 @@ class TestVoxelDownsample:
                            frame="camera")
         out = voxel_downsample(cloud, 0.1)
         assert out.points[0, 3] == pytest.approx(0.5)
+
+    # a coordinate in voxel units: a cell index plus a fraction that is often
+    # 0, so that many points sit exactly on a voxel face
+    _coord = st.tuples(
+        st.integers(-40, 40),
+        st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 0.999),
+    ).map(sum)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        resolution=st.sampled_from([0.1, 0.25, 0.3]),
+        points=st.lists(
+            st.tuples(st.tuples(_coord, _coord, _coord, st.floats(0.0, 1.0)),
+                      st.integers(1, 4)),
+            min_size=1, max_size=30,
+        ),
+    )
+    # three copies of a point on a face: their mean rounds to one ulp
+    # outside the voxel unless it is held inside
+    @example(resolution=0.1, points=[((-1.0, 0.0, 0.0, 0.5), 3)])
+    def test_centroids_stay_in_their_voxels(self, resolution, points):
+        pts = np.array([
+            [c * resolution for c in xyz] + [r]
+            for (*xyz, r), copies in points for _ in range(copies)
+        ])
+        out = voxel_downsample(PointCloud(pts, frame="camera"), resolution)
+        keys = [tuple(k) for k in np.floor(pts[:, :3] / resolution).astype(int)]
+        out_keys = [tuple(k) for k in
+                    np.floor(out.points[:, :3] / resolution).astype(int)]
+        assert sorted(out_keys) == sorted(set(keys))
+        for key, centroid in zip(out_keys, out.points):
+            members = pts[[k == key for k in keys]]
+            np.testing.assert_allclose(centroid, members.mean(axis=0),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestSamplePoints:
