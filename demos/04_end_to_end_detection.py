@@ -14,7 +14,9 @@ import numpy as np
 import cyldet
 from cyldet import synthetic
 
-root = os.path.join(tempfile.mkdtemp(prefix="cyldet_demo_"), "kitti")
+# removed again when the demo ends
+workdir = tempfile.TemporaryDirectory(prefix="cyldet_demo_")
+root = os.path.join(workdir.name, "kitti")
 frames = synthetic.make_frames(10, seed=7, cars_per_frame=(1, 5))
 split = synthetic.write_dataset(root, frames)
 print("wrote synthetic dataset:", root)
@@ -68,3 +70,4 @@ with open(out) as fh:
 back = cyldet.read_detections(out)
 print("parsed back:", len(back), "rows; first center",
       np.round(back[0][2].box3d.center, 3))
+workdir.cleanup()

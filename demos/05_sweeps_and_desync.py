@@ -43,8 +43,9 @@ for magnitude, recall in rows:
     bar = "#" * int(40 * recall)
     print(f"  discrepancy {magnitude:.1f} m  recall {recall:.3f} {bar}")
 
-out_dir = tempfile.mkdtemp(prefix="cyldet_sweeps_")
-cyldet.write_csv(os.path.join(out_dir, "desync.csv"),
-                 ("discrepancy_m", "recall"), rows)
-print("\nCSV written to", os.path.join(out_dir, "desync.csv"))
-print(open(os.path.join(out_dir, "desync.csv")).read().strip())
+with tempfile.TemporaryDirectory(prefix="cyldet_sweeps_") as out_dir:
+    path = os.path.join(out_dir, "desync.csv")
+    cyldet.write_csv(path, ("discrepancy_m", "recall"), rows)
+    print("\nCSV written to", path)
+    with open(path) as fh:
+        print(fh.read().strip())

@@ -2,8 +2,9 @@
 
 Settings compose from three layers, later ones winning: built-in
 defaults, an INI-style config file (sections per module), and command
-line flags.  The dataset root additionally falls back to the
-ROARNET_DATASET_ROOT environment variable.  Every run echoes its
+line flags, all declared by one table (_SCHEMA); a config-file key
+outside it is a usage error.  The dataset root additionally falls back
+to the ROARNET_DATASET_ROOT environment variable.  Every run echoes its
 effective configuration into the output directory, and every command
 honors --seed for full determinism.
 
@@ -12,10 +13,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 
 import argparse
 import configparser
+import inspect
 import json
 import os
 import sys
 import traceback
+from collections import namedtuple
 
 from .codec import (
     RotationBins,
@@ -24,6 +27,10 @@ from .codec import (
     save_size_clusters,
 )
 from .evalbench import (
+    AP_MODES,
+    DESYNC_METRICS,
+    EVAL_DIFFICULTIES,
+    MATCH_METRICS,
     EvalConfig,
     desync_robustness_curve,
     evaluate_detections,
@@ -59,44 +66,55 @@ EXIT_INTERNAL = 3
 _PIPELINE = PipelineConfig()
 _ORACLE = OracleConfig()
 _EVAL = EvalConfig()
+_DESYNC = inspect.signature(desync_robustness_curve).parameters
 
-# (section, key, cast, default, flag dest or None) for every config-file
-# setting.  Defaults come from the config dataclasses; the size clusters
-# file and the desync settings belong to none of them.
-_SCHEMA = [
-    ("run", "dataset_root", str, None, "dataset_root"),
-    ("run", "split", str, None, "split"),
-    ("run", "output_dir", str, None, "output_dir"),
-    ("run", "mode", str, _PIPELINE.mode, "mode"),
-    ("run", "seed", int, _PIPELINE.seed, "seed"),
-    ("scatter", "s", float, _PIPELINE.scatter.s, "scatter_s"),
-    ("scatter", "stride", float, _PIPELINE.scatter.stride, "scatter_stride"),
+# One row per setting: (section, key, cast, default, flag, choices, help).
+# Every config-file key and every settings flag comes from this table;
+# a flag's dest is its name without the dashes.  Defaults come from the
+# config dataclasses and desync_robustness_curve; the size clusters file
+# belongs to none of them.
+_Setting = namedtuple("_Setting", "section key cast default flag choices help",
+                      defaults=(None, None, None))
+_SCHEMA = [_Setting(*row) for row in (
+    ("run", "dataset_root", str, None, "--dataset-root"),
+    ("run", "split", str, None, "--split", None,
+     "split list file (path or name under the root)"),
+    ("run", "output_dir", str, None, "--output-dir"),
+    ("run", "mode", str, _PIPELINE.mode, "--mode", PIPELINE_MODES),
+    ("run", "seed", int, _PIPELINE.seed, "--seed"),
+    ("scatter", "s", float, _PIPELINE.scatter.s, "--scatter-s"),
+    ("scatter", "stride", float, _PIPELINE.scatter.stride, "--scatter-stride"),
     ("thresholds", "objectness", float, _PIPELINE.objectness_threshold,
-     "objectness_threshold"),
-    ("thresholds", "nms", float, _PIPELINE.nms_threshold, "nms_threshold"),
-    ("oracle", "dims_noise_sigma", float, _ORACLE.dims_noise_sigma, "dims_noise"),
-    ("oracle", "yaw_noise_sigma", float, _ORACLE.yaw_noise_sigma, "yaw_noise"),
+     "--objectness-threshold"),
+    ("thresholds", "nms", float, _PIPELINE.nms_threshold, "--nms-threshold"),
+    ("oracle", "dims_noise_sigma", float, _ORACLE.dims_noise_sigma,
+     "--dims-noise"),
+    ("oracle", "yaw_noise_sigma", float, _ORACLE.yaw_noise_sigma, "--yaw-noise"),
     ("oracle", "center_noise_sigma", float, _ORACLE.center_noise_sigma,
-     "center_noise"),
+     "--center-noise"),
     ("oracle", "box2d_noise_sigma", float, _ORACLE.box2d_noise_sigma,
-     "box2d_noise"),
-    ("pipeline", "radius", float, _PIPELINE.region_radius, "radius"),
-    ("pipeline", "y_min", float, _PIPELINE.region_y_extent[0], None),
-    ("pipeline", "y_max", float, _PIPELINE.region_y_extent[1], None),
-    ("pipeline", "bound", float, _PIPELINE.region_bounds[0], None),
-    ("pipeline", "voxel_resolution", float, _PIPELINE.voxel_resolution, None),
-    ("pipeline", "sample_count", int, _PIPELINE.sample_count, None),
-    ("pipeline", "residual_cap", float, _PIPELINE.residual_cap, "residual_cap"),
-    ("pipeline", "rotation_bins", int, _PIPELINE.bins.n_bins, None),
-    ("pipeline", "size_clusters_file", str, "", "size_clusters_file"),
-    ("eval", "iou_threshold", float, _EVAL.iou_threshold, "iou_threshold"),
-    ("eval", "difficulty", str, _EVAL.difficulty, "difficulty"),
-    ("eval", "ap_mode", str, _EVAL.ap_mode, "ap_mode"),
-    ("eval", "match_metric", str, _EVAL.match_metric, "match_metric"),
-    ("desync", "vertical_ratio", float, 0.25, None),
-    ("desync", "metric", str, "recall", "desync_metric"),
-    ("desync", "seeds", int, 1, "desync_seeds"),
-]
+     "--box2d-noise"),
+    ("pipeline", "radius", float, _PIPELINE.region_radius, "--radius"),
+    ("pipeline", "y_min", float, _PIPELINE.region_y_extent[0]),
+    ("pipeline", "y_max", float, _PIPELINE.region_y_extent[1]),
+    ("pipeline", "bound", float, _PIPELINE.region_bounds[0]),
+    ("pipeline", "voxel_resolution", float, _PIPELINE.voxel_resolution),
+    ("pipeline", "sample_count", int, _PIPELINE.sample_count),
+    ("pipeline", "residual_cap", float, _PIPELINE.residual_cap,
+     "--residual-cap"),
+    ("pipeline", "rotation_bins", int, _PIPELINE.bins.n_bins),
+    ("pipeline", "size_clusters_file", str, "", "--size-clusters-file"),
+    ("eval", "iou_threshold", float, _EVAL.iou_threshold, "--iou-threshold"),
+    ("eval", "difficulty", str, _EVAL.difficulty, "--difficulty",
+     EVAL_DIFFICULTIES),
+    ("eval", "ap_mode", str, _EVAL.ap_mode, "--ap-mode", AP_MODES),
+    ("eval", "match_metric", str, _EVAL.match_metric, "--match-metric",
+     MATCH_METRICS),
+    ("desync", "vertical_ratio", float, _DESYNC["vertical_ratio"].default),
+    ("desync", "metric", str, _DESYNC["metric"].default, "--desync-metric",
+     DESYNC_METRICS),
+    ("desync", "seeds", int, _DESYNC["n_seeds"].default, "--desync-seeds"),
+)]
 
 
 class UsageError(Exception):
@@ -108,33 +126,51 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_config_keys(cfg, path):
+    """Usage error naming the first config-file key (DEFAULT section
+    included) or empty section that is not in _SCHEMA."""
+    known = {(row.section, row.key) for row in _SCHEMA}
+    sections = {section for section, _ in known} | {cfg.default_section}
+    for section in (cfg.default_section, *cfg.sections()):
+        for key in cfg[section]:
+            if (section, key) not in known:
+                raise UsageError(f"unknown config key [{section}] {key} "
+                                 f"in {path}")
+        if section not in sections:
+            raise UsageError(f"unknown config section [{section}] in {path}")
+
+
 def _resolve_settings(args):
-    """Merge defaults, config file, and flags (flags win)."""
+    """{section: {key: value}}: defaults, then the config file, then flags."""
     cfg = configparser.ConfigParser()
     config_path = getattr(args, "config", None)
     if config_path:
         if not os.path.exists(config_path):
             raise MissingFile(f"config file {config_path} not found")
         cfg.read(config_path)
+        _check_config_keys(cfg, config_path)
     settings = {}
-    for section, key, cast, default, dest in _SCHEMA:
-        value = default
-        if cfg.has_option(section, key):
-            value = cast(cfg.get(section, key))
-        if dest is not None and getattr(args, dest, None) is not None:
+    for row in _SCHEMA:
+        value = row.default
+        if cfg.has_option(row.section, row.key):
+            value = row.cast(cfg.get(row.section, row.key))
+            if row.choices and value not in row.choices:
+                raise UsageError(f"[{row.section}] {row.key} must be one of "
+                                 f"{row.choices}, got {value!r}")
+        dest = row.flag and row.flag[2:].replace("-", "_")
+        if dest and getattr(args, dest, None) is not None:
             value = getattr(args, dest)
-        settings[(section, key)] = value
-    if settings[("run", "dataset_root")] is None:
-        settings[("run", "dataset_root")] = os.environ.get(ENV_DATASET_ROOT)
+        settings.setdefault(row.section, {})[row.key] = value
+    if settings["run"]["dataset_root"] is None:
+        settings["run"]["dataset_root"] = os.environ.get(ENV_DATASET_ROOT)
     return settings
 
 
 def _echo_settings(settings, output_dir):
     echo = configparser.ConfigParser()
-    for (section, key), value in settings.items():
-        if not echo.has_section(section):
-            echo.add_section(section)
-        echo.set(section, key, "" if value is None else str(value))
+    for section, values in settings.items():
+        echo[section] = {key: "" if value is None else value
+                         for key, value in values.items()}
     os.makedirs(output_dir, exist_ok=True)
     with open(os.path.join(output_dir, "config_effective.ini"), "w",
               encoding="utf-8") as fh:
@@ -142,53 +178,31 @@ def _echo_settings(settings, output_dir):
 
 
 def _pipeline_config(settings):
-    path = settings[("pipeline", "size_clusters_file")]
-    clusters = load_size_clusters(path) if path else DEFAULT_SIZE_CLUSTERS
-    bound = settings[("pipeline", "bound")]
+    # the [scatter] keys are ScatterParams' fields; the other keys differ
+    # from PipelineConfig's
+    pipe = settings["pipeline"]
+    path = pipe["size_clusters_file"]
     return PipelineConfig(
-        scatter=ScatterParams(
-            settings[("scatter", "s")], settings[("scatter", "stride")]
-        ),
-        mode=settings[("run", "mode")],
-        objectness_threshold=settings[("thresholds", "objectness")],
-        nms_threshold=settings[("thresholds", "nms")],
-        region_radius=settings[("pipeline", "radius")],
-        region_y_extent=(
-            settings[("pipeline", "y_min")], settings[("pipeline", "y_max")]
-        ),
-        region_bounds=(bound, bound, bound),
-        voxel_resolution=settings[("pipeline", "voxel_resolution")],
-        sample_count=settings[("pipeline", "sample_count")],
-        residual_cap=settings[("pipeline", "residual_cap")],
-        clusters=clusters,
-        bins=RotationBins(settings[("pipeline", "rotation_bins")]),
-        seed=settings[("run", "seed")],
-    )
-
-
-def _oracle_config(settings):
-    return OracleConfig(
-        dims_noise_sigma=settings[("oracle", "dims_noise_sigma")],
-        yaw_noise_sigma=settings[("oracle", "yaw_noise_sigma")],
-        center_noise_sigma=settings[("oracle", "center_noise_sigma")],
-        box2d_noise_sigma=settings[("oracle", "box2d_noise_sigma")],
-        rng_seed=settings[("run", "seed")],
-    )
-
-
-def _eval_config(settings):
-    return EvalConfig(
-        iou_threshold=settings[("eval", "iou_threshold")],
-        difficulty=settings[("eval", "difficulty")],
-        ap_mode=settings[("eval", "ap_mode")],
-        match_metric=settings[("eval", "match_metric")],
+        scatter=ScatterParams(**settings["scatter"]),
+        mode=settings["run"]["mode"],
+        objectness_threshold=settings["thresholds"]["objectness"],
+        nms_threshold=settings["thresholds"]["nms"],
+        region_radius=pipe["radius"],
+        region_y_extent=(pipe["y_min"], pipe["y_max"]),
+        region_bounds=(pipe["bound"],) * 3,
+        voxel_resolution=pipe["voxel_resolution"],
+        sample_count=pipe["sample_count"],
+        residual_cap=pipe["residual_cap"],
+        clusters=load_size_clusters(path) if path else DEFAULT_SIZE_CLUSTERS,
+        bins=RotationBins(pipe["rotation_bins"]),
+        seed=settings["run"]["seed"],
     )
 
 
 def _load_frames(settings):
     """The split's frames, loaded one at a time as the caller reads them."""
-    root = settings[("run", "dataset_root")]
-    split = settings[("run", "split")]
+    root = settings["run"]["dataset_root"]
+    split = settings["run"]["split"]
     if not root or not split:
         raise UsageError("--dataset-root and --split are required "
                          f"(or set {ENV_DATASET_ROOT})")
@@ -222,16 +236,15 @@ def _parse_values(text):
 
 def cmd_solve_pose(args):
     if args.calib:
-        with open(args.calib, "r", encoding="utf-8") as fh:
-            calib = parse_calibration(fh.read())
+        path = args.calib
     elif args.dataset_root and args.frame:
         path = os.path.join(args.dataset_root, "calib", args.frame + ".txt")
         if not os.path.exists(path):
             raise MissingFile(f"calib file {path} not found")
-        with open(path, "r", encoding="utf-8") as fh:
-            calib = parse_calibration(fh.read())
     else:
         raise UsageError("provide --calib FILE or --dataset-root with --frame")
+    with open(path, "r", encoding="utf-8") as fh:
+        calib = parse_calibration(fh.read())
     coords = _parse_floats(args.box2d)
     dims = _parse_floats(args.dims)
     if len(coords) != 4 or len(dims) != 3:
@@ -273,14 +286,15 @@ def _prepare_run(args):
     """Settings, output directory, frames, pipeline config and predictors
     of a detect or sweep run; echoes the settings into the output dir."""
     settings = _resolve_settings(args)
-    output_dir = settings[("run", "output_dir")]
+    output_dir = settings["run"]["output_dir"]
     if not output_dir:
         raise UsageError("--output-dir is required")
     frames = _load_frames(settings)
     config = _pipeline_config(settings)
-    predictors = oracle_predictors(
-        _oracle_config(settings), clusters=config.clusters, bins=config.bins
-    )
+    # the [oracle] and [eval] keys are the fields of their config classes
+    oracle = OracleConfig(**settings["oracle"], rng_seed=config.seed)
+    predictors = oracle_predictors(oracle, clusters=config.clusters,
+                                   bins=config.bins)
     _echo_settings(settings, output_dir)
     return settings, output_dir, frames, config, predictors
 
@@ -293,14 +307,17 @@ def cmd_detect(args):
     n_failed = 0
     for frame in frames:
         dets = _detect_one(frame, predictors, config)
+        path = os.path.join(det_dir, frame.frame_id + ".txt")
         if dets is None:
-            # a failed frame detects nothing: its ground truths stay misses
+            # a failed frame detects nothing: its ground truths stay misses,
+            # and no document of an earlier run may claim otherwise
             n_failed += 1
+            if os.path.exists(path):
+                os.remove(path)
         else:
-            write_detections(os.path.join(det_dir, frame.frame_id + ".txt"),
-                             frame.frame_id, dets)
+            write_detections(path, frame.frame_id, dets)
         per_frame.append((dets or [], frame.labels))
-    stats = evaluate_detections(per_frame, _eval_config(settings))
+    stats = evaluate_detections(per_frame, EvalConfig(**settings["eval"]))
     summary = (
         f"frames {len(per_frame)} tp {stats['tp']} fp {stats['fp']} "
         f"fn {stats['fn']} recall {stats['recall']:.6f} ap {stats['ap']:.6f} "
@@ -327,16 +344,14 @@ def cmd_sweep(args):
         path = os.path.join(output_dir, "sweep_objectness.csv")
         write_csv(path, ("threshold", "recall", "proposals_per_gt"), rows)
     else:
-        metric = settings[("desync", "metric")]
+        desync = settings["desync"]
         rows = desync_robustness_curve(
-            frames, predictors, values, config, _eval_config(settings),
-            metric=metric,
-            n_seeds=settings[("desync", "seeds")],
-            vertical_ratio=settings[("desync", "vertical_ratio")],
-            seed=settings[("run", "seed")],
+            frames, predictors, values, config, EvalConfig(**settings["eval"]),
+            metric=desync["metric"], n_seeds=desync["seeds"],
+            vertical_ratio=desync["vertical_ratio"], seed=config.seed,
         )
         path = os.path.join(output_dir, "sweep_desync.csv")
-        write_csv(path, ("discrepancy_m", metric), rows)
+        write_csv(path, ("discrepancy_m", desync["metric"]), rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -346,7 +361,7 @@ def cmd_fit_sizes(args):
     frames = _load_frames(settings)
     labels = [lab for frame in frames for lab in frame.labels]
     clusters = fit_size_clusters(labels, args.clusters,
-                                 seed=settings[("run", "seed")])
+                                 seed=settings["run"]["seed"])
     save_size_clusters(clusters, args.output)
     print(f"clusters {clusters.n_clusters} sse {clusters.sse:.6f} "
           f"-> {args.output}")
@@ -358,34 +373,17 @@ def build_parser():
                      description="Cylinder-region 3D detection geometry")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_settings(p, sections):
+        for row in _SCHEMA:
+            if row.flag and row.section in sections:
+                p.add_argument(row.flag, choices=row.choices, help=row.help,
+                               type=None if row.cast is str else row.cast)
+
     def add_common(p):
         p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--dataset-root", dest="dataset_root")
-        p.add_argument("--split", dest="split",
-                       help="split list file (path or name under the root)")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--seed", dest="seed", type=int)
         p.add_argument("--jobs", dest="jobs", type=int,
                        help="ignored: frames always run one at a time")
-        p.add_argument("--mode", dest="mode", choices=PIPELINE_MODES)
-        p.add_argument("--scatter-s", dest="scatter_s", type=float)
-        p.add_argument("--scatter-stride", dest="scatter_stride", type=float)
-        p.add_argument("--objectness-threshold", dest="objectness_threshold",
-                       type=float)
-        p.add_argument("--nms-threshold", dest="nms_threshold", type=float)
-        p.add_argument("--dims-noise", dest="dims_noise", type=float)
-        p.add_argument("--yaw-noise", dest="yaw_noise", type=float)
-        p.add_argument("--center-noise", dest="center_noise", type=float)
-        p.add_argument("--box2d-noise", dest="box2d_noise", type=float)
-        p.add_argument("--radius", dest="radius", type=float)
-        p.add_argument("--residual-cap", dest="residual_cap", type=float)
-        p.add_argument("--size-clusters-file", dest="size_clusters_file")
-        p.add_argument("--iou-threshold", dest="iou_threshold", type=float)
-        p.add_argument("--difficulty", dest="difficulty",
-                       choices=("easy", "moderate", "hard"))
-        p.add_argument("--ap-mode", dest="ap_mode", choices=("r11", "r40"))
-        p.add_argument("--match-metric", dest="match_metric",
-                       choices=("iou_3d", "iou_bev"))
+        add_settings(p, {row.section for row in _SCHEMA} - {"desync"})
 
     p_solve = sub.add_parser("solve-pose",
                              help="solve one 3D pose from a 2D box")
@@ -411,9 +409,7 @@ def build_parser():
     p_sweep.add_argument("kind", choices=("scatter", "objectness", "desync"))
     p_sweep.add_argument("--values", required=True,
                          help="comma list or start:stop:step (inclusive)")
-    p_sweep.add_argument("--desync-metric", dest="desync_metric",
-                         choices=("recall", "map"))
-    p_sweep.add_argument("--desync-seeds", dest="desync_seeds", type=int)
+    add_settings(p_sweep, {"desync"})
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -126,7 +126,8 @@ def decode_rotation(logits, residuals, bins, normalize_residual=False):
     logits = np.asarray(logits, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     if logits.shape != (bins.n_bins,) or residuals.shape != (bins.n_bins,):
-        raise ValueError("encoding arity does not match the bin count")
+        # the head and the config disagree on the bins: a wiring bug, not data
+        raise TypeError("encoding arity does not match the bin count")
     idx = int(np.argmax(logits))
     residual = residuals[idx]
     if normalize_residual:
@@ -247,7 +248,7 @@ def decode_size(logits, residuals, clusters, log_space=False):
     logits = np.asarray(logits, dtype=float)
     residuals = np.asarray(residuals, dtype=float).reshape(-1, 3)
     if logits.shape != (clusters.n_clusters,) or len(residuals) != clusters.n_clusters:
-        raise ValueError("encoding arity does not match the cluster count")
+        raise TypeError("encoding arity does not match the cluster count")
     idx = int(np.argmax(logits))
     if log_space:
         dims = clusters.centroids[idx] * np.exp(residuals[idx])

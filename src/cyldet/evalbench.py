@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import iou_3d, iou_bev
-from .kitti import FrameData, PointCloud, WrongFrame, stable_id_hash
+from .kitti import DIFFICULTIES, FrameData, PointCloud, WrongFrame
+from .kitti import stable_id_hash
 from .pipeline import (
     PipelineConfig,
     detect_frame,
@@ -29,11 +30,14 @@ from .pipeline import (
 from .pipeline import gather_cylinder, objectness  # noqa: F401
 from .pipeline import sample_points, voxel_downsample  # noqa: F401
 
-_ACTIVE = {
-    "easy": ("easy",),
-    "moderate": ("easy", "moderate"),
-    "hard": ("easy", "moderate", "hard"),
-}
+# the accepted values of EvalConfig's fields and of the desync metric;
+# a difficulty also scores every easier one, and "ignored" is never scored
+EVAL_DIFFICULTIES = DIFFICULTIES[:-1]
+_ACTIVE = {difficulty: EVAL_DIFFICULTIES[:i + 1]
+           for i, difficulty in enumerate(EVAL_DIFFICULTIES)}
+AP_MODES = ("r11", "r40")
+MATCH_METRICS = ("iou_3d", "iou_bev")
+DESYNC_METRICS = ("recall", "map")
 
 
 @dataclass(frozen=True)
@@ -46,12 +50,12 @@ class EvalConfig:
     def __post_init__(self):
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in (0, 1]")
-        if self.difficulty not in _ACTIVE:
-            raise ValueError(f"difficulty must be one of {tuple(_ACTIVE)}")
-        if self.ap_mode not in ("r11", "r40"):
-            raise ValueError("ap_mode must be r11 or r40")
-        if self.match_metric not in ("iou_3d", "iou_bev"):
-            raise ValueError("match_metric must be iou_3d or iou_bev")
+        if self.difficulty not in EVAL_DIFFICULTIES:
+            raise ValueError(f"difficulty must be one of {EVAL_DIFFICULTIES}")
+        if self.ap_mode not in AP_MODES:
+            raise ValueError(f"ap_mode must be one of {AP_MODES}")
+        if self.match_metric not in MATCH_METRICS:
+            raise ValueError(f"match_metric must be one of {MATCH_METRICS}")
 
     @property
     def metric(self):
@@ -338,8 +342,8 @@ def desync_robustness_curve(frames, predictors, magnitudes,
     metric selects 'recall' or 'map'.  frames may be any iterable; it is
     read once.
     """
-    if metric not in ("recall", "map"):
-        raise ValueError("metric must be 'recall' or 'map'")
+    if metric not in DESYNC_METRICS:
+        raise ValueError(f"metric must be one of {DESYNC_METRICS}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     magnitudes = list(magnitudes)

@@ -205,11 +205,12 @@ def _bev_intersection_area(a, b):
 
 def iou_bev(a, b):
     """IoU of the two yaw-rotated box footprints in the x-z ground plane."""
-    inter = _bev_intersection_area(a, b)
-    if inter <= 0.0:
-        return 0.0
     area_a = a.dims[0] * a.dims[2]
     area_b = b.dims[0] * b.dims[2]
+    # rounding in the clip can carry the intersection past either area
+    inter = min(_bev_intersection_area(a, b), area_a, area_b)
+    if inter <= 0.0:
+        return 0.0
     return inter / (area_a + area_b - inter)
 
 
@@ -224,7 +225,7 @@ def iou_3d(a, b):
     overlap = _y_overlap(a, b)
     if overlap <= 0.0:
         return 0.0
-    inter = _bev_intersection_area(a, b) * overlap
+    inter = min(_bev_intersection_area(a, b) * overlap, a.volume, b.volume)
     if inter <= 0.0:
         return 0.0
     return inter / (a.volume + b.volume - inter)

@@ -93,7 +93,7 @@ def gather_cylinder(cloud, region):
     return PointCloud(rel, frame="camera")
 
 
-def voxel_downsample(cloud, resolution=0.1):
+def voxel_downsample(cloud, resolution):
     """One centroid per occupied voxel of the given edge length."""
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
@@ -205,14 +205,8 @@ class OracleMonocularPredictor:
                 xmin, xmax = xmin - 0.5, xmin + 0.5
             if ymax - ymin < 1.0:
                 ymin, ymax = ymin - 0.5, ymin + 0.5
-            out.append(
-                Mono2DDetection(
-                    box2d=Box2D(xmin, ymin, xmax, ymax),
-                    dims=tuple(dims),
-                    yaw=yaw,
-                    score=1.0,
-                )
-            )
+            out.append(Mono2DDetection(Box2D(xmin, ymin, xmax, ymax),
+                                       tuple(dims), yaw))
         return out
 
 
@@ -360,9 +354,9 @@ class PipelineConfig:
     mode: str = "rpn_brn_brn"
     objectness_threshold: float = 0.25
     nms_threshold: float = 0.05
-    region_radius: float = 2.0
-    region_y_extent: tuple = (-1.0, 3.0)
-    region_bounds: tuple = (2.0, 2.0, 2.0)
+    region_radius: float = ProposalRegion.radius
+    region_y_extent: tuple = ProposalRegion.y_extent
+    region_bounds: tuple = ProposalRegion.bounds
     voxel_resolution: float = 0.1
     sample_count: int = PREDICT_SAMPLE_COUNT
     residual_cap: float = DEFAULT_RESIDUAL_CAP

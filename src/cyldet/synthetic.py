@@ -14,6 +14,7 @@ import numpy as np
 
 from .geometry import Box3D, project_box
 from .kitti import (
+    DEFAULT_IMAGE_SIZE,
     CalibrationSet,
     FrameData,
     GroundTruthLabel,
@@ -25,7 +26,6 @@ from .kitti import (
     emit_velodyne,
 )
 
-DEFAULT_IMAGE_SIZE = (1242, 375)
 GROUND_Y = 1.55  # camera height above the road, meters (camera y points down)
 
 

@@ -207,6 +207,43 @@ class TestDetect:
         assert rc == 2
         assert not (out_dir / "summary.txt").exists()
 
+    def test_failed_frame_removes_its_old_document(self, dataset, tmp_path,
+                                                   monkeypatch, capsys):
+        root, split, frames = dataset
+        args = ["detect", "--dataset-root", root, "--split", split,
+                "--output-dir", str(tmp_path / "out")]
+        assert main(args) == 0
+        det_dir = tmp_path / "out" / "detections"
+        assert len(os.listdir(det_dir)) == len(frames)
+        detect_frame = cyldet.cli.detect_frame
+        failing = frames[1].frame_id
+
+        def flaky_detect_frame(frame, predictors, config):
+            if frame.frame_id == failing:
+                raise ValueError("simulated data error")
+            return detect_frame(frame, predictors, config)
+
+        monkeypatch.setattr(cyldet.cli, "detect_frame", flaky_detect_frame)
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out.split()[-2:] == ["failed", "1"]
+        assert sorted(os.listdir(det_dir)) == sorted(
+            f.frame_id + ".txt" for f in frames if f.frame_id != failing)
+
+    def test_head_config_mismatch_is_internal_error(self, dataset, tmp_path,
+                                                    monkeypatch):
+        root, split, _ = dataset
+        oracle_predictors = cyldet.cli.oracle_predictors
+        # heads built with the library's 12 rotation bins, whatever the config
+        monkeypatch.setattr(cyldet.cli, "oracle_predictors",
+                            lambda cfg, clusters, bins: oracle_predictors(cfg))
+        config = tmp_path / "bins.ini"
+        config.write_text("[pipeline]\nrotation_bins = 8\n")
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(tmp_path / "out"),
+                   "--config", str(config)])
+        assert rc == 3
+
     def test_config_file_with_flag_override(self, dataset, tmp_path, capsys):
         root, split, _ = dataset
         config = tmp_path / "run.ini"
@@ -225,6 +262,88 @@ class TestDetect:
                    "--objectness-threshold", "0.25"])
         assert rc == 0
         assert "recall 1.000000" in capsys.readouterr().out
+
+
+def _setting_values(row):
+    """Two distinct values for one settings row, as typed from a flag."""
+    if row.choices:
+        return row.choices[0], row.choices[1]
+    return {str: ("a", "b"), int: (7, 8), float: (0.125, 0.375)}[row.cast]
+
+
+class TestSettings:
+    FLAG_ROWS = [row for row in cyldet.cli._SCHEMA if row.flag]
+
+    @pytest.mark.parametrize("row", FLAG_ROWS, ids=lambda row: row.flag)
+    def test_flag_sets_its_setting_over_the_config_file(self, row, tmp_path):
+        from_config, from_flag = _setting_values(row)
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{row.section}]\n{row.key} = {from_config}\n")
+        command = (["sweep", "desync", "--values", "0"]
+                   if row.section == "desync" else ["detect"])
+        parser = cyldet.cli.build_parser()
+        for extra, want in (([], from_config),
+                            ([row.flag, str(from_flag)], from_flag)):
+            args = parser.parse_args(command + ["--config", str(config)]
+                                     + extra)
+            settings = cyldet.cli._resolve_settings(args)
+            assert settings[row.section][row.key] == want
+
+    def test_desync_flags_are_sweep_only(self):
+        for row in self.FLAG_ROWS:
+            if row.section == "desync":
+                assert main(["detect", row.flag, "1"]) == 1
+
+    @pytest.mark.parametrize("text, name", [
+        ("[thresholds]\nobjectnes = 0.999\n", "[thresholds] objectnes"),
+        ("[threshold]\nobjectness = 0.999\n", "[threshold] objectness"),
+        ("[extra]\n", "[extra]"),
+        ("[DEFAULT]\nseed = 5\n[run]\n", "[DEFAULT] seed"),
+    ])
+    def test_unknown_config_key_is_usage_error(self, dataset, tmp_path,
+                                               capsys, text, name):
+        root, split, _ = dataset
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--config", str(config)])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("row", [row for row in FLAG_ROWS if row.choices],
+                             ids=lambda row: row.key)
+    def test_config_value_outside_the_choices_is_usage_error(
+            self, dataset, tmp_path, capsys, row):
+        # as it is for the flag, and before any frame runs
+        root, split, _ = dataset
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{row.section}]\n{row.key} = bogus\n")
+        out_dir = tmp_path / "out"
+        rc = main(["sweep", "desync", "--values", "0", "--dataset-root", root,
+                   "--split", split, "--output-dir", str(out_dir),
+                   "--config", str(config)])
+        assert rc == 1
+        assert f"[{row.section}] {row.key}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_echoed_config_reproduces_the_run(self, dataset, tmp_path):
+        root, split, _ = dataset
+        first = tmp_path / "first"
+        assert main(["detect", "--dataset-root", root, "--split", split,
+                     "--output-dir", str(first), "--seed", "4",
+                     "--dims-noise", "0.1", "--mode", "single_stage_twice",
+                     "--objectness-threshold", "0.3", "--ap-mode", "r40",
+                     "--match-metric", "iou_bev"]) == 0
+        second = tmp_path / "second"
+        assert main(["detect", "--config", str(first / "config_effective.ini"),
+                     "--output-dir", str(second)]) == 0
+        trees = [read_tree(str(out)) for out in (first, second)]
+        # the echoes differ only in the output directory
+        echoes = [tree.pop("config_effective.ini").decode() for tree in trees]
+        assert echoes[1].replace(str(second), str(first)) == echoes[0]
+        assert trees[0] == trees[1]
 
 
 class TestSweep:

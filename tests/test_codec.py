@@ -87,6 +87,15 @@ class TestRotationCodec:
         yaw = decode_rotation([5.0, 0.0], [0.0, 0.0], bins)
         assert yaw == pytest.approx(math.pi / 4)
 
+    def test_arity_mismatch_is_not_a_data_error(self):
+        # a head built for other bins is a wiring bug that must surface,
+        # not a ValueError that detection drops as bad data
+        logits, residuals = encode_rotation(1.0, RotationBins(12))
+        with pytest.raises(TypeError, match="arity"):
+            decode_rotation(logits, residuals, RotationBins(8))
+        with pytest.raises(TypeError, match="arity"):
+            decode_rotation(logits, residuals[:-1], RotationBins(12))
+
     def test_round_trip(self):
         bins = RotationBins(8)
         logits, residuals = encode_rotation(1.0, bins)
@@ -186,6 +195,12 @@ class TestSizeClusters:
 
 class TestSizeCodec:
     clusters = SizeClusters(np.array([[1.4, 1.5, 3.4], [1.8, 1.9, 4.6]]))
+
+    def test_arity_mismatch_is_not_a_data_error(self):
+        with pytest.raises(TypeError, match="arity"):
+            decode_size(np.zeros(3), np.zeros((3, 3)), self.clusters)
+        with pytest.raises(TypeError, match="arity"):
+            decode_size(np.zeros(2), np.zeros((1, 3)), self.clusters)
 
     def test_zero_residuals_give_centroid(self):
         logits = np.array([0.0, 4.0])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyldet import (
     BehindCamera,
@@ -215,3 +217,80 @@ class TestIou3d:
             got = iou_3d(a, b)
             want = mc_iou_3d(a, b, n_samples=200_000, seed=100 + i)
             assert got == pytest.approx(want, abs=5e-3)
+
+
+def _boxes(z_min=2.0):
+    coord = st.floats(-20.0, 20.0)
+    return st.builds(
+        lambda x, y, z, dims, yaw: Box3D((x, y, z), dims, yaw),
+        coord, st.floats(-2.0, 2.0), st.floats(z_min, 60.0),
+        st.tuples(*[st.floats(0.3, 6.0)] * 3), st.floats(-math.pi, math.pi),
+    )
+
+
+@st.composite
+def _box_pairs(draw):
+    """A box and a second box near it, so that many pairs overlap."""
+    a = draw(_boxes(z_min=10.0))
+    offset = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    b = draw(_boxes())
+    center = tuple(c + o for c, o in zip(a.center, offset))
+    return a, Box3D(center, b.dims, b.yaw)
+
+
+def _turned(box, angle, dims=None):
+    return Box3D(box.center, dims or box.dims, box.yaw + angle)
+
+
+class TestIouProperties:
+    """iou_bev and iou_3d on random box pairs: symmetric, in [0, 1], 1 on
+    the box itself, blind to yaw + pi, and 1 for a quarter turn with
+    width and length swapped (the same footprint)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_box_pairs())
+    # the shoelace area of this clip exceeds 0.3 * 0.3 by a few ulp
+    @example((Box3D((0.0, 0.0, 10.0), (0.3, 1.0, 0.3), 0.0),) * 2)
+    def test_symmetric_and_bounded(self, pair):
+        a, b = pair
+        for iou in (iou_bev, iou_3d):
+            ab = iou(a, b)
+            assert 0.0 <= ab <= 1.0
+            assert iou(b, a) == ab
+
+    @settings(max_examples=300, deadline=None)
+    @given(_boxes())
+    def test_box_with_itself(self, box):
+        for iou in (iou_bev, iou_3d):
+            assert iou(box, box) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_box_pairs())
+    def test_yaw_plus_pi_changes_nothing(self, pair):
+        a, b = pair
+        for iou in (iou_bev, iou_3d):
+            assert iou(_turned(a, math.pi), b) == pytest.approx(
+                iou(a, b), abs=1e-9)
+            assert iou(a, _turned(a, math.pi)) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_boxes(), st.sampled_from([-1, 1]))
+    def test_quarter_turn_with_swapped_extents(self, box, sign):
+        w, h, length = box.dims
+        turned = _turned(box, sign * math.pi / 2, (length, h, w))
+        for iou in (iou_bev, iou_3d):
+            assert iou(box, turned) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_boxes(z_min=10.0), st.sampled_from([0, 2]), st.sampled_from([-1, 1]))
+    def test_touching_footprints_do_not_overlap(self, box, axis, sign):
+        # the neighbour shares one footprint edge: shifted by the full
+        # extent along the box's own width (axis 0) or length (axis 2)
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        direction = (c, -s) if axis == 0 else (s, c)
+        step = sign * box.dims[axis]
+        x, y, z = box.center
+        neighbour = Box3D((x + step * direction[0], y,
+                           z + step * direction[1]), box.dims, box.yaw)
+        for iou in (iou_bev, iou_3d):
+            assert iou(box, neighbour) == pytest.approx(0.0, abs=1e-9)

@@ -17,6 +17,7 @@ from cyldet import (
     PipelineConfig,
     PointCloud,
     ProposalRegion,
+    RotationBins,
     RpnOutput,
     ScatterParams,
     WrongFrame,
@@ -321,6 +322,13 @@ class TestDetectFrame:
         predictors = dataclasses.replace(oracle_predictors(), rpn=broken_rpn)
         with pytest.raises(TypeError, match="proposal head bug"):
             detect_frame(frame, predictors, PipelineConfig())
+
+    def test_head_config_arity_mismatch_propagates(self):
+        # oracle heads encode 12 rotation bins; the config decodes 8
+        frame = make_frame("000019", seed=19, n_cars=1)
+        config = PipelineConfig(bins=RotationBins(8))
+        with pytest.raises(TypeError, match="arity"):
+            detect_frame(frame, oracle_predictors(), config)
 
     def test_all_modes_run(self):
         frame = make_frame("000016", seed=16, n_cars=2)
