@@ -261,13 +261,13 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     return [_capture_row(s, pairs, cfg.region_radius) for s, cfg, pairs in rows]
 
 
-def _score_seed_region(frame, predictors, config, proposal, frame_hash):
+def _score_seed_region(frame, predictors, config, proposal, frame_hash,
+                       index):
     """Stage-0 objectness of one seed region, with the region center."""
     obj_idx, seed_idx, _, region = proposal
-    score, _ = score_region(
-        frame, predictors, config, region,
-        derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0),
-    )
+    score, _ = score_region(frame, predictors, config, region,
+                            (config.seed, frame_hash, obj_idx, seed_idx, 0),
+                            index)
     return score, region.center
 
 

@@ -15,8 +15,12 @@ projected 3D box, then bird's-eye-view NMS removes duplicates.
 
 Predictors are callables: monocular(frame) -> [Mono2DDetection];
 rpn(points, region, frame) -> RpnOutput; brn(points, region, frame) ->
-BrnOutput.  Oracle implementations backed by ground truth (with optional
-seeded noise) stand in for trained networks.
+BrnOutput.  A point head receives region_points(...) of its region unless
+it sets the class attribute uses_points = False, in which case points is
+None and no gather, voxel or sample work is done for it.  For every head,
+a region holding no point is dropped with EmptyCloud before the head runs.
+Oracle implementations backed by ground truth (with optional seeded noise)
+stand in for trained networks; the point-head oracles read no points.
 """
 
 import logging
@@ -75,22 +79,89 @@ class EmptyCloud(ValueError):
     pass
 
 
+# grid cells are numbered within +-_CELL_LIMIT, so that cell keys fit in
+# int64 however far a point or region lies; the points of an edge cell are
+# still tested exactly
+_CELL_LIMIT = 2**30
+
+
+class RegionIndex:
+    """Cylinder-region membership over one camera-frame cloud.
+
+    The points inside the vertical band y_extent (inclusive) are sorted, on
+    the first query, into a square x-z grid of cells `cell` wide.  A query
+    tests only the points of the cells its circle can reach, padded by one
+    cell against rounding, with the expression dx*dx + dz*dz <= r**2.
+    Every region of a frame shares the band (recentered keeps it), so one
+    index answers them all.
+    """
+
+    def __init__(self, cloud, y_extent, cell):
+        self.cloud = cloud
+        self.y_extent = tuple(float(v) for v in y_extent)
+        self.cell = float(cell)
+        self._keys = None
+
+    def _build(self):
+        pts = self.cloud.points
+        y0, y1 = self.y_extent
+        band = np.flatnonzero((pts[:, 1] >= y0) & (pts[:, 1] <= y1))
+        cells = np.clip(np.floor(pts[band][:, [0, 2]] / self.cell),
+                        -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
+        self._lo, self._shape = [0, 0], [0, 0]
+        if len(band):
+            self._lo = cells.min(axis=0).tolist()
+            self._shape = (cells.max(axis=0) - self._lo + 1).tolist()
+        # x-major cell keys, so one x column of cells is one key range
+        keys = (cells[:, 0] - self._lo[0]) * self._shape[1] + (
+            cells[:, 1] - self._lo[1])
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._members = band[order]
+        self._x = pts[self._members, 0]
+        self._z = pts[self._members, 2]
+
+    def _cell_range(self, axis, center, radius):
+        lo, hi = (math.floor(min(max(v / self.cell, -_CELL_LIMIT), _CELL_LIMIT))
+                  - self._lo[axis] for v in (center - radius, center + radius))
+        return max(lo - 1, 0), min(hi + 1, self._shape[axis] - 1)
+
+    def members(self, region):
+        """Cloud-order indices of the points inside region, whose band must
+        be the index's."""
+        if self.cloud.frame != "camera":
+            raise WrongFrame(f"expected camera frame, got {self.cloud.frame}")
+        if region.y_extent != self.y_extent:
+            raise RuntimeError(f"region band {region.y_extent} is not the "
+                               f"index band {self.y_extent}")
+        if self._keys is None:
+            self._build()
+        cx, _, cz = region.center
+        x0, x1 = self._cell_range(0, cx, region.radius)
+        z0, z1 = self._cell_range(1, cz, region.radius)
+        if x0 > x1 or z0 > z1:
+            return np.zeros(0, np.int64)
+        columns = np.arange(x0, x1 + 1) * self._shape[1]
+        starts = np.searchsorted(self._keys, columns + z0).tolist()
+        ends = np.searchsorted(self._keys, columns + z1, side="right").tolist()
+        pos = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)])
+        dx = self._x[pos] - cx
+        dz = self._z[pos] - cz
+        inside = dx * dx + dz * dz <= region.radius**2
+        return np.sort(self._members[pos[inside]])
+
+    def points(self, members, region):
+        """The member points re-expressed relative to the region center."""
+        cx, cy, cz = region.center
+        rel = self.cloud.points[members] - np.array([cx, cy, cz, 0.0])
+        return PointCloud(rel, frame="camera")
+
+
 def gather_cylinder(cloud, region):
     """Points inside a standing-cylinder region, re-expressed relative to
     the region center.  The cloud must be in the camera frame."""
-    if cloud.frame != "camera":
-        raise WrongFrame(f"expected camera frame, got {cloud.frame}")
-    pts = cloud.points
-    cx, cy, cz = region.center
-    dx = pts[:, 0] - cx
-    dz = pts[:, 2] - cz
-    mask = (
-        (dx * dx + dz * dz <= region.radius**2)
-        & (pts[:, 1] >= region.y_extent[0])
-        & (pts[:, 1] <= region.y_extent[1])
-    )
-    rel = pts[mask] - np.array([cx, cy, cz, 0.0])
-    return PointCloud(rel, frame="camera")
+    index = RegionIndex(cloud, region.y_extent, region.radius)
+    return index.points(index.members(region), region)
 
 
 def voxel_downsample(cloud, resolution):
@@ -268,6 +339,8 @@ class OracleRpnPredictor:
     ground truth when it lies within the region bounds, with objectness
     graded by the true center's normalized offset."""
 
+    uses_points = False
+
     def __init__(self, cfg=OracleConfig()):
         self.cfg = cfg
 
@@ -289,6 +362,8 @@ class OracleRpnPredictor:
 class OracleBrnPredictor:
     """Box-head oracle: encodings of the (noised) nearest ground truth via
     the location, rotation-bin, and size-cluster codecs."""
+
+    uses_points = False
 
     def __init__(self, cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
                  bins=DEFAULT_ROTATION_BINS):
@@ -367,6 +442,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in PIPELINE_MODES:
             raise ValueError(f"mode must be one of {PIPELINE_MODES}")
+        if self.voxel_resolution <= 0.0:
+            raise ValueError("voxel_resolution must be positive")
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be >= 1")
 
 
 def decode_box(brn_out, region, clusters, bins):
@@ -377,15 +456,33 @@ def decode_box(brn_out, region, clusters, bins):
     return Box3D(tuple(center), (w, h, length), yaw)
 
 
-def region_points(frame, region, config, sample_seed):
+def _occupied_members(index, region):
+    members = index.members(region)
+    if len(members) == 0:
+        raise EmptyCloud("no points inside the proposal region")
+    return members
+
+
+def region_points(frame, region, config, sample_seed, index=None):
     """The point-head input for one region: gather, voxel-downsample, then
     sample config.sample_count points.  Raises EmptyCloud when the region
-    holds no point."""
-    gathered = gather_cylinder(frame.cloud, region)
-    if len(gathered) == 0:
-        raise EmptyCloud("no points inside the proposal region")
+    holds no point.  index is the frame's RegionIndex, when one exists."""
+    if index is None:
+        index = RegionIndex(frame.cloud, region.y_extent, region.radius)
+    gathered = index.points(_occupied_members(index, region), region)
     downsampled = voxel_downsample(gathered, config.voxel_resolution)
     return sample_points(downsampled, config.sample_count, sample_seed)
+
+
+def _head_input(head, frame, region, config, index, seed_parts):
+    """What head receives for region: region_points, sampled with the seed
+    derived from seed_parts, or None when head.uses_points is False.  An
+    empty region raises EmptyCloud either way."""
+    if getattr(head, "uses_points", True):
+        return region_points(frame, region, config, derive_seed(*seed_parts),
+                             index)
+    _occupied_members(index, region)
+    return None
 
 
 def seed_proposals(frame, monocular, config=PipelineConfig()):
@@ -417,7 +514,8 @@ def seed_proposals(frame, monocular, config=PipelineConfig()):
 
 def run_proposals(frame, predictors, config, run):
     """The non-None results of run(frame, predictors, config, proposal,
-    frame_hash) over the frame's seeded proposals.
+    frame_hash, index) over the frame's seeded proposals; index is the
+    frame's RegionIndex, shared by every proposal.
 
     A proposal that raises a data error (any ValueError: EmptyCloud for an
     empty region, BehindCamera, OutOfBounds, NonPositiveDims,
@@ -426,10 +524,12 @@ def run_proposals(frame, predictors, config, run):
     and propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
+    index = RegionIndex(frame.cloud, config.region_y_extent,
+                        config.region_radius)
     results = []
     for proposal in seed_proposals(frame, predictors.monocular, config):
         try:
-            result = run(frame, predictors, config, proposal, frame_hash)
+            result = run(frame, predictors, config, proposal, frame_hash, index)
         except ValueError as exc:
             obj_idx, seed_idx, _, _ = proposal
             logger.warning(
@@ -449,24 +549,27 @@ def detect_frame(frame, predictors, config=PipelineConfig()):
     return nms_bev(detections, config.nms_threshold)
 
 
-def score_region(frame, predictors, config, region, sample_seed):
-    """Proposal-head objectness of one region and its decoded location."""
-    out = predictors.rpn(region_points(frame, region, config, sample_seed),
-                         region, frame)
+def score_region(frame, predictors, config, region, seed_parts, index):
+    """Proposal-head objectness of one region and its decoded location;
+    the head's input is as in _head_input."""
+    points = _head_input(predictors.rpn, frame, region, config, index,
+                         seed_parts)
+    out = predictors.rpn(points, region, frame)
     return objectness(out.t_obj), decode_location(out.t_loc, region)
 
 
-def _run_proposal(frame, predictors, config, proposal, frame_hash):
+def _run_proposal(frame, predictors, config, proposal, frame_hash, index):
     obj_idx, seed_idx, det2d, region = proposal
     for stage, (head, recenter) in enumerate(MODE_STAGES[config.mode]):
-        sample_seed = derive_seed(config.seed, frame_hash, obj_idx, seed_idx, stage)
+        seed_parts = (config.seed, frame_hash, obj_idx, seed_idx, stage)
         if head == "rpn":
             score, center = score_region(frame, predictors, config, region,
-                                         sample_seed)
+                                         seed_parts, index)
             if score < config.objectness_threshold:
                 return None
         else:
-            points = region_points(frame, region, config, sample_seed)
+            points = _head_input(predictors.brn, frame, region, config, index,
+                                 seed_parts)
             out = predictors.brn(points, region, frame)
             box = decode_box(out, region, config.clusters, config.bins)
             center = box.center

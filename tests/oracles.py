@@ -146,6 +146,20 @@ def project_corners_reference(box, p):
     return min(us), min(vs), max(us), max(vs)
 
 
+def cylinder_members_reference(points, region):
+    """Indices of the (N, 4) points inside a standing-cylinder region, by a
+    scan of every point: dx*dx + dz*dz <= r**2 on the ground plane and the
+    inclusive vertical band y_extent."""
+    points = np.asarray(points, dtype=float)
+    cx, _, cz = region.center
+    y0, y1 = region.y_extent
+    dx = points[:, 0] - cx
+    dz = points[:, 2] - cz
+    inside = ((dx * dx + dz * dz <= region.radius**2)
+              & (points[:, 1] >= y0) & (points[:, 1] <= y1))
+    return np.flatnonzero(inside)
+
+
 def greedy_nms_reference(boxes, confidences, threshold, iou_fn):
     """O(n^2) greedy suppression; returns kept indices."""
     order = sorted(range(len(boxes)), key=lambda i: (-confidences[i], i))

@@ -207,6 +207,21 @@ class TestDetect:
         assert rc == 2
         assert not (out_dir / "summary.txt").exists()
 
+    @pytest.mark.parametrize("key", ["voxel_resolution", "sample_count"])
+    def test_point_preparation_setting_of_zero_is_data_error(
+            self, dataset, tmp_path, capsys, key):
+        # checked before any frame runs; the oracle heads prepare no
+        # points, so no frame would reject it
+        root, split, _ = dataset
+        config = tmp_path / "zero.ini"
+        config.write_text(f"[pipeline]\n{key} = 0\n")
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--config", str(config)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (out_dir / "summary.txt").exists()
+
     def test_failed_frame_removes_its_old_document(self, dataset, tmp_path,
                                                    monkeypatch, capsys):
         root, split, frames = dataset

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import logging
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logit
 
 import cyldet
+from cyldet import pipeline
 from cyldet import (
     Box3D,
     BrnOutput,
@@ -32,18 +35,27 @@ from cyldet import (
     project_box,
     sample_points,
     seed_proposals,
+    sweep_objectness,
     voxel_downsample,
 )
+from cyldet.kitti import stable_id_hash
 from cyldet.pipeline import (
     OracleBrnPredictor,
     OracleMonocularPredictor,
     OracleRpnPredictor,
     Predictors,
+    RegionIndex,
+    derive_seed,
     format_detection,
     parse_detection_line,
+    region_points,
 )
-from cyldet.synthetic import make_frame
-from oracles import greedy_nms_reference, optimal_match_count
+from cyldet.synthetic import make_frame, make_frames
+from oracles import (
+    cylinder_members_reference,
+    greedy_nms_reference,
+    optimal_match_count,
+)
 
 
 def camera_cloud(points):
@@ -89,6 +101,84 @@ class TestGatherCylinder:
         np.testing.assert_allclose(
             out.points, np.array(expected) - [5.0, 1.0, 20.0, 0.0], atol=1e-12
         )
+
+
+class TestRegionIndex:
+    """RegionIndex membership equals the scan of every point
+    (oracles.cylinder_members_reference) exactly, boundary points
+    included, for any region radius and cell width."""
+
+    band = (-1.0, 3.0)
+    _edge_y = st.sampled_from([
+        -1.0, 3.0, math.nextafter(-1.0, -math.inf),
+        math.nextafter(3.0, math.inf), 0.5, -5.0, 7.0,
+    ])
+    # grid-aligned values put points on cell edges as well; far values (a
+    # corrupt scan) must not disturb the grid for the others
+    _coord = (st.floats(-40.0, 40.0)
+              | st.integers(-80, 80).map(lambda k: k * 0.5)
+              | st.sampled_from([-1e30, -1e15, 1e15, 1e30]))
+
+    def assert_matches(self, points, regions, cell):
+        cloud = PointCloud(np.reshape(points, (-1, 4)), frame="camera")
+        index = RegionIndex(cloud, self.band, cell)
+        for region in regions:
+            np.testing.assert_array_equal(
+                index.members(region),
+                cylinder_members_reference(cloud.points, region))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        center=st.tuples(st.floats(-40.0, 40.0), st.floats(-2.0, 4.0),
+                         st.floats(-40.0, 40.0)),
+        radius=st.sampled_from([0.3, 1.0, 2.0, 2.5, 7.3]),
+        cell=st.sampled_from([0.5, 2.0, 3.0]),
+        on_circle=st.lists(st.tuples(st.floats(0.0, 2 * math.pi), _edge_y),
+                           min_size=1, max_size=40),
+    )
+    def test_points_on_the_circle(self, center, radius, cell, on_circle):
+        cx, _, cz = center
+        points = [[cx + radius * math.cos(a), y, cz + radius * math.sin(a), 0.0]
+                  for a, y in on_circle]
+        self.assert_matches(points, [ProposalRegion(center, radius, self.band)],
+                            cell)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(st.tuples(_coord, _edge_y, _coord, st.integers(1, 3)),
+                        max_size=40),
+        centers=st.lists(st.tuples(st.floats(-100.0, 100.0),
+                                   st.floats(-100.0, 100.0)),
+                         min_size=1, max_size=6),
+        radius=st.sampled_from([0.3, 1.0, 2.0, 7.3]),
+        cell=st.sampled_from([0.5, 2.0, 3.0]),
+    )
+    # every point outside the band; two copies of a point on a cell corner,
+    # queried from a region outside the grid; a point one cell left of the
+    # circle's cells whose offset rounds to exactly -r (the padding's case);
+    # points beyond the cell-number limit
+    @example(points=[(1.0, 7.0, 1.0, 2), (3.0, -5.0, 2.0, 1)],
+             centers=[(1.0, 1.0)], radius=2.0, cell=2.0)
+    @example(points=[(2.0, 0.5, 2.0, 2)], centers=[(60.0, -60.0), (2.0, 2.0)],
+             radius=1.0, cell=2.0)
+    @example(points=[(math.nextafter(2.0, 0.0), 0.5, 0.0, 1)],
+             centers=[(4.0, 0.0)], radius=2.0, cell=2.0)
+    @example(points=[(1.0, 0.5, 1.0, 1), (1e15, 0.5, 0.0, 1),
+                     (0.0, 0.5, 1e15, 1), (1e30, 0.5, -1e30, 2)],
+             centers=[(0.0, 0.0), (1e15, 0.0), (1e30, -1e30)],
+             radius=2.0, cell=2.0)
+    def test_clouds_with_duplicates_and_far_regions(self, points, centers,
+                                                    radius, cell):
+        rows = [[x, y, z, 0.0] for x, y, z, copies in points
+                for _ in range(copies)]
+        regions = [ProposalRegion((x, 0.0, z), radius, self.band)
+                   for x, z in centers]
+        self.assert_matches(rows, regions, cell)
+
+    def test_region_band_must_be_the_index_band(self):
+        index = RegionIndex(camera_cloud([[0.0, 0.0, 0.0]]), self.band, 2.0)
+        with pytest.raises(RuntimeError, match="band"):
+            index.members(ProposalRegion((0.0, 0.0, 0.0), 2.0, (-2.0, 3.0)))
 
 
 class TestVoxelDownsample:
@@ -185,6 +275,45 @@ class TestSamplePoints:
         assert len(out) == 25
         got = set(map(tuple, out.points))
         assert got == set(map(tuple, pts))
+
+
+class TestRegionPointsFingerprint:
+    """The sha256 of every seed region's point-head input on a few frames.
+    The oracle heads ignore their points, so no detection document pins
+    gather, voxel and sample; this digest does."""
+
+    # recorded with a scan of every point per region: region points must
+    # not depend on how a region's points are found
+    DIGEST = "98d0764e5f1e31a2edb251537f3bc2a5f29207a7c57d77535306157c5ebd6afd"
+
+    @staticmethod
+    def frames():
+        frames = make_frames(4, seed=21)
+        frames.append(make_frame("000004", seed=22, n_cars=8,
+                                 ground_points=16800, z_range=(8, 45)))
+        return frames
+
+    def test_digest_is_unchanged(self):
+        config = PipelineConfig()
+        monocular = OracleMonocularPredictor(
+            OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1))
+        digest = hashlib.sha256()
+        regions = empty = 0
+        for frame in self.frames():
+            frame_hash = stable_id_hash(frame.frame_id)
+            for obj_idx, seed_idx, _, region in seed_proposals(
+                    frame, monocular, config):
+                seed = derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0)
+                regions += 1
+                try:
+                    points = region_points(frame, region, config, seed).points
+                except EmptyCloud:
+                    empty += 1
+                    digest.update(b"empty")
+                    continue
+                digest.update(points.tobytes())
+        assert (regions, empty) == (309, 16)
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestOracleMonocular:
@@ -406,6 +535,83 @@ class TestModeStages:
         assert det.objectness == pytest.approx(0.6)
         np.testing.assert_allclose(det.box3d.center,
                                    self.moved(region2, self.brn_t_loc).center)
+
+
+class TestPointPreparation:
+    """Points are prepared only for a head that reads them; the empty-region
+    drop applies to every head."""
+
+    # a dense frame: far cars and ground, so some seed regions are empty
+    frame = make_frame("000020", seed=22, n_cars=8, ground_points=16800,
+                       z_range=(8, 45))
+    config = PipelineConfig(objectness_threshold=0.05)
+    oracles = oracle_predictors(OracleConfig(dims_noise_sigma=0.1,
+                                             yaw_noise_sigma=0.1))
+
+    def outputs(self, predictors, caplog):
+        """Detections, objectness-sweep rows and drop lines of one frame."""
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            dets = detect_frame(self.frame, predictors, self.config)
+            rows = sweep_objectness([self.frame], predictors, [0.05, 0.5],
+                                    self.config)
+        return dets, rows, [r.getMessage() for r in caplog.records]
+
+    def test_oracle_heads_prepare_no_points(self, monkeypatch, caplog):
+        # plain functions have no uses_points: they get region points
+        reading = Predictors(self.oracles.monocular,
+                             lambda *args: self.oracles.rpn(*args),
+                             lambda *args: self.oracles.brn(*args))
+        expected = self.outputs(reading, caplog)
+        assert any("EmptyCloud" in line for line in expected[2])
+
+        def refuse(*args):
+            raise AssertionError("points prepared for an oracle head")
+
+        monkeypatch.setattr(pipeline, "voxel_downsample", refuse)
+        monkeypatch.setattr(pipeline, "sample_points", refuse)
+        assert self.outputs(self.oracles, caplog) == expected
+
+    @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
+    def test_point_heads_receive_region_points(self, monkeypatch, mode):
+        config = dataclasses.replace(self.config, mode=mode)
+        seeds = []
+
+        def recorded_seed(*parts):
+            seeds.append(parts)
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(pipeline, "derive_seed", recorded_seed)
+        calls = []
+
+        def head(name, oracle):
+            def read(points, region, frame):
+                expected = region_points(frame, region, config,
+                                         derive_seed(*seeds[-1]))
+                np.testing.assert_array_equal(points.points, expected.points)
+                calls.append((name, seeds[-1][-1]))
+                return oracle(points, region, frame)
+            return read
+
+        predictors = Predictors(self.oracles.monocular,
+                                head("rpn", self.oracles.rpn),
+                                head("brn", self.oracles.brn))
+        assert (detect_frame(self.frame, predictors, config)
+                == detect_frame(self.frame, self.oracles, config))
+        stages = pipeline.MODE_STAGES[mode]
+        assert {name for name, _ in calls} == {"rpn", "brn"}
+        assert all(stages[stage][0] == name for name, stage in calls)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("voxel_resolution", 0.0), ("voxel_resolution", -0.1),
+        ("sample_count", 0), ("sample_count", -3),
+    ])
+    def test_point_preparation_settings_are_checked(self, field, value):
+        # checked up front: a head that reads no points would never reject them
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
 
 
 def make_detection(center, yaw, confidence, dims=(1.6, 1.5, 3.9)):
