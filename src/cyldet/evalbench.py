@@ -22,12 +22,13 @@ from .pipeline import (
     detect_frame,
     derive_seed,
     run_proposals,
+    scatter_proposals,
     score_region,
-    seed_proposals,
+    solve_poses,
 )
 
 # Unused here, but perfbench/layers.py patches these names on this module.
-from .pipeline import gather_cylinder, objectness  # noqa: F401
+from .pipeline import gather_cylinder, objectness, seed_proposals  # noqa: F401
 from .pipeline import sample_points, voxel_downsample  # noqa: F401
 
 # the accepted values of EvalConfig's fields and of the desync metric;
@@ -248,14 +249,17 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
 
     Counts raw stage-(a) seed regions, before any objectness filtering,
     so the seeds-per-GT column reflects the scatter arithmetic alone.
+    The poses do not depend on s, so each frame's are solved once (and
+    each pose failure logged once) and scattered once per s.
     frames may be any iterable; it is read once.
     Returns (s, recall, proposals_per_gt) rows.
     """
     rows = [(s, _clamped_scatter(config, s), []) for s in s_values]
     for frame in frames:
+        poses = solve_poses(frame, monocular, config)
         for _, cfg, pairs in rows:
             pairs.append((
-                [r.center for _, _, _, r in seed_proposals(frame, monocular, cfg)],
+                [r.center for _, _, _, r in scatter_proposals(frame, poses, cfg)],
                 frame.labels,
             ))
     return [_capture_row(s, pairs, cfg.region_radius) for s, cfg, pairs in rows]

@@ -9,11 +9,21 @@ squares.  The configuration whose re-projected box best overlaps the 2D
 box wins.
 
 The constraint system depends only on the 2D box and the projection, so
-it is built and factored once per caller and the whole enumeration is
-solved as one batched matrix product: the agreement search passes the
-full configuration table, solve_translation and the two re-solves of
-spatial_scatter (which share one system) a one-row table.  The scatter
-re-solves skip the feasibility check.
+it is built and factored once per caller.  A configuration picks one of
+the eight corners for each side, so the right-hand sides of all
+configurations come from one 4x8 table (every side against every
+corner), and one batched matrix product solves a whole configuration
+table: the agreement search passes its search table, solve_translation
+and the two re-solves of spatial_scatter (which share one system) a
+one-row table.  The scatter re-solves skip the feasibility check.
+
+The search tables, built once at import, hold only the non-degenerate
+configurations (3136 of the full 4096, 96 of the reduced 128): a
+configuration that pins one corner to two opposite sides forces that
+corner onto the camera plane and is never feasible.  Of the solved rows,
+only those with the center ahead of the camera go on to the per-corner
+feasibility and overlap tests; the others are infeasible by the first
+test.
 """
 
 import math
@@ -137,12 +147,13 @@ def _config_table(config):
     return config.as_array()[None, :]
 
 
-def _solve_configs(system, sel_offsets):
-    """Least-squares translations (M, 3) for the constrained corner
-    offsets (M, 4, 3) of an (M, 4) configuration table."""
+def _solve_configs(system, offsets, configs):
+    """Least-squares translations (M, 3) of an (M, 4) configuration table
+    for the corner offsets (8, 3)."""
     a, k, _, _, pinv = system
-    b = -(np.einsum("ij,mij->mi", a, sel_offsets) + k)      # (M, 4)
-    return b @ pinv.T
+    tiled = np.repeat(offsets[:, None, :], 4, axis=1)         # (8, 4, 3)
+    b8 = -(np.einsum("ij,mij->mi", a, tiled) + k)              # (8, 4)
+    return b8[configs, np.arange(4)] @ pinv.T
 
 
 def _feasibility(system, sel_offsets, p, centers, residual_cap):
@@ -179,10 +190,12 @@ def solve_translation(box2d, dims, yaw, config, p, residual_cap=DEFAULT_RESIDUAL
     Raises SingularSystem for rank-deficient or structurally degenerate
     configurations (one corner pinned to both members of opposite sides).
     """
-    sel_offsets = corner_offsets(dims, yaw)[_config_table(config)]
+    table = _config_table(config)
+    offsets = corner_offsets(dims, yaw)
     system = _side_system(box2d, p)
-    centers = _solve_configs(system, sel_offsets)
-    rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
+    centers = _solve_configs(system, offsets, table)
+    rms, feasible = _feasibility(system, offsets[table], p, centers,
+                                 residual_cap)
     if not feasible[0]:
         return None
     return centers[0], float(rms[0])
@@ -215,28 +228,46 @@ def enumerate_configurations(reduced=False):
     return np.array(rows)
 
 
+def _search_table(reduced):
+    """The non-degenerate rows of a configuration set, read-only, and
+    their base-8 configuration indices."""
+    configs = enumerate_configurations(reduced=reduced)
+    configs = configs[(configs[:, 0] != configs[:, 1])
+                      & (configs[:, 2] != configs[:, 3])]
+    index = configs @ np.array([512, 64, 8, 1])
+    for table in (configs, index):
+        table.flags.writeable = False
+    return configs, index
+
+
+# keyed by the reduced flag
+_SEARCH_TABLES = {reduced: _search_table(reduced) for reduced in (False, True)}
+
+
 def geometric_agreement_search(
     box2d, dims, yaw, p, residual_cap=DEFAULT_RESIDUAL_CAP, reduced=False
 ):
     """Best-overlap translation over the corner configuration set.
 
-    Every configuration is solved by least squares; feasible candidates
-    are scored by the 2D IoU between the input box and the axis-aligned
-    hull of their re-projected corners.  Ties resolve by smaller pixel
-    residual, then lower configuration index.
+    Every non-degenerate configuration is solved by least squares;
+    feasible candidates are scored by the 2D IoU between the input box and
+    the axis-aligned hull of their re-projected corners.  Ties resolve by
+    smaller pixel residual, then lower configuration index.
     """
     p = np.asarray(p, dtype=float)
     offsets = corner_offsets(dims, yaw)
-    configs = enumerate_configurations(reduced=reduced)
-    # the same gather as offsets[configs], about four times faster
-    sel_offsets = np.take(offsets, configs, axis=0)   # (M, 4, 3)
+    configs, config_index = _SEARCH_TABLES[bool(reduced)]
     try:
         system = _side_system(box2d, p)
     except SingularSystem as exc:
         raise NoFeasibleConfiguration(str(exc)) from exc
-    centers = _solve_configs(system, sel_offsets)
+    centers = _solve_configs(system, offsets, configs)
+    ahead = centers[:, 2] > 0.0
+    centers, configs, config_index = (
+        centers[ahead], configs[ahead], config_index[ahead])
+    # the same gather as offsets[configs], about four times faster
+    sel_offsets = np.take(offsets, configs, axis=0)   # (M, 4, 3)
     rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
-    feasible &= (configs[:, 0] != configs[:, 1]) & (configs[:, 2] != configs[:, 3])
     if not np.any(feasible):
         raise NoFeasibleConfiguration(
             "no corner configuration yields a feasible translation"
@@ -245,6 +276,7 @@ def geometric_agreement_search(
     centers_f = centers[feasible]
     rms_f = rms[feasible]
     configs_f = configs[feasible]
+    index_f = config_index[feasible]
     corners = centers_f[:, None, :] + offsets[None, :, :]      # (F, 8, 3)
     w_all = corners @ p[2, :3] + p[2, 3]
     u_all = (corners @ p[0, :3] + p[0, 3]) / w_all
@@ -265,11 +297,7 @@ def geometric_agreement_search(
             "every feasible translation projects partly behind the camera"
         )
 
-    config_index = (
-        ((configs_f[:, 0] * 8 + configs_f[:, 1]) * 8 + configs_f[:, 2]) * 8
-        + configs_f[:, 3]
-    )
-    best = np.lexsort((config_index, rms_f, -iou))[0]
+    best = np.lexsort((index_f, rms_f, -iou))[0]
     best_config = CornerConfiguration(*configs_f[best])
     center = centers_f[best]
     agreement = iou_2d(
@@ -298,7 +326,7 @@ def spatial_scatter(est, params, p):
     table = _config_table(est.best_config)
     system = _side_system(est.box2d, p)
     p1, p2 = (
-        _solve_configs(system, corner_offsets(dims * scale, est.yaw)[table])[0]
+        _solve_configs(system, corner_offsets(dims * scale, est.yaw), table)[0]
         for scale in (1.0 - params.s, 1.0 + params.s)
     )
     span = float(np.linalg.norm(p2 - p1))

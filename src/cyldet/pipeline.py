@@ -1,8 +1,10 @@
 """End-to-end detection orchestration over pluggable predictors.
 
 Stages per frame: (a) a monocular predictor yields 2D boxes with dims and
-heading, which the agreement search plus spatial scattering turns into 3D
-seed points; (b) cylinder regions around the seeds are scored by a
+heading; solve_poses runs the agreement search on each, and
+scatter_proposals turns each solved pose into 3D seed points and their
+cylinder regions (the scatter sweep solves once per frame and scatters
+once per s); (b) cylinder regions around the seeds are scored by a
 proposal head (objectness plus a re-centering location); (c) a box head
 regresses the full box, in a head sequence set by the mode (MODE_STAGES):
   single_stage        rpn, then brn on the same region;
@@ -446,6 +448,11 @@ class PipelineConfig:
             raise ValueError("voxel_resolution must be positive")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
+        # negated, so that NaN is rejected too
+        if not self.residual_cap > 0.0:
+            raise ValueError("residual_cap must be positive")
+        if not 0.0 <= self.nms_threshold <= 1.0:
+            raise ValueError("nms_threshold must be in [0, 1]")
 
 
 def decode_box(brn_out, region, clusters, bins):
@@ -485,22 +492,34 @@ def _head_input(head, frame, region, config, index, seed_parts):
     return None
 
 
-def seed_proposals(frame, monocular, config=PipelineConfig()):
-    """Stage (a): monocular detections -> agreement search -> scattered
-    cylinder regions.  Returns (obj_idx, seed_idx, det2d, region) tuples;
-    objects whose pose cannot be solved are logged and skipped."""
+def solve_poses(frame, monocular, config=PipelineConfig()):
+    """Stage (a), first half: monocular detections -> agreement search.
+    Returns (obj_idx, det2d, estimate) tuples; objects whose pose cannot
+    be solved are logged and skipped."""
     p = frame.calib.p2
-    proposals = []
+    poses = []
     for obj_idx, det2d in enumerate(monocular(frame)):
         try:
             est = geometric_agreement_search(
                 det2d.box2d, det2d.dims, det2d.yaw, p,
                 residual_cap=config.residual_cap,
             )
-            scatter = spatial_scatter(est, config.scatter, p)
         except (NoFeasibleConfiguration, SingularSystem) as exc:
             logger.warning("frame %s object %d: %s", frame.frame_id, obj_idx, exc)
             continue
+        poses.append((obj_idx, det2d, est))
+    return poses
+
+
+def scatter_proposals(frame, poses, config=PipelineConfig()):
+    """Stage (a), second half: solved poses -> scattered cylinder regions,
+    (obj_idx, seed_idx, det2d, region) tuples.  The scatter re-solves the
+    search's own constraint system with its non-degenerate winner, so it
+    cannot fail where the search succeeded."""
+    p = frame.calib.p2
+    proposals = []
+    for obj_idx, det2d, est in poses:
+        scatter = spatial_scatter(est, config.scatter, p)
         for seed_idx, seed in enumerate(scatter.seed_points):
             region = ProposalRegion(
                 (seed[0], est.solved_center[1], seed[2]),
@@ -510,6 +529,12 @@ def seed_proposals(frame, monocular, config=PipelineConfig()):
             )
             proposals.append((obj_idx, seed_idx, det2d, region))
     return proposals
+
+
+def seed_proposals(frame, monocular, config=PipelineConfig()):
+    """Stage (a): solve_poses, then scatter_proposals."""
+    return scatter_proposals(frame, solve_poses(frame, monocular, config),
+                             config)
 
 
 def run_proposals(frame, predictors, config, run):

@@ -2,13 +2,30 @@
 
 Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
-code paths.
+code paths.  The pose-search references at the end are the exception:
+they are the earlier, slower form of the library's search, built on the
+library's own constraint rows and feasibility test, so that the two can
+be compared bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from cyldet.geometry import Box3D, corner_offsets, iou_2d, project_box
+from cyldet.mono import (
+    DEFAULT_RESIDUAL_CAP,
+    CornerConfiguration,
+    MonoEstimate,
+    NoFeasibleConfiguration,
+    ScatterResult,
+    SingularSystem,
+    _config_table,
+    _feasibility,
+    _side_system,
+    enumerate_configurations,
+)
 
 
 def footprint_membership(points_xz, box):
@@ -210,3 +227,105 @@ def exact_two_means(points):
 
 def central_difference(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def _solve_rows_reference(system, sel_offsets):
+    """Least-squares translations (M, 3) for the constrained corner
+    offsets (M, 4, 3), one right-hand side per row."""
+    a, k, _, _, pinv = system
+    b = -(np.einsum("ij,mij->mi", a, sel_offsets) + k)      # (M, 4)
+    return b @ pinv.T
+
+
+def agreement_search_reference(box2d, dims, yaw, p,
+                               residual_cap=DEFAULT_RESIDUAL_CAP,
+                               reduced=False):
+    """The search over every configuration of the set: each row gathers
+    its own corner offsets and is solved, and the degenerate rows (one
+    corner pinned to two opposite sides) are masked after the solve."""
+    p = np.asarray(p, dtype=float)
+    offsets = corner_offsets(dims, yaw)
+    configs = enumerate_configurations(reduced=reduced)
+    sel_offsets = np.take(offsets, configs, axis=0)   # (M, 4, 3)
+    try:
+        system = _side_system(box2d, p)
+    except SingularSystem as exc:
+        raise NoFeasibleConfiguration(str(exc)) from exc
+    centers = _solve_rows_reference(system, sel_offsets)
+    rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
+    feasible &= (configs[:, 0] != configs[:, 1]) & (configs[:, 2] != configs[:, 3])
+    if not np.any(feasible):
+        raise NoFeasibleConfiguration(
+            "no corner configuration yields a feasible translation"
+        )
+
+    centers_f = centers[feasible]
+    rms_f = rms[feasible]
+    configs_f = configs[feasible]
+    corners = centers_f[:, None, :] + offsets[None, :, :]      # (F, 8, 3)
+    w_all = corners @ p[2, :3] + p[2, 3]
+    u_all = (corners @ p[0, :3] + p[0, 3]) / w_all
+    v_all = (corners @ p[1, :3] + p[1, 3]) / w_all
+    in_front = np.all(w_all > 0.0, axis=1) & np.all(corners[:, :, 2] > 0.0, axis=1)
+
+    xmin_c, xmax_c = u_all.min(axis=1), u_all.max(axis=1)
+    ymin_c, ymax_c = v_all.min(axis=1), v_all.max(axis=1)
+    iw = np.minimum(xmax_c, box2d.xmax) - np.maximum(xmin_c, box2d.xmin)
+    ih = np.minimum(ymax_c, box2d.ymax) - np.maximum(ymin_c, box2d.ymin)
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_c = (xmax_c - xmin_c) * (ymax_c - ymin_c)
+    iou = np.where(
+        in_front, inter / (area_c + box2d.area - inter), -1.0
+    )
+    if not np.any(iou >= 0.0):
+        raise NoFeasibleConfiguration(
+            "every feasible translation projects partly behind the camera"
+        )
+
+    config_index = (
+        ((configs_f[:, 0] * 8 + configs_f[:, 1]) * 8 + configs_f[:, 2]) * 8
+        + configs_f[:, 3]
+    )
+    best = np.lexsort((config_index, rms_f, -iou))[0]
+    center = centers_f[best]
+    agreement = iou_2d(
+        box2d, project_box(Box3D(tuple(center), tuple(dims), yaw), p)
+    )
+    return MonoEstimate(
+        box2d=box2d,
+        dims=tuple(float(d) for d in dims),
+        yaw=float(yaw),
+        solved_center=tuple(float(c) for c in center),
+        best_config=CornerConfiguration(*configs_f[best]),
+        agreement=float(agreement),
+        residual=float(rms_f[best]),
+    )
+
+
+def solve_translation_reference(box2d, dims, yaw, config, p,
+                                residual_cap=DEFAULT_RESIDUAL_CAP):
+    """One configuration's (center, rms) or None, from its own gather."""
+    sel_offsets = corner_offsets(dims, yaw)[_config_table(config)]
+    system = _side_system(box2d, p)
+    centers = _solve_rows_reference(system, sel_offsets)
+    rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
+    if not feasible[0]:
+        return None
+    return centers[0], float(rms[0])
+
+
+def spatial_scatter_reference(est, params, p):
+    """Seeds between the shrunk- and grown-dims re-solves of the winning
+    configuration, each extreme from its own gather."""
+    dims = np.asarray(est.dims, dtype=float)
+    table = _config_table(est.best_config)
+    system = _side_system(est.box2d, p)
+    p1, p2 = (
+        _solve_rows_reference(
+            system, corner_offsets(dims * scale, est.yaw)[table])[0]
+        for scale in (1.0 - params.s, 1.0 + params.s)
+    )
+    span = float(np.linalg.norm(p2 - p1))
+    count = max(1, math.ceil(span / params.stride))
+    steps = np.arange(count, dtype=float)[:, None] / count
+    return ScatterResult(seed_points=p1 + steps * (p2 - p1), p1=p1, p2=p2)

@@ -222,6 +222,22 @@ class TestDetect:
         assert key in capsys.readouterr().err
         assert not (out_dir / "summary.txt").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--residual-cap", "-1"), ("--residual-cap", "nan"),
+        ("--nms-threshold", "2"),
+    ])
+    def test_search_or_nms_setting_out_of_range_is_data_error(
+            self, dataset, tmp_path, capsys, flag, value):
+        # checked before any frame runs: a negative cap used to fail every
+        # pose and report recall 0 with exit code 0
+        root, split, _ = dataset
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), flag, value])
+        assert rc == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (out_dir / "summary.txt").exists()
+
     def test_failed_frame_removes_its_old_document(self, dataset, tmp_path,
                                                    monkeypatch, capsys):
         root, split, frames = dataset

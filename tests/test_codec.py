@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyldet import (
     BrnOutput,
@@ -296,3 +298,59 @@ class TestProposalRegion:
         assert moved.radius == region.radius
         assert moved.y_extent == region.y_extent
         assert moved.bounds == region.bounds
+
+
+def _heading_gap(a, b):
+    """Distance between two headings on the half-turn circle [0, pi)."""
+    gap = abs(a - b) % math.pi
+    return min(gap, math.pi - gap)
+
+
+class TestCodecRoundTrips:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        center=st.tuples(*[st.floats(-80.0, 80.0)] * 3),
+        bounds=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+        fraction=st.tuples(*[st.floats(-0.999, 0.999)] * 3),
+    )
+    def test_location_inside_its_bounds(self, center, bounds, fraction):
+        region = ProposalRegion(center=center, bounds=bounds)
+        target = np.array(center) + np.array(fraction) * np.array(bounds)
+        decoded = decode_location(encode_location(target, region), region)
+        np.testing.assert_allclose(decoded, target, rtol=0, atol=1e-9)
+        assert np.all(np.abs(decoded - np.array(center)) < np.array(bounds))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        yaw=st.floats(-20.0, 20.0),
+        n_bins=st.integers(1, 36),
+        normalize=st.booleans(),
+    )
+    def test_rotation_bins(self, yaw, n_bins, normalize):
+        bins = RotationBins(n_bins)
+        logits, residuals = encode_rotation(yaw, bins,
+                                            normalize_residual=normalize)
+        # the winning bin holds the heading, folded into [0, pi)
+        folded = yaw % math.pi
+        idx = int(np.argmax(logits))
+        assert idx == min(int(folded / bins.width), n_bins - 1)
+        decoded = decode_rotation(logits, residuals, bins,
+                                  normalize_residual=normalize)
+        assert 0.0 <= decoded < math.pi
+        assert _heading_gap(decoded, yaw) <= 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        centroids=st.lists(st.tuples(*[st.floats(0.5, 12.0)] * 3),
+                           min_size=1, max_size=5, unique=True),
+        dims=st.tuples(*[st.floats(0.2, 15.0)] * 3),
+        log_space=st.booleans(),
+    )
+    def test_size_clusters(self, centroids, dims, log_space):
+        clusters = SizeClusters(np.array(centroids))
+        logits, residuals = encode_size(dims, clusters, log_space=log_space)
+        # the nearest centroid wins, by squared distance
+        sq = ((np.array(centroids) - np.array(dims)) ** 2).sum(axis=1)
+        assert sq[int(np.argmax(logits))] == sq.min()
+        decoded = decode_size(logits, residuals, clusters, log_space=log_space)
+        np.testing.assert_allclose(decoded, dims, rtol=1e-12, atol=1e-12)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyldet
 from cyldet import (
@@ -29,7 +31,8 @@ from cyldet import (
     sweep_scatter,
     write_csv,
 )
-from cyldet.pipeline import Detection
+from cyldet import evalbench, pipeline
+from cyldet.pipeline import Detection, seed_proposals
 from cyldet.synthetic import make_frames
 from oracles import optimal_match_count
 
@@ -130,6 +133,45 @@ class TestMatchDetections:
             assert result.tp == optimal
             assert result.fp == len(dets) - optimal
             assert result.fn == len(gts) - optimal
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gts=st.lists(st.tuples(st.floats(8.0, 40.0),
+                               st.floats(-math.pi, math.pi)),
+                     min_size=1, max_size=4),
+        dets=st.lists(st.tuples(st.integers(0, 3), st.floats(-0.6, 0.6),
+                                st.floats(-0.6, 0.6), st.floats(-0.3, 0.3),
+                                st.floats(0.01, 1.0)),
+                      max_size=6),
+        strays=st.lists(st.tuples(st.floats(-20.0, 20.0),
+                                  st.floats(0.01, 1.0)), max_size=2),
+        iou_threshold=st.sampled_from([0.3, 0.5, 0.7]),
+        match_metric=st.sampled_from(["iou_3d", "iou_bev"]),
+    )
+    def test_greedy_is_optimal_on_separated_ground_truths(
+            self, gts, dets, strays, iou_threshold, match_metric):
+        # ground truths 12 m apart, detections within 0.6 m of one of them
+        # and strays 40 m behind: no detection can overlap two ground
+        # truths, so greedy matching is optimal
+        labels = [gt_label((12.0 * i, 0.0, z), yaw=yaw)
+                  for i, (z, yaw) in enumerate(gts)]
+        detections = [
+            detection((labels[g].box3d.center[0] + dx, 0.0,
+                       labels[g].box3d.center[2] + dz),
+                      yaw=labels[g].box3d.yaw + dyaw, confidence=conf)
+            for g, dx, dz, dyaw, conf in dets if g < len(labels)
+        ] + [detection((x, 0.0, 80.0), confidence=conf)
+             for x, conf in strays]
+        cfg = EvalConfig(iou_threshold=iou_threshold,
+                         match_metric=match_metric)
+        result = match_detections(detections, labels, cfg)
+        optimal = optimal_match_count(
+            [d.box3d for d in detections], [g.box3d for g in labels],
+            iou_threshold, cfg.metric,
+        )
+        assert result.tp == optimal
+        assert result.fp == len(detections) - optimal
+        assert result.fn == len(labels) - optimal
 
 
 class TestAveragePrecision:
@@ -234,6 +276,49 @@ class TestSweeps:
         per_gts = [p for _, _, p in rows]
         assert recalls == sorted(recalls)
         assert per_gts == sorted(per_gts)
+
+    @pytest.mark.parametrize("s_values", [
+        [0.0, 0.3, 0.6],
+        [0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.55, 0.6],
+    ])
+    def test_scatter_solves_each_pose_once_per_frame(self, monkeypatch,
+                                                     caplog, s_values):
+        # residual cap 2 px makes two of the ten noised poses fail
+        preds = oracle_predictors(OracleConfig(
+            dims_noise_sigma=0.3, yaw_noise_sigma=0.3, box2d_noise_sigma=3.0,
+            rng_seed=1))
+        config = PipelineConfig(residual_cap=2.0)
+        # rows as built by seeding every s afresh
+        seeded = []
+        for s in s_values:
+            cfg = evalbench._clamped_scatter(config, s)
+            seeded.append(evalbench._capture_row(s, [
+                ([r.center for _, _, _, r in
+                  seed_proposals(frame, preds.monocular, cfg)], frame.labels)
+                for frame in self.frames
+            ], cfg.region_radius))
+
+        calls = []
+        search = pipeline.geometric_agreement_search
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "geometric_agreement_search", counted)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            rows = sweep_scatter(self.frames, preds.monocular, s_values,
+                                 config)
+        assert rows == seeded
+        assert calls == [det.box2d for frame in self.frames
+                         for det in preds.monocular(frame)]
+        assert [r.getMessage() for r in caplog.records] == [
+            "frame 000000 object 0: no corner configuration yields a "
+            "feasible translation",
+            "frame 000002 object 1: no corner configuration yields a "
+            "feasible translation",
+        ]
 
     def test_objectness_extremes(self):
         preds = oracle_predictors()

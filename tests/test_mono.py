@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyldet import (
@@ -22,6 +22,11 @@ from cyldet import (
 )
 from cyldet.geometry import project_points
 from conftest import random_car_box
+from oracles import (
+    agreement_search_reference,
+    solve_translation_reference,
+    spatial_scatter_reference,
+)
 
 
 def tight_configuration(box, p):
@@ -270,3 +275,100 @@ class TestSpatialScatter:
             for m in (0.4, 0.8, 1.6, 3.2)
         ]
         assert counts_m == sorted(counts_m, reverse=True)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the pose error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (NoFeasibleConfiguration, SingularSystem) as exc:
+        return type(exc), str(exc)
+
+
+def _drawn_box2d(kind, tight, offsets, corner, size):
+    """The 2D box of one drawn case: the car's own box (noise 0), a noised
+    one, or a tiny, huge or off-image box that ignores the car."""
+    if kind == "tight":
+        return tight
+    if kind == "noisy":
+        left, top, right, bottom = offsets
+        return Box2D(tight.xmin + left, tight.ymin + top,
+                     max(tight.xmax + right, tight.xmin + left + 1.0),
+                     max(tight.ymax + bottom, tight.ymin + top + 1.0))
+    scale = {"tiny": 1e-3, "huge": 2000.0, "off_image": 1.0}[kind]
+    x, y = corner
+    if kind == "off_image":
+        x += 1600.0 if x >= 0 else -1000.0
+    return Box2D(x, y, x + scale * size[0], y + scale * size[1])
+
+
+class TestSearchMatchesReference:
+    """The search solves only the non-degenerate configurations and tests
+    only the rows with the center ahead of the camera; solve_translation
+    and spatial_scatter share its 4x8 right-hand sides.  Every outcome
+    must equal that of the reference that solves each row of the whole
+    set, bit for bit, or raise the same error with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        z=st.floats(3.0, 60.0),
+        x_over_z=st.floats(-0.4, 0.4),
+        y=st.floats(-1.0, 2.0),
+        dims=st.tuples(st.floats(1.4, 2.0), st.floats(1.3, 1.9),
+                       st.floats(3.3, 4.8)),
+        yaw=st.floats(-math.pi, math.pi),
+        dims_noise=st.tuples(*[st.floats(-0.2, 0.2)] * 3),
+        yaw_noise=st.floats(-0.3, 0.3),
+        kind=st.sampled_from(["tight", "noisy", "tiny", "huge", "off_image"]),
+        offsets=st.tuples(*[st.floats(-20.0, 20.0)] * 4),
+        corner=st.tuples(st.floats(-600.0, 1300.0), st.floats(-300.0, 700.0)),
+        size=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+        residual_cap=st.sampled_from([2.0, 10.0, math.inf]),
+        reduced=st.booleans(),
+        s=st.floats(1e-9, 0.9),
+        config=st.tuples(*[st.integers(0, 7)] * 4),
+    )
+    # noise 0: both corners of a vertical edge project to one image column,
+    # so four configurations (left 2 or 6, right 0 or 4, top 5, bottom 3)
+    # solve to the same center bit for bit and tie on IoU and residual; the
+    # lowest configuration index must win
+    @example(z=15.0, x_over_z=2.0 / 15.0, y=1.2, dims=(1.6, 1.5, 3.9),
+             yaw=0.3, dims_noise=(0.0, 0.0, 0.0), yaw_noise=0.0,
+             kind="tight", offsets=(0.0,) * 4, corner=(0.0, 0.0),
+             size=(1.0, 1.0), residual_cap=10.0, reduced=False, s=0.5,
+             config=(2, 0, 5, 3))
+    def test_search_scatter_and_solve_match_reference(
+            self, calib, z, x_over_z, y, dims, yaw, dims_noise, yaw_noise,
+            kind, offsets, corner, size, residual_cap, reduced, s, config):
+        p = calib.p2
+        tight = project_box(Box3D((x_over_z * z, y, z), dims, yaw), p)
+        b2d = _drawn_box2d(kind, tight, offsets, corner, size)
+        seed_dims = tuple(d * (1.0 + n) for d, n in zip(dims, dims_noise))
+        seed_yaw = yaw + yaw_noise
+
+        est = _outcome(geometric_agreement_search, b2d, seed_dims, seed_yaw,
+                       p, residual_cap=residual_cap, reduced=reduced)
+        assert est == _outcome(agreement_search_reference, b2d, seed_dims,
+                               seed_yaw, p, residual_cap=residual_cap,
+                               reduced=reduced)
+        if not isinstance(est, tuple):
+            params = ScatterParams(s=s, stride=1.6)
+            got = spatial_scatter(est, params, p)
+            want = spatial_scatter_reference(est, params, p)
+            for name in ("seed_points", "p1", "p2"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(want, name).tobytes())
+
+        solved = [
+            _outcome(solve, b2d, seed_dims, seed_yaw,
+                     CornerConfiguration(*config), p,
+                     residual_cap=residual_cap)
+            for solve in (solve_translation, solve_translation_reference)
+        ]
+        # a solved center compares by its bytes
+        got, want = (
+            (r[0].tobytes(), r[1])
+            if r is not None and isinstance(r[0], np.ndarray) else r
+            for r in solved
+        )
+        assert got == want

@@ -613,6 +613,23 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=field):
             PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("residual_cap", 0.0), ("residual_cap", -1.0),
+        ("residual_cap", math.nan),
+        ("nms_threshold", -0.01), ("nms_threshold", 1.5),
+        ("nms_threshold", math.nan),
+    ])
+    def test_search_and_nms_settings_are_checked(self, field, value):
+        # a bad cap fails every pose and a bad NMS threshold every frame,
+        # which would read as bad data rather than a bad setting
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(**{field: value})
+
+    def test_settings_at_their_limits_are_accepted(self):
+        for nms_threshold in (0.0, 1.0):
+            PipelineConfig(residual_cap=math.inf,
+                           nms_threshold=nms_threshold)
+
 
 def make_detection(center, yaw, confidence, dims=(1.6, 1.5, 3.9)):
     return Detection(
