@@ -15,6 +15,7 @@ import argparse
 import configparser
 import inspect
 import json
+import math
 import os
 import sys
 import traceback
@@ -44,6 +45,7 @@ from .mono import (
     DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
     ScatterParams,
+    check_residual_cap,
     geometric_agreement_search,
 )
 from .pipeline import (
@@ -217,24 +219,32 @@ def _parse_floats(text):
 
 
 def _parse_values(text):
-    """Grid spec: either 'start:stop:step' (inclusive) or a comma list."""
+    """Grid spec: either 'start:stop:step' (inclusive) or a comma list.
+    A grid that holds no value is a usage error."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"bad range spec {text!r}, want start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
+        # negated, so that NaN is rejected too
+        if not step > 0:
             raise UsageError("range step must be positive")
+        if math.isinf(start) or math.isinf(stop):
+            raise UsageError("range start and stop must be finite")
         values = []
         v = start
         while v <= stop + 1e-9:
             values.append(round(v, 10))
             v += step
-        return values
-    return _parse_floats(text)
+    else:
+        values = _parse_floats(text)
+    if not values:
+        raise UsageError(f"value grid {text!r} is empty")
+    return values
 
 
 def cmd_solve_pose(args):
+    check_residual_cap(args.residual_cap)
     if args.calib:
         path = args.calib
     elif args.dataset_root and args.frame:
@@ -333,8 +343,8 @@ def cmd_detect(args):
 
 
 def cmd_sweep(args):
-    settings, output_dir, frames, config, predictors = _prepare_run(args)
     values = _parse_values(args.values)
+    settings, output_dir, frames, config, predictors = _prepare_run(args)
     if args.kind == "scatter":
         rows = sweep_scatter(frames, predictors.monocular, values, config)
         path = os.path.join(output_dir, "sweep_scatter.csv")

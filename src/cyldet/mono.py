@@ -45,6 +45,13 @@ class NoFeasibleConfiguration(RuntimeError):
     """Every corner configuration was infeasible for the given inputs."""
 
 
+def check_residual_cap(residual_cap):
+    """ValueError unless the search's pixel residual cap is above 0."""
+    # negated, so that NaN is rejected too
+    if not residual_cap > 0.0:
+        raise ValueError("residual_cap must be positive")
+
+
 @dataclass(frozen=True)
 class CornerConfiguration:
     """Assignment of a 3D corner index (0..7) to each 2D box side."""

@@ -54,6 +54,7 @@ from .mono import (
     NoFeasibleConfiguration,
     ScatterParams,
     SingularSystem,
+    check_residual_cap,
     geometric_agreement_search,
     spatial_scatter,
 )
@@ -91,11 +92,14 @@ class RegionIndex:
     """Cylinder-region membership over one camera-frame cloud.
 
     The points inside the vertical band y_extent (inclusive) are sorted, on
-    the first query, into a square x-z grid of cells `cell` wide.  A query
-    tests only the points of the cells its circle can reach, padded by one
-    cell against rounding, with the expression dx*dx + dz*dz <= r**2.
-    Every region of a frame shares the band (recentered keeps it), so one
-    index answers them all.
+    the first query, by the x-major key of their cell in a square x-z grid
+    of cells `cell` wide, with numpy's stable sort on the narrowest
+    unsigned type that holds the keys (a radix sort up to 2**16 cells).
+    A query reads the cells its circle can reach, widened by a few ulps
+    against rounding, as one slice of the sorted arrays per x column, and
+    tests those points with dx*dx + dz*dz <= r**2.  Every region of a
+    frame shares the band (recentered keeps it), so one index answers them
+    all.
     """
 
     def __init__(self, cloud, y_extent, cell):
@@ -108,25 +112,36 @@ class RegionIndex:
         pts = self.cloud.points
         y0, y1 = self.y_extent
         band = np.flatnonzero((pts[:, 1] >= y0) & (pts[:, 1] <= y1))
-        cells = np.clip(np.floor(pts[band][:, [0, 2]] / self.cell),
-                        -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
+        xz = np.take(pts[:, ::2].T, band, axis=1)  # rows x and z
+        cells = [np.clip(np.floor(v / self.cell), -_CELL_LIMIT,
+                         _CELL_LIMIT).astype(np.int64) for v in xz]
         self._lo, self._shape = [0, 0], [0, 0]
         if len(band):
-            self._lo = cells.min(axis=0).tolist()
-            self._shape = (cells.max(axis=0) - self._lo + 1).tolist()
+            self._lo = [int(c.min()) for c in cells]
+            self._shape = [int(c.max()) - lo + 1
+                           for c, lo in zip(cells, self._lo)]
         # x-major cell keys, so one x column of cells is one key range
-        keys = (cells[:, 0] - self._lo[0]) * self._shape[1] + (
-            cells[:, 1] - self._lo[1])
-        order = np.argsort(keys, kind="stable")
+        keys = (cells[0] - self._lo[0]) * self._shape[1] + (
+            cells[1] - self._lo[1])
+        # any order within a cell will do, as members() sorts its result;
+        # numpy's stable sort is a linear-time radix sort on integers of 16
+        # bits or less, which hold the keys of any grid up to 2**16 cells
+        narrow = np.min_scalar_type(keys.max(initial=0))
+        order = np.argsort(keys.astype(narrow), kind="stable")
         self._keys = keys[order]
         self._members = band[order]
-        self._x = pts[self._members, 0]
-        self._z = pts[self._members, 2]
+        self._xz = np.take(xz, order, axis=1)
 
     def _cell_range(self, axis, center, radius):
-        lo, hi = (math.floor(min(max(v / self.cell, -_CELL_LIMIT), _CELL_LIMIT))
-                  - self._lo[axis] for v in (center - radius, center + radius))
-        return max(lo - 1, 0), min(hi + 1, self._shape[axis] - 1)
+        # widened by 2**-48 of the cell numbers, many times the rounding
+        # error of a point's offset: no point outside the widened cells
+        # rounds onto the circle
+        lo, hi = (min(max(v / self.cell, -_CELL_LIMIT), _CELL_LIMIT)
+                  for v in (center - radius, center + radius))
+        pad = (abs(lo) + abs(hi)) * 2**-48
+        return (max(math.floor(lo - pad) - self._lo[axis], 0),
+                min(math.floor(hi + pad) - self._lo[axis],
+                    self._shape[axis] - 1))
 
     def members(self, region):
         """Cloud-order indices of the points inside region, whose band must
@@ -143,14 +158,19 @@ class RegionIndex:
         z0, z1 = self._cell_range(1, cz, region.radius)
         if x0 > x1 or z0 > z1:
             return np.zeros(0, np.int64)
-        columns = np.arange(x0, x1 + 1) * self._shape[1]
-        starts = np.searchsorted(self._keys, columns + z0).tolist()
-        ends = np.searchsorted(self._keys, columns + z1, side="right").tolist()
-        pos = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)])
-        dx = self._x[pos] - cx
-        dz = self._z[pos] - cz
+        # the z-run [z0, z1] of each x column is one slice of the sorted
+        # arrays
+        width = self._shape[1]
+        bounds = np.searchsorted(self._keys, [
+            column * width + z for column in range(x0, x1 + 1)
+            for z in (z0, z1 + 1)]).tolist()
+        runs = [slice(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
+        dx, dz = np.concatenate([self._xz[:, s] for s in runs], axis=1)
+        dx -= cx
+        dz -= cz
         inside = dx * dx + dz * dz <= region.radius**2
-        return np.sort(self._members[pos[inside]])
+        members = np.concatenate([self._members[s] for s in runs])
+        return np.sort(members[inside])
 
     def points(self, members, region):
         """The member points re-expressed relative to the region center."""
@@ -448,9 +468,7 @@ class PipelineConfig:
             raise ValueError("voxel_resolution must be positive")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        # negated, so that NaN is rejected too
-        if not self.residual_cap > 0.0:
-            raise ValueError("residual_cap must be positive")
+        check_residual_cap(self.residual_cap)
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError("nms_threshold must be in [0, 1]")
 

@@ -77,6 +77,18 @@ class TestSolvePose:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("cap", ["-1", "nan"])
+    def test_residual_cap_not_above_zero_is_rejected_as_by_detect(
+            self, dataset, tmp_path, capsys, cap):
+        # it used to reach the search and report no feasible configuration
+        root, split, _ = dataset
+        args, _ = self.solve_args(dataset, extra=["--residual-cap", cap])
+        rc = main(args)
+        assert "error: residual_cap must be positive" in capsys.readouterr().err
+        assert rc == main(["detect", "--dataset-root", root, "--split", split,
+                           "--output-dir", str(tmp_path / "out"),
+                           "--residual-cap", cap]) == 2
+
 
 class TestDetect:
     def test_zero_noise_summary(self, dataset, tmp_path, capsys):
@@ -398,6 +410,30 @@ class TestSweep:
                    "--desync-seeds", seeds])
         assert rc == 2
         assert not (out_dir / "sweep_desync.csv").exists()
+
+    @pytest.mark.parametrize("spec", ["0.7:0.1:0.1", "nan:1:0.1", ","])
+    def test_empty_grid_is_usage_error_before_any_frame(
+            self, dataset, tmp_path, monkeypatch, capsys, spec):
+        # it used to solve every frame and write a header-only CSV
+        root, split, _ = dataset
+
+        def no_frames(*args):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(cyldet.cli, "iter_split", no_frames)
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", "scatter", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--values", spec])
+        assert rc == 1
+        assert "empty" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    # no infinite start or stop here: without its check, the range loop
+    # would never end
+    @pytest.mark.parametrize("spec", ["0:1:nan", "0:1:0", "0:1:-0.1"])
+    def test_step_not_above_zero_is_usage_error(self, spec):
+        with pytest.raises(cyldet.cli.UsageError, match="step"):
+            cyldet.cli._parse_values(spec)
 
     def test_scatter_includes_zero(self, dataset, tmp_path):
         root, split, _ = dataset

@@ -175,6 +175,75 @@ class TestRegionIndex:
                    for x, z in centers]
         self.assert_matches(rows, regions, cell)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cell=st.sampled_from([0.5, 2.0, 3.0]),
+        crowded=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                   st.integers(100, 1500)),
+                         min_size=1, max_size=4),
+        ys=st.lists(_edge_y, min_size=1, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_crowded_cells(self, cell, crowded, ys, seed):
+        """Hundreds to thousands of points in a few cells, with copies,
+        points on cell edges, and points on and one ulp outside every
+        circle."""
+        rng = np.random.default_rng(seed)
+        # (x, z) of the center in cells of the crowded cell, and the radius
+        # in cells: circles across 1, 2, 3 and 6 columns of cells, and one
+        # whose edges lie on cell edges
+        shapes = [(0.5, 0.5, 0.3), (1.0, 0.5, 0.75), (0.5, 0.0, 1.2),
+                  (0.0, 0.0, 2.6), (1.0, 0.0, 1.0)]
+        rows, regions = [], []
+
+        def add(x, z):
+            rows.append(np.column_stack((x, rng.choice(ys, len(x)),
+                                         z, np.zeros(len(x)))))
+
+        for i, j, count in crowded:
+            offsets = rng.uniform(0.0, 1.0, (count, 2))
+            offsets[rng.random((count, 2)) < 0.25] = 0.0
+            x, z = ((np.array([i, j]) + offsets) * cell).T
+            copies = rng.integers(1, 4, count)
+            add(np.repeat(x, copies), np.repeat(z, copies))
+            for fx, fz, r in shapes:
+                cx, cz, r = (i + fx) * cell, (j + fz) * cell, r * cell
+                regions.append(ProposalRegion((cx, 0.0, cz), r, self.band))
+                a = rng.uniform(0.0, 2 * math.pi, 20)
+                add(cx + r * np.cos(a), cz + r * np.sin(a))
+                out = np.nextafter([cx - r, cx + r], [-math.inf, math.inf])
+                add(out, [cz, cz])
+                add([cx, cx], np.nextafter([cz - r, cz + r],
+                                           [-math.inf, math.inf]))
+        self.assert_matches(np.concatenate(rows), regions, cell)
+
+    def test_every_region_of_a_large_frame(self, monkeypatch):
+        frame = make_frames(1, seed=8, cars_per_frame=(5, 5),
+                            ground_points=58000)[0]
+        config = PipelineConfig()
+        predictors = oracle_predictors(OracleConfig(dims_noise_sigma=0.1,
+                                                    yaw_noise_sigma=0.1))
+        queried = []
+        members = RegionIndex.members
+
+        def record(index, region):
+            queried.append(region)
+            return members(index, region)
+
+        monkeypatch.setattr(RegionIndex, "members", record)
+        detect_frame(frame, predictors, config)
+        seeds = {region for *_, region in seed_proposals(
+            frame, predictors.monocular, config)}
+        # every seed region, and the regions re-centred on a head's output
+        assert seeds <= set(queried)
+        assert len(set(queried) - seeds) >= 5
+        index = RegionIndex(frame.cloud, config.region_y_extent,
+                            config.region_radius)
+        for region in queried:
+            np.testing.assert_array_equal(
+                members(index, region),
+                cylinder_members_reference(frame.cloud.points, region))
+
     def test_region_band_must_be_the_index_band(self):
         index = RegionIndex(camera_cloud([[0.0, 0.0, 0.0]]), self.band, 2.0)
         with pytest.raises(RuntimeError, match="band"):
