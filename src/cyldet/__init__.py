@@ -7,6 +7,9 @@ bounded location / rotation-bin / size-cluster codecs, multi-task losses
 with analytic gradients, a staged detector over pluggable predictors
 (ground-truth oracles included), and KITTI-style evaluation with recall
 sweeps and a sensor-desynchronization simulator.
+
+The loss functions are loaded on first access, because ``cyldet.losses``
+imports scipy and no detection or evaluation path calls them.
 """
 
 from .codec import (
@@ -82,17 +85,6 @@ from .kitti import (
     parse_velodyne,
     read_split_ids,
 )
-from .losses import (
-    IndexOutOfRange,
-    LossBreakdown,
-    LossConfig,
-    brn_loss,
-    brn_loss_gradients,
-    cross_entropy,
-    huber,
-    rpn_loss,
-    rpn_loss_gradients,
-)
 from .mono import (
     CornerConfiguration,
     MonoEstimate,
@@ -125,3 +117,22 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
+
+_LOSSES = frozenset({
+    "IndexOutOfRange",
+    "LossBreakdown",
+    "LossConfig",
+    "brn_loss",
+    "brn_loss_gradients",
+    "cross_entropy",
+    "huber",
+    "rpn_loss",
+    "rpn_loss_gradients",
+})
+
+
+def __getattr__(name):
+    if name in _LOSSES:
+        from . import losses
+        return getattr(losses, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -214,8 +214,15 @@ def _load_frames(settings):
     return iter_split(split_path, root)
 
 
+def _parse_float(token):
+    try:
+        return float(token)
+    except ValueError:
+        raise UsageError(f"{token.strip()!r} is not a number") from None
+
+
 def _parse_floats(text):
-    return [float(t) for t in text.split(",") if t.strip()]
+    return [_parse_float(t) for t in text.split(",") if t.strip()]
 
 
 def _parse_values(text):
@@ -225,7 +232,7 @@ def _parse_values(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"bad range spec {text!r}, want start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_parse_float(p) for p in parts)
         # negated, so that NaN is rejected too
         if not step > 0:
             raise UsageError("range step must be positive")
@@ -245,6 +252,10 @@ def _parse_values(text):
 
 def cmd_solve_pose(args):
     check_residual_cap(args.residual_cap)
+    coords = _parse_floats(args.box2d)
+    dims = _parse_floats(args.dims)
+    if len(coords) != 4 or len(dims) != 3:
+        raise UsageError("--box2d needs 4 values and --dims needs 3")
     if args.calib:
         path = args.calib
     elif args.dataset_root and args.frame:
@@ -255,10 +266,6 @@ def cmd_solve_pose(args):
         raise UsageError("provide --calib FILE or --dataset-root with --frame")
     with open(path, "r", encoding="utf-8") as fh:
         calib = parse_calibration(fh.read())
-    coords = _parse_floats(args.box2d)
-    dims = _parse_floats(args.dims)
-    if len(coords) != 4 or len(dims) != 3:
-        raise UsageError("--box2d needs 4 values and --dims needs 3")
     box2d = Box2D(*coords)
     est = geometric_agreement_search(
         box2d, tuple(dims), args.yaw, calib.p2,

@@ -1,7 +1,10 @@
 """Codecs between raw network-style outputs and box quantities.
 
 Location offsets are squashed through a sigmoid so the decoded point can
-never leave the proposal's per-axis bounds.  Rotation and size use a
+never leave the proposal's per-axis bounds.  The sigmoid (``expit``) and
+its inverse (``logit``) are scalar float64 functions on Python's ``math``
+(the C library's exp, log and log1p) in the form of ``scipy.special``, so
+they give scipy's bits without importing it.  Rotation and size use a
 hybrid class-plus-residual parameterization: rotation bins equally divide
 [0, pi), size classes are k-means clusters of (H, W, L) training dims.
 """
@@ -10,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
 
 
 class OutOfBounds(ValueError):
@@ -56,30 +58,56 @@ class ProposalRegion:
         return ProposalRegion(tuple(center), self.radius, self.y_extent, self.bounds)
 
 
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)) of a float, as scipy.special.expit
+    computes it; 0.0 where exp(-x) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def logit(p):
+    """Inverse of expit, as scipy.special.logit computes it: log(p / (1 - p))
+    outside [0.3, 0.65], and log1p(s) - log1p(-s) with s = 2 * (p - 0.5)
+    inside, where the plain form loses precision.  -inf at 0, +inf at 1,
+    nan outside [0, 1]."""
+    if 0.3 <= p <= 0.65:
+        s = 2.0 * (p - 0.5)
+        return math.log1p(s) - math.log1p(-s)
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if not 0.0 < p < 1.0:
+        return math.nan
+    return math.log(p / (1.0 - p))
+
+
 def decode_location(t, region):
     """Map raw (t_x, t_y, t_z) into a point bounded by the region:
-    axis = center + 2 * (sigmoid(t) - 0.5) * bound."""
-    t = np.asarray(t, dtype=float)
-    c = np.asarray(region.center)
-    m = np.asarray(region.bounds)
-    return c + 2.0 * (expit(t) - 0.5) * m
+    axis = center + 2 * (sigmoid(t) - 0.5) * bound, one float per axis."""
+    return np.array([
+        c + 2.0 * (expit(float(v)) - 0.5) * m
+        for v, c, m in zip(t, region.center, region.bounds, strict=True)
+    ])
 
 
 def encode_location(target, region):
     """Inverse of decode_location; the target must lie strictly inside the
     per-axis bounds."""
-    off = np.asarray(target, dtype=float) - np.asarray(region.center)
-    m = np.asarray(region.bounds)
-    if np.any(np.abs(off) >= m):
+    off = [float(v) - c for v, c in zip(target, region.center, strict=True)]
+    m = region.bounds
+    if any(abs(o) >= b for o, b in zip(off, m)):
         raise OutOfBounds(
-            f"target offset {tuple(off)} not strictly inside bounds {tuple(m)}"
+            f"target offset {tuple(off)} not strictly inside bounds {m}"
         )
-    return logit(off / (2.0 * m) + 0.5)
+    return np.array([logit(o / (2.0 * b) + 0.5) for o, b in zip(off, m)])
 
 
 def objectness(t_o):
-    """Sigmoid squashing of the raw objectness output."""
-    return float(expit(t_o))
+    """Sigmoid squashing of the raw objectness output, in float64."""
+    return expit(float(t_o))
 
 
 @dataclass(frozen=True)

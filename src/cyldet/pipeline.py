@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logit
 
 from .codec import (
     BrnOutput,
@@ -44,6 +43,7 @@ from .codec import (
     encode_location,
     encode_rotation,
     encode_size,
+    logit,
     objectness,
 )
 from .geometry import Box2D, Box3D, iou_2d, iou_bev, project_box
@@ -369,12 +369,12 @@ class OracleRpnPredictor:
     def __call__(self, points, region, frame):
         idx, true_center = _nearest_label(frame, region)
         if idx is None:
-            return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=float(logit(0.01)))
+            return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=logit(0.01))
         ground_dist = math.hypot(
             true_center[0] - region.center[0], true_center[2] - region.center[2]
         )
         prob = _graded_objectness(ground_dist, region.radius)
-        t_obj = float(logit(prob))
+        t_obj = logit(prob)
         if not _within_bounds(true_center, region):
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=t_obj)
         center, _, _ = _noised_truth(self.cfg, frame, idx)

@@ -66,6 +66,20 @@ class TestSolvePose:
     def test_unparseable_flags_are_usage_error(self):
         assert main(["solve-pose"]) == 1
 
+    @pytest.mark.parametrize("flag, text, token", [
+        ("--box2d", "1,2,x,4", "x"), ("--dims", "1.6,1.5,abc", "abc"),
+    ])
+    def test_malformed_number_is_usage_error(self, dataset, capsys, flag, text,
+                                             token):
+        root, _, _ = dataset
+        args = {"--box2d": "648.4,158.9,757.1,242.7", "--dims": "1.6,1.5,3.9"}
+        args[flag] = text
+        rc = main(["solve-pose", "--calib", os.path.join(root, "calib", "000000.txt"),
+                   "--box2d", args["--box2d"], "--dims", args["--dims"],
+                   "--yaw", "0.3"])
+        assert rc == 1
+        assert repr(token) in capsys.readouterr().err
+
     def test_infeasible_input_is_data_error(self, dataset):
         root, _, _ = dataset
         rc = main([
@@ -426,6 +440,25 @@ class TestSweep:
                    "--output-dir", str(out_dir), "--values", spec])
         assert rc == 1
         assert "empty" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("spec, token", [
+        ("0.1,abc", "abc"), ("a:b:c", "a"), ("0:1:x", "x"), ("0.1, 2e", "2e"),
+    ])
+    def test_malformed_grid_is_usage_error_before_any_frame(
+            self, dataset, tmp_path, monkeypatch, capsys, spec, token):
+        # float()'s ValueError used to reach main as a data error (exit 2)
+        root, split, _ = dataset
+
+        def no_frames(*args):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(cyldet.cli, "iter_split", no_frames)
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", "scatter", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--values", spec])
+        assert rc == 1
+        assert repr(token) in capsys.readouterr().err
         assert not out_dir.exists()
 
     # no infinite start or stop here: without its check, the range loop

@@ -1,0 +1,49 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cyldet
+import cyldet.losses
+
+LOSS_NAMES = (
+    "IndexOutOfRange",
+    "LossBreakdown",
+    "LossConfig",
+    "brn_loss",
+    "brn_loss_gradients",
+    "cross_entropy",
+    "huber",
+    "rpn_loss",
+    "rpn_loss_gradients",
+)
+
+
+@pytest.mark.parametrize("module", ["cyldet", "cyldet.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy serves only cyldet.losses; every CLI process would pay for it
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cyldet.__file__)))
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_loss_names_resolve_from_the_package(name):
+    assert getattr(cyldet, name) is getattr(cyldet.losses, name)
+
+
+def test_from_import_of_a_loss_name():
+    from cyldet import rpn_loss
+
+    assert rpn_loss is cyldet.losses.rpn_loss
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyldet.no_such_name  # noqa: B018
+    assert not hasattr(cyldet, "no_such_name")
