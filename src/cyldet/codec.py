@@ -173,9 +173,13 @@ class SizeClusters:
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=float).reshape(-1, 3)
+        if not np.isfinite(c).all():
+            raise ValueError("centroids must be finite")
         if np.any(c <= 0.0):
             raise ValueError("centroids must be strictly positive")
-        if len(np.unique(c, axis=0)) != len(c):
+        # a set of row tuples, not np.unique(c, axis=0), which imports
+        # numpy.ma
+        if len({tuple(row) for row in c.tolist()}) != len(c):
             raise ValueError("centroids must be distinct")
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)

@@ -3,6 +3,10 @@
 Camera frame convention throughout: x right, y down, z forward (meters).
 A 3D box is an oriented cuboid whose yaw rotates about the camera y axis;
 at yaw 0 the width spans x and the length spans z.
+
+BEV and 3D IoU clip one footprint polygon by the other, except for two
+footprints whose circumscribed circles lie clearly apart: their
+intersection area is 0.0 without a clip, as the clip would find.
 """
 
 import math
@@ -194,11 +198,27 @@ def clip_polygon(subject, clip):
     return np.array(output)
 
 
+def _footprints_apart(a, b):
+    """Whether the x-z distance between the centers exceeds the sum of the
+    footprints' half-diagonals by more than the clip's tolerance (CLIP_EPS
+    over the shortest edge, doubled) plus 1e-9 of the coordinates' scale,
+    far above their rounding.  No point of one footprint then comes within
+    the clip's tolerance of the other, and the clip would find no area."""
+    (ax, _, az), (bx, _, bz) = a.center, b.center
+    (aw, _, al), (bw, _, bl) = a.dims, b.dims
+    reach = 0.5 * (math.hypot(aw, al) + math.hypot(bw, bl))
+    slack = (2.0 * CLIP_EPS / min(aw, al, bw, bl)
+             + 1e-9 * (reach + abs(ax) + abs(az) + abs(bx) + abs(bz)))
+    return math.hypot(ax - bx, az - bz) > reach + slack
+
+
 def _bev_intersection_area(a, b):
     # clip in a canonical operand order so iou_*(a, b) == iou_*(b, a)
     # exactly despite floating-point rounding in the clipper
     if (b.center, b.dims, b.yaw) < (a.center, a.dims, a.yaw):
         a, b = b, a
+    if _footprints_apart(a, b):
+        return 0.0
     inter = clip_polygon(footprint_polygon(a), footprint_polygon(b))
     return max(0.0, polygon_area(inter))
 

@@ -95,11 +95,13 @@ class RegionIndex:
     the first query, by the x-major key of their cell in a square x-z grid
     of cells `cell` wide, with numpy's stable sort on the narrowest
     unsigned type that holds the keys (a radix sort up to 2**16 cells).
-    A query reads the cells its circle can reach, widened by a few ulps
+    members() reads the cells its circle can reach, widened by a few ulps
     against rounding, as one slice of the sorted arrays per x column, and
-    tests those points with dx*dx + dz*dz <= r**2.  Every region of a
-    frame shares the band (recentered keeps it), so one index answers them
-    all.
+    tests those points with dx*dx + dz*dz <= r**2.  occupied() first counts
+    the points of the 3x3 block of cells around the center's cell, when
+    that block lies wholly inside the circle, and calls members() only when
+    the block is empty.  Every region of a frame shares the band
+    (recentered keeps it), so one index answers them all.
     """
 
     def __init__(self, cloud, y_extent, cell):
@@ -132,6 +134,11 @@ class RegionIndex:
         self._members = band[order]
         self._xz = np.take(xz, order, axis=1)
 
+    def _clamp(self, axis, lo, hi):
+        # grid-relative cells lo..hi of axis, cut to the grid
+        return (max(lo - self._lo[axis], 0),
+                min(hi - self._lo[axis], self._shape[axis] - 1))
+
     def _cell_range(self, axis, center, radius):
         # widened by 2**-48 of the cell numbers, many times the rounding
         # error of a point's offset: no point outside the widened cells
@@ -139,13 +146,17 @@ class RegionIndex:
         lo, hi = (min(max(v / self.cell, -_CELL_LIMIT), _CELL_LIMIT)
                   for v in (center - radius, center + radius))
         pad = (abs(lo) + abs(hi)) * 2**-48
-        return (max(math.floor(lo - pad) - self._lo[axis], 0),
-                min(math.floor(hi + pad) - self._lo[axis],
-                    self._shape[axis] - 1))
+        return self._clamp(axis, math.floor(lo - pad), math.floor(hi + pad))
 
-    def members(self, region):
-        """Cloud-order indices of the points inside region, whose band must
-        be the index's."""
+    def _runs(self, x0, x1, z0, z1):
+        # (start, stop) of the z-run [z0, z1] of each x column x0..x1 in the
+        # sorted arrays, interleaved
+        width = self._shape[1]
+        return np.searchsorted(self._keys, [
+            column * width + z for column in range(x0, x1 + 1)
+            for z in (z0, z1 + 1)])
+
+    def _check(self, region):
         if self.cloud.frame != "camera":
             raise WrongFrame(f"expected camera frame, got {self.cloud.frame}")
         if region.y_extent != self.y_extent:
@@ -153,17 +164,17 @@ class RegionIndex:
                                f"index band {self.y_extent}")
         if self._keys is None:
             self._build()
+
+    def members(self, region):
+        """Cloud-order indices of the points inside region, whose band must
+        be the index's."""
+        self._check(region)
         cx, _, cz = region.center
         x0, x1 = self._cell_range(0, cx, region.radius)
         z0, z1 = self._cell_range(1, cz, region.radius)
         if x0 > x1 or z0 > z1:
             return np.zeros(0, np.int64)
-        # the z-run [z0, z1] of each x column is one slice of the sorted
-        # arrays
-        width = self._shape[1]
-        bounds = np.searchsorted(self._keys, [
-            column * width + z for column in range(x0, x1 + 1)
-            for z in (z0, z1 + 1)]).tolist()
+        bounds = self._runs(x0, x1, z0, z1).tolist()
         runs = [slice(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
         dx, dz = np.concatenate([self._xz[:, s] for s in runs], axis=1)
         dx -= cx
@@ -171,6 +182,26 @@ class RegionIndex:
         inside = dx * dx + dz * dz <= region.radius**2
         members = np.concatenate([self._members[s] for s in runs])
         return np.sort(members[inside])
+
+    def occupied(self, region):
+        """Whether region holds a point: len(members(region)) > 0."""
+        self._check(region)
+        # a point of the 3x3 block of cells around the center's cell lies
+        # less than 2*sqrt(2) < 2.83 cells from the center, however the
+        # divisions round (cell numbers below 2**30 keep that error under
+        # 1e-6 cells), so with cells at most r / 2.9 it passes members()'
+        # test; the block must hold no clipped cell, where far points lie
+        ix, iz = (math.floor(min(max(v / self.cell, -_CELL_LIMIT),
+                                 _CELL_LIMIT)) for v in region.center[::2])
+        if (2.9 * self.cell <= region.radius
+                and max(abs(ix), abs(iz)) < _CELL_LIMIT - 1):
+            x0, x1 = self._clamp(0, ix - 1, ix + 1)
+            z0, z1 = self._clamp(1, iz - 1, iz + 1)
+            # a block outside the grid gives no run with start < stop
+            bounds = self._runs(x0, x1, z0, z1)
+            if np.any(bounds[1::2] > bounds[::2]):
+                return True
+        return len(self.members(region)) > 0
 
     def points(self, members, region):
         """The member points re-expressed relative to the region center."""
@@ -394,16 +425,15 @@ class OracleBrnPredictor:
         self.bins = bins
 
     def __call__(self, points, region, frame):
-        zeros = BrnOutput(
-            t_loc=(0.0, 0.0, 0.0),
-            rot_logits=np.zeros(self.bins.n_bins),
-            rot_residuals=np.zeros(self.bins.n_bins),
-            size_logits=np.zeros(self.clusters.n_clusters),
-            size_residuals=np.zeros((self.clusters.n_clusters, 3)),
-        )
         idx, true_center = _nearest_label(frame, region)
         if idx is None or not _within_bounds(true_center, region):
-            return zeros
+            return BrnOutput(
+                t_loc=(0.0, 0.0, 0.0),
+                rot_logits=np.zeros(self.bins.n_bins),
+                rot_residuals=np.zeros(self.bins.n_bins),
+                size_logits=np.zeros(self.clusters.n_clusters),
+                size_residuals=np.zeros((self.clusters.n_clusters, 3)),
+            )
         center, dims_whl, yaw = _noised_truth(self.cfg, frame, idx)
         w, h, length = dims_whl
         rot_logits, rot_residuals = encode_rotation(yaw, self.bins)
@@ -481,11 +511,9 @@ def decode_box(brn_out, region, clusters, bins):
     return Box3D(tuple(center), (w, h, length), yaw)
 
 
-def _occupied_members(index, region):
-    members = index.members(region)
-    if len(members) == 0:
+def _check_occupied(occupied):
+    if not occupied:
         raise EmptyCloud("no points inside the proposal region")
-    return members
 
 
 def region_points(frame, region, config, sample_seed, index=None):
@@ -494,7 +522,9 @@ def region_points(frame, region, config, sample_seed, index=None):
     holds no point.  index is the frame's RegionIndex, when one exists."""
     if index is None:
         index = RegionIndex(frame.cloud, region.y_extent, region.radius)
-    gathered = index.points(_occupied_members(index, region), region)
+    members = index.members(region)
+    _check_occupied(len(members))
+    gathered = index.points(members, region)
     downsampled = voxel_downsample(gathered, config.voxel_resolution)
     return sample_points(downsampled, config.sample_count, sample_seed)
 
@@ -506,7 +536,7 @@ def _head_input(head, frame, region, config, index, seed_parts):
     if getattr(head, "uses_points", True):
         return region_points(frame, region, config, derive_seed(*seed_parts),
                              index)
-    _occupied_members(index, region)
+    _check_occupied(index.occupied(region))
     return None
 
 
@@ -567,8 +597,10 @@ def run_proposals(frame, predictors, config, run):
     and propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
+    # cells of a third of the radius, so that occupied() settles most
+    # regions from the 3x3 block of cells around their center
     index = RegionIndex(frame.cloud, config.region_y_extent,
-                        config.region_radius)
+                        config.region_radius / 3)
     results = []
     for proposal in seed_proposals(frame, predictors.monocular, config):
         try:

@@ -264,6 +264,23 @@ class TestDetect:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (out_dir / "summary.txt").exists()
 
+    @pytest.mark.parametrize("row", ["nan 1.6 3.9", "1.5 inf 3.9",
+                                     "1.5 1.6 -inf", "0 1.6 3.9"])
+    def test_size_cluster_not_finite_and_positive_is_data_error(
+            self, dataset, tmp_path, capsys, row):
+        # a nan centroid used to decode every box to nan, drop every
+        # proposal and report recall 0 with exit code 0
+        root, split, _ = dataset
+        clusters = tmp_path / "clusters.txt"
+        clusters.write_text(f"1.4 1.5 3.4\n{row}\n")
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir),
+                   "--size-clusters-file", str(clusters)])
+        assert rc == 2
+        assert "centroids must be" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_failed_frame_removes_its_old_document(self, dataset, tmp_path,
                                                    monkeypatch, capsys):
         root, split, frames = dataset

@@ -9,13 +9,16 @@ from cyldet import (
     BehindCamera,
     Box2D,
     Box3D,
+    Detection,
     box3d_corners,
     iou_2d,
     iou_3d,
     iou_bev,
+    nms_bev,
     normalize_yaw,
     project_box,
 )
+from cyldet import geometry
 from conftest import random_car_box
 from oracles import mc_iou_3d, mc_iou_bev, project_corners_reference
 
@@ -151,6 +154,16 @@ class TestIouBev:
         # boxes sharing exactly one footprint edge: degenerate intersection
         a = Box3D((0.0, 0, 10), (1, 1, 2), 0.0)
         b = Box3D((1.0, 0, 10), (1, 1, 2), 0.0)
+        assert iou_bev(a, b) == 0.0
+        assert iou_3d(a, b) == 0.0
+
+    def test_footprints_apart_skip_the_clip(self, monkeypatch):
+        def no_clip(subject, clip):
+            raise AssertionError("clipped footprints that cannot touch")
+
+        monkeypatch.setattr(geometry, "clip_polygon", no_clip)
+        a = Box3D((0.0, 0, 10), (1.6, 1.5, 4.0), 0.3)
+        b = Box3D((4.4, 0, 10), (1.6, 1.5, 4.0), -1.2)
         assert iou_bev(a, b) == 0.0
         assert iou_3d(a, b) == 0.0
 
@@ -294,3 +307,65 @@ class TestIouProperties:
                            z + step * direction[1]), box.dims, box.yaw)
         for iou in (iou_bev, iou_3d):
             assert iou(box, neighbour) == pytest.approx(0.0, abs=1e-9)
+
+
+def _clip_only(iou, a, b):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_footprints_apart", lambda a, b: False)
+        return iou(a, b)
+
+
+_GAPS = (st.floats(-1e-3, 1e-3)
+         | st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, 3e-9, 1e-8, 1e-6]))
+
+
+@st.composite
+def _near_touching_pairs(draw):
+    """Two boxes whose footprints' circumscribed circles are within 1e-3 m
+    of touching, at any yaw.  In half of the pairs a corner of each
+    footprint points, within 1e-3 rad, at the other's center, so that the
+    footprints themselves come that close to touching."""
+    a = draw(_boxes(z_min=10.0))
+    dims = draw(st.tuples(*[st.floats(0.3, 6.0)] * 3))
+    reach = 0.5 * (math.hypot(a.dims[0], a.dims[2])
+                   + math.hypot(dims[0], dims[2]))
+    distance = reach + draw(_GAPS)
+    if draw(st.booleans()):
+        corner = draw(st.integers(0, 3))
+        x, _, z = geometry.corner_offsets(a.dims, a.yaw)[corner]
+        direction = math.atan2(z, x)
+        # a yaw turns the footprint clockwise in the x-z plane; corner 0 of
+        # the second box then points back along the center line
+        yaw = (math.atan2(dims[2], dims[0]) - direction - math.pi
+               + draw(st.floats(-1e-3, 1e-3)))
+    else:
+        direction = draw(st.floats(-math.pi, math.pi))
+        yaw = draw(st.floats(-math.pi, math.pi))
+    ax, ay, az = a.center
+    center = (ax + distance * math.cos(direction),
+              ay + draw(st.floats(-1.0, 1.0)),
+              az + distance * math.sin(direction))
+    return a, Box3D(center, dims, yaw)
+
+
+class TestSeparationReject:
+    """The reject of footprints whose circumscribed circles lie apart gives
+    the clip's own result, bit for bit, on pairs at the edge of it."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_near_touching_pairs())
+    def test_equals_the_clip(self, pair):
+        a, b = pair
+        for iou in (iou_bev, iou_3d):
+            for x, y in ((a, b), (b, a)):
+                assert iou(x, y).hex() == _clip_only(iou, x, y).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_near_touching_pairs(), min_size=1, max_size=6),
+           st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
+    def test_nms_at_threshold_zero_is_unchanged(self, pairs, confidences):
+        box2d = Box2D(0.0, 0.0, 1.0, 1.0)
+        dets = [Detection(box, box2d, 1.0, c)
+                for box, c in zip([box for pair in pairs for box in pair],
+                                  confidences)]
+        assert nms_bev(dets, 0.0) == _clip_only(nms_bev, dets, 0.0)

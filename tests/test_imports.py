@@ -20,16 +20,28 @@ LOSS_NAMES = (
 )
 
 
-@pytest.mark.parametrize("module", ["cyldet", "cyldet.cli"])
-def test_import_loads_no_scipy(module):
-    # scipy serves only cyldet.losses; every CLI process would pay for it
+def loaded_after_import(module, prefix):
+    """The sorted names under prefix in sys.modules of a fresh interpreter
+    after import module."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cyldet.__file__)))
     code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+            f"print(sorted(m for m in sys.modules "
+            f"if (m + '.').startswith({prefix!r} + '.')))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["cyldet", "cyldet.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy serves only cyldet.losses; every CLI process would pay for it
+    assert loaded_after_import(module, "scipy") == "[]"
+
+
+@pytest.mark.parametrize("module", ["cyldet", "cyldet.cli"])
+def test_import_loads_no_numpy_ma(module):
+    # np.unique(..., axis=0) imports numpy.ma, 20-25 ms of every CLI start
+    assert loaded_after_import(module, "numpy.ma") == "[]"
 
 
 @pytest.mark.parametrize("name", LOSS_NAMES)

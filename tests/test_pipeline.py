@@ -106,7 +106,8 @@ class TestGatherCylinder:
 class TestRegionIndex:
     """RegionIndex membership equals the scan of every point
     (oracles.cylinder_members_reference) exactly, boundary points
-    included, for any region radius and cell width."""
+    included, for any region radius and cell width; occupied() is True
+    exactly when that scan finds a point."""
 
     band = (-1.0, 3.0)
     _edge_y = st.sampled_from([
@@ -123,9 +124,9 @@ class TestRegionIndex:
         cloud = PointCloud(np.reshape(points, (-1, 4)), frame="camera")
         index = RegionIndex(cloud, self.band, cell)
         for region in regions:
-            np.testing.assert_array_equal(
-                index.members(region),
-                cylinder_members_reference(cloud.points, region))
+            want = cylinder_members_reference(cloud.points, region)
+            assert index.occupied(region) == (len(want) > 0)
+            np.testing.assert_array_equal(index.members(region), want)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -217,37 +218,107 @@ class TestRegionIndex:
                                            [-math.inf, math.inf]))
         self.assert_matches(np.concatenate(rows), regions, cell)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        radius=st.sampled_from([0.3, 2.0, 7.3]),
+        cell_xz=(st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+                 | st.sampled_from([(2**30 - 2, 0), (2**30 - 3, 4),
+                                    (-2**30 + 1, -2), (5, 2**30 - 1),
+                                    (-2**30, 2**30 - 2)])),
+        frac=st.tuples(*[st.sampled_from([0.0, 0.5, math.nextafter(1.0, 0.0)])
+                         | st.floats(0.0, 1.0, exclude_max=True)] * 2),
+        picks=st.lists(st.tuples(st.integers(0, 63), _edge_y), max_size=8),
+    )
+    # the only point lies clipped into the block's edge cell, far away
+    @example(radius=2.0, cell_xz=(2**30 - 1, 0), frac=(0.5, 0.5),
+             picks=[(30, 0.5)])
+    # the only point is the block corner farthest from the center, outside
+    # the narrow region
+    @example(radius=2.0, cell_xz=(0, 0), frac=(math.nextafter(1.0, 0.0),) * 2,
+             picks=[(5, 0.5)])
+    def test_cells_of_a_third_of_the_radius(self, radius, cell_xz, frac,
+                                            picks):
+        """Cells as run_proposals builds them, so occupied() can settle a
+        region from the 3x3 block around its center's cell: points on the
+        block's corners and one ulp outside it, on and one ulp outside the
+        circle, and far points clipped into the edge cells near the
+        center.  A second region, 2.5 cells wide, is too narrow to hold
+        the block."""
+        cell = radius / 3
+        (i, j), (fx, fz) = cell_xz, frac
+        cx, cz = (i + fx) * cell, (j + fz) * cell
+        xs, zs = ([math.nextafter((k - 1) * cell, -math.inf), (k - 1) * cell,
+                   math.nextafter((k + 2) * cell, -math.inf), (k + 2) * cell]
+                  for k in (i, j))
+        def ring(c):
+            # on the circle, and one ulp outside it, on either side of c
+            return [c - radius, c + radius,
+                    math.nextafter(c - radius, -math.inf),
+                    math.nextafter(c + radius, math.inf)]
+
+        candidates = [(x, z) for x in xs for z in zs]
+        candidates += [(v, cz) for v in ring(cx)] + [(cx, v) for v in ring(cz)]
+        candidates += [(x, z) for x in (-1e30, -1e15, 1e15, 1e30)
+                       for z in (cz, 1e15, -1e30)]
+        candidates += [(cx, z) for z in (-1e30, -1e15, 1e15, 1e30)]
+        # 16 + 4 + 4 + 12 + 4 = 40 distinct candidates; larger picks
+        # repeat the block corners
+        candidates += candidates[:24]
+        points = [[candidates[k][0], y, candidates[k][1], 0.0]
+                  for k, y in picks]
+        regions = [ProposalRegion((cx, 0.0, cz), radius, self.band),
+                   ProposalRegion((cx, 0.0, cz), 2.5 * cell, self.band)]
+        self.assert_matches(points, regions, cell)
+
+    def test_block_beyond_the_grid_edge(self):
+        # the block's top row of cells lies above the grid's; its z-run
+        # must end at the grid's top row, not run on into the next column
+        cell = 2.0 / 3
+        points = [[x * cell, 0.5, z * cell, 0.0]
+                  for x, z in ((2.5, -4.5), (6.5, 0.5), (-0.5, -4.5))]
+        region = ProposalRegion((0.5 * cell, 0.0, 0.5 * cell), 2.0, self.band)
+        self.assert_matches(points, [region], cell)
+
     def test_every_region_of_a_large_frame(self, monkeypatch):
         frame = make_frames(1, seed=8, cars_per_frame=(5, 5),
                             ground_points=58000)[0]
         config = PipelineConfig()
         predictors = oracle_predictors(OracleConfig(dims_noise_sigma=0.1,
                                                     yaw_noise_sigma=0.1))
-        queried = []
-        members = RegionIndex.members
+        queried = {"members": [], "occupied": []}
+        members, occupied = RegionIndex.members, RegionIndex.occupied
 
-        def record(index, region):
-            queried.append(region)
-            return members(index, region)
+        def record(name, query):
+            def recorded(index, region):
+                queried[name].append(region)
+                return query(index, region)
+            return recorded
 
-        monkeypatch.setattr(RegionIndex, "members", record)
+        monkeypatch.setattr(RegionIndex, "members", record("members", members))
+        monkeypatch.setattr(RegionIndex, "occupied",
+                            record("occupied", occupied))
         detect_frame(frame, predictors, config)
         seeds = {region for *_, region in seed_proposals(
             frame, predictors.monocular, config)}
-        # every seed region, and the regions re-centred on a head's output
-        assert seeds <= set(queried)
-        assert len(set(queried) - seeds) >= 5
+        # the oracle heads read no points: every seed region, and the
+        # regions re-centred on a head's output, are checked with
+        # occupied(), and its block of cells settles most of them
+        asked = set(queried["occupied"])
+        assert seeds <= asked
+        assert len(asked - seeds) >= 5
+        assert len(queried["members"]) < len(queried["occupied"]) / 4
         index = RegionIndex(frame.cloud, config.region_y_extent,
-                            config.region_radius)
-        for region in queried:
-            np.testing.assert_array_equal(
-                members(index, region),
-                cylinder_members_reference(frame.cloud.points, region))
+                            config.region_radius / 3)
+        for region in asked:
+            want = cylinder_members_reference(frame.cloud.points, region)
+            np.testing.assert_array_equal(members(index, region), want)
+            assert occupied(index, region) == (len(want) > 0)
 
     def test_region_band_must_be_the_index_band(self):
         index = RegionIndex(camera_cloud([[0.0, 0.0, 0.0]]), self.band, 2.0)
-        with pytest.raises(RuntimeError, match="band"):
-            index.members(ProposalRegion((0.0, 0.0, 0.0), 2.0, (-2.0, 3.0)))
+        for query in (index.members, index.occupied):
+            with pytest.raises(RuntimeError, match="band"):
+                query(ProposalRegion((0.0, 0.0, 0.0), 2.0, (-2.0, 3.0)))
 
 
 class TestVoxelDownsample:
