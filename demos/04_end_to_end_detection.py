@@ -22,7 +22,7 @@ split = synthetic.write_dataset(root, frames)
 print("wrote synthetic dataset:", root)
 
 # reload through the KITTI parsers, exactly as a real dataset would load
-loaded = cyldet.load_split(split, root)
+loaded = list(cyldet.iter_split(split, root))
 print("frames:", len(loaded), " cars:",
       sum(len(f.labels) for f in loaded), " points in frame 0:",
       len(loaded[0].cloud))

@@ -79,7 +79,6 @@ from .kitti import (
     iter_split,
     lidar_to_camera,
     load_frame,
-    load_split,
     parse_calibration,
     parse_labels,
     parse_velodyne,

@@ -242,6 +242,9 @@ def _parse_values(text):
         v = start
         while v <= stop + 1e-9:
             values.append(round(v, 10))
+            if v + step == v:
+                raise UsageError(f"range step {step!r} is too small to "
+                                 f"advance from {v!r}")
             v += step
     else:
         values = _parse_floats(text)

@@ -43,9 +43,10 @@ class ProposalRegion:
         y_extent = tuple(float(v) for v in self.y_extent)
         if len(center) != 3 or len(bounds) != 3:
             raise ValueError("center and bounds must be 3-vectors")
-        if self.radius <= 0.0:
+        # negated, so that NaN is rejected too
+        if not self.radius > 0.0:
             raise ValueError("radius must be positive")
-        if min(bounds) <= 0.0:
+        if not all(b > 0.0 for b in bounds):
             raise ValueError("bounds must be positive")
         if not y_extent[0] < y_extent[1]:
             raise ValueError("y_extent must be ordered")
@@ -123,9 +124,6 @@ class RotationBins:
     @property
     def width(self):
         return math.pi / self.n_bins
-
-    def centers(self):
-        return (np.arange(self.n_bins) + 0.5) * self.width
 
 
 HOT_LOGIT = 10.0
@@ -233,6 +231,8 @@ def fit_size_clusters(dims, n_clusters, seed, n_init=10):
     dims may be an (N, 3) array or a list of labels exposing box3d; the
     best of n_init seeded restarts (by within-cluster SSE) is returned.
     """
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be >= 1")
     data = _dims_array(dims)
     if len(np.unique(data, axis=0)) < n_clusters:
         raise InsufficientData(

@@ -21,14 +21,15 @@ from .pipeline import (
     PipelineConfig,
     detect_frame,
     derive_seed,
+    objectness,
+    run_head,
     run_proposals,
     scatter_proposals,
-    score_region,
     solve_poses,
 )
 
 # Unused here, but perfbench/layers.py patches these names on this module.
-from .pipeline import gather_cylinder, objectness, seed_proposals  # noqa: F401
+from .pipeline import gather_cylinder, seed_proposals  # noqa: F401
 from .pipeline import sample_points, voxel_downsample  # noqa: F401
 
 # the accepted values of EvalConfig's fields and of the desync metric;
@@ -269,10 +270,9 @@ def _score_seed_region(frame, predictors, config, proposal, frame_hash,
                        index):
     """Stage-0 objectness of one seed region, with the region center."""
     obj_idx, seed_idx, _, region = proposal
-    score, _ = score_region(frame, predictors, config, region,
-                            (config.seed, frame_hash, obj_idx, seed_idx, 0),
-                            index)
-    return score, region.center
+    out = run_head(predictors.rpn, frame, region, config, index,
+                   (config.seed, frame_hash, obj_idx, seed_idx, 0))
+    return objectness(out.t_obj), region.center
 
 
 def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):

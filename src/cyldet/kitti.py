@@ -323,18 +323,10 @@ def _read_image_sizes(dataset_root):
     return sizes
 
 
-def load_frame(
-    dataset_root,
-    frame_id,
-    classes=("Car",),
-    image_size=DEFAULT_IMAGE_SIZE,
-    cloud_frame="camera",
-):
-    """Load one frame from the {calib, label_2, velodyne} directory layout.
-
-    The Lidar scan is converted to the camera frame by default so the
-    whole downstream geometry shares one coordinate system.
-    """
+def load_frame(dataset_root, frame_id, image_size=DEFAULT_IMAGE_SIZE):
+    """Load one frame, with its Car labels, from the {calib, label_2,
+    velodyne} directory layout.  The Lidar scan is converted to the camera
+    frame, so the whole downstream geometry shares one coordinate system."""
     paths = {
         "calib": os.path.join(dataset_root, "calib", frame_id + ".txt"),
         "label": os.path.join(dataset_root, "label_2", frame_id + ".txt"),
@@ -346,32 +338,25 @@ def load_frame(
     with open(paths["calib"], "r", encoding="utf-8") as fh:
         calib = parse_calibration(fh.read())
     with open(paths["label"], "r", encoding="utf-8") as fh:
-        labels = parse_labels(fh.read(), classes=classes)
+        labels = parse_labels(fh.read())
     with open(paths["velodyne"], "rb") as fh:
         cloud = parse_velodyne(fh.read())
-    if cloud_frame == "camera":
-        cloud = lidar_to_camera(cloud, calib)
     return FrameData(
         frame_id=frame_id,
         calib=calib,
         labels=tuple(labels),
-        cloud=cloud,
+        cloud=lidar_to_camera(cloud, calib),
         image_size=image_size,
     )
 
 
-def iter_split(list_path, dataset_root, classes=("Car",), image_size=None):
+def iter_split(list_path, dataset_root):
     """Yield the frames named in a split list file in list order, loading
     each one only when the caller reaches it."""
     sizes = _read_image_sizes(dataset_root)
     for frame_id in read_split_ids(list_path):
-        size = image_size or sizes.get(frame_id, DEFAULT_IMAGE_SIZE)
-        yield load_frame(dataset_root, frame_id, classes=classes, image_size=size)
-
-
-def load_split(list_path, dataset_root, classes=("Car",), image_size=None):
-    """Load every frame named in a split list file."""
-    return list(iter_split(list_path, dataset_root, classes, image_size))
+        yield load_frame(dataset_root, frame_id,
+                         image_size=sizes.get(frame_id, DEFAULT_IMAGE_SIZE))
 
 
 def stable_id_hash(frame_id):

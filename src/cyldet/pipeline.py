@@ -17,10 +17,11 @@ projected 3D box, then bird's-eye-view NMS removes duplicates.
 
 Predictors are callables: monocular(frame) -> [Mono2DDetection];
 rpn(points, region, frame) -> RpnOutput; brn(points, region, frame) ->
-BrnOutput.  A point head receives region_points(...) of its region unless
-it sets the class attribute uses_points = False, in which case points is
-None and no gather, voxel or sample work is done for it.  For every head,
-a region holding no point is dropped with EmptyCloud before the head runs.
+BrnOutput.  run_head runs a point head on a region, at every stage and in
+the objectness sweep.  The head receives region_points(...) of its region
+unless it sets the class attribute uses_points = False, in which case
+points is None and no gather, voxel or sample work is done for it.  An
+empty region is dropped with EmptyCloud before the head runs.
 Oracle implementations backed by ground truth (with optional seeded noise)
 stand in for trained networks; the point-head oracles read no points.
 """
@@ -267,13 +268,12 @@ def derive_seed(*parts):
 
 @dataclass(frozen=True)
 class Mono2DDetection:
-    """One monocular detection: 2D box plus regressed dims (W, H, L),
-    heading, and class score."""
+    """One monocular detection: 2D box plus regressed dims (W, H, L) and
+    heading."""
 
     box2d: Box2D
     dims: tuple
     yaw: float
-    score: float = 1.0
 
     def __post_init__(self):
         dims = tuple(float(v) for v in self.dims)
@@ -501,6 +501,11 @@ class PipelineConfig:
         check_residual_cap(self.residual_cap)
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError("nms_threshold must be in [0, 1]")
+        if not 0.0 <= self.objectness_threshold <= 1.0:
+            raise ValueError("objectness_threshold must be in [0, 1]")
+        # the region of every proposal is built from these fields
+        ProposalRegion((0.0, 0.0, 0.0), self.region_radius,
+                       self.region_y_extent, self.region_bounds)
 
 
 def decode_box(brn_out, region, clusters, bins):
@@ -511,11 +516,6 @@ def decode_box(brn_out, region, clusters, bins):
     return Box3D(tuple(center), (w, h, length), yaw)
 
 
-def _check_occupied(occupied):
-    if not occupied:
-        raise EmptyCloud("no points inside the proposal region")
-
-
 def region_points(frame, region, config, sample_seed, index=None):
     """The point-head input for one region: gather, voxel-downsample, then
     sample config.sample_count points.  Raises EmptyCloud when the region
@@ -523,21 +523,25 @@ def region_points(frame, region, config, sample_seed, index=None):
     if index is None:
         index = RegionIndex(frame.cloud, region.y_extent, region.radius)
     members = index.members(region)
-    _check_occupied(len(members))
+    if len(members) == 0:
+        raise EmptyCloud("no points inside the proposal region")
     gathered = index.points(members, region)
     downsampled = voxel_downsample(gathered, config.voxel_resolution)
     return sample_points(downsampled, config.sample_count, sample_seed)
 
 
-def _head_input(head, frame, region, config, index, seed_parts):
-    """What head receives for region: region_points, sampled with the seed
-    derived from seed_parts, or None when head.uses_points is False.  An
-    empty region raises EmptyCloud either way."""
+def run_head(head, frame, region, config, index, seed_parts):
+    """head's output for region.  The head receives region_points, sampled
+    with the seed derived from seed_parts, or None when head.uses_points is
+    False; an empty region raises EmptyCloud before the head runs either
+    way.  index is the frame's RegionIndex."""
+    points = None
     if getattr(head, "uses_points", True):
-        return region_points(frame, region, config, derive_seed(*seed_parts),
-                             index)
-    _check_occupied(index.occupied(region))
-    return None
+        points = region_points(frame, region, config, derive_seed(*seed_parts),
+                               index)
+    elif not index.occupied(region):
+        raise EmptyCloud("no points inside the proposal region")
+    return head(points, region, frame)
 
 
 def solve_poses(frame, monocular, config=PipelineConfig()):
@@ -624,28 +628,17 @@ def detect_frame(frame, predictors, config=PipelineConfig()):
     return nms_bev(detections, config.nms_threshold)
 
 
-def score_region(frame, predictors, config, region, seed_parts, index):
-    """Proposal-head objectness of one region and its decoded location;
-    the head's input is as in _head_input."""
-    points = _head_input(predictors.rpn, frame, region, config, index,
-                         seed_parts)
-    out = predictors.rpn(points, region, frame)
-    return objectness(out.t_obj), decode_location(out.t_loc, region)
-
-
 def _run_proposal(frame, predictors, config, proposal, frame_hash, index):
     obj_idx, seed_idx, det2d, region = proposal
     for stage, (head, recenter) in enumerate(MODE_STAGES[config.mode]):
-        seed_parts = (config.seed, frame_hash, obj_idx, seed_idx, stage)
+        out = run_head(getattr(predictors, head), frame, region, config, index,
+                       (config.seed, frame_hash, obj_idx, seed_idx, stage))
         if head == "rpn":
-            score, center = score_region(frame, predictors, config, region,
-                                         seed_parts, index)
+            score = objectness(out.t_obj)
             if score < config.objectness_threshold:
                 return None
+            center = decode_location(out.t_loc, region)
         else:
-            points = _head_input(predictors.brn, frame, region, config, index,
-                                 seed_parts)
-            out = predictors.brn(points, region, frame)
             box = decode_box(out, region, config.clusters, config.bins)
             center = box.center
         if recenter:
@@ -679,19 +672,19 @@ def nms_bev(detections, threshold):
     return kept
 
 
-def format_detection(frame_id, det, class_name="Car"):
-    """One text line: frame id, class, 2D box, KITTI-ordered 3D box fields
+def format_detection(frame_id, det):
+    """One text line: frame id, Car, 2D box, KITTI-ordered 3D box fields
     (h w l, bottom-face-center location, yaw), objectness, confidence."""
     b = det.box2d_source
     values = [b.xmin, b.ymin, b.xmax, b.ymax, *box_to_fields(det.box3d),
               det.objectness, det.confidence]
-    return " ".join([str(frame_id), class_name] + [f"{v:.9f}" for v in values])
+    return " ".join([str(frame_id), "Car"] + [f"{v:.9f}" for v in values])
 
 
-def write_detections(path, frame_id, detections, class_name="Car"):
+def write_detections(path, frame_id, detections):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for det in detections:
-            fh.write(format_detection(frame_id, det, class_name) + "\n")
+            fh.write(format_detection(frame_id, det) + "\n")
 
 
 def parse_detection_line(line):

@@ -250,18 +250,32 @@ class TestDetect:
 
     @pytest.mark.parametrize("flag, value", [
         ("--residual-cap", "-1"), ("--residual-cap", "nan"),
-        ("--nms-threshold", "2"),
+        ("--nms-threshold", "2"), ("--objectness-threshold", "nan"),
+        ("--objectness-threshold", "-0.5"), ("--radius", "-1"),
+        ("--radius", "0"),
     ])
     def test_search_or_nms_setting_out_of_range_is_data_error(
             self, dataset, tmp_path, capsys, flag, value):
-        # checked before any frame runs: a negative cap used to fail every
-        # pose and report recall 0 with exit code 0
+        # checked before any frame runs: a negative cap or radius used to
+        # fail every pose or proposal and report recall 0 with exit code 0
         root, split, _ = dataset
         out_dir = tmp_path / "out"
         rc = main(["detect", "--dataset-root", root, "--split", split,
                    "--output-dir", str(out_dir), flag, value])
         assert rc == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (out_dir / "summary.txt").exists()
+
+    def test_unordered_region_band_is_data_error(self, dataset, tmp_path,
+                                                 capsys):
+        root, split, _ = dataset
+        config = tmp_path / "band.ini"
+        config.write_text("[pipeline]\ny_min = 3\ny_max = -1\n")
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--config", str(config)])
+        assert rc == 2
+        assert "y_extent" in capsys.readouterr().err
         assert not (out_dir / "summary.txt").exists()
 
     @pytest.mark.parametrize("row", ["nan 1.6 3.9", "1.5 inf 3.9",
@@ -478,6 +492,23 @@ class TestSweep:
         assert repr(token) in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_step_below_the_start_resolution_is_usage_error(
+            self, dataset, tmp_path, monkeypatch, capsys):
+        # 1e16 + 1.0 == 1e16: the range loop used to grow its list until
+        # memory ran out
+        root, split, _ = dataset
+
+        def no_frames(*args):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(cyldet.cli, "iter_split", no_frames)
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", "scatter", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--values", "1e16:2e16:1"])
+        assert rc == 1
+        assert "step" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     # no infinite start or stop here: without its check, the range loop
     # would never end
     @pytest.mark.parametrize("spec", ["0:1:nan", "0:1:0", "0:1:-0.1"])
@@ -549,6 +580,18 @@ class TestFitSizes:
             out = capsys.readouterr().out
             sses.append(float(out.split("sse ")[1].split()[0]))
         assert sses == sorted(sses, reverse=True)
+
+    @pytest.mark.parametrize("clusters", ["0", "-2"])
+    def test_fewer_than_one_cluster_is_data_error(self, dataset, tmp_path,
+                                                  capsys, clusters):
+        # it used to write a one-cluster file and exit 0
+        root, split, _ = dataset
+        out_file = tmp_path / "sizes.txt"
+        rc = main(["fit-sizes", "--dataset-root", root, "--split", split,
+                   "--clusters", clusters, "--output", str(out_file)])
+        assert rc == 2
+        assert "n_clusters" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_insufficient_data_is_data_error(self, tmp_path):
         root = tmp_path / "tiny"

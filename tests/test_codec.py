@@ -163,6 +163,13 @@ class TestSizeClusters:
         want, _ = exact_two_means(data)
         np.testing.assert_allclose(clusters.centroids, want, atol=1e-6)
 
+    @pytest.mark.parametrize("n_clusters", [0, -2])
+    def test_fewer_than_one_cluster_is_rejected(self, n_clusters):
+        # k-means++ seeds one centroid first, so 0 used to fit one cluster
+        dims = np.random.default_rng(3).uniform(1.0, 5.0, size=(40, 3))
+        with pytest.raises(ValueError, match="n_clusters"):
+            fit_size_clusters(dims, n_clusters, seed=0)
+
     def test_insufficient_distinct_points(self):
         data = np.tile([[1.5, 1.6, 3.9]], (10, 1))
         with pytest.raises(InsufficientData):
@@ -291,6 +298,10 @@ class TestProposalRegion:
             ProposalRegion(center=(0, 0, 0), bounds=(1.0, -1.0, 1.0))
         with pytest.raises(ValueError):
             ProposalRegion(center=(0, 0, 0), y_extent=(2.0, 1.0))
+        with pytest.raises(ValueError, match="radius"):
+            ProposalRegion(center=(0, 0, 0), radius=math.nan)
+        with pytest.raises(ValueError, match="bounds"):
+            ProposalRegion(center=(0, 0, 0), bounds=(1.0, math.nan, 1.0))
 
     def test_recenter_preserves_shape(self):
         region = ProposalRegion(center=(1, 2, 3), radius=1.5,

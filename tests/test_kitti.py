@@ -19,8 +19,8 @@ from cyldet import (
     emit_calibration,
     emit_labels,
     emit_velodyne,
+    iter_split,
     lidar_to_camera,
-    load_split,
     parse_calibration,
     parse_labels,
     parse_velodyne,
@@ -269,10 +269,10 @@ class TestDifficulty:
 
 
 class TestDatasetLoading:
-    def test_load_split(self, tmp_path):
+    def test_iter_split(self, tmp_path):
         frames = make_frames(2, seed=10, cars_per_frame=(1, 2))
         split = write_dataset(str(tmp_path), frames)
-        loaded = load_split(split, str(tmp_path))
+        loaded = list(iter_split(split, str(tmp_path)))
         assert [f.frame_id for f in loaded] == ["000000", "000001"]
         for got, want in zip(loaded, frames):
             assert len(got.labels) == len(want.labels)
@@ -290,12 +290,12 @@ class TestDatasetLoading:
         split = write_dataset(str(tmp_path), frames)
         os.remove(tmp_path / "velodyne" / "000001.bin")
         with pytest.raises(MissingFile, match="000001"):
-            load_split(split, str(tmp_path))
+            list(iter_split(split, str(tmp_path)))
 
     def test_calibration_consistency(self, tmp_path):
         frames = make_frames(1, seed=12)
         write_dataset(str(tmp_path), frames)
-        loaded = load_split(str(tmp_path / "synth.txt"), str(tmp_path))
+        loaded = list(iter_split(str(tmp_path / "synth.txt"), str(tmp_path)))
         np.testing.assert_allclose(
             loaded[0].calib.p2, make_calibration().p2, atol=1e-9
         )

@@ -742,6 +742,14 @@ class TestPointPreparation:
         assert {name for name, _ in calls} == {"rpn", "brn"}
         assert all(stages[stage][0] == name for name, stage in calls)
 
+        # the sweep runs the proposal head once per seed region, at stage 0
+        calls.clear()
+        thresholds = [0.05, 0.5]
+        assert (sweep_objectness([self.frame], predictors, thresholds, config)
+                == sweep_objectness([self.frame], self.oracles, thresholds,
+                                    config))
+        assert calls and set(calls) == {("rpn", 0)}
+
 
 class TestPipelineConfig:
     @pytest.mark.parametrize("field, value", [
@@ -758,17 +766,35 @@ class TestPipelineConfig:
         ("residual_cap", math.nan),
         ("nms_threshold", -0.01), ("nms_threshold", 1.5),
         ("nms_threshold", math.nan),
+        ("objectness_threshold", -0.01), ("objectness_threshold", 1.5),
+        ("objectness_threshold", math.nan),
     ])
     def test_search_and_nms_settings_are_checked(self, field, value):
         # a bad cap fails every pose and a bad NMS threshold every frame,
-        # which would read as bad data rather than a bad setting
+        # which would read as bad data rather than a bad setting; a NaN
+        # objectness threshold would pass every proposal
         with pytest.raises(ValueError, match=field):
             PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("region_radius", 0.0), ("region_radius", -1.0),
+        ("region_radius", math.nan),
+        ("region_y_extent", (3.0, -1.0)), ("region_y_extent", (1.0, 1.0)),
+        ("region_y_extent", (math.nan, 3.0)),
+        ("region_bounds", (2.0, 0.0, 2.0)),
+        ("region_bounds", (2.0, 2.0, math.nan)), ("region_bounds", (2.0, 2.0)),
+    ])
+    def test_region_settings_are_checked(self, field, value):
+        # checked by ProposalRegion's own rules, whose messages name the
+        # field without its prefix: a bad region used to fail every
+        # proposal, which read as recall 0 rather than a bad setting
+        with pytest.raises(ValueError, match=field.removeprefix("region_")):
+            PipelineConfig(**{field: value})
+
     def test_settings_at_their_limits_are_accepted(self):
-        for nms_threshold in (0.0, 1.0):
-            PipelineConfig(residual_cap=math.inf,
-                           nms_threshold=nms_threshold)
+        for threshold in (0.0, 1.0):
+            PipelineConfig(residual_cap=math.inf, nms_threshold=threshold,
+                           objectness_threshold=threshold)
 
 
 def make_detection(center, yaw, confidence, dims=(1.6, 1.5, 3.9)):
