@@ -23,6 +23,7 @@ from collections import namedtuple
 
 from .codec import (
     RotationBins,
+    check_cluster_count,
     fit_size_clusters,
     load_size_clusters,
     save_size_clusters,
@@ -59,6 +60,8 @@ from .pipeline import (
 )
 
 ENV_DATASET_ROOT = "ROARNET_DATASET_ROOT"
+# the most values a start:stop:step grid may hold
+MAX_GRID_VALUES = 10_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -227,7 +230,8 @@ def _parse_floats(text):
 
 def _parse_values(text):
     """Grid spec: either 'start:stop:step' (inclusive) or a comma list.
-    A grid that holds no value is a usage error."""
+    A grid that holds no value, or a range of more than MAX_GRID_VALUES,
+    is a usage error."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -238,6 +242,11 @@ def _parse_values(text):
             raise UsageError("range step must be positive")
         if math.isinf(start) or math.isinf(stop):
             raise UsageError("range start and stop must be finite")
+        # counted before the loop builds it, so that a step tiny against
+        # the span fails at once rather than when memory runs out
+        if (stop - start) / step >= MAX_GRID_VALUES:
+            raise UsageError(f"range {text!r} holds more than "
+                             f"{MAX_GRID_VALUES} values at step {step!r}")
         values = []
         v = start
         while v <= stop + 1e-9:
@@ -378,6 +387,7 @@ def cmd_sweep(args):
 
 def cmd_fit_sizes(args):
     settings = _resolve_settings(args)
+    check_cluster_count(args.clusters)
     frames = _load_frames(settings)
     labels = [lab for frame in frames for lab in frame.labels]
     clusters = fit_size_clusters(labels, args.clusters,

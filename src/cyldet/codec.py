@@ -43,11 +43,10 @@ class ProposalRegion:
         y_extent = tuple(float(v) for v in self.y_extent)
         if len(center) != 3 or len(bounds) != 3:
             raise ValueError("center and bounds must be 3-vectors")
-        # negated, so that NaN is rejected too
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        if not all(b > 0.0 for b in bounds):
-            raise ValueError("bounds must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("radius must be finite and positive")
+        if not all(math.isfinite(b) and b > 0.0 for b in bounds):
+            raise ValueError("bounds must be finite and positive")
         if not y_extent[0] < y_extent[1]:
             raise ValueError("y_extent must be ordered")
         object.__setattr__(self, "center", center)
@@ -225,14 +224,23 @@ def _lloyd(data, centroids, max_iter=100):
     return centroids, assignment, history
 
 
-def fit_size_clusters(dims, n_clusters, seed, n_init=10):
+KMEANS_RESTARTS = 10
+
+
+def check_cluster_count(n_clusters):
+    """ValueError unless at least one size cluster is asked for."""
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be >= 1")
+
+
+def fit_size_clusters(dims, n_clusters, seed):
     """Lloyd's k-means over (H, W, L) rows with k-means++ seeding.
 
     dims may be an (N, 3) array or a list of labels exposing box3d; the
-    best of n_init seeded restarts (by within-cluster SSE) is returned.
+    best of KMEANS_RESTARTS seeded restarts (by within-cluster SSE) is
+    returned.
     """
-    if n_clusters < 1:
-        raise ValueError("n_clusters must be >= 1")
+    check_cluster_count(n_clusters)
     data = _dims_array(dims)
     if len(np.unique(data, axis=0)) < n_clusters:
         raise InsufficientData(
@@ -241,7 +249,7 @@ def fit_size_clusters(dims, n_clusters, seed, n_init=10):
         )
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
+    for _ in range(KMEANS_RESTARTS):
         centroids = _kmeans_pp_init(data, n_clusters, rng)
         centroids, _, history = _lloyd(data, centroids)
         if best is None or history[-1] < best[1][-1]:

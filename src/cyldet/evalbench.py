@@ -22,7 +22,6 @@ from .pipeline import (
     detect_frame,
     derive_seed,
     objectness,
-    run_head,
     run_proposals,
     scatter_proposals,
     solve_poses,
@@ -266,13 +265,9 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     return [_capture_row(s, pairs, cfg.region_radius) for s, cfg, pairs in rows]
 
 
-def _score_seed_region(frame, predictors, config, proposal, frame_hash,
-                       index):
+def _score_seed_region(stage, proposal, out):
     """Stage-0 objectness of one seed region, with the region center."""
-    obj_idx, seed_idx, _, region = proposal
-    out = run_head(predictors.rpn, frame, region, config, index,
-                   (config.seed, frame_hash, obj_idx, seed_idx, 0))
-    return objectness(out.t_obj), region.center
+    return objectness(out.t_obj), proposal[3].center
 
 
 def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
@@ -285,7 +280,8 @@ def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
     Returns (threshold, recall, proposals_per_gt) rows.
     """
     scored_frames = [
-        (run_proposals(frame, predictors, config, _score_seed_region),
+        (run_proposals(frame, predictors, config, ("rpn",),
+                       _score_seed_region),
          frame.labels)
         for frame in frames
     ]

@@ -17,13 +17,18 @@ projected 3D box, then bird's-eye-view NMS removes duplicates.
 
 Predictors are callables: monocular(frame) -> [Mono2DDetection];
 rpn(points, region, frame) -> RpnOutput; brn(points, region, frame) ->
-BrnOutput.  run_head runs a point head on a region, at every stage and in
-the objectness sweep.  The head receives region_points(...) of its region
-unless it sets the class attribute uses_points = False, in which case
-points is None and no gather, voxel or sample work is done for it.  An
-empty region is dropped with EmptyCloud before the head runs.
+BrnOutput.  run_proposals runs the stages of (b) and (c) stage-major, for
+detect_frame and the objectness sweep alike: each stage runs over every
+region of the frame that the stage before kept, and dropped proposals are
+logged at the frame's end in (object, seed) order.  A point head is called
+once per region.  It receives region_points(...) of its region unless it
+sets the class attribute uses_points = False, in which case points is None,
+no gather, voxel or sample work is done for it, and the stage asks the
+frame's RegionIndex once for the occupancy of all its regions.  An empty
+region is dropped with EmptyCloud before the head runs.
 Oracle implementations backed by ground truth (with optional seeded noise)
-stand in for trained networks; the point-head oracles read no points.
+stand in for trained networks; the point-head oracles read no points, and
+build each frame's label table once.
 """
 
 import logging
@@ -98,11 +103,12 @@ class RegionIndex:
     unsigned type that holds the keys (a radix sort up to 2**16 cells).
     members() reads the cells its circle can reach, widened by a few ulps
     against rounding, as one slice of the sorted arrays per x column, and
-    tests those points with dx*dx + dz*dz <= r**2.  occupied() first counts
-    the points of the 3x3 block of cells around the center's cell, when
-    that block lies wholly inside the circle, and calls members() only when
-    the block is empty.  Every region of a frame shares the band
-    (recentered keeps it), so one index answers them all.
+    tests those points with dx*dx + dz*dz <= r**2.  occupied() answers a
+    list of regions at once: one searchsorted counts the points of the 3x3
+    block of cells around each center's cell, for the regions whose block
+    lies wholly inside the circle, and it calls members() only for a region
+    whose block is empty or cannot settle it.  Every region of a frame
+    shares the band (recentered keeps it), so one index answers them all.
     """
 
     def __init__(self, cloud, y_extent, cell):
@@ -184,25 +190,39 @@ class RegionIndex:
         members = np.concatenate([self._members[s] for s in runs])
         return np.sort(members[inside])
 
-    def occupied(self, region):
-        """Whether region holds a point: len(members(region)) > 0."""
-        self._check(region)
+    def occupied(self, regions):
+        """Whether each region holds a point, len(members(region)) > 0, as
+        a bool array."""
+        if not regions:
+            return np.zeros(0, bool)
+        for region in regions:
+            self._check(region)
         # a point of the 3x3 block of cells around the center's cell lies
         # less than 2*sqrt(2) < 2.83 cells from the center, however the
         # divisions round (cell numbers below 2**30 keep that error under
         # 1e-6 cells), so with cells at most r / 2.9 it passes members()'
         # test; the block must hold no clipped cell, where far points lie
-        ix, iz = (math.floor(min(max(v / self.cell, -_CELL_LIMIT),
-                                 _CELL_LIMIT)) for v in region.center[::2])
-        if (2.9 * self.cell <= region.radius
-                and max(abs(ix), abs(iz)) < _CELL_LIMIT - 1):
-            x0, x1 = self._clamp(0, ix - 1, ix + 1)
-            z0, z1 = self._clamp(1, iz - 1, iz + 1)
-            # a block outside the grid gives no run with start < stop
-            bounds = self._runs(x0, x1, z0, z1)
-            if np.any(bounds[1::2] > bounds[::2]):
-                return True
-        return len(self.members(region)) > 0
+        centers = np.array([r.center[::2] for r in regions]) / self.cell
+        finite = np.isfinite(centers).all(axis=1)
+        cells = np.floor(np.clip(np.where(finite[:, None], centers, 0.0),
+                                 -_CELL_LIMIT, _CELL_LIMIT)).astype(np.int64)
+        settled = (finite & (np.abs(cells).max(axis=1) < _CELL_LIMIT - 1)
+                   & np.array([2.9 * self.cell <= r.radius for r in regions],
+                              bool))
+        # the block's z-run [z0, z1] in each of its three x columns, cut to
+        # the grid's rows; a run outside the grid, in a column or a row
+        # beyond its edge, has no key range with start < stop
+        block = cells - self._lo
+        z0 = np.maximum(block[:, 1] - 1, 0)
+        z1 = np.minimum(block[:, 1] + 1, self._shape[1] - 1)
+        keys = ((block[:, :1] + [-1, 0, 1])[:, :, None] * self._shape[1]
+                + np.stack((z0, z1 + 1), axis=1)[:, None, :])
+        bounds = np.searchsorted(self._keys, keys)
+        occupied = settled & (bounds[:, :, 1] > bounds[:, :, 0]).any(axis=1)
+        # an empty or unsettled block falls back to the members query
+        for i in np.flatnonzero(~occupied):
+            occupied[i] = len(self.members(regions[i])) > 0
+        return occupied
 
     def points(self, members, region):
         """The member points re-expressed relative to the region center."""
@@ -343,24 +363,56 @@ def _noised_dims_yaw(cfg, box3d, rng):
     return np.maximum(noised, 0.2 * dims), yaw
 
 
-def _noised_truth(cfg, frame, idx):
-    """Noised copy of label idx's box, shared by both point-head oracles."""
-    lab = frame.labels[idx]
-    rng = _label_rng(cfg, frame.frame_id, idx, stream=2)
-    center = np.asarray(lab.box3d.center) + (
-        cfg.center_noise_sigma * rng.standard_normal(3)
-    )
-    dims, yaw = _noised_dims_yaw(cfg, lab.box3d, rng)
-    return center, dims, yaw
+class _LabelTable:
+    """One frame's label centers, and each label's noised box once drawn.
+    It keeps the frame's id and labels, not the frame, so it holds no
+    point cloud; holding the labels also keeps their identity unique."""
+
+    def __init__(self, cfg, frame):
+        self.cfg = cfg
+        self.frame_id = frame.frame_id
+        self.labels = frame.labels
+        self.centers = np.array([lab.box3d.center for lab in frame.labels])
+        self._truths = {}
+
+    def nearest(self, region):
+        """(index, center) of the label nearest the region center, or
+        (None, None) for a frame without labels."""
+        if not self.labels:
+            return None, None
+        d = np.linalg.norm(self.centers - np.asarray(region.center), axis=1)
+        idx = int(np.argmin(d))
+        return idx, self.centers[idx]
+
+    def truth(self, idx):
+        """Noised copy of label idx's box, shared by both point-head
+        oracles: (center, dims, yaw)."""
+        if idx not in self._truths:
+            box = self.labels[idx].box3d
+            rng = _label_rng(self.cfg, self.frame_id, idx, stream=2)
+            center = np.asarray(box.center) + (
+                self.cfg.center_noise_sigma * rng.standard_normal(3)
+            )
+            self._truths[idx] = (center, *_noised_dims_yaw(self.cfg, box, rng))
+        return self._truths[idx]
 
 
-def _nearest_label(frame, region):
-    if not frame.labels:
-        return None, None
-    centers = np.array([lab.box3d.center for lab in frame.labels])
-    d = np.linalg.norm(centers - np.asarray(region.center), axis=1)
-    idx = int(np.argmin(d))
-    return idx, centers[idx]
+class _PointHeadOracle:
+    """A point-head oracle: reads no points, and keeps the label table of
+    the last frame it saw."""
+
+    uses_points = False
+
+    def __init__(self, cfg=OracleConfig()):
+        self.cfg = cfg
+        self._table = None
+
+    def label_table(self, frame):
+        table = self._table
+        if (table is None or table.frame_id != frame.frame_id
+                or table.labels is not frame.labels):
+            table = self._table = _LabelTable(self.cfg, frame)
+        return table
 
 
 def _graded_objectness(ground_dist, radius):
@@ -387,18 +439,14 @@ def _clamped_encode(center, region):
     return encode_location(np.asarray(region.center) + off, region)
 
 
-class OracleRpnPredictor:
+class OracleRpnPredictor(_PointHeadOracle):
     """Proposal-head oracle: location encoding of the (noised) nearest
     ground truth when it lies within the region bounds, with objectness
     graded by the true center's normalized offset."""
 
-    uses_points = False
-
-    def __init__(self, cfg=OracleConfig()):
-        self.cfg = cfg
-
     def __call__(self, points, region, frame):
-        idx, true_center = _nearest_label(frame, region)
+        table = self.label_table(frame)
+        idx, true_center = table.nearest(region)
         if idx is None:
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=logit(0.01))
         ground_dist = math.hypot(
@@ -408,24 +456,23 @@ class OracleRpnPredictor:
         t_obj = logit(prob)
         if not _within_bounds(true_center, region):
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=t_obj)
-        center, _, _ = _noised_truth(self.cfg, frame, idx)
+        center, _, _ = table.truth(idx)
         return RpnOutput(t_loc=tuple(_clamped_encode(center, region)), t_obj=t_obj)
 
 
-class OracleBrnPredictor:
+class OracleBrnPredictor(_PointHeadOracle):
     """Box-head oracle: encodings of the (noised) nearest ground truth via
     the location, rotation-bin, and size-cluster codecs."""
 
-    uses_points = False
-
     def __init__(self, cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
                  bins=DEFAULT_ROTATION_BINS):
-        self.cfg = cfg
+        super().__init__(cfg)
         self.clusters = clusters
         self.bins = bins
 
     def __call__(self, points, region, frame):
-        idx, true_center = _nearest_label(frame, region)
+        table = self.label_table(frame)
+        idx, true_center = table.nearest(region)
         if idx is None or not _within_bounds(true_center, region):
             return BrnOutput(
                 t_loc=(0.0, 0.0, 0.0),
@@ -434,7 +481,7 @@ class OracleBrnPredictor:
                 size_logits=np.zeros(self.clusters.n_clusters),
                 size_residuals=np.zeros((self.clusters.n_clusters, 3)),
             )
-        center, dims_whl, yaw = _noised_truth(self.cfg, frame, idx)
+        center, dims_whl, yaw = table.truth(idx)
         w, h, length = dims_whl
         rot_logits, rot_residuals = encode_rotation(yaw, self.bins)
         size_logits, size_residuals = encode_size((h, w, length), self.clusters)
@@ -530,20 +577,6 @@ def region_points(frame, region, config, sample_seed, index=None):
     return sample_points(downsampled, config.sample_count, sample_seed)
 
 
-def run_head(head, frame, region, config, index, seed_parts):
-    """head's output for region.  The head receives region_points, sampled
-    with the seed derived from seed_parts, or None when head.uses_points is
-    False; an empty region raises EmptyCloud before the head runs either
-    way.  index is the frame's RegionIndex."""
-    points = None
-    if getattr(head, "uses_points", True):
-        points = region_points(frame, region, config, derive_seed(*seed_parts),
-                               index)
-    elif not index.occupied(region):
-        raise EmptyCloud("no points inside the proposal region")
-    return head(points, region, frame)
-
-
 def solve_poses(frame, monocular, config=PipelineConfig()):
     """Stage (a), first half: monocular detections -> agreement search.
     Returns (obj_idx, det2d, estimate) tuples; objects whose pose cannot
@@ -589,68 +622,104 @@ def seed_proposals(frame, monocular, config=PipelineConfig()):
                              config)
 
 
-def run_proposals(frame, predictors, config, run):
-    """The non-None results of run(frame, predictors, config, proposal,
-    frame_hash, index) over the frame's seeded proposals; index is the
-    frame's RegionIndex, shared by every proposal.
+def run_proposals(frame, predictors, config, heads, step):
+    """The frame's seeded proposals through one stage per name in heads,
+    stage-major: stage k runs that head on the region of every proposal
+    the stage before kept, in seed order, then step(k, proposal, output)
+    gives the proposal for stage k + 1 (the result, at the last stage), or
+    None to drop it.  Proposals are (obj_idx, seed_idx, det2d, region)
+    tuples; the last stage's results are returned in seed order.
+
+    A head that reads points receives region_points(...) of its region,
+    sampled with derive_seed(config.seed, frame hash, obj_idx, seed_idx,
+    k); for a head that sets uses_points = False, the stage asks the
+    frame's RegionIndex once whether each region holds a point.  An empty
+    region is dropped with EmptyCloud before its head runs.
 
     A proposal that raises a data error (any ValueError: EmptyCloud for an
     empty region, BehindCamera, OutOfBounds, NonPositiveDims,
-    SingularSystem, WrongFrame, or an invalid box) is logged and dropped;
-    it never aborts the frame.  Any other exception is a programming error
-    and propagates.
+    SingularSystem, WrongFrame, or an invalid box) is dropped, and logged
+    at the end of the frame in (obj_idx, seed_idx) order; it never aborts
+    the frame.  Any other exception is a programming error and propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
     # cells of a third of the radius, so that occupied() settles most
     # regions from the 3x3 block of cells around their center
     index = RegionIndex(frame.cloud, config.region_y_extent,
                         config.region_radius / 3)
-    results = []
-    for proposal in seed_proposals(frame, predictors.monocular, config):
-        try:
-            result = run(frame, predictors, config, proposal, frame_hash, index)
-        except ValueError as exc:
-            obj_idx, seed_idx, _, _ = proposal
-            logger.warning(
-                "frame %s proposal obj%d.seed%d dropped: %s: %s",
-                frame.frame_id, obj_idx, seed_idx, type(exc).__name__, exc,
-            )
-            continue
-        if result is not None:
-            results.append(result)
-    return results
+    proposals = seed_proposals(frame, predictors.monocular, config)
+    drops = []
+    for stage, name in enumerate(heads):
+        head = getattr(predictors, name)
+        reads_points = getattr(head, "uses_points", True)
+        occupied = None
+        if not reads_points:
+            try:
+                occupied = index.occupied([p[3] for p in proposals])
+            except ValueError:
+                pass  # a region's own data error: each region asks alone
+        kept = []
+        for i, proposal in enumerate(proposals):
+            obj_idx, seed_idx, _, region = proposal
+            try:
+                points = None
+                if reads_points:
+                    points = region_points(frame, region, config, derive_seed(
+                        config.seed, frame_hash, obj_idx, seed_idx, stage),
+                        index)
+                elif not (index.occupied([region])[0] if occupied is None
+                          else occupied[i]):
+                    raise EmptyCloud("no points inside the proposal region")
+                result = step(stage, proposal, head(points, region, frame))
+            except ValueError as exc:
+                # without its traceback, which would hold this frame and
+                # its index in a reference cycle until the next collection
+                drops.append((obj_idx, seed_idx, exc.with_traceback(None)))
+                continue
+            if result is not None:
+                kept.append(result)
+        proposals = kept
+    for obj_idx, seed_idx, exc in sorted(drops, key=lambda d: d[:2]):
+        logger.warning(
+            "frame %s proposal obj%d.seed%d dropped: %s: %s",
+            frame.frame_id, obj_idx, seed_idx, type(exc).__name__, exc,
+        )
+    return proposals
 
 
 def detect_frame(frame, predictors, config=PipelineConfig()):
     """Run the staged pipeline on one frame and return NMS-kept detections;
     dropped proposals are handled as in run_proposals."""
-    detections = run_proposals(frame, predictors, config, _run_proposal)
-    return nms_bev(detections, config.nms_threshold)
+    stages = MODE_STAGES[config.mode]
+    scores = {}
 
-
-def _run_proposal(frame, predictors, config, proposal, frame_hash, index):
-    obj_idx, seed_idx, det2d, region = proposal
-    for stage, (head, recenter) in enumerate(MODE_STAGES[config.mode]):
-        out = run_head(getattr(predictors, head), frame, region, config, index,
-                       (config.seed, frame_hash, obj_idx, seed_idx, stage))
+    def step(stage, proposal, out):
+        obj_idx, seed_idx, det2d, region = proposal
+        head, recenter = stages[stage]
         if head == "rpn":
             score = objectness(out.t_obj)
             if score < config.objectness_threshold:
                 return None
+            scores[obj_idx, seed_idx] = score
             center = decode_location(out.t_loc, region)
         else:
             box = decode_box(out, region, config.clusters, config.bins)
             center = box.center
         if recenter:
             region = region.recentered(center)
+        if stage + 1 < len(stages):
+            return obj_idx, seed_idx, det2d, region
+        confidence = iou_2d(det2d.box2d, project_box(box, frame.calib.p2))
+        return Detection(
+            box3d=box,
+            box2d_source=det2d.box2d,
+            objectness=float(scores[obj_idx, seed_idx]),
+            confidence=float(confidence),
+        )
 
-    confidence = iou_2d(det2d.box2d, project_box(box, frame.calib.p2))
-    return Detection(
-        box3d=box,
-        box2d_source=det2d.box2d,
-        objectness=float(score),
-        confidence=float(confidence),
-    )
+    detections = run_proposals(frame, predictors, config,
+                               [head for head, _ in stages], step)
+    return nms_bev(detections, config.nms_threshold)
 
 
 def nms_bev(detections, threshold):

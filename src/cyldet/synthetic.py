@@ -27,6 +27,10 @@ from .kitti import (
 )
 
 GROUND_Y = 1.55  # camera height above the road, meters (camera y points down)
+FOCAL, CX, CY = 721.5377, 609.5593, 172.854  # camera 2 intrinsics, pixels
+MIN_SPACING = 6.0  # least ground-plane distance between two car centers, m
+MAX_TRIES = 500    # car placements drawn per scene, kept or not
+SPLIT_NAME = "synth"  # the split list is SPLIT_NAME.txt under the root
 
 
 def _rotation_z(angle):
@@ -34,14 +38,14 @@ def _rotation_z(angle):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def make_calibration(focal=721.5377, cx=609.5593, cy=172.854):
+def make_calibration():
     """KITTI-like calibration: camera 2 projection with a small stereo
     baseline term, a slightly non-identity rectification rotation, and the
     usual Lidar-to-camera axis permutation."""
     p2 = np.array(
         [
-            [focal, 0.0, cx, 44.857],
-            [0.0, focal, cy, 0.2163],
+            [FOCAL, 0.0, CX, 44.857],
+            [0.0, FOCAL, CY, 0.2163],
             [0.0, 0.0, 1.0, 2.746e-3],
         ]
     )
@@ -79,12 +83,12 @@ def _box_fits_image(box, p, image_size, margin=4.0):
 
 
 def make_scene_boxes(rng, n_cars, p, image_size=DEFAULT_IMAGE_SIZE,
-                     z_range=(8.0, 35.0), min_spacing=6.0, max_tries=500):
+                     z_range=(8.0, 35.0)):
     """Non-overlapping car boxes on the ground plane, fully inside the
     image.  Returns (boxes, bbox2ds)."""
     boxes, rects = [], []
     tries = 0
-    while len(boxes) < n_cars and tries < max_tries:
+    while len(boxes) < n_cars and tries < MAX_TRIES:
         tries += 1
         dims = sample_car_dims(rng)
         z = float(rng.uniform(*z_range))
@@ -94,7 +98,7 @@ def make_scene_boxes(rng, n_cars, p, image_size=DEFAULT_IMAGE_SIZE,
         box = Box3D((x, y, z), dims, yaw)
         if any(
             math.hypot(box.center[0] - b.center[0], box.center[2] - b.center[2])
-            < min_spacing
+            < MIN_SPACING
             for b in boxes
         ):
             continue
@@ -185,7 +189,7 @@ def make_frames(n_frames, seed, cars_per_frame=(1, 5), **kwargs):
     return frames
 
 
-def write_dataset(root, frames, split_name="synth"):
+def write_dataset(root, frames):
     """Write frames as a KITTI directory tree; returns the split list path."""
     for sub in ("calib", "label_2", "velodyne"):
         os.makedirs(os.path.join(root, sub), exist_ok=True)
@@ -202,7 +206,7 @@ def write_dataset(root, frames, split_name="synth"):
         lidar = camera_to_lidar(frame.cloud, frame.calib)
         with open(os.path.join(root, "velodyne", fid + ".bin"), "wb") as fh:
             fh.write(emit_velodyne(lidar))
-    split_path = os.path.join(root, split_name + ".txt")
+    split_path = os.path.join(root, SPLIT_NAME + ".txt")
     with open(split_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(ids) + "\n")
     return split_path

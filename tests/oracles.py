@@ -177,6 +177,22 @@ def cylinder_members_reference(points, region):
     return np.flatnonzero(inside)
 
 
+def block_certificate_reference(points, region, cell, limit=2**30):
+    """Whether the 3x3 block of x-z cells around the region center's cell
+    holds a point of the band, for a region at least 2.9 cells wide whose
+    block holds no cell clipped at the cell-number limit, by a scan of
+    every point.  Cell numbers are floor(v / cell), clipped to +-limit."""
+    def cell_of(v):
+        return math.floor(min(max(v / cell, -limit), limit))
+
+    ix, iz = cell_of(region.center[0]), cell_of(region.center[2])
+    if region.radius < 2.9 * cell or max(abs(ix), abs(iz)) >= limit - 1:
+        return False
+    y0, y1 = region.y_extent
+    return any(y0 <= y <= y1 and abs(cell_of(x) - ix) <= 1
+               and abs(cell_of(z) - iz) <= 1 for x, y, z, _ in points)
+
+
 def greedy_nms_reference(boxes, confidences, threshold, iou_fn):
     """O(n^2) greedy suppression; returns kept indices."""
     order = sorted(range(len(boxes)), key=lambda i: (-confidences[i], i))

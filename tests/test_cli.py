@@ -252,7 +252,7 @@ class TestDetect:
         ("--residual-cap", "-1"), ("--residual-cap", "nan"),
         ("--nms-threshold", "2"), ("--objectness-threshold", "nan"),
         ("--objectness-threshold", "-0.5"), ("--radius", "-1"),
-        ("--radius", "0"),
+        ("--radius", "0"), ("--radius", "inf"),
     ])
     def test_search_or_nms_setting_out_of_range_is_data_error(
             self, dataset, tmp_path, capsys, flag, value):
@@ -509,6 +509,31 @@ class TestSweep:
         assert "step" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("spec", ["0:1e9:1e-9", "0:10000:1",
+                                      "-1e300:1e300:1e-300",
+                                      "-1.7e308:1.7e308:1e300"])
+    def test_range_of_too_many_values_is_usage_error_before_any_frame(
+            self, dataset, tmp_path, monkeypatch, capsys, spec):
+        # 10**18 values: the range loop used to grow its list until memory
+        # ran out; the span of the last one overflows to inf
+        root, split, _ = dataset
+
+        def no_frames(*args):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(cyldet.cli, "iter_split", no_frames)
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", "scatter", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), f"--values={spec}"])
+        assert rc == 1
+        assert str(cyldet.cli.MAX_GRID_VALUES) in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_range_of_the_most_values_is_accepted(self):
+        most = cyldet.cli.MAX_GRID_VALUES
+        values = cyldet.cli._parse_values(f"0:{most - 1}:1")
+        assert values == list(range(most))
+
     # no infinite start or stop here: without its check, the range loop
     # would never end
     @pytest.mark.parametrize("spec", ["0:1:nan", "0:1:0", "0:1:-0.1"])
@@ -583,15 +608,26 @@ class TestFitSizes:
 
     @pytest.mark.parametrize("clusters", ["0", "-2"])
     def test_fewer_than_one_cluster_is_data_error(self, dataset, tmp_path,
-                                                  capsys, clusters):
-        # it used to write a one-cluster file and exit 0
+                                                  monkeypatch, capsys,
+                                                  clusters):
+        # it used to write a one-cluster file and exit 0, and then to load
+        # the whole split before it rejected the count
         root, split, _ = dataset
+        loaded = []
+        load_frame = cyldet.kitti.load_frame
+
+        def recorded(*args, **kwargs):
+            loaded.append(args)
+            return load_frame(*args, **kwargs)
+
+        monkeypatch.setattr(cyldet.kitti, "load_frame", recorded)
         out_file = tmp_path / "sizes.txt"
         rc = main(["fit-sizes", "--dataset-root", root, "--split", split,
                    "--clusters", clusters, "--output", str(out_file)])
         assert rc == 2
         assert "n_clusters" in capsys.readouterr().err
         assert not out_file.exists()
+        assert loaded == []
 
     def test_insufficient_data_is_data_error(self, tmp_path):
         root = tmp_path / "tiny"

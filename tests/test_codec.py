@@ -302,6 +302,12 @@ class TestProposalRegion:
             ProposalRegion(center=(0, 0, 0), radius=math.nan)
         with pytest.raises(ValueError, match="bounds"):
             ProposalRegion(center=(0, 0, 0), bounds=(1.0, math.nan, 1.0))
+        with pytest.raises(ValueError, match="radius"):
+            ProposalRegion(center=(0, 0, 0), radius=math.inf)
+        with pytest.raises(ValueError, match="bounds"):
+            ProposalRegion(center=(0, 0, 0), bounds=(1.0, 1.0, -math.inf))
+        with pytest.raises(ValueError, match="bounds"):
+            ProposalRegion(center=(0, 0, 0), bounds=(math.inf, 1.0, 1.0))
 
     def test_recenter_preserves_shape(self):
         region = ProposalRegion(center=(1, 2, 3), radius=1.5,

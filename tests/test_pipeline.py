@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from cyldet import (
     sweep_objectness,
     voxel_downsample,
 )
+from cyldet.evalbench import DesyncConfig, desync_frame
 from cyldet.kitti import stable_id_hash
 from cyldet.pipeline import (
     OracleBrnPredictor,
@@ -52,6 +54,7 @@ from cyldet.pipeline import (
 )
 from cyldet.synthetic import make_frame, make_frames
 from oracles import (
+    block_certificate_reference,
     cylinder_members_reference,
     greedy_nms_reference,
     optimal_match_count,
@@ -123,9 +126,10 @@ class TestRegionIndex:
     def assert_matches(self, points, regions, cell):
         cloud = PointCloud(np.reshape(points, (-1, 4)), frame="camera")
         index = RegionIndex(cloud, self.band, cell)
-        for region in regions:
+        for region, found in zip(regions, index.occupied(regions),
+                                 strict=True):
             want = cylinder_members_reference(cloud.points, region)
-            assert index.occupied(region) == (len(want) > 0)
+            assert found == (len(want) > 0)
             np.testing.assert_array_equal(index.members(region), want)
 
     @settings(max_examples=300, deadline=None)
@@ -289,9 +293,11 @@ class TestRegionIndex:
         members, occupied = RegionIndex.members, RegionIndex.occupied
 
         def record(name, query):
-            def recorded(index, region):
-                queried[name].append(region)
-                return query(index, region)
+            # occupied() takes every region of a stage at once
+            def recorded(index, regions):
+                queried[name].extend(regions if name == "occupied"
+                                     else [regions])
+                return query(index, regions)
             return recorded
 
         monkeypatch.setattr(RegionIndex, "members", record("members", members))
@@ -312,11 +318,76 @@ class TestRegionIndex:
         for region in asked:
             want = cylinder_members_reference(frame.cloud.points, region)
             np.testing.assert_array_equal(members(index, region), want)
-            assert occupied(index, region) == (len(want) > 0)
+            assert occupied(index, [region])[0] == (len(want) > 0)
+
+    # in cells: a point's coordinate, and a region center's, which reaches
+    # past the points' grid on every side and to the clipped far cells
+    _in_cells = st.tuples(
+        st.integers(-4, 4),
+        st.sampled_from([0.0, 0.5, math.nextafter(1.0, 0.0)])
+        | st.floats(0.0, 1.0, exclude_max=True)).map(sum)
+    _center_in_cells = (st.tuples(st.integers(-8, 8), st.floats(0.0, 1.0))
+                        .map(sum)
+                        | st.sampled_from([2**30 - 1.5, -2**30 + 0.5, 3e29,
+                                           -1e30]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        radius=st.sampled_from([0.9, 2.0, 7.3]),
+        points=st.lists(st.tuples(_in_cells, _edge_y, _in_cells), max_size=30),
+        far=st.lists(st.sampled_from([(1e30, 0.0), (0.0, -1e30),
+                                      (-1e15, 1e15)]), max_size=2),
+        centers=st.lists(st.tuples(_center_in_cells, _center_in_cells,
+                                   st.sampled_from([3.0, 2.5, 4.0])),
+                         max_size=12),
+        frac=st.tuples(*[st.sampled_from([0.0, math.nextafter(1.0, 0.0)])
+                         | st.floats(0.0, 1.0, exclude_max=True)] * 2),
+    )
+    # no region; the block's top row above the grid's, where its z-run
+    # must end at the grid's top row and not run on into the next column
+    @example(radius=2.0, points=[], far=[], centers=[], frac=(0.5, 0.5))
+    @example(radius=2.0, points=[(2.5, 0.5, -4.5), (6.5, 0.5, 0.5),
+                                 (-0.5, 0.5, -4.5)], far=[],
+             centers=[(0.5, 0.5, 3.0)], frac=(0.5, 0.5))
+    def test_batched_occupancy_is_the_scan_of_every_point(
+            self, radius, points, far, centers, frac):
+        """occupied() over a list of regions, with cells of a third of the
+        radius as run_proposals builds them: regions three or four cells
+        wide are settled by their 3x3 block when it holds a point, and
+        only the others (2.5 cells wide, a block clipped at the cell-number
+        limit, an empty block) ask members()."""
+        cell = radius / 3
+        rows = [[x * cell, y, z * cell, 0.0] for x, y, z in points]
+        rows += [[x, 0.5, z, 0.0] for x, z in far]
+        cloud = PointCloud(np.reshape(rows, (-1, 4)), frame="camera")
+        if points:
+            # the first point in each cell of its region's 3x3 block, and
+            # in each cell of the ring just outside it
+            x, _, z = points[0]
+            centers = centers + [
+                (math.floor(x) + dx + frac[0], math.floor(z) + dz + frac[1],
+                 3.0) for dx in range(-2, 3) for dz in range(-2, 3)]
+        regions = [ProposalRegion((x * cell, 0.0, z * cell), width * cell,
+                                  self.band) for x, z, width in centers]
+        asked = []
+
+        class Recorded(RegionIndex):
+            def members(self, region):
+                asked.append(region)
+                return super().members(region)
+
+        got = Recorded(cloud, self.band, cell).occupied(regions)
+        assert got.dtype == bool and got.shape == (len(regions),)
+        assert got.tolist() == [
+            len(cylinder_members_reference(cloud.points, region)) > 0
+            for region in regions]
+        assert asked == [
+            region for region in regions
+            if not block_certificate_reference(cloud.points, region, cell)]
 
     def test_region_band_must_be_the_index_band(self):
         index = RegionIndex(camera_cloud([[0.0, 0.0, 0.0]]), self.band, 2.0)
-        for query in (index.members, index.occupied):
+        for query in (index.members, lambda r: index.occupied([r])):
             with pytest.raises(RuntimeError, match="band"):
                 query(ProposalRegion((0.0, 0.0, 0.0), 2.0, (-2.0, 3.0)))
 
@@ -530,6 +601,46 @@ class TestOraclePointHeads:
             decoded = cyldet.decode_location(out.t_loc, region)
             off = np.abs(decoded - np.array(region.center))
             assert np.all(off <= np.array(region.bounds) + 1e-12)
+
+
+class TestOracleLabelTable:
+    """An oracle point head keeps the label table of the last frame it
+    saw; its outputs must not depend on the frames it saw before."""
+
+    cfg = OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1,
+                       center_noise_sigma=0.3, rng_seed=4)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is type(want)
+        for field in dataclasses.fields(got):
+            np.testing.assert_array_equal(getattr(got, field.name),
+                                          getattr(want, field.name))
+
+    def test_frames_in_turn_give_the_outputs_of_fresh_oracles(self):
+        a = make_frame("000030", seed=30, n_cars=3)
+        # the same labels under another id, and other labels under the same
+        # id, each made after the one before is gone
+        renamed = dataclasses.replace(a, frame_id="000031")
+        assert renamed.labels is a.labels
+        shifted = [lambda k=k: desync_frame(a, DesyncConfig(max_xy=1.0,
+                                                            rng_seed=k))
+                   for k in range(3)]
+        # regions beside each car, within the location bounds of the
+        # shifted cars too, and one far from every car
+        centers = [np.add(lab.box3d.center, offset) for lab in a.labels
+                   for offset in ((0.3, 0.0, -0.2), (-0.5, 0.1, 0.4))]
+        regions = [ProposalRegion(tuple(c)) for c in centers]
+        regions.append(ProposalRegion((30.0, 0.0, 80.0)))
+        rpn, brn = OracleRpnPredictor(self.cfg), OracleBrnPredictor(self.cfg)
+        for make in (lambda: a, *shifted, lambda: a, lambda: renamed,
+                     lambda: a):
+            frame = make()
+            for region in regions:
+                for oracle, fresh in ((rpn, OracleRpnPredictor(self.cfg)),
+                                      (brn, OracleBrnPredictor(self.cfg))):
+                    self.assert_same(oracle(None, region, frame),
+                                     fresh(None, region, frame))
 
 
 class TestDetectFrame:
@@ -751,6 +862,74 @@ class TestPointPreparation:
         assert calls and set(calls) == {("rpn", 0)}
 
 
+class TestStageMajor:
+    """detect_frame runs each stage over every region the stage before
+    kept; the drop lines still come out at the end of the frame, one per
+    dropped proposal, in (obj, seed) order."""
+
+    frame = TestPointPreparation.frame
+    config = dataclasses.replace(TestPointPreparation.config,
+                                 mode="rpn_brn_brn")
+    oracles = TestPointPreparation.oracles
+
+    class Chosen(ValueError):
+        pass
+
+    def run(self, monkeypatch, caplog, raise_at):
+        """(obj, seed, stage) of each head call in call order, and the drop
+        lines, with heads that raise Chosen at the triples in raise_at."""
+        parts = []
+
+        def recorded_seed(*seed_parts):
+            parts.append(seed_parts)
+            return derive_seed(*seed_parts)
+
+        monkeypatch.setattr(pipeline, "derive_seed", recorded_seed)
+        calls = []
+
+        def head(oracle):
+            # a plain function reads points, so its seed names its call
+            def read(points, region, frame):
+                triple = parts[-1][2:]
+                calls.append(triple)
+                if triple in raise_at:
+                    raise self.Chosen("obj%d seed%d stage%d" % triple)
+                return oracle(points, region, frame)
+            return read
+
+        predictors = Predictors(self.oracles.monocular,
+                                head(self.oracles.rpn), head(self.oracles.brn))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            detect_frame(self.frame, predictors, self.config)
+        return calls, [r.getMessage() for r in caplog.records
+                       if " dropped: " in r.getMessage()]
+
+    def test_drop_lines_come_in_seed_order(self, monkeypatch, caplog):
+        calls, plain = self.run(monkeypatch, caplog, set())
+        # stage-major: each stage's calls, in seed order, after the last
+        # stage's
+        assert calls == sorted(calls, key=lambda t: (t[2], t[0], t[1]))
+        assert {stage for *_, stage in calls} == {0, 1, 2}
+        assert any("EmptyCloud" in line for line in plain)
+        chosen = {t for t in calls if (31 * t[0] + t[1]) % 7 == t[2]}
+        assert {stage for *_, stage in chosen} == {0, 1, 2}
+        _, lines = self.run(monkeypatch, caplog, chosen)
+
+        def key(line):
+            return tuple(map(int, re.search(r"obj(\d+)\.seed(\d+) ",
+                                            line).groups()))
+
+        expected = {key(line): line for line in plain}
+        assert len(expected) == len(plain)
+        for obj_idx, seed_idx, stage in chosen:
+            expected[obj_idx, seed_idx] = (
+                f"frame {self.frame.frame_id} proposal obj{obj_idx}."
+                f"seed{seed_idx} dropped: Chosen: obj{obj_idx} "
+                f"seed{seed_idx} stage{stage}")
+        assert lines == [expected[k] for k in sorted(expected)]
+
+
 class TestPipelineConfig:
     @pytest.mark.parametrize("field, value", [
         ("voxel_resolution", 0.0), ("voxel_resolution", -0.1),
@@ -783,6 +962,7 @@ class TestPipelineConfig:
         ("region_y_extent", (math.nan, 3.0)),
         ("region_bounds", (2.0, 0.0, 2.0)),
         ("region_bounds", (2.0, 2.0, math.nan)), ("region_bounds", (2.0, 2.0)),
+        ("region_radius", math.inf), ("region_bounds", (2.0, math.inf, 2.0)),
     ])
     def test_region_settings_are_checked(self, field, value):
         # checked by ProposalRegion's own rules, whose messages name the
