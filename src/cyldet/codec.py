@@ -38,24 +38,36 @@ class ProposalRegion:
     bounds: tuple = (2.0, 2.0, 2.0)
 
     def __post_init__(self):
-        center = tuple(float(v) for v in self.center)
         bounds = tuple(float(v) for v in self.bounds)
         y_extent = tuple(float(v) for v in self.y_extent)
-        if len(center) != 3 or len(bounds) != 3:
-            raise ValueError("center and bounds must be 3-vectors")
+        if len(bounds) != 3:
+            raise ValueError("bounds must be a 3-vector")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be finite and positive")
         if not all(math.isfinite(b) and b > 0.0 for b in bounds):
             raise ValueError("bounds must be finite and positive")
         if not y_extent[0] < y_extent[1]:
             raise ValueError("y_extent must be ordered")
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", _region_center(self.center))
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "y_extent", y_extent)
         object.__setattr__(self, "radius", float(self.radius))
 
     def recentered(self, center):
-        return ProposalRegion(tuple(center), self.radius, self.y_extent, self.bounds)
+        """This region moved to center; the radius, band and bounds, checked
+        when this region was made, are copied as they are."""
+        region = object.__new__(ProposalRegion)
+        region.__dict__.update(self.__dict__, center=_region_center(center))
+        return region
+
+
+def _region_center(center):
+    center = tuple(map(float, center))
+    if len(center) != 3:
+        raise ValueError("center must be a 3-vector")
+    if not all(map(math.isfinite, center)):
+        raise ValueError("center must be finite")
+    return center
 
 
 def expit(x):

@@ -24,8 +24,11 @@ logged at the frame's end in (object, seed) order.  A point head is called
 once per region.  It receives region_points(...) of its region unless it
 sets the class attribute uses_points = False, in which case points is None,
 no gather, voxel or sample work is done for it, and the stage asks the
-frame's RegionIndex once for the occupancy of all its regions.  An empty
-region is dropped with EmptyCloud before the head runs.
+frame's RegionIndex once for the occupancy of all its regions.  The index
+counts the frame's points per grid cell, and sorts them only for the
+first members query: a head that reads points, or a region its table of
+counts cannot settle.  An empty region is dropped with EmptyCloud before
+the head runs.
 Oracle implementations backed by ground truth (with optional seeded noise)
 stand in for trained networks; the point-head oracles read no points, and
 build each frame's label table once.
@@ -90,25 +93,35 @@ class EmptyCloud(ValueError):
 
 # grid cells are numbered within +-_CELL_LIMIT, so that cell keys fit in
 # int64 however far a point or region lies; the points of an edge cell are
-# still tested exactly
+# still tested exactly.  Such a far point can stretch the grid to about
+# 2**61 cells, so the per-cell table of counts is built only for a grid of
+# at most max(2**16, 4 * band points) cells; a larger grid sorts its keys
+# at build instead and counts them with searchsorted
 _CELL_LIMIT = 2**30
 
 
 class RegionIndex:
     """Cylinder-region membership over one camera-frame cloud.
 
-    The points inside the vertical band y_extent (inclusive) are sorted, on
-    the first query, by the x-major key of their cell in a square x-z grid
-    of cells `cell` wide, with numpy's stable sort on the narrowest
-    unsigned type that holds the keys (a radix sort up to 2**16 cells).
-    members() reads the cells its circle can reach, widened by a few ulps
-    against rounding, as one slice of the sorted arrays per x column, and
-    tests those points with dx*dx + dz*dz <= r**2.  occupied() answers a
-    list of regions at once: one searchsorted counts the points of the 3x3
-    block of cells around each center's cell, for the regions whose block
-    lies wholly inside the circle, and it calls members() only for a region
-    whose block is empty or cannot settle it.  Every region of a frame
-    shares the band (recentered keeps it), so one index answers them all.
+    On the first query, each point inside the vertical band y_extent
+    (inclusive) gets the x-major key of its cell in a square x-z grid of
+    cells `cell` wide, and the index counts the points per cell: starts[k],
+    a prefix sum of np.bincount(keys), is the number of band points with a
+    key below k, the integer np.searchsorted(sorted keys, k) gives.  That
+    sorts nothing, and copies no point when the band holds them all.
+    occupied() answers a list of regions at once: the table counts the
+    points of the 3x3 block of cells around each center's cell, for the
+    regions whose block lies wholly inside the circle, and it calls
+    members() only for a region whose block is empty or cannot settle it.
+    The first members() call sorts the band's points by key, with numpy's
+    stable sort on the narrowest unsigned type that holds the keys (a
+    radix sort up to 2**16 cells).  members() reads the cells its circle
+    can reach, widened by a few ulps against rounding, as one slice of the
+    sorted arrays per x column, and tests those points with
+    dx*dx + dz*dz <= r**2.  A grid too large for the table (see
+    _CELL_LIMIT) is sorted at build and counted with searchsorted.  Every
+    region of a frame shares the band (recentered keeps it), so one index
+    answers them all.
     """
 
     def __init__(self, cloud, y_extent, cell):
@@ -121,7 +134,9 @@ class RegionIndex:
         pts = self.cloud.points
         y0, y1 = self.y_extent
         band = np.flatnonzero((pts[:, 1] >= y0) & (pts[:, 1] <= y1))
-        xz = np.take(pts[:, ::2].T, band, axis=1)  # rows x and z
+        xz = pts[:, ::2].T  # rows x and z
+        if len(band) < len(pts):
+            xz = np.take(xz, band, axis=1)
         cells = [np.clip(np.floor(v / self.cell), -_CELL_LIMIT,
                          _CELL_LIMIT).astype(np.int64) for v in xz]
         self._lo, self._shape = [0, 0], [0, 0]
@@ -130,16 +145,35 @@ class RegionIndex:
             self._shape = [int(c.max()) - lo + 1
                            for c, lo in zip(cells, self._lo)]
         # x-major cell keys, so one x column of cells is one key range
-        keys = (cells[0] - self._lo[0]) * self._shape[1] + (
+        self._keys = (cells[0] - self._lo[0]) * self._shape[1] + (
             cells[1] - self._lo[1])
+        self._members, self._xz = band, xz
+        self._sorted = False
+        self._starts = None
+        grid = self._shape[0] * self._shape[1]
+        if grid > max(2**16, 4 * len(band)):
+            self._sort()
+        else:
+            self._starts = np.zeros(grid + 1, np.int64)
+            np.cumsum(np.bincount(self._keys, minlength=grid),
+                      out=self._starts[1:])
+
+    def _sort(self):
         # any order within a cell will do, as members() sorts its result;
         # numpy's stable sort is a linear-time radix sort on integers of 16
         # bits or less, which hold the keys of any grid up to 2**16 cells
-        narrow = np.min_scalar_type(keys.max(initial=0))
-        order = np.argsort(keys.astype(narrow), kind="stable")
-        self._keys = keys[order]
-        self._members = band[order]
-        self._xz = np.take(xz, order, axis=1)
+        narrow = np.min_scalar_type(self._keys.max(initial=0))
+        order = np.argsort(self._keys.astype(narrow), kind="stable")
+        self._keys = self._keys[order]
+        self._members = self._members[order]
+        self._xz = np.take(self._xz, order, axis=1)
+        self._sorted = True
+
+    def _count(self, keys):
+        # the number of band points whose key is below each of keys
+        if self._starts is None:
+            return np.searchsorted(self._keys, keys)
+        return self._starts[np.clip(keys, 0, len(self._starts) - 1)]
 
     def _clamp(self, axis, lo, hi):
         # grid-relative cells lo..hi of axis, cut to the grid
@@ -159,7 +193,7 @@ class RegionIndex:
         # (start, stop) of the z-run [z0, z1] of each x column x0..x1 in the
         # sorted arrays, interleaved
         width = self._shape[1]
-        return np.searchsorted(self._keys, [
+        return self._count([
             column * width + z for column in range(x0, x1 + 1)
             for z in (z0, z1 + 1)])
 
@@ -181,6 +215,8 @@ class RegionIndex:
         z0, z1 = self._cell_range(1, cz, region.radius)
         if x0 > x1 or z0 > z1:
             return np.zeros(0, np.int64)
+        if not self._sorted:
+            self._sort()
         bounds = self._runs(x0, x1, z0, z1).tolist()
         runs = [slice(a, b) for a, b in zip(bounds[::2], bounds[1::2])]
         dx, dz = np.concatenate([self._xz[:, s] for s in runs], axis=1)
@@ -217,7 +253,7 @@ class RegionIndex:
         z1 = np.minimum(block[:, 1] + 1, self._shape[1] - 1)
         keys = ((block[:, :1] + [-1, 0, 1])[:, :, None] * self._shape[1]
                 + np.stack((z0, z1 + 1), axis=1)[:, None, :])
-        bounds = np.searchsorted(self._keys, keys)
+        bounds = self._count(keys)
         occupied = settled & (bounds[:, :, 1] > bounds[:, :, 0]).any(axis=1)
         # an empty or unsettled block falls back to the members query
         for i in np.flatnonzero(~occupied):
@@ -602,16 +638,14 @@ def scatter_proposals(frame, poses, config=PipelineConfig()):
     search's own constraint system with its non-degenerate winner, so it
     cannot fail where the search succeeded."""
     p = frame.calib.p2
+    shape = ProposalRegion((0.0, 0.0, 0.0), config.region_radius,
+                           config.region_y_extent, config.region_bounds)
     proposals = []
     for obj_idx, det2d, est in poses:
         scatter = spatial_scatter(est, config.scatter, p)
         for seed_idx, seed in enumerate(scatter.seed_points):
-            region = ProposalRegion(
-                (seed[0], est.solved_center[1], seed[2]),
-                radius=config.region_radius,
-                y_extent=config.region_y_extent,
-                bounds=config.region_bounds,
-            )
+            region = shape.recentered(
+                (seed[0], est.solved_center[1], seed[2]))
             proposals.append((obj_idx, seed_idx, det2d, region))
     return proposals
 

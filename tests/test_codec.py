@@ -309,6 +309,17 @@ class TestProposalRegion:
         with pytest.raises(ValueError, match="bounds"):
             ProposalRegion(center=(0, 0, 0), bounds=(math.inf, 1.0, 1.0))
 
+    def test_center_must_be_finite(self):
+        region = ProposalRegion(center=(1.0, 2.0, 3.0))
+        for center in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                       (0.0, 0.0, -math.inf)):
+            with pytest.raises(ValueError, match="center must be finite"):
+                ProposalRegion(center=center)
+            with pytest.raises(ValueError, match="center must be finite"):
+                region.recentered(center)
+        with pytest.raises(ValueError, match="center must be a 3-vector"):
+            region.recentered((1.0, 2.0))
+
     def test_recenter_preserves_shape(self):
         region = ProposalRegion(center=(1, 2, 3), radius=1.5,
                                 y_extent=(-0.5, 2.5), bounds=(1, 2, 3))

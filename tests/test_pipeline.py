@@ -385,6 +385,82 @@ class TestRegionIndex:
             region for region in regions
             if not block_certificate_reference(cloud.points, region, cell)]
 
+    @pytest.mark.parametrize("far", [None, (1e30, 0.0), (-1e30, 1e30),
+                                     (0.0, -1e15)])
+    def test_both_sides_of_the_table_bound(self, far):
+        """A grid of at most max(2**16, 4 * band points) cells is counted
+        in a table; a far point stretches the grid beyond that, and the
+        index sorts at build instead.  Either way every answer is the scan
+        of every point, whether members() runs before or after the first
+        occupied() call."""
+        rng = np.random.default_rng(3)
+        radius, cell = 2.0, 2.0 / 3
+        xz = rng.uniform(-12.0, 12.0, (3000, 2))
+        # points on cell edges, and in the grid's four corner cells, where
+        # the z-run of the last column ends at the table's last entry
+        xz[:300] = np.round(xz[:300] / cell) * cell
+        xz[:4] = [(-12.0, -12.0), (-12.0, 12.0), (12.0, -12.0), (12.0, 12.0)]
+        ys = rng.choice([-1.0, 0.5, 3.0, 3.5], len(xz))
+        rows = np.column_stack((xz[:, 0], ys, xz[:, 1], np.zeros(len(xz))))
+        if far is not None:
+            rows = np.vstack((rows, [far[0], 0.5, far[1], 0.0]))
+        cloud = PointCloud(rows, frame="camera")
+        centers = np.vstack((rng.uniform(-16.0, 16.0, (80, 2)), xz[:4],
+                             [(13.0, 13.0), (-13.5, 0.0), (0.0, 14.0)]))
+        regions = [ProposalRegion((x, 0.0, z), radius, self.band)
+                   for x, z in centers]
+        want = [cylinder_members_reference(rows, r) for r in regions]
+        assert 0 < sum(len(w) > 0 for w in want) < len(regions)
+
+        first = RegionIndex(cloud, self.band, cell)
+        before = [first.members(r) for r in regions]
+        occupied_after = first.occupied(regions)
+        after = [first.members(r) for r in regions]
+        fresh = RegionIndex(cloud, self.band, cell)
+        occupied_first = fresh.occupied(regions)
+        fresh_members = [fresh.members(r) for r in regions]
+        for found in (occupied_after, occupied_first):
+            assert found.tolist() == [len(w) > 0 for w in want]
+        for got in (before, after, fresh_members):
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+        assert (fresh._starts is None) == (far is not None)
+
+    @pytest.mark.parametrize("far", [1e30, -1e30])
+    def test_far_points_build_no_large_table(self, far):
+        rows = [[0.0, 0.5, 0.0, 0.0], [far, 0.5, -far, 0.0],
+                [1.0, 0.5, far, 0.0]]
+        index = RegionIndex(camera_cloud(rows), self.band, 2.0 / 3)
+        region = ProposalRegion((0.0, 0.0, 0.0), 2.0, self.band)
+        assert index.occupied([region]).tolist() == [True]
+        starts = index._starts
+        assert starts is None or len(starts) <= max(2**16, 4 * len(rows)) + 1
+        np.testing.assert_array_equal(index.members(region), [0])
+
+    def test_a_loaded_frame_is_counted_not_sorted(self, monkeypatch):
+        # every point of a 58k-point frame lies in the band; the oracle
+        # heads read none, and their regions are settled from the table of
+        # counts, so the points are never sorted
+        frame = make_frames(1, seed=4, cars_per_frame=(5, 5),
+                            ground_points=58000)[0]
+        sorts, asked = [], []
+        sort, occupied = RegionIndex._sort, RegionIndex.occupied
+
+        def counted_sort(index):
+            sorts.append(index)
+            return sort(index)
+
+        def counted_occupied(index, regions):
+            asked.extend(regions)
+            return occupied(index, regions)
+
+        monkeypatch.setattr(RegionIndex, "_sort", counted_sort)
+        monkeypatch.setattr(RegionIndex, "occupied", counted_occupied)
+        predictors = oracle_predictors(OracleConfig(dims_noise_sigma=0.1,
+                                                    yaw_noise_sigma=0.1))
+        assert detect_frame(frame, predictors, PipelineConfig())
+        assert len(asked) > 50 and sorts == []
+
     def test_region_band_must_be_the_index_band(self):
         index = RegionIndex(camera_cloud([[0.0, 0.0, 0.0]]), self.band, 2.0)
         for query in (index.members, lambda r: index.occupied([r])):
@@ -928,6 +1004,51 @@ class TestStageMajor:
                 f"seed{seed_idx} dropped: Chosen: obj{obj_idx} "
                 f"seed{seed_idx} stage{stage}")
         assert lines == [expected[k] for k in sorted(expected)]
+
+    def test_a_nan_location_drops_its_proposal_by_its_center(self, caplog):
+        # the proposal head's location of every other region that passes
+        # its gate is NaN; in rpn_brn_brn the region moves onto it
+        frames = make_frames(3, seed=5)
+        config = PipelineConfig(mode="rpn_brn_brn")
+        oracles = oracle_predictors()
+        seeds = {frame.frame_id: {
+            region: (obj_idx, seed_idx) for obj_idx, seed_idx, _, region
+            in seed_proposals(frame, oracles.monocular, config)}
+            for frame in frames}
+        scored, spoiled = [], set()
+
+        class NanRpn:
+            uses_points = False
+
+            def __call__(self, points, region, frame):
+                out = oracles.rpn(points, region, frame)
+                if (pipeline.objectness(out.t_obj)
+                        < config.objectness_threshold):
+                    return out
+                scored.append(region)
+                if len(scored) % 2:
+                    obj_idx, seed_idx = seeds[frame.frame_id][region]
+                    spoiled.add((frame.frame_id, str(obj_idx), str(seed_idx)))
+                    return RpnOutput((math.nan, 0.0, 0.0), out.t_obj)
+                return out
+
+        def drop_lines(predictors):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="cyldet"):
+                for frame in frames:
+                    detect_frame(frame, predictors, config)
+            key = re.compile(r"frame (\S+) proposal obj(\d+)\.seed(\d+) ")
+            return {key.match(line).groups(): line
+                    for line in (r.getMessage() for r in caplog.records)
+                    if " dropped: " in line}
+
+        plain = drop_lines(oracles)
+        lines = drop_lines(dataclasses.replace(oracles, rpn=NanRpn()))
+        assert len(spoiled) >= 5
+        for key in spoiled:
+            assert lines.pop(key).endswith(
+                "dropped: ValueError: center must be finite")
+        assert lines == {k: v for k, v in plain.items() if k not in spoiled}
 
 
 class TestPipelineConfig:
