@@ -118,8 +118,13 @@ def encode_location(target, region):
 
 
 def objectness(t_o):
-    """Sigmoid squashing of the raw objectness output, in float64."""
-    return expit(float(t_o))
+    """Sigmoid squashing of the raw objectness output, in float64.  A NaN
+    output raises ValueError, as no threshold would reject it; +inf gives
+    1.0 and -inf 0.0."""
+    t_o = float(t_o)
+    if math.isnan(t_o):
+        raise ValueError("objectness output is NaN")
+    return expit(t_o)
 
 
 @dataclass(frozen=True)
@@ -140,25 +145,22 @@ class RotationBins:
 HOT_LOGIT = 10.0
 
 
-def encode_rotation(yaw, bins, normalize_residual=False):
+def encode_rotation(yaw, bins):
     """Encode a heading as (logits, residuals) over the rotation bins.
 
     The heading is folded into [0, pi) first; the residual is stored at
-    the target bin in radians (or bin-width units when normalized).
+    the target bin, in radians from the bin's center.
     """
     yaw = float(yaw) % math.pi
     idx = min(int(yaw / bins.width), bins.n_bins - 1)
-    residual = yaw - (idx + 0.5) * bins.width
-    if normalize_residual:
-        residual /= bins.width
     logits = np.zeros(bins.n_bins)
     logits[idx] = HOT_LOGIT
     residuals = np.zeros(bins.n_bins)
-    residuals[idx] = residual
+    residuals[idx] = yaw - (idx + 0.5) * bins.width
     return logits, residuals
 
 
-def decode_rotation(logits, residuals, bins, normalize_residual=False):
+def decode_rotation(logits, residuals, bins):
     """Heading in [0, pi) from the winning bin center plus its residual."""
     logits = np.asarray(logits, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -166,10 +168,7 @@ def decode_rotation(logits, residuals, bins, normalize_residual=False):
         # the head and the config disagree on the bins: a wiring bug, not data
         raise TypeError("encoding arity does not match the bin count")
     idx = int(np.argmax(logits))
-    residual = residuals[idx]
-    if normalize_residual:
-        residual *= bins.width
-    return ((idx + 0.5) * bins.width + residual) % math.pi
+    return ((idx + 0.5) * bins.width + residuals[idx]) % math.pi
 
 
 @dataclass(frozen=True)
@@ -281,31 +280,26 @@ def _dims_array(dims):
     return np.asarray(dims, dtype=float).reshape(-1, 3)
 
 
-def encode_size(dims_hwl, clusters, log_space=False):
-    """Encode (H, W, L) as cluster logits plus per-cluster residuals."""
+def encode_size(dims_hwl, clusters):
+    """Encode (H, W, L) as cluster logits plus per-cluster residuals; the
+    winning cluster's residual is dims - centroid."""
     dims_hwl = np.asarray(dims_hwl, dtype=float)
     idx = clusters.assign(dims_hwl)
     logits = np.zeros(clusters.n_clusters)
     logits[idx] = HOT_LOGIT
     residuals = np.zeros((clusters.n_clusters, 3))
-    if log_space:
-        residuals[idx] = np.log(dims_hwl / clusters.centroids[idx])
-    else:
-        residuals[idx] = dims_hwl - clusters.centroids[idx]
+    residuals[idx] = dims_hwl - clusters.centroids[idx]
     return logits, residuals
 
 
-def decode_size(logits, residuals, clusters, log_space=False):
+def decode_size(logits, residuals, clusters):
     """(H, W, L) from the winning centroid plus its residual triple."""
     logits = np.asarray(logits, dtype=float)
     residuals = np.asarray(residuals, dtype=float).reshape(-1, 3)
     if logits.shape != (clusters.n_clusters,) or len(residuals) != clusters.n_clusters:
         raise TypeError("encoding arity does not match the cluster count")
     idx = int(np.argmax(logits))
-    if log_space:
-        dims = clusters.centroids[idx] * np.exp(residuals[idx])
-    else:
-        dims = clusters.centroids[idx] + residuals[idx]
+    dims = clusters.centroids[idx] + residuals[idx]
     if np.any(dims <= 0.0):
         raise NonPositiveDims(f"decoded dims {tuple(dims)} not strictly positive")
     return dims
@@ -340,10 +334,6 @@ class RpnOutput:
             raise ValueError("t_loc must be a 3-vector")
         object.__setattr__(self, "t_loc", t)
 
-    @property
-    def arity(self):
-        return 4
-
 
 @dataclass(frozen=True)
 class BrnOutput:
@@ -376,7 +366,3 @@ class BrnOutput:
         ):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def arity(self):
-        return 3 + 2 * self.rot_logits.shape[0] + 4 * self.size_logits.shape[0]

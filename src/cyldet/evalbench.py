@@ -141,14 +141,14 @@ def _interpolated_ap(points, mode):
     else:
         grid = np.arange(1, 41) / 40.0
     if not points:
-        return 0.0, grid
+        return 0.0
     recalls = np.array([p[0] for p in points])
     precisions = np.array([p[1] for p in points])
     values = []
     for r in grid:
         mask = recalls >= r - 1e-12
         values.append(precisions[mask].max() if np.any(mask) else 0.0)
-    return float(np.mean(values)), grid
+    return float(np.mean(values))
 
 
 def average_precision(scored, n_gt, mode="r11"):
@@ -167,8 +167,8 @@ def average_precision(scored, n_gt, mode="r11"):
             fp += 1
         recall = tp / n_gt if n_gt else 0.0
         points.append((recall, tp / (tp + fp)))
-    ap, _ = _interpolated_ap(points, mode)
-    return PrCurve(points=tuple(points), ap=ap, mode=mode)
+    return PrCurve(points=tuple(points), ap=_interpolated_ap(points, mode),
+                   mode=mode)
 
 
 def evaluate_detections(per_frame, cfg=EvalConfig()):
@@ -327,7 +327,6 @@ def desync_frame(frame, cfg=DesyncConfig()):
         calib=frame.calib,
         labels=labels,
         cloud=PointCloud(points, frame="camera"),
-        image_size=frame.image_size,
     )
 
 

@@ -137,23 +137,15 @@ class FrameData:
     calib: CalibrationSet
     labels: tuple
     cloud: PointCloud
-    image_size: tuple = DEFAULT_IMAGE_SIZE
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "image_size", tuple(self.image_size))
-
-
-def _as_text(data):
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
 
 
 def parse_calibration(text):
     """Parse KITTI calibration text into a CalibrationSet."""
     values = {}
-    for lineno, line in enumerate(_as_text(text).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or ":" not in line:
             continue
@@ -222,7 +214,7 @@ def parse_labels(text, classes=("Car",)):
     "DontCare" rows carry no valid 3D box and are always dropped.
     """
     labels = []
-    for lineno, line in enumerate(_as_text(text).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -311,19 +303,7 @@ def read_split_ids(list_path):
         return [line.strip() for line in fh if line.strip()]
 
 
-def _read_image_sizes(dataset_root):
-    path = os.path.join(dataset_root, "image_sizes.txt")
-    sizes = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 3:
-                    sizes[parts[0]] = (int(parts[1]), int(parts[2]))
-    return sizes
-
-
-def load_frame(dataset_root, frame_id, image_size=DEFAULT_IMAGE_SIZE):
+def load_frame(dataset_root, frame_id):
     """Load one frame, with its Car labels, from the {calib, label_2,
     velodyne} directory layout.  The Lidar scan is converted to the camera
     frame, so the whole downstream geometry shares one coordinate system."""
@@ -346,17 +326,14 @@ def load_frame(dataset_root, frame_id, image_size=DEFAULT_IMAGE_SIZE):
         calib=calib,
         labels=tuple(labels),
         cloud=lidar_to_camera(cloud, calib),
-        image_size=image_size,
     )
 
 
 def iter_split(list_path, dataset_root):
     """Yield the frames named in a split list file in list order, loading
     each one only when the caller reaches it."""
-    sizes = _read_image_sizes(dataset_root)
     for frame_id in read_split_ids(list_path):
-        yield load_frame(dataset_root, frame_id,
-                         image_size=sizes.get(frame_id, DEFAULT_IMAGE_SIZE))
+        yield load_frame(dataset_root, frame_id)
 
 
 def stable_id_hash(frame_id):

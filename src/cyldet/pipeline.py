@@ -21,14 +21,15 @@ BrnOutput.  run_proposals runs the stages of (b) and (c) stage-major, for
 detect_frame and the objectness sweep alike: each stage runs over every
 region of the frame that the stage before kept, and dropped proposals are
 logged at the frame's end in (object, seed) order.  A point head is called
-once per region.  It receives region_points(...) of its region unless it
-sets the class attribute uses_points = False, in which case points is None,
-no gather, voxel or sample work is done for it, and the stage asks the
-frame's RegionIndex once for the occupancy of all its regions.  The index
-counts the frame's points per grid cell, and sorts them only for the
-first members query: a head that reads points, or a region its table of
-counts cannot settle.  An empty region is dropped with EmptyCloud before
-the head runs.
+once per region.  Each frame has one RegionIndex, which rejects a cloud
+not in the camera frame with WrongFrame when it is built.  A head receives
+region_points(index, ...) of its region unless it sets the class attribute
+uses_points = False, in which case points is None, no gather, voxel or
+sample work is done for it, and the stage asks the index once for the
+occupancy of all its regions.  The index counts the frame's points per
+grid cell, and sorts them only for the first members query: a head that
+reads points, or a region its table of counts cannot settle.  An empty
+region is dropped with EmptyCloud before the head runs.
 Oracle implementations backed by ground truth (with optional seeded noise)
 stand in for trained networks; the point-head oracles read no points, and
 build each frame's label table once.
@@ -101,7 +102,8 @@ _CELL_LIMIT = 2**30
 
 
 class RegionIndex:
-    """Cylinder-region membership over one camera-frame cloud.
+    """Cylinder-region membership over one camera-frame cloud; any other
+    cloud raises WrongFrame at construction.
 
     On the first query, each point inside the vertical band y_extent
     (inclusive) gets the x-major key of its cell in a square x-z grid of
@@ -125,6 +127,8 @@ class RegionIndex:
     """
 
     def __init__(self, cloud, y_extent, cell):
+        if cloud.frame != "camera":
+            raise WrongFrame(f"expected camera frame, got {cloud.frame}")
         self.cloud = cloud
         self.y_extent = tuple(float(v) for v in y_extent)
         self.cell = float(cell)
@@ -198,8 +202,6 @@ class RegionIndex:
             for z in (z0, z1 + 1)])
 
     def _check(self, region):
-        if self.cloud.frame != "camera":
-            raise WrongFrame(f"expected camera frame, got {self.cloud.frame}")
         if region.y_extent != self.y_extent:
             raise RuntimeError(f"region band {region.y_extent} is not the "
                                f"index band {self.y_extent}")
@@ -599,12 +601,10 @@ def decode_box(brn_out, region, clusters, bins):
     return Box3D(tuple(center), (w, h, length), yaw)
 
 
-def region_points(frame, region, config, sample_seed, index=None):
-    """The point-head input for one region: gather, voxel-downsample, then
-    sample config.sample_count points.  Raises EmptyCloud when the region
-    holds no point.  index is the frame's RegionIndex, when one exists."""
-    if index is None:
-        index = RegionIndex(frame.cloud, region.y_extent, region.radius)
+def region_points(index, region, config, sample_seed):
+    """The point-head input for one region of the frame whose RegionIndex
+    is index: gather, voxel-downsample, then sample config.sample_count
+    points.  Raises EmptyCloud when the region holds no point."""
     members = index.members(region)
     if len(members) == 0:
         raise EmptyCloud("no points inside the proposal region")
@@ -664,17 +664,20 @@ def run_proposals(frame, predictors, config, heads, step):
     None to drop it.  Proposals are (obj_idx, seed_idx, det2d, region)
     tuples; the last stage's results are returned in seed order.
 
-    A head that reads points receives region_points(...) of its region,
-    sampled with derive_seed(config.seed, frame hash, obj_idx, seed_idx,
-    k); for a head that sets uses_points = False, the stage asks the
-    frame's RegionIndex once whether each region holds a point.  An empty
-    region is dropped with EmptyCloud before its head runs.
+    A head that reads points receives region_points(index, ...) of its
+    region from the frame's RegionIndex, sampled with derive_seed(
+    config.seed, frame hash, obj_idx, seed_idx, k); for a head that sets
+    uses_points = False, the stage asks the index once whether each region
+    holds a point.  An empty region is dropped with EmptyCloud before its
+    head runs.  A cloud not in the camera frame fails the whole frame with
+    WrongFrame, raised when the index is built.
 
     A proposal that raises a data error (any ValueError: EmptyCloud for an
     empty region, BehindCamera, OutOfBounds, NonPositiveDims,
-    SingularSystem, WrongFrame, or an invalid box) is dropped, and logged
-    at the end of the frame in (obj_idx, seed_idx) order; it never aborts
-    the frame.  Any other exception is a programming error and propagates.
+    SingularSystem, a NaN objectness, or an invalid box) is dropped, and
+    logged at the end of the frame in (obj_idx, seed_idx) order; it never
+    aborts the frame.  Any other exception is a programming error and
+    propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
     # cells of a third of the radius, so that occupied() settles most
@@ -686,23 +689,17 @@ def run_proposals(frame, predictors, config, heads, step):
     for stage, name in enumerate(heads):
         head = getattr(predictors, name)
         reads_points = getattr(head, "uses_points", True)
-        occupied = None
         if not reads_points:
-            try:
-                occupied = index.occupied([p[3] for p in proposals])
-            except ValueError:
-                pass  # a region's own data error: each region asks alone
+            occupied = index.occupied([p[3] for p in proposals])
         kept = []
         for i, proposal in enumerate(proposals):
             obj_idx, seed_idx, _, region = proposal
             try:
                 points = None
                 if reads_points:
-                    points = region_points(frame, region, config, derive_seed(
-                        config.seed, frame_hash, obj_idx, seed_idx, stage),
-                        index)
-                elif not (index.occupied([region])[0] if occupied is None
-                          else occupied[i]):
+                    points = region_points(index, region, config, derive_seed(
+                        config.seed, frame_hash, obj_idx, seed_idx, stage))
+                elif not occupied[i]:
                     raise EmptyCloud("no points inside the proposal region")
                 result = step(stage, proposal, head(points, region, frame))
             except ValueError as exc:

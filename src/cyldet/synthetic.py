@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .geometry import Box3D, project_box
+from .geometry import BehindCamera, Box3D, project_box
 from .kitti import (
     DEFAULT_IMAGE_SIZE,
     CalibrationSet,
@@ -29,6 +29,7 @@ from .kitti import (
 GROUND_Y = 1.55  # camera height above the road, meters (camera y points down)
 FOCAL, CX, CY = 721.5377, 609.5593, 172.854  # camera 2 intrinsics, pixels
 MIN_SPACING = 6.0  # least ground-plane distance between two car centers, m
+POINTS_PER_CAR = 400  # surface points sampled on each car box
 MAX_TRIES = 500    # car placements drawn per scene, kept or not
 SPLIT_NAME = "synth"  # the split list is SPLIT_NAME.txt under the root
 
@@ -71,19 +72,18 @@ def sample_car_dims(rng):
     )
 
 
-def _box_fits_image(box, p, image_size, margin=4.0):
+def _box_fits_image(box, p, margin=4.0):
     try:
         b = project_box(box, p)
-    except Exception:
+    except BehindCamera:
         return None
-    w, h = image_size
+    w, h = DEFAULT_IMAGE_SIZE
     if b.xmin < margin or b.ymin < margin or b.xmax > w - margin or b.ymax > h - margin:
         return None
     return b
 
 
-def make_scene_boxes(rng, n_cars, p, image_size=DEFAULT_IMAGE_SIZE,
-                     z_range=(8.0, 35.0)):
+def make_scene_boxes(rng, n_cars, p, z_range=(8.0, 35.0)):
     """Non-overlapping car boxes on the ground plane, fully inside the
     image.  Returns (boxes, bbox2ds)."""
     boxes, rects = [], []
@@ -102,7 +102,7 @@ def make_scene_boxes(rng, n_cars, p, image_size=DEFAULT_IMAGE_SIZE,
             for b in boxes
         ):
             continue
-        rect = _box_fits_image(box, p, image_size)
+        rect = _box_fits_image(box, p)
         if rect is None:
             continue
         boxes.append(box)
@@ -133,16 +133,13 @@ def box_surface_points(box, n, rng):
     return local @ rot.T + np.asarray(box.center)
 
 
-def make_frame(frame_id, seed, n_cars=3, calib=None,
-               image_size=DEFAULT_IMAGE_SIZE, points_per_car=400,
-               ground_points=2000, z_range=(8.0, 35.0)):
+def make_frame(frame_id, seed, n_cars=3, ground_points=2000,
+               z_range=(8.0, 35.0)):
     """One synthetic frame with cars, surface + ground points, and labels
     whose 2D boxes are the exact tight projections of the 3D boxes."""
     rng = np.random.default_rng(seed)
-    calib = calib or make_calibration()
-    boxes, rects = make_scene_boxes(
-        rng, n_cars, calib.p2, image_size=image_size, z_range=z_range
-    )
+    calib = make_calibration()
+    boxes, rects = make_scene_boxes(rng, n_cars, calib.p2, z_range=z_range)
     labels = []
     clouds = []
     for box, rect in zip(boxes, rects):
@@ -158,7 +155,7 @@ def make_frame(frame_id, seed, n_cars=3, calib=None,
                 difficulty=assign_difficulty(rect, 0, 0.0),
             )
         )
-        clouds.append(box_surface_points(box, points_per_car, rng))
+        clouds.append(box_surface_points(box, POINTS_PER_CAR, rng))
     if ground_points:
         gx = rng.uniform(-25.0, 25.0, size=ground_points)
         gz = rng.uniform(4.0, 60.0, size=ground_points)
@@ -172,7 +169,6 @@ def make_frame(frame_id, seed, n_cars=3, calib=None,
         calib=calib,
         labels=tuple(labels),
         cloud=cloud,
-        image_size=image_size,
     )
 
 

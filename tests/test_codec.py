@@ -13,7 +13,6 @@ from cyldet import (
     OutOfBounds,
     ProposalRegion,
     RotationBins,
-    RpnOutput,
     SizeClusters,
     decode_location,
     decode_rotation,
@@ -129,13 +128,6 @@ class TestRotationCodec:
             logits, residuals, bins
         )
 
-    def test_normalized_residual_mode(self):
-        bins = RotationBins(8)
-        logits, residuals = encode_rotation(1.1, bins, normalize_residual=True)
-        assert abs(residuals[np.argmax(logits)]) <= 0.5 + 1e-12
-        back = decode_rotation(logits, residuals, bins, normalize_residual=True)
-        assert back == pytest.approx(1.1, abs=1e-9)
-
     def test_round_trip_many(self):
         bins = RotationBins(12)
         rng = np.random.default_rng(2)
@@ -230,14 +222,6 @@ class TestSizeCodec:
                 decode_size(logits, residuals, self.clusters), dims, atol=1e-9
             )
 
-    def test_log_space_round_trip(self):
-        dims = np.array([2.0, 1.7, 4.0])
-        logits, residuals = encode_size(dims, self.clusters, log_space=True)
-        np.testing.assert_allclose(
-            decode_size(logits, residuals, self.clusters, log_space=True),
-            dims, atol=1e-9,
-        )
-
     def test_nearest_centroid_assignment(self):
         logits, _ = encode_size((1.41, 1.52, 3.38), self.clusters)
         assert np.argmax(logits) == 0
@@ -263,22 +247,15 @@ class TestObjectness:
         assert objectness(-40.0) < 1e-17
         assert objectness(40.0) >= 1.0 - 1e-15
 
+    def test_infinities_saturate_and_nan_raises(self):
+        assert objectness(-math.inf) == 0.0
+        assert objectness(math.inf) == 1.0
+        for nan in (math.nan, np.float32("nan"), np.float64("nan")):
+            with pytest.raises(ValueError, match="NaN"):
+                objectness(nan)
+
 
 class TestHeadOutputArity:
-    def test_rpn(self):
-        assert RpnOutput(t_loc=(0, 0, 0), t_obj=0.0).arity == 4
-
-    def test_brn_matches_bin_and_cluster_counts(self):
-        n_r, n_c = 12, 3
-        out = BrnOutput(
-            t_loc=(0, 0, 0),
-            rot_logits=np.zeros(n_r),
-            rot_residuals=np.zeros(n_r),
-            size_logits=np.zeros(n_c),
-            size_residuals=np.zeros((n_c, 3)),
-        )
-        assert out.arity == 3 + 2 * n_r + 4 * n_c
-
     def test_mismatched_encodings_rejected(self):
         with pytest.raises(ValueError):
             BrnOutput(
@@ -354,18 +331,15 @@ class TestCodecRoundTrips:
     @given(
         yaw=st.floats(-20.0, 20.0),
         n_bins=st.integers(1, 36),
-        normalize=st.booleans(),
     )
-    def test_rotation_bins(self, yaw, n_bins, normalize):
+    def test_rotation_bins(self, yaw, n_bins):
         bins = RotationBins(n_bins)
-        logits, residuals = encode_rotation(yaw, bins,
-                                            normalize_residual=normalize)
+        logits, residuals = encode_rotation(yaw, bins)
         # the winning bin holds the heading, folded into [0, pi)
         folded = yaw % math.pi
         idx = int(np.argmax(logits))
         assert idx == min(int(folded / bins.width), n_bins - 1)
-        decoded = decode_rotation(logits, residuals, bins,
-                                  normalize_residual=normalize)
+        decoded = decode_rotation(logits, residuals, bins)
         assert 0.0 <= decoded < math.pi
         assert _heading_gap(decoded, yaw) <= 1e-9
 
@@ -374,15 +348,14 @@ class TestCodecRoundTrips:
         centroids=st.lists(st.tuples(*[st.floats(0.5, 12.0)] * 3),
                            min_size=1, max_size=5, unique=True),
         dims=st.tuples(*[st.floats(0.2, 15.0)] * 3),
-        log_space=st.booleans(),
     )
-    def test_size_clusters(self, centroids, dims, log_space):
+    def test_size_clusters(self, centroids, dims):
         clusters = SizeClusters(np.array(centroids))
-        logits, residuals = encode_size(dims, clusters, log_space=log_space)
+        logits, residuals = encode_size(dims, clusters)
         # the nearest centroid wins, by squared distance
         sq = ((np.array(centroids) - np.array(dims)) ** 2).sum(axis=1)
         assert sq[int(np.argmax(logits))] == sq.min()
-        decoded = decode_size(logits, residuals, clusters, log_space=log_space)
+        decoded = decode_size(logits, residuals, clusters)
         np.testing.assert_allclose(decoded, dims, rtol=1e-12, atol=1e-12)
 
 

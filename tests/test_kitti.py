@@ -25,6 +25,8 @@ from cyldet import (
     parse_labels,
     parse_velodyne,
 )
+from cyldet import synthetic
+from cyldet.geometry import Box3D
 from cyldet.kitti import CalibrationSet
 from cyldet.synthetic import make_calibration, make_frames, write_dataset
 
@@ -299,3 +301,17 @@ class TestDatasetLoading:
         np.testing.assert_allclose(
             loaded[0].calib.p2, make_calibration().p2, atol=1e-9
         )
+
+
+class TestSyntheticScenes:
+    def test_a_box_behind_the_camera_is_not_placed(self):
+        box = Box3D((0.0, 0.8, -10.0), (1.7, 1.5, 4.0), 0.3)
+        assert synthetic._box_fits_image(box, make_calibration().p2) is None
+
+    def test_a_projection_bug_surfaces(self, monkeypatch):
+        def broken(box, p):
+            raise TypeError("projection bug")
+
+        monkeypatch.setattr(synthetic, "project_box", broken)
+        with pytest.raises(TypeError, match="projection bug"):
+            synthetic.make_frame("000000", seed=0)

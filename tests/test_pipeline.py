@@ -40,7 +40,7 @@ from cyldet import (
     voxel_downsample,
 )
 from cyldet.evalbench import DesyncConfig, desync_frame
-from cyldet.kitti import stable_id_hash
+from cyldet.kitti import camera_to_lidar, stable_id_hash
 from cyldet.pipeline import (
     OracleBrnPredictor,
     OracleMonocularPredictor,
@@ -461,6 +461,11 @@ class TestRegionIndex:
         assert detect_frame(frame, predictors, PipelineConfig())
         assert len(asked) > 50 and sorts == []
 
+    def test_a_lidar_cloud_is_rejected_at_construction(self):
+        with pytest.raises(WrongFrame, match="expected camera frame"):
+            RegionIndex(PointCloud([[0, 0, 0, 0]], frame="lidar"),
+                        self.band, 2.0)
+
     def test_region_band_must_be_the_index_band(self):
         index = RegionIndex(camera_cloud([[0.0, 0.0, 0.0]]), self.band, 2.0)
         for query in (index.members, lambda r: index.occupied([r])):
@@ -588,12 +593,14 @@ class TestRegionPointsFingerprint:
         regions = empty = 0
         for frame in self.frames():
             frame_hash = stable_id_hash(frame.frame_id)
+            index = RegionIndex(frame.cloud, config.region_y_extent,
+                                config.region_radius / 3)
             for obj_idx, seed_idx, _, region in seed_proposals(
                     frame, monocular, config):
                 seed = derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0)
                 regions += 1
                 try:
-                    points = region_points(frame, region, config, seed).points
+                    points = region_points(index, region, config, seed).points
                 except EmptyCloud:
                     empty += 1
                     digest.update(b"empty")
@@ -779,6 +786,22 @@ class TestDetectFrame:
         with pytest.raises(TypeError, match="proposal head bug"):
             detect_frame(frame, predictors, PipelineConfig())
 
+    def test_a_lidar_cloud_fails_the_frame(self):
+        # whether or not the heads read points, the frame's index rejects
+        # the cloud before any region is asked
+        frame = make_frame("000018", seed=18, n_cars=2)
+        lidar = dataclasses.replace(
+            frame, cloud=camera_to_lidar(frame.cloud, frame.calib))
+        oracles = oracle_predictors()
+        reading = dataclasses.replace(oracles,
+                                      rpn=lambda *args: oracles.rpn(*args),
+                                      brn=lambda *args: oracles.brn(*args))
+        for predictors in (oracles, reading):
+            with pytest.raises(WrongFrame, match="expected camera frame"):
+                detect_frame(lidar, predictors, PipelineConfig())
+            with pytest.raises(WrongFrame, match="expected camera frame"):
+                sweep_objectness([lidar], predictors, [0.25], PipelineConfig())
+
     def test_head_config_arity_mismatch_propagates(self):
         # oracle heads encode 12 rotation bins; the config decodes 8
         frame = make_frame("000019", seed=19, n_cars=1)
@@ -910,10 +933,12 @@ class TestPointPreparation:
 
         monkeypatch.setattr(pipeline, "derive_seed", recorded_seed)
         calls = []
+        index = RegionIndex(self.frame.cloud, config.region_y_extent,
+                            config.region_radius / 3)
 
         def head(name, oracle):
             def read(points, region, frame):
-                expected = region_points(frame, region, config,
+                expected = region_points(index, region, config,
                                          derive_seed(*seeds[-1]))
                 np.testing.assert_array_equal(points.points, expected.points)
                 calls.append((name, seeds[-1][-1]))
@@ -1049,6 +1074,63 @@ class TestStageMajor:
             assert lines.pop(key).endswith(
                 "dropped: ValueError: center must be finite")
         assert lines == {k: v for k, v in plain.items() if k not in spoiled}
+
+
+class TestNanObjectness:
+    """A NaN objectness drops its proposal with a line that names it; no
+    threshold would reject it, as every comparison with NaN is false."""
+
+    frame = make_frames(1, seed=5)[0]
+    oracles = oracle_predictors()
+
+    def spoiled(self, spoil, t_obj):
+        """The oracles, with the proposal head's t_obj replaced by t_obj on
+        each call whose number (from 0) spoil accepts."""
+        rpn, calls = self.oracles.rpn, []
+
+        class Rpn:
+            uses_points = False
+
+            def __call__(self, points, region, frame):
+                out = rpn(points, region, frame)
+                calls.append(region)
+                if spoil(len(calls) - 1):
+                    return RpnOutput(out.t_loc, t_obj)
+                return out
+
+        return dataclasses.replace(self.oracles, rpn=Rpn()), calls
+
+    def test_all_nan_detects_nothing(self, caplog):
+        config = PipelineConfig()
+        seeds = seed_proposals(self.frame, self.oracles.monocular, config)
+        predictors, calls = self.spoiled(lambda i: True, math.nan)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            assert detect_frame(self.frame, predictors, config) == []
+        lines = [r.getMessage() for r in caplog.records
+                 if " dropped: " in r.getMessage()]
+        nan = [line for line in lines
+               if line.endswith("ValueError: objectness output is NaN")]
+        assert len(lines) == len(seeds) and len(nan) == len(calls) > 0
+        thresholds = [0.0, 0.05, 0.25, 0.9]
+        assert (sweep_objectness([self.frame], predictors, thresholds, config)
+                == [(t, 0.0, 0.0) for t in thresholds])
+
+    @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
+    def test_nan_and_minus_inf_write_the_same_documents(self, mode):
+        config = PipelineConfig(mode=mode)
+
+        def document(predictors):
+            return [format_detection(self.frame.frame_id, det)
+                    for det in detect_frame(self.frame, predictors, config)]
+
+        def every_other(i):
+            return i % 2 == 1
+
+        nan, _ = self.spoiled(every_other, math.nan)
+        minus_inf, _ = self.spoiled(every_other, -math.inf)
+        assert document(nan) == document(minus_inf)
+        assert all("nan" not in line for line in document(nan))
 
 
 class TestPipelineConfig:
