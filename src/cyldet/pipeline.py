@@ -240,11 +240,11 @@ class RegionIndex:
         # divisions round (cell numbers below 2**30 keep that error under
         # 1e-6 cells), so with cells at most r / 2.9 it passes members()'
         # test; the block must hold no clipped cell, where far points lie
+        # (a center that overflows the division to +-inf is clipped too)
         centers = np.array([r.center[::2] for r in regions]) / self.cell
-        finite = np.isfinite(centers).all(axis=1)
-        cells = np.floor(np.clip(np.where(finite[:, None], centers, 0.0),
-                                 -_CELL_LIMIT, _CELL_LIMIT)).astype(np.int64)
-        settled = (finite & (np.abs(cells).max(axis=1) < _CELL_LIMIT - 1)
+        cells = np.floor(np.clip(centers, -_CELL_LIMIT,
+                                 _CELL_LIMIT)).astype(np.int64)
+        settled = ((np.abs(cells).max(axis=1) < _CELL_LIMIT - 1)
                    & np.array([2.9 * self.cell <= r.radius for r in regions],
                               bool))
         # the block's z-run [z0, z1] in each of its three x columns, cut to

@@ -4,8 +4,8 @@ Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
 code paths.  The pose-search references at the end are the exception:
 they are the earlier, slower form of the library's search, built on the
-library's own constraint rows and feasibility test, so that the two can
-be compared bit for bit.
+library's own constraint rows, with their own copy of its stacked
+feasibility arithmetic, so that the two can be compared bit for bit.
 """
 
 import itertools
@@ -22,7 +22,6 @@ from cyldet.mono import (
     ScatterResult,
     SingularSystem,
     _config_table,
-    _feasibility,
     _side_system,
     enumerate_configurations,
 )
@@ -253,6 +252,27 @@ def _solve_rows_reference(system, sel_offsets):
     return b @ pinv.T
 
 
+def _feasibility_reference(system, sel_offsets, p, centers, residual_cap):
+    """(rms pixel residuals (M,), feasible (M,)) of solved translations,
+    each row's constrained corners (M, 4, 3) projected as one stack."""
+    p = np.asarray(p, dtype=float)
+    _, _, coords, rows, _ = system
+    corners = centers[:, None, :] + sel_offsets
+    w = corners @ p[2, :3] + p[2, 3]
+    num = np.einsum("...ij,ij->...i", corners, p[rows, :3]) + p[rows, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = num / w
+        rms = np.sqrt(np.mean((uv - coords) ** 2, axis=1))
+    feasible = (
+        (centers[:, 2] > 0.0)
+        & np.all(w > 0.0, axis=1)
+        & (rms <= residual_cap)
+        & (uv[:, 0] <= uv[:, 1] + residual_cap)
+        & (uv[:, 2] <= uv[:, 3] + residual_cap)
+    )
+    return rms, feasible
+
+
 def agreement_search_reference(box2d, dims, yaw, p,
                                residual_cap=DEFAULT_RESIDUAL_CAP,
                                reduced=False):
@@ -268,7 +288,8 @@ def agreement_search_reference(box2d, dims, yaw, p,
     except SingularSystem as exc:
         raise NoFeasibleConfiguration(str(exc)) from exc
     centers = _solve_rows_reference(system, sel_offsets)
-    rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
+    rms, feasible = _feasibility_reference(system, sel_offsets, p,
+                                          centers, residual_cap)
     feasible &= (configs[:, 0] != configs[:, 1]) & (configs[:, 2] != configs[:, 3])
     if not np.any(feasible):
         raise NoFeasibleConfiguration(
@@ -324,7 +345,8 @@ def solve_translation_reference(box2d, dims, yaw, config, p,
     sel_offsets = corner_offsets(dims, yaw)[_config_table(config)]
     system = _side_system(box2d, p)
     centers = _solve_rows_reference(system, sel_offsets)
-    rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
+    rms, feasible = _feasibility_reference(system, sel_offsets, p,
+                                          centers, residual_cap)
     if not feasible[0]:
         return None
     return centers[0], float(rms[0])

@@ -20,7 +20,13 @@ from cyldet import (
     solve_translation,
     spatial_scatter,
 )
-from cyldet.geometry import project_points
+from cyldet.geometry import corner_offsets, project_points
+from cyldet.mono import (
+    _SEARCH_TABLES,
+    _feasibility,
+    _side_system,
+    _solve_configs,
+)
 from conftest import random_car_box
 from oracles import (
     agreement_search_reference,
@@ -114,6 +120,59 @@ class TestConfigurationSet:
     def test_configuration_index_is_base8(self):
         config = CornerConfiguration(left=1, right=2, top=3, bottom=4)
         assert config.index == ((1 * 8 + 2) * 8 + 3) * 8 + 4
+
+
+def _edge_groups(configs):
+    """Group number of each configuration row: rows with equal
+    (left & 3, right & 3, top, bottom), whose left and right corners lie
+    on the same vertical edges, share one."""
+    keys = np.column_stack((configs[:, :2] & 3, configs[:, 2:]))
+    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+
+
+class TestRepresentativeRows:
+    """Corners i and i + 4 share a vertical edge.  With P[0, 1] == P[2, 1]
+    == 0 the rows of one group solve and test alike, bit for bit, so the
+    search solves only each group's lowest configuration index."""
+
+    @pytest.mark.parametrize("reduced, rows, kept",
+                             [(False, 3136, 896), (True, 96, 96)])
+    def test_each_group_keeps_its_lowest_index(self, reduced, rows, kept):
+        (configs, index), (reps, rep_index) = _SEARCH_TABLES[reduced]
+        assert (len(configs), len(reps)) == (rows, kept)
+        np.testing.assert_array_equal(reps @ [512, 64, 8, 1], rep_index)
+        lowest = {}
+        for group, i in zip(_edge_groups(configs).tolist(), index.tolist()):
+            lowest[group] = min(lowest.get(group, i), i)
+        assert sorted(rep_index.tolist()) == sorted(lowest.values())
+
+    @pytest.mark.parametrize("skew", [None, (0, 1), (2, 1)])
+    def test_rows_of_a_group_solve_alike_without_skew(self, calib, skew):
+        p = calib.p2.copy()
+        if skew is not None:
+            p[skew] = 1e-3
+        (configs, _), _ = _SEARCH_TABLES[False]
+        groups = _edge_groups(configs)
+        order = np.argsort(groups, kind="stable")
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            box = random_car_box(rng)
+            b2d = project_box(box, p)
+            offsets = corner_offsets(box.dims, box.yaw)
+            system = _side_system(b2d, p)
+            centers = _solve_configs(system, offsets, configs)
+            rms, _ = _feasibility(system, offsets[configs], p, centers,
+                                  math.inf)
+            solved = np.column_stack((centers, rms))[order]
+            # each group is a run of 2 or 4 rows in group order; a row
+            # equal to the one before it, bit for bit, is a repeat
+            same = (solved[1:].view(np.int64)
+                    == solved[:-1].view(np.int64)).all(axis=1)
+            within = groups[order][1:] == groups[order][:-1]
+            if skew is None:
+                assert same[within].all()
+            else:
+                assert not same[within].any()
 
 
 class TestAgreementSearch:
@@ -303,11 +362,13 @@ def _drawn_box2d(kind, tight, offsets, corner, size):
 
 
 class TestSearchMatchesReference:
-    """The search solves only the non-degenerate configurations and tests
+    """The search solves only the non-degenerate configurations, only one
+    row per vertical-edge group when P[0, 1] == P[2, 1] == 0, and tests
     only the rows with the center ahead of the camera; solve_translation
     and spatial_scatter share its 4x8 right-hand sides.  Every outcome
     must equal that of the reference that solves each row of the whole
-    set, bit for bit, or raise the same error with the same message."""
+    set, bit for bit, or raise the same error with the same message, with
+    and without those zeros."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -327,6 +388,8 @@ class TestSearchMatchesReference:
         reduced=st.booleans(),
         s=st.floats(1e-9, 0.9),
         config=st.tuples(*[st.integers(0, 7)] * 4),
+        skew=st.just((0.0, 0.0))
+        | st.sampled_from([(1e-3, 0.0), (0.0, 1e-5), (-1e-3, 1e-5)]),
     )
     # noise 0: both corners of a vertical edge project to one image column,
     # so four configurations (left 2 or 6, right 0 or 4, top 5, bottom 3)
@@ -336,11 +399,20 @@ class TestSearchMatchesReference:
              yaw=0.3, dims_noise=(0.0, 0.0, 0.0), yaw_noise=0.0,
              kind="tight", offsets=(0.0,) * 4, corner=(0.0, 0.0),
              size=(1.0, 1.0), residual_cap=10.0, reduced=False, s=0.5,
-             config=(2, 0, 5, 3))
+             config=(2, 0, 5, 3), skew=(0.0, 0.0))
+    # the same car seen through a projection whose first and third rows
+    # read y (P[0, 1] and P[2, 1]), where those corners no longer tie
+    @example(z=15.0, x_over_z=2.0 / 15.0, y=1.2, dims=(1.6, 1.5, 3.9),
+             yaw=0.3, dims_noise=(0.0, 0.0, 0.0), yaw_noise=0.0,
+             kind="tight", offsets=(0.0,) * 4, corner=(0.0, 0.0),
+             size=(1.0, 1.0), residual_cap=10.0, reduced=False, s=0.5,
+             config=(6, 4, 5, 3), skew=(1e-3, 1e-5))
     def test_search_scatter_and_solve_match_reference(
             self, calib, z, x_over_z, y, dims, yaw, dims_noise, yaw_noise,
-            kind, offsets, corner, size, residual_cap, reduced, s, config):
-        p = calib.p2
+            kind, offsets, corner, size, residual_cap, reduced, s, config,
+            skew):
+        p = calib.p2.copy()
+        p[0, 1], p[2, 1] = skew
         tight = project_box(Box3D((x_over_z * z, y, z), dims, yaw), p)
         b2d = _drawn_box2d(kind, tight, offsets, corner, size)
         seed_dims = tuple(d * (1.0 + n) for d, n in zip(dims, dims_noise))

@@ -437,6 +437,27 @@ class TestRegionIndex:
         assert starts is None or len(starts) <= max(2**16, 4 * len(rows)) + 1
         np.testing.assert_array_equal(index.members(region), [0])
 
+    # the overflows to +-inf are the case under test
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("far", [[], [(1e308, 0.0), (0.0, -1e308)],
+                                     [(5e307, 0.0), (0.0, -5e307)]])
+    def test_a_center_past_the_cell_numbers(self, far):
+        """A finite center that overflows the division by the cell to
+        +-inf is clipped like a far point and left to members(); both
+        queries are the scan of every point, whether a far point sits on
+        the center, lies clipped into its cell out of reach, or is
+        absent."""
+        rows = [[0.0, 0.5, 0.0, 0.0], [1.0, 0.5, 2.0, 0.0]]
+        rows += [[x, 0.5, z, 0.0] for x, z in far]
+        index = RegionIndex(camera_cloud(rows), self.band, 0.5)
+        regions = [ProposalRegion(center, 1.5, self.band) for center in (
+            (1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 0.0, 1e308),
+            (0.0, 0.0, -1e308), (0.0, 0.0, 0.0))]
+        want = [cylinder_members_reference(rows, r) for r in regions]
+        assert index.occupied(regions).tolist() == [len(w) > 0 for w in want]
+        for region, w in zip(regions, want, strict=True):
+            np.testing.assert_array_equal(index.members(region), w)
+
     def test_a_loaded_frame_is_counted_not_sorted(self, monkeypatch):
         # every point of a 58k-point frame lies in the band; the oracle
         # heads read none, and their regions are settled from the table of
