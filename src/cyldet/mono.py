@@ -9,13 +9,14 @@ squares.  The configuration whose re-projected box best overlaps the 2D
 box wins.
 
 The constraint system depends only on the 2D box and the projection, so
-it is built and factored once per caller.  A configuration picks one of
-the eight corners for each side, so the right-hand sides of all
-configurations come from one 4x8 table (every side against every
-corner), and one batched matrix product solves a whole configuration
-table: the agreement search passes its search table, solve_translation
-and the two re-solves of spatial_scatter (which share one system) a
-one-row table.  The scatter re-solves skip the feasibility check.
+it is built and factored once per object: the estimate carries the
+search's system, and the two re-solves of spatial_scatter reuse it.  A
+configuration picks one of the eight corners for each side, so the
+right-hand sides of all configurations come from one 4x8 table (every
+side against every corner), and one batched matrix product solves a
+whole configuration table: the agreement search passes its search table,
+solve_translation and the scatter re-solves a one-row table.  The
+scatter re-solves skip the feasibility check.
 
 The search tables, built once at import, hold only the non-degenerate
 configurations (3136 of the full 4096, 96 of the reduced 128): a
@@ -31,7 +32,7 @@ overlap tests; the others are infeasible by the first test.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +90,9 @@ class MonoEstimate:
     best_config: CornerConfiguration
     agreement: float
     residual: float
+    # the search's (box2d, P bytes, _side_system(box2d, P)), which
+    # spatial_scatter reuses for the same box and P
+    system: tuple = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -346,6 +350,7 @@ def geometric_agreement_search(
         best_config=best_config,
         agreement=float(agreement),
         residual=float(rms_f[best]),
+        system=(box2d, p.tobytes(), system),
     )
 
 
@@ -355,11 +360,18 @@ def spatial_scatter(est, params, p):
 
     Both extremes keep the configuration fixed; the segment between their
     centers is divided into ceil(len / stride) seeds (at least one),
-    starting at the shrunk-dims end and spaced len / n apart.
+    starting at the shrunk-dims end and spaced len / n apart.  The
+    constraint system is the search's when est carries the one for its
+    own box and this P.
     """
+    p = np.asarray(p, dtype=float)
     dims = np.asarray(est.dims, dtype=float)
     table = _config_table(est.best_config)
-    system = _side_system(est.box2d, p)
+    if (est.system is not None and est.system[0] is est.box2d
+            and est.system[1] == p.tobytes()):
+        system = est.system[2]
+    else:
+        system = _side_system(est.box2d, p)
     p1, p2 = (
         _solve_configs(system, corner_offsets(dims * scale, est.yaw), table)[0]
         for scale in (1.0 - params.s, 1.0 + params.s)

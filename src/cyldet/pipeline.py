@@ -32,7 +32,8 @@ reads points, or a region its table of counts cannot settle.  An empty
 region is dropped with EmptyCloud before the head runs.
 Oracle implementations backed by ground truth (with optional seeded noise)
 stand in for trained networks; the point-head oracles read no points, and
-build each frame's label table once.
+the two of an oracle_predictors bundle share one label table per frame,
+in plain floats, so each label's noise is drawn once per frame.
 """
 
 import logging
@@ -141,8 +142,11 @@ class RegionIndex:
         xz = pts[:, ::2].T  # rows x and z
         if len(band) < len(pts):
             xz = np.take(xz, band, axis=1)
-        cells = [np.clip(np.floor(v / self.cell), -_CELL_LIMIT,
-                         _CELL_LIMIT).astype(np.int64) for v in xz]
+        # a far point's division may overflow to +-inf, which the clip
+        # takes in
+        with np.errstate(over="ignore"):
+            cells = [np.clip(np.floor(v / self.cell), -_CELL_LIMIT,
+                             _CELL_LIMIT).astype(np.int64) for v in xz]
         self._lo, self._shape = [0, 0], [0, 0]
         if len(band):
             self._lo = [int(c.min()) for c in cells]
@@ -224,7 +228,9 @@ class RegionIndex:
         dx, dz = np.concatenate([self._xz[:, s] for s in runs], axis=1)
         dx -= cx
         dz -= cz
-        inside = dx * dx + dz * dz <= region.radius**2
+        # a far point's square may overflow to inf, which is outside
+        with np.errstate(over="ignore"):
+            inside = dx * dx + dz * dz <= region.radius**2
         members = np.concatenate([self._members[s] for s in runs])
         return np.sort(members[inside])
 
@@ -241,7 +247,8 @@ class RegionIndex:
         # 1e-6 cells), so with cells at most r / 2.9 it passes members()'
         # test; the block must hold no clipped cell, where far points lie
         # (a center that overflows the division to +-inf is clipped too)
-        centers = np.array([r.center[::2] for r in regions]) / self.cell
+        with np.errstate(over="ignore"):
+            centers = np.array([r.center[::2] for r in regions]) / self.cell
         cells = np.floor(np.clip(centers, -_CELL_LIMIT,
                                  _CELL_LIMIT)).astype(np.int64)
         settled = ((np.abs(cells).max(axis=1) < _CELL_LIMIT - 1)
@@ -401,26 +408,34 @@ def _noised_dims_yaw(cfg, box3d, rng):
     return np.maximum(noised, 0.2 * dims), yaw
 
 
-class _LabelTable:
-    """One frame's label centers, and each label's noised box once drawn.
-    It keeps the frame's id and labels, not the frame, so it holds no
-    point cloud; holding the labels also keeps their identity unique."""
+class _FrameLabels:
+    """One frame's label centers, and each label's noised box and box-head
+    encodings once computed, as plain floats.  It keeps the frame's id and
+    labels, not the frame, so it holds no point cloud; holding the labels
+    also keeps their identity unique."""
 
     def __init__(self, cfg, frame):
         self.cfg = cfg
         self.frame_id = frame.frame_id
         self.labels = frame.labels
-        self.centers = np.array([lab.box3d.center for lab in frame.labels])
+        self.centers = [lab.box3d.center for lab in frame.labels]
         self._truths = {}
+        self._codes = {}
 
     def nearest(self, region):
-        """(index, center) of the label nearest the region center, or
-        (None, None) for a frame without labels."""
-        if not self.labels:
+        """(index, center) of the label nearest the region center, the
+        first of equally near ones, or (None, None) for a frame without
+        labels.  The distances round as np.linalg.norm's rows do."""
+        best, best_d = None, math.inf
+        rx, ry, rz = region.center
+        for idx, (x, y, z) in enumerate(self.centers):
+            dx, dy, dz = x - rx, y - ry, z - rz
+            d = math.sqrt((dx * dx + dy * dy) + dz * dz)
+            if best is None or d < best_d:
+                best, best_d = idx, d
+        if best is None:
             return None, None
-        d = np.linalg.norm(self.centers - np.asarray(region.center), axis=1)
-        idx = int(np.argmin(d))
-        return idx, self.centers[idx]
+        return best, self.centers[best]
 
     def truth(self, idx):
         """Noised copy of label idx's box, shared by both point-head
@@ -428,29 +443,56 @@ class _LabelTable:
         if idx not in self._truths:
             box = self.labels[idx].box3d
             rng = _label_rng(self.cfg, self.frame_id, idx, stream=2)
-            center = np.asarray(box.center) + (
-                self.cfg.center_noise_sigma * rng.standard_normal(3)
-            )
+            sigma = self.cfg.center_noise_sigma
+            center = tuple(c + sigma * n for c, n in
+                           zip(box.center, rng.standard_normal(3).tolist()))
             self._truths[idx] = (center, *_noised_dims_yaw(self.cfg, box, rng))
         return self._truths[idx]
 
+    def codes(self, idx, clusters, bins):
+        """encode_rotation and encode_size of label idx's noised box, kept
+        per label for the clusters and bins last asked for, read-only."""
+        entry = self._codes.get(idx)
+        if entry is None or entry[0] is not clusters or entry[1] is not bins:
+            _, (w, h, length), yaw = self.truth(idx)
+            arrays = (*encode_rotation(yaw, bins),
+                      *encode_size((h, w, length), clusters))
+            for array in arrays:
+                array.flags.writeable = False
+            entry = self._codes[idx] = (clusters, bins, arrays)
+        return entry[2]
+
+
+class _LabelTable:
+    """The _FrameLabels of the last frame asked for.  oracle_predictors
+    gives one table to both point-head oracles, so each label's noise is
+    drawn once per frame."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self._labels = None
+
+    def of(self, frame):
+        labels = self._labels
+        if (labels is None or labels.frame_id != frame.frame_id
+                or labels.labels is not frame.labels):
+            labels = self._labels = _FrameLabels(self.cfg, frame)
+        return labels
+
 
 class _PointHeadOracle:
-    """A point-head oracle: reads no points, and keeps the label table of
-    the last frame it saw."""
+    """A point-head oracle: reads no points, and reads the frame's labels
+    from its _LabelTable, its own or one shared over the same cfg."""
 
     uses_points = False
 
-    def __init__(self, cfg=OracleConfig()):
+    def __init__(self, cfg=OracleConfig(), table=None):
+        if table is None:
+            table = _LabelTable(cfg)
+        elif table.cfg != cfg:
+            raise ValueError("the label table was made for another cfg")
         self.cfg = cfg
-        self._table = None
-
-    def label_table(self, frame):
-        table = self._table
-        if (table is None or table.frame_id != frame.frame_id
-                or table.labels is not frame.labels):
-            table = self._table = _LabelTable(self.cfg, frame)
-        return table
+        self.table = table
 
 
 def _graded_objectness(ground_dist, radius):
@@ -466,15 +508,16 @@ def _graded_objectness(ground_dist, radius):
 
 def _within_bounds(center, region):
     """Whether center lies strictly inside the region's location bounds."""
-    off = (np.asarray(center) - np.asarray(region.center)) / np.asarray(region.bounds)
-    return np.abs(off).max() < 1.0
+    return all(abs((c - r) / m) < 1.0 for c, r, m in
+               zip(center, region.center, region.bounds))
 
 
 def _clamped_encode(center, region):
-    off = np.asarray(center) - np.asarray(region.center)
-    m = np.asarray(region.bounds)
-    off = np.clip(off, -(1.0 - 1e-9) * m, (1.0 - 1e-9) * m)
-    return encode_location(np.asarray(region.center) + off, region)
+    target = []
+    for c, r, m in zip(center, region.center, region.bounds):
+        limit = (1.0 - 1e-9) * m
+        target.append(r + min(max(c - r, -limit), limit))
+    return encode_location(target, region)
 
 
 class OracleRpnPredictor(_PointHeadOracle):
@@ -483,7 +526,7 @@ class OracleRpnPredictor(_PointHeadOracle):
     graded by the true center's normalized offset."""
 
     def __call__(self, points, region, frame):
-        table = self.label_table(frame)
+        table = self.table.of(frame)
         idx, true_center = table.nearest(region)
         if idx is None:
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=logit(0.01))
@@ -495,7 +538,7 @@ class OracleRpnPredictor(_PointHeadOracle):
         if not _within_bounds(true_center, region):
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=t_obj)
         center, _, _ = table.truth(idx)
-        return RpnOutput(t_loc=tuple(_clamped_encode(center, region)), t_obj=t_obj)
+        return RpnOutput(t_loc=_clamped_encode(center, region), t_obj=t_obj)
 
 
 class OracleBrnPredictor(_PointHeadOracle):
@@ -503,13 +546,13 @@ class OracleBrnPredictor(_PointHeadOracle):
     the location, rotation-bin, and size-cluster codecs."""
 
     def __init__(self, cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
-                 bins=DEFAULT_ROTATION_BINS):
-        super().__init__(cfg)
+                 bins=DEFAULT_ROTATION_BINS, table=None):
+        super().__init__(cfg, table)
         self.clusters = clusters
         self.bins = bins
 
     def __call__(self, points, region, frame):
-        table = self.label_table(frame)
+        table = self.table.of(frame)
         idx, true_center = table.nearest(region)
         if idx is None or not _within_bounds(true_center, region):
             return BrnOutput(
@@ -519,12 +562,11 @@ class OracleBrnPredictor(_PointHeadOracle):
                 size_logits=np.zeros(self.clusters.n_clusters),
                 size_residuals=np.zeros((self.clusters.n_clusters, 3)),
             )
-        center, dims_whl, yaw = table.truth(idx)
-        w, h, length = dims_whl
-        rot_logits, rot_residuals = encode_rotation(yaw, self.bins)
-        size_logits, size_residuals = encode_size((h, w, length), self.clusters)
+        center, _, _ = table.truth(idx)
+        rot_logits, rot_residuals, size_logits, size_residuals = table.codes(
+            idx, self.clusters, self.bins)
         return BrnOutput(
-            t_loc=tuple(_clamped_encode(center, region)),
+            t_loc=_clamped_encode(center, region),
             rot_logits=rot_logits,
             rot_residuals=rot_residuals,
             size_logits=size_logits,
@@ -541,11 +583,13 @@ class Predictors:
 
 def oracle_predictors(cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
                       bins=DEFAULT_ROTATION_BINS):
-    """Bundle of the three ground-truth-backed predictors."""
+    """Bundle of the three ground-truth-backed predictors; the two point
+    heads share one label table per frame."""
+    table = _LabelTable(cfg)
     return Predictors(
         monocular=OracleMonocularPredictor(cfg),
-        rpn=OracleRpnPredictor(cfg),
-        brn=OracleBrnPredictor(cfg, clusters, bins),
+        rpn=OracleRpnPredictor(cfg, table),
+        brn=OracleBrnPredictor(cfg, clusters, bins, table),
     )
 
 
@@ -635,17 +679,16 @@ def solve_poses(frame, monocular, config=PipelineConfig()):
 def scatter_proposals(frame, poses, config=PipelineConfig()):
     """Stage (a), second half: solved poses -> scattered cylinder regions,
     (obj_idx, seed_idx, det2d, region) tuples.  The scatter re-solves the
-    search's own constraint system with its non-degenerate winner, so it
-    cannot fail where the search succeeded."""
+    search's own constraint system, which the estimate carries, with its
+    non-degenerate winner, so it cannot fail where the search succeeded."""
     p = frame.calib.p2
     shape = ProposalRegion((0.0, 0.0, 0.0), config.region_radius,
                            config.region_y_extent, config.region_bounds)
     proposals = []
     for obj_idx, det2d, est in poses:
-        scatter = spatial_scatter(est, config.scatter, p)
-        for seed_idx, seed in enumerate(scatter.seed_points):
-            region = shape.recentered(
-                (seed[0], est.solved_center[1], seed[2]))
+        seeds = spatial_scatter(est, config.scatter, p).seed_points.tolist()
+        for seed_idx, (x, _, z) in enumerate(seeds):
+            region = shape.recentered((x, est.solved_center[1], z))
             proposals.append((obj_idx, seed_idx, det2d, region))
     return proposals
 

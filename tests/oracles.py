@@ -2,10 +2,11 @@
 
 Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
-code paths.  The pose-search references at the end are the exception:
-they are the earlier, slower form of the library's search, built on the
-library's own constraint rows, with their own copy of its stacked
-feasibility arithmetic, so that the two can be compared bit for bit.
+code paths.  The pose-search and point-head references at the end are
+the exception: they are the earlier, slower forms of the library's
+search and oracle heads, built on the library's own constraint rows and
+noise draws, with their own copy of the numpy arithmetic the library has
+since replaced, so that the two can be compared bit for bit.
 """
 
 import itertools
@@ -13,6 +14,14 @@ import math
 
 import numpy as np
 
+from cyldet.codec import (
+    BrnOutput,
+    RpnOutput,
+    encode_location,
+    encode_rotation,
+    encode_size,
+    logit,
+)
 from cyldet.geometry import Box3D, corner_offsets, iou_2d, project_box
 from cyldet.mono import (
     DEFAULT_RESIDUAL_CAP,
@@ -25,6 +34,7 @@ from cyldet.mono import (
     _side_system,
     enumerate_configurations,
 )
+from cyldet.pipeline import _graded_objectness, _label_rng, _noised_dims_yaw
 
 
 def footprint_membership(points_xz, box):
@@ -367,3 +377,83 @@ def spatial_scatter_reference(est, params, p):
     count = max(1, math.ceil(span / params.stride))
     steps = np.arange(count, dtype=float)[:, None] / count
     return ScatterResult(seed_points=p1 + steps * (p2 - p1), p1=p1, p2=p2)
+
+
+class _LabelTableReference:
+    """One frame's label centers as an array, and label idx's noised box
+    drawn anew on each truth() call."""
+
+    def __init__(self, cfg, frame):
+        self.cfg = cfg
+        self.frame_id = frame.frame_id
+        self.labels = frame.labels
+        self.centers = np.array([lab.box3d.center for lab in frame.labels])
+
+    def nearest(self, region):
+        if not self.labels:
+            return None, None
+        d = np.linalg.norm(self.centers - np.asarray(region.center), axis=1)
+        idx = int(np.argmin(d))
+        return idx, self.centers[idx]
+
+    def truth(self, idx):
+        box = self.labels[idx].box3d
+        rng = _label_rng(self.cfg, self.frame_id, idx, stream=2)
+        center = np.asarray(box.center) + (
+            self.cfg.center_noise_sigma * rng.standard_normal(3)
+        )
+        return (center, *_noised_dims_yaw(self.cfg, box, rng))
+
+
+def _within_bounds_reference(center, region):
+    off = (np.asarray(center) - np.asarray(region.center)) / np.asarray(region.bounds)
+    return np.abs(off).max() < 1.0
+
+
+def _clamped_encode_reference(center, region):
+    off = np.asarray(center) - np.asarray(region.center)
+    m = np.asarray(region.bounds)
+    off = np.clip(off, -(1.0 - 1e-9) * m, (1.0 - 1e-9) * m)
+    return encode_location(np.asarray(region.center) + off, region)
+
+
+def oracle_rpn_reference(cfg, region, frame):
+    """The proposal-head oracle's output, from a label table of its own."""
+    table = _LabelTableReference(cfg, frame)
+    idx, true_center = table.nearest(region)
+    if idx is None:
+        return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=logit(0.01))
+    ground_dist = math.hypot(
+        true_center[0] - region.center[0], true_center[2] - region.center[2]
+    )
+    t_obj = logit(_graded_objectness(ground_dist, region.radius))
+    if not _within_bounds_reference(true_center, region):
+        return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=t_obj)
+    center, _, _ = table.truth(idx)
+    return RpnOutput(t_loc=tuple(_clamped_encode_reference(center, region)),
+                     t_obj=t_obj)
+
+
+def oracle_brn_reference(cfg, clusters, bins, region, frame):
+    """The box-head oracle's output, from a label table of its own."""
+    table = _LabelTableReference(cfg, frame)
+    idx, true_center = table.nearest(region)
+    if idx is None or not _within_bounds_reference(true_center, region):
+        return BrnOutput(
+            t_loc=(0.0, 0.0, 0.0),
+            rot_logits=np.zeros(bins.n_bins),
+            rot_residuals=np.zeros(bins.n_bins),
+            size_logits=np.zeros(clusters.n_clusters),
+            size_residuals=np.zeros((clusters.n_clusters, 3)),
+        )
+    center, dims_whl, yaw = table.truth(idx)
+    w, h, length = dims_whl
+    rot_logits, rot_residuals = encode_rotation(yaw, bins)
+    size_logits, size_residuals = encode_size((h, w, length), clusters)
+    return BrnOutput(
+        t_loc=tuple(_clamped_encode_reference(center, region)),
+        rot_logits=rot_logits,
+        rot_residuals=rot_residuals,
+        size_logits=size_logits,
+        size_residuals=size_residuals,
+    )

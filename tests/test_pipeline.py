@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import logging
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import logit
 
 import cyldet
-from cyldet import pipeline
+from cyldet import mono, pipeline
 from cyldet import (
     Box3D,
     BrnOutput,
@@ -36,7 +37,9 @@ from cyldet import (
     project_box,
     sample_points,
     seed_proposals,
+    spatial_scatter,
     sweep_objectness,
+    sweep_scatter,
     voxel_downsample,
 )
 from cyldet.evalbench import DesyncConfig, desync_frame
@@ -51,13 +54,19 @@ from cyldet.pipeline import (
     format_detection,
     parse_detection_line,
     region_points,
+    scatter_proposals,
+    solve_poses,
 )
 from cyldet.synthetic import make_frame, make_frames
 from oracles import (
+    _LabelTableReference,
     block_certificate_reference,
     cylinder_members_reference,
     greedy_nms_reference,
     optimal_match_count,
+    oracle_brn_reference,
+    oracle_rpn_reference,
+    spatial_scatter_reference,
 )
 
 
@@ -437,8 +446,8 @@ class TestRegionIndex:
         assert starts is None or len(starts) <= max(2**16, 4 * len(rows)) + 1
         np.testing.assert_array_equal(index.members(region), [0])
 
-    # the overflows to +-inf are the case under test
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the overflows to +-inf are the case under test, and warn of nothing
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("far", [[], [(1e308, 0.0), (0.0, -1e308)],
                                      [(5e307, 0.0), (0.0, -5e307)]])
     def test_a_center_past_the_cell_numbers(self, far):
@@ -453,7 +462,9 @@ class TestRegionIndex:
         regions = [ProposalRegion(center, 1.5, self.band) for center in (
             (1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 0.0, 1e308),
             (0.0, 0.0, -1e308), (0.0, 0.0, 0.0))]
-        want = [cylinder_members_reference(rows, r) for r in regions]
+        # the reference scan's squares overflow too
+        with np.errstate(over="ignore"):
+            want = [cylinder_members_reference(rows, r) for r in regions]
         assert index.occupied(regions).tolist() == [len(w) > 0 for w in want]
         for region, w in zip(regions, want, strict=True):
             np.testing.assert_array_equal(index.members(region), w)
@@ -745,6 +756,202 @@ class TestOracleLabelTable:
                                       (brn, OracleBrnPredictor(self.cfg))):
                     self.assert_same(oracle(None, region, frame),
                                      fresh(None, region, frame))
+
+
+# quarter meters, which add and square exactly at these sizes
+QUARTERS = st.integers(-7, 7).map(lambda k: k / 4)
+_ORACLE_FRAME = make_frame("000040", seed=40, n_cars=1)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(frame, regions, cfg, brn_first): labels on a quarter-meter grid
+    around the first region's center, as exact mirror images of one
+    another (equally near), on a face of its location bounds, or anywhere
+    near; a frame may have none."""
+    bounds = draw(st.sampled_from([(2.0, 2.0, 2.0), (1.5, 0.75, 2.5)]))
+    anchor = tuple(draw(QUARTERS) * 10 + a for a in (0.0, 1.0, 20.0))
+    anywhere = st.floats(-40.0, 40.0)
+    regions = [ProposalRegion(anchor, bounds=bounds)] + [
+        ProposalRegion(tuple(draw(anywhere) for _ in range(3)), bounds=bounds)
+        for _ in range(draw(st.integers(0, 2)))]
+    centers = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("mirror", "face", "grid", "anywhere")))
+        if kind == "anywhere":
+            centers.append(tuple(draw(anywhere) for _ in range(3)))
+            continue
+        off = [draw(QUARTERS) for _ in range(3)]
+        axis = draw(st.integers(0, 2))
+        if kind == "face":
+            off = [max(min(o, m), -m) for o, m in zip(off, bounds)]
+            off[axis] = draw(st.sampled_from((-1.0, 1.0))) * bounds[axis]
+        offsets = [off]
+        if kind == "mirror":
+            offsets.append(off[:axis] + [-off[axis]] + off[axis + 1:])
+        centers += [tuple(a + o for a, o in zip(anchor, off))
+                    for off in offsets]
+    base = _ORACLE_FRAME.labels[0]
+    labels = [dataclasses.replace(base, box3d=Box3D(
+        center, tuple(draw(st.floats(1.0, 5.0)) for _ in range(3)),
+        draw(st.floats(-4.0, 4.0)))) for center in centers]
+    frame = dataclasses.replace(_ORACLE_FRAME, labels=labels)
+    sigmas = st.sampled_from((0.0, 0.1))
+    cfg = OracleConfig(dims_noise_sigma=draw(sigmas),
+                       yaw_noise_sigma=draw(sigmas),
+                       center_noise_sigma=draw(st.sampled_from((0.0, 0.3,
+                                                                3.0))),
+                       rng_seed=draw(st.integers(0, 2**32 - 1)))
+    return frame, regions, cfg, draw(st.booleans())
+
+
+class TestOracleHeadsMatchReference:
+    """The oracle heads, which share one label table of plain floats per
+    frame, against the numpy oracles of tests/oracles.py, which draw every
+    label's noise anew on each call."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert type(got) is type(want)
+        for field in dataclasses.fields(got):
+            g = np.asarray(getattr(got, field.name), dtype=float)
+            w = np.asarray(getattr(want, field.name), dtype=float)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), field
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    def test_outputs_equal_the_reference_bit_for_bit(self, case):
+        frame, regions, cfg, brn_first = case
+        oracles = oracle_predictors(cfg)
+        clusters, bins = oracles.brn.clusters, oracles.brn.bins
+        for region in regions:
+            calls = [(oracles.rpn, lambda: oracle_rpn_reference(
+                cfg, region, frame)),
+                     (oracles.brn, lambda: oracle_brn_reference(
+                         cfg, clusters, bins, region, frame))]
+            for head, reference in calls[::-1] if brn_first else calls:
+                self.assert_same_bits(head(None, region, frame), reference())
+
+    def test_heads_with_other_codecs_share_a_table(self):
+        frame = make_frame("000041", seed=41, n_cars=3)
+        cfg = OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1)
+        oracles = oracle_predictors(cfg)
+        clusters = cyldet.SizeClusters(np.array([[1.5, 1.6, 3.9],
+                                                 [1.6, 1.8, 4.4]]))
+        other = OracleBrnPredictor(cfg, clusters, RotationBins(5),
+                                   oracles.brn.table)
+        regions = [ProposalRegion(np.add(lab.box3d.center, 0.2))
+                   for lab in frame.labels]
+        for _ in range(2):
+            for head in (oracles.brn, other):
+                for region in regions:
+                    out = head(None, region, frame)
+                    self.assert_same_bits(out, oracle_brn_reference(
+                        cfg, head.clusters, head.bins, region, frame))
+                    # the codes are kept per label, and no output can
+                    # write to them
+                    with pytest.raises(ValueError):
+                        out.rot_logits.flags.writeable = True
+        with pytest.raises(ValueError, match="another cfg"):
+            OracleRpnPredictor(OracleConfig(), oracles.brn.table)
+
+    NEAR, OTHER = (0.07093, 2.702782, -2.135042), (-2.135042, 2.702782, 0.07093)
+
+    @pytest.mark.parametrize("region_center, centers, wins", [
+        # equally near: the first label wins
+        ((0.5, 1.0, 20.0), ((1.5, 1.0, 20.0), (-0.5, 1.0, 20.0)), 0),
+        ((0.5, 1.0, 20.0), ((-0.5, 1.0, 20.0), (1.5, 1.0, 20.0)), 0),
+        # NEAR is one ulp nearer as ((dx*dx + dy*dy) + dz*dz) rounds, and
+        # one ulp farther as dx*dx + (dy*dy + dz*dz) does
+        ((0.0, 0.0, 0.0), (NEAR, OTHER), 0),
+        ((0.0, 0.0, 0.0), (OTHER, NEAR), 1)])
+    def test_ties_and_near_ties_go_as_numpy_rounds(self, region_center,
+                                                    centers, wins):
+        base = _ORACLE_FRAME.labels[0]
+        frame = dataclasses.replace(_ORACLE_FRAME, labels=[
+            dataclasses.replace(base, box3d=Box3D(c, base.box3d.dims, 0.0))
+            for c in centers])
+        region = ProposalRegion(region_center)
+        want = _LabelTableReference(OracleConfig(), frame).nearest(region)
+        assert want[0] == wins
+        got = pipeline._FrameLabels(OracleConfig(), frame).nearest(region)
+        assert got == (wins, centers[wins])
+
+
+class TestWorkDoneOnce:
+    """Counted calls: what one object or one label needs is computed once."""
+
+    noisy = OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1,
+                         center_noise_sigma=0.1, box2d_noise_sigma=1.0)
+
+    @staticmethod
+    def count_side_systems(monkeypatch):
+        calls = []
+        side_system = mono._side_system
+
+        def counted(box2d, p):
+            calls.append(box2d)
+            return side_system(box2d, p)
+
+        monkeypatch.setattr(mono, "_side_system", counted)
+        return calls
+
+    def test_each_label_is_noised_once_per_frame(self, monkeypatch):
+        draws = collections.Counter()
+        label_rng = pipeline._label_rng
+
+        def counted(cfg, frame_id, label_idx, stream):
+            if stream == 2:
+                draws[frame_id, label_idx] += 1
+            return label_rng(cfg, frame_id, label_idx, stream)
+
+        monkeypatch.setattr(pipeline, "_label_rng", counted)
+        frames = make_frames(4, seed=5, cars_per_frame=(2, 4))
+        oracles = oracle_predictors(self.noisy)
+        for mode in pipeline.PIPELINE_MODES:
+            draws.clear()
+            for frame in frames:
+                assert detect_frame(frame, oracles, PipelineConfig(mode=mode))
+            # both heads read the truth of every label, from one table
+            assert set(draws) == {(f.frame_id, i) for f in frames
+                                  for i in range(len(f.labels))}
+            assert set(draws.values()) == {1}
+
+    def test_the_scatter_reuses_the_search_system(self, monkeypatch):
+        calls = self.count_side_systems(monkeypatch)
+        monocular = OracleMonocularPredictor(self.noisy)
+        config = PipelineConfig()
+        for frame in make_frames(4, seed=6, cars_per_frame=(2, 4)):
+            calls.clear()
+            poses = solve_poses(frame, monocular, config)
+            got = scatter_proposals(frame, poses, config)
+            assert len(calls) == len(frame.labels) and poses
+            # the same estimates without the search's system rebuild it
+            rebuilt = scatter_proposals(frame, [
+                (obj_idx, det2d, dataclasses.replace(est, system=None))
+                for obj_idx, det2d, est in poses], config)
+            assert len(calls) == len(frame.labels) + len(poses)
+            centers = [np.array([r.center for *_, r in proposals]).tobytes()
+                       for proposals in (got, rebuilt)]
+            assert centers[0] == centers[1]
+            # under another P, or for another box, the scatter builds its own
+            p = frame.calib.p2 * 1.5
+            _, _, est = poses[0]
+            for other in (est, dataclasses.replace(
+                    est, box2d=dataclasses.replace(est.box2d, xmin=est.box2d.xmin - 3.0))):
+                for want_p in (p, frame.calib.p2):
+                    got = spatial_scatter(other, config.scatter, want_p)
+                    want = spatial_scatter_reference(other, config.scatter, want_p)
+                    assert got.seed_points.tobytes() == want.seed_points.tobytes()
+
+    def test_the_scatter_sweep_solves_each_object_once(self, monkeypatch):
+        calls = self.count_side_systems(monkeypatch)
+        frames = make_frames(4, seed=7)
+        monocular = OracleMonocularPredictor(self.noisy)
+        for s_values in ([0.5], [0.1, 0.3, 0.5, 0.7, 0.9]):
+            calls.clear()
+            sweep_scatter(frames, monocular, s_values)
+            assert len(calls) == sum(len(f.labels) for f in frames)
 
 
 class TestDetectFrame:
