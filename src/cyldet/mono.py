@@ -8,15 +8,24 @@ the unknown translation per side; the 4x3 system is solved by least
 squares.  The configuration whose re-projected box best overlaps the 2D
 box wins.
 
-The constraint system depends only on the 2D box and the projection, so
-it is built and factored once per object: the estimate carries the
-search's system, and the two re-solves of spatial_scatter reuse it.  A
-configuration picks one of the eight corners for each side, so the
-right-hand sides of all configurations come from one 4x8 table (every
-side against every corner), and one batched matrix product solves a
-whole configuration table: the agreement search passes its search table,
-solve_translation and the scatter re-solves a one-row table.  The
-scatter re-solves skip the feasibility check.
+Every object of a frame is searched in one call (agreement_search_frame)
+and scattered in one call (spatial_scatter_frame);
+geometric_agreement_search, solve_translation and spatial_scatter are
+one-object calls of the same code.  The constraint system depends only on
+the 2D box and the projection, so a frame's systems are built once, as
+one (N, 4, 3) stack with one SVD and one stacked pseudo-inverse: each
+estimate carries its own, and the two re-solves of the scatter reuse it.
+A configuration picks one of the eight corners for each side, so the
+right-hand sides of all of an object's configurations come from one 4x8
+table (every side against every corner), and one stacked matrix product
+solves every object's configuration table: the search passes its search
+table, solve_translation and the scatter re-solves a one-row table.  The
+scatter re-solves skip the feasibility check.  Stacking changes no bit:
+each slice of a stacked matmul, SVD or einsum makes the call that one
+object's own product makes, the flat (rows * corners, 3) products keep
+each object's rows in their order, and the rest is elementwise or
+reduces each row alone.  A failing object does not touch its neighbours'
+values: a rank-deficient system's rows are skipped, and nothing warns.
 
 The search tables, built once at import, hold only the non-degenerate
 configurations (3136 of the full 4096, 96 of the reduced 128): a
@@ -28,7 +37,8 @@ and right sides alike, so the search solves one representative row per
 distinct configuration: 896 of the full set's 3136 rows (the reduced
 set's rows are all distinct).  Of the solved rows, only those with the
 center ahead of the camera go on to the per-corner feasibility and
-overlap tests; the others are infeasible by the first test.
+overlap tests, as flat (object, row) pairs; the others are infeasible by
+the first test.
 """
 
 import math
@@ -36,9 +46,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box2D, Box3D, corner_offsets, iou_2d, project_box
+from .geometry import (
+    _CORNER_SIGNS,
+    BehindCamera,
+    Box2D,
+    Box3D,
+    iou_2d,
+    rotation_about_y,
+)
+# perfbench/layers.py patches this name on this module
+from .geometry import project_box  # noqa: F401
 
 RANK_RCOND = 1e-10
+# the projection row that each side [left, right, top, bottom] reads
+_SIDE_ROWS = np.array([0, 0, 1, 1])
+_SIDES = np.arange(4)
 DEFAULT_RESIDUAL_CAP = 10.0
 
 
@@ -90,8 +112,8 @@ class MonoEstimate:
     best_config: CornerConfiguration
     agreement: float
     residual: float
-    # the search's (box2d, P bytes, _side_system(box2d, P)), which
-    # spatial_scatter reuses for the same box and P
+    # the search's (box2d, P bytes, (a, k, pinv)) of the box's constraint
+    # system, which the scatter reuses for the same box and P
     system: tuple = field(default=None, compare=False, repr=False)
 
 
@@ -129,25 +151,33 @@ class ScatterResult:
         return self.seed_points.shape[0]
 
 
-def _side_system(box2d, p):
-    """Constraint rows for [left, right, top, bottom] and their
-    pseudo-inverse: (a, k, coords, rows, pinv).
+def _rank_message(s):
+    """The error message of a constraint matrix with singular values s
+    below the rank tolerance."""
+    return f"constraint matrix is rank deficient (singular values {s})"
+
+
+def _side_systems(boxes, p):
+    """Constraint rows for [left, right, top, bottom] of each 2D box under
+    one projection, and their pseudo-inverses, as one stack:
+    (a (N, 4, 3), k (N, 4), coords (N, 4), pinv (N, 3, 4), s (N, 3),
+    singular (N,)).
 
     Side i with image coordinate q_i taken from projection row r_i gives
-    a_i . (T + o) + k_i = 0 with a_i = P[r_i,:3] - q_i P[2,:3].  Raises
-    SingularSystem when the constraint matrix is rank deficient.
+    a_i . (T + o) + k_i = 0 with a_i = P[r_i,:3] - q_i P[2,:3].  A box
+    whose constraint matrix is rank deficient is marked singular, and its
+    pseudo-inverse, which may hold inf or NaN, must not be used.
     """
     p = np.asarray(p, dtype=float)
-    coords = np.array([box2d.xmin, box2d.xmax, box2d.ymin, box2d.ymax])
-    rows = np.array([0, 0, 1, 1])
-    a = p[rows, :3] - coords[:, None] * p[2, :3]
-    k = p[rows, 3] - coords * p[2, 3]
+    coords = np.array([[b.xmin, b.xmax, b.ymin, b.ymax] for b in boxes],
+                      dtype=float).reshape(-1, 4)
+    a = p[_SIDE_ROWS, :3] - coords[:, :, None] * p[2, :3]
+    k = p[_SIDE_ROWS, 3] - coords * p[2, 3]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] <= 0.0 or s[-1] / s[0] < RANK_RCOND:
-        raise SingularSystem(
-            f"constraint matrix is rank deficient (singular values {s})"
-        )
-    return a, k, coords, rows, (vt.T / s) @ u.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (s[:, 0] <= 0.0) | (s[:, -1] / s[:, 0] < RANK_RCOND)
+        pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+    return a, k, coords, pinv, s, singular
 
 
 def _config_table(config):
@@ -162,40 +192,58 @@ def _config_table(config):
     return config.as_array()[None, :]
 
 
-def _solve_configs(system, offsets, configs):
-    """Least-squares translations (M, 3) of an (M, 4) configuration table
-    for the corner offsets (8, 3)."""
-    a, k, _, _, pinv = system
-    tiled = np.repeat(offsets[:, None, :], 4, axis=1)         # (8, 4, 3)
-    b8 = -(np.einsum("ij,mij->mi", a, tiled) + k)              # (8, 4)
-    return b8[configs, np.arange(4)] @ pinv.T
+def _corner_offsets(dims, yaws):
+    """geometry.corner_offsets of each (dims, yaw) pair, as one (N, 8, 3)
+    stack."""
+    local = _CORNER_SIGNS * (0.5 * np.asarray(dims, dtype=float))[:, None, :]
+    rotations = np.array([rotation_about_y(yaw) for yaw in yaws])
+    return local @ np.swapaxes(rotations.reshape(-1, 3, 3), 1, 2)
 
 
-def _dot(corners, row):
-    """Stacked corners (M, k, 3) times one projection row (3,), as one
-    product over the (M * k, 3) flat corners: the values of the stacked
-    product, several times faster."""
-    return (corners.reshape(-1, 3) @ row).reshape(corners.shape[:-1])
+def _solve_configs(a, k, pinv, offsets, configs):
+    """Least-squares translations (N, M, 3) of N systems (a, k, pinv) for
+    their corner offsets (N, 8, 3) and configuration tables configs, one
+    (M, 4) table for all or one per system (N, M, 4)."""
+    tiled = np.repeat(offsets[:, :, None, :], 4, axis=2)       # (N, 8, 4, 3)
+    b8 = -(np.einsum("nij,nmij->nmi", a, tiled) + k[:, None, :])  # (N, 8, 4)
+    # rows[n, m, i] = b8[n, configs[.., m, i], i], read from b8's rows of 32
+    cols = configs * 4 + _SIDES
+    b8 = b8.reshape(len(b8), 32)
+    rows = (np.take(b8, cols, axis=1) if cols.ndim == 2
+            else np.take_along_axis(b8[:, None, :], cols, axis=2))
+    return rows @ np.swapaxes(pinv, 1, 2)
 
 
-def _feasibility(system, sel_offsets, p, centers, residual_cap):
-    """(rms pixel residuals (M,), feasible (M,)) of solved translations.
+def _all_of_each(mask):
+    """mask.all(axis=1) of an (R, 4) or (R, 8) bool array, each row's bytes
+    read as one integer: several times faster."""
+    dtype, ones = {4: (np.uint32, 0x01010101),
+                   8: (np.uint64, 0x0101010101010101)}[mask.shape[1]]
+    return np.ascontiguousarray(mask).view(dtype)[:, 0] == ones
+
+
+def _feasibility(coords, corners, p, centers, residual_cap):
+    """(rms pixel residuals (M,), feasible (M,)) of solved translations
+    centers (M, 3), with each row's constrained corners (M, 4, 3) and the
+    box sides it was solved for (M, 4), or one box's sides (4,).
 
     A solution is infeasible when its center lies behind the camera, a
     constrained corner projects behind it, the side ordering is violated,
     or the residual exceeds the cap.
     """
     p = np.asarray(p, dtype=float)
-    _, _, coords, rows, _ = system
-    corners = centers[:, None, :] + sel_offsets
-    w = _dot(corners, p[2, :3]) + p[2, 3]
-    num = np.einsum("...ij,ij->...i", corners, p[rows, :3]) + p[rows, 3]
+    # one product over the (M * 4, 3) flat corners: the values of the
+    # stacked product, several times faster
+    w = (corners.reshape(-1, 3) @ p[2, :3]).reshape(-1, 4) + p[2, 3]
+    num = (np.einsum("...ij,ij->...i", corners, p[_SIDE_ROWS, :3])
+           + p[_SIDE_ROWS, 3])
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = num / w
-        rms = np.sqrt(np.mean((uv - coords) ** 2, axis=1))
+        residuals = uv - coords
+        rms = np.sqrt(np.mean(np.square(residuals, out=residuals), axis=1))
     feasible = (
         (centers[:, 2] > 0.0)
-        & np.all(w > 0.0, axis=1)
+        & _all_of_each(w > 0.0)
         & (rms <= residual_cap)
         & (uv[:, 0] <= uv[:, 1] + residual_cap)
         & (uv[:, 2] <= uv[:, 3] + residual_cap)
@@ -213,11 +261,13 @@ def solve_translation(box2d, dims, yaw, config, p, residual_cap=DEFAULT_RESIDUAL
     configurations (one corner pinned to both members of opposite sides).
     """
     table = _config_table(config)
-    offsets = corner_offsets(dims, yaw)
-    system = _side_system(box2d, p)
-    centers = _solve_configs(system, offsets, table)
-    rms, feasible = _feasibility(system, offsets[table], p, centers,
-                                 residual_cap)
+    offsets = _corner_offsets([dims], [yaw])
+    a, k, coords, pinv, s, singular = _side_systems([box2d], p)
+    if singular[0]:
+        raise SingularSystem(_rank_message(s[0]))
+    centers = _solve_configs(a, k, pinv, offsets, table)[0]
+    rms, feasible = _feasibility(coords[0], centers[:, None, :]
+                                 + offsets[0][table], p, centers, residual_cap)
     if not feasible[0]:
         return None
     return centers[0], float(rms[0])
@@ -275,15 +325,26 @@ def _search_table(reduced):
 _SEARCH_TABLES = {reduced: _search_table(reduced) for reduced in (False, True)}
 
 
-def geometric_agreement_search(
-    box2d, dims, yaw, p, residual_cap=DEFAULT_RESIDUAL_CAP, reduced=False
-):
-    """Best-overlap translation over the corner configuration set.
+def agreement_search_frame(boxes, dims, yaws, p,
+                           residual_cap=DEFAULT_RESIDUAL_CAP, reduced=False):
+    """Best-overlap translation over the corner configuration set, for
+    every object (boxes[i], dims[i], yaws[i]) of a frame at once.
+
+    Returns one outcome per object, in object order: its MonoEstimate, or
+    the exception its search raises.  That is NoFeasibleConfiguration
+    when the constraint matrix is rank deficient, then when no
+    configuration is feasible, then when every feasible one projects
+    partly behind the camera; or the ValueError of a winner that is no
+    valid Box3D, lies partly behind the camera (BehindCamera) or projects
+    to no valid Box2D, as project_box raises them.
 
     Every non-degenerate configuration is solved by least squares;
     feasible candidates are scored by the 2D IoU between the input box and
     the axis-aligned hull of their re-projected corners.  Ties resolve by
-    smaller pixel residual, then lower configuration index.
+    smaller pixel residual, then lower configuration index.  The rows of
+    all objects are solved as one stack, tested and scored as one flat
+    list of (object, row) pairs, and each object's winner is the first of
+    its rows in one lexsort.
 
     With P[0, 1] == P[2, 1] == 0 the left and right constraint rows and
     their projections read no y, so corners i and i + 4 (one vertical
@@ -292,92 +353,199 @@ def geometric_agreement_search(
     wins their tie, is searched.
     """
     p = np.asarray(p, dtype=float)
-    offsets = corner_offsets(dims, yaw)
+    outcomes = [None] * len(boxes)
+    if not outcomes:
+        return outcomes
+    dims = np.asarray(dims, dtype=float).reshape(-1, 3)
+    offsets = _corner_offsets(dims, yaws)                      # (N, 8, 3)
     every_row, representatives = _SEARCH_TABLES[bool(reduced)]
     configs, config_index = (
         representatives if p[0, 1] == 0.0 and p[2, 1] == 0.0 else every_row)
-    try:
-        system = _side_system(box2d, p)
-    except SingularSystem as exc:
-        raise NoFeasibleConfiguration(str(exc)) from exc
-    centers = _solve_configs(system, offsets, configs)
-    ahead = centers[:, 2] > 0.0
-    centers, configs, config_index = (
-        centers[ahead], configs[ahead], config_index[ahead])
-    # the same gather as offsets[configs], about four times faster
-    sel_offsets = np.take(offsets, configs, axis=0)   # (M, 4, 3)
-    rms, feasible = _feasibility(system, sel_offsets, p, centers, residual_cap)
-    if not np.any(feasible):
-        raise NoFeasibleConfiguration(
-            "no corner configuration yields a feasible translation"
-        )
+    a, k, coords, pinv, s, singular = _side_systems(boxes, p)
+    for i in np.flatnonzero(singular).tolist():
+        outcomes[i] = NoFeasibleConfiguration(_rank_message(s[i]))
+    m = len(configs)
+    centers = _solve_configs(a, k, pinv, offsets, configs).reshape(-1, 3)
+    # the rows ahead of the camera, as flat (object, row) pairs in order
+    pairs = np.flatnonzero((centers[:, 2] > 0.0) & np.repeat(~singular, m))
+    obj, row = np.divmod(pairs, m)
+    centers = np.take(centers, pairs, axis=0)                   # (K, 3)
+    # each row's constrained corners: offsets[obj, configs[row]] as one flat
+    # gather (several times faster), plus the row's center, in place; the
+    # temporaries of a dense frame's rows come to about 1 MB
+    flat = np.take(configs, row, axis=0)
+    flat += (obj * 8)[:, None]
+    corners = np.take(offsets.reshape(-1, 3), flat, axis=0)    # (K, 4, 3)
+    del flat
+    corners += centers[:, None, :]
+    rms, feasible = _feasibility(np.take(coords, obj, axis=0), corners,
+                                 p, centers, residual_cap)
+    kept = np.flatnonzero(feasible)
+    obj, row, centers, rms = (
+        np.take(v, kept, axis=0) for v in (obj, row, centers, rms))
 
-    centers_f = centers[feasible]
-    rms_f = rms[feasible]
-    configs_f = configs[feasible]
-    index_f = config_index[feasible]
-    corners = centers_f[:, None, :] + offsets[None, :, :]      # (F, 8, 3)
-    w_all = _dot(corners, p[2, :3]) + p[2, 3]
-    u_all = (_dot(corners, p[0, :3]) + p[0, 3]) / w_all
-    v_all = (_dot(corners, p[1, :3]) + p[1, 3]) / w_all
-    in_front = np.all(w_all > 0.0, axis=1) & np.all(corners[:, :, 2] > 0.0, axis=1)
-
-    xmin_c, xmax_c = u_all.min(axis=1), u_all.max(axis=1)
-    ymin_c, ymax_c = v_all.min(axis=1), v_all.max(axis=1)
-    iw = np.minimum(xmax_c, box2d.xmax) - np.maximum(xmin_c, box2d.xmin)
-    ih = np.minimum(ymax_c, box2d.ymax) - np.maximum(ymin_c, box2d.ymin)
+    # every corner of each feasible row, re-projected (F * 8, 3)
+    corners = (np.repeat(centers, 8, axis=0)
+               + np.take(offsets, obj, axis=0).reshape(-1, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_all = corners @ p[2, :3] + p[2, 3]
+        u_all = (corners @ p[0, :3] + p[0, 3]) / w_all
+        v_all = (corners @ p[1, :3] + p[1, 3]) / w_all
+    in_front = _all_of_each(((w_all > 0.0) & (corners[:, 2] > 0.0))
+                            .reshape(-1, 8))
+    # corner-major, so that each reduction over the 8 corners is fast
+    u_all, v_all = (x.reshape(-1, 8).T.copy() for x in (u_all, v_all))
+    xmin, xmax, ymin, ymax = np.take(coords, obj, axis=0).T
+    area = np.take([b.area for b in boxes], obj)
+    xmin_c, xmax_c = u_all.min(axis=0), u_all.max(axis=0)
+    ymin_c, ymax_c = v_all.min(axis=0), v_all.max(axis=0)
+    iw = np.minimum(xmax_c, xmax) - np.maximum(xmin_c, xmin)
+    ih = np.minimum(ymax_c, ymax) - np.maximum(ymin_c, ymin)
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     area_c = (xmax_c - xmin_c) * (ymax_c - ymin_c)
-    iou = np.where(
-        in_front, inter / (area_c + box2d.area - inter), -1.0
-    )
-    if not np.any(iou >= 0.0):
-        raise NoFeasibleConfiguration(
-            "every feasible translation projects partly behind the camera"
-        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = np.where(in_front, inter / (area_c + area - inter), -1.0)
 
-    best = np.lexsort((index_f, rms_f, -iou))[0]
-    best_config = CornerConfiguration(*configs_f[best])
-    center = centers_f[best]
-    agreement = iou_2d(
-        box2d, project_box(Box3D(tuple(center), tuple(dims), yaw), p)
-    )
-    return MonoEstimate(
-        box2d=box2d,
-        dims=tuple(float(d) for d in dims),
-        yaw=float(yaw),
-        solved_center=tuple(float(c) for c in center),
-        best_config=best_config,
-        agreement=float(agreement),
-        residual=float(rms_f[best]),
-        system=(box2d, p.tobytes(), system),
-    )
+    order = np.lexsort((config_index[row], rms, -iou, obj))
+    # each object's first row in that order is its winner; iou is -1 where
+    # a corner lies behind the camera, and NaN sorts last, so the winner's
+    # is >= 0 unless no row's is
+    winners = []
+    for best in order[np.diff(obj[order], prepend=-1) != 0].tolist():
+        if iou[best] >= 0.0:
+            winners.append((int(obj[best]), best))
+        else:
+            outcomes[obj[best]] = NoFeasibleConfiguration(
+                "every feasible translation projects partly behind the camera"
+            )
+    agreements = _agreements([(boxes[i], centers[best], dims[i], yaws[i])
+                              for i, best in winners], p)
+    p_bytes = p.tobytes()
+    for (i, best), agreement in zip(winners, agreements):
+        outcomes[i] = agreement if isinstance(agreement, ValueError) else (
+            MonoEstimate(
+                box2d=boxes[i],
+                dims=tuple(dims[i].tolist()),
+                yaw=float(yaws[i]),
+                solved_center=tuple(centers[best].tolist()),
+                best_config=CornerConfiguration(*configs[row[best]].tolist()),
+                agreement=agreement,
+                residual=float(rms[best]),
+                system=(boxes[i], p_bytes, (a[i], k[i], pinv[i])),
+            ))
+    return [
+        NoFeasibleConfiguration(
+            "no corner configuration yields a feasible translation")
+        if outcome is None else outcome
+        for outcome in outcomes
+    ]
+
+
+def _agreements(solved, p):
+    """iou_2d(box2d, project_box(Box3D(center, dims, yaw), p)) of each
+    (box2d, center, dims, yaw), with one stacked projection, or the
+    ValueError that Box3D or project_box raises for it (BehindCamera when
+    a corner has z <= 0, or that of a degenerate hull)."""
+    out, boxes3d = [], []
+    for box2d, center, dims, yaw in solved:
+        try:
+            boxes3d.append((len(out), box2d, Box3D(tuple(center), tuple(dims), yaw)))
+            out.append(None)
+        except ValueError as exc:
+            out.append(exc)
+    if not boxes3d:
+        return out
+    # project_box's corners: the box's own, with its normalized yaw
+    boxes = [box for *_, box in boxes3d]
+    corners = (np.array([box.center for box in boxes])[:, None, :]
+               + _corner_offsets([box.dims for box in boxes],
+                                 [box.yaw for box in boxes]))
+    ahead = np.all(corners[:, :, 2] > 0.0, axis=1).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hom = corners @ p[:, :3].T + p[:, 3]
+        uv = hom[:, :, :2] / hom[:, :, 2:3]
+    for (j, box2d, box), box_ahead, (umin, vmin), (umax, vmax) in zip(
+            boxes3d, ahead, uv.min(axis=1).tolist(), uv.max(axis=1).tolist()):
+        if not box_ahead:
+            out[j] = BehindCamera(f"box at {box.center} has corners with z <= 0")
+            continue
+        try:
+            out[j] = float(iou_2d(box2d, Box2D(umin, vmin, umax, vmax)))
+        except ValueError as exc:
+            out[j] = exc
+    return out
+
+
+def geometric_agreement_search(
+    box2d, dims, yaw, p, residual_cap=DEFAULT_RESIDUAL_CAP, reduced=False
+):
+    """Best-overlap translation of one object over the corner
+    configuration set: agreement_search_frame of this object alone.
+    Returns its MonoEstimate, or raises the exception that the frame
+    search returns for it (NoFeasibleConfiguration, or the ValueError of
+    a winner that project_box rejects)."""
+    (outcome,) = agreement_search_frame([box2d], [dims], [yaw], p,
+                                        residual_cap, reduced)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def spatial_scatter_frame(estimates, params, p):
+    """Seed points of every estimate of a frame, between the shrunk- and
+    grown-dims re-solves of its winning configuration: (seeds (S, 3),
+    counts (N,), p1 (N, 3), p2 (N, 3)), estimate i's counts[i] seeds
+    following those of the estimates before it.
+
+    Both extremes keep the configuration fixed; the segment between their
+    centers is divided into ceil(len / stride) seeds (at least one),
+    starting at the shrunk-dims end and spaced len / n apart.  An
+    estimate's constraint system is the search's when it carries the one
+    for its own box and this P; the others are built as one stack.  Both
+    extremes of every estimate are solved as one stacked product of
+    one-row tables.  Raises SingularSystem for a degenerate winning
+    configuration, then for a rank-deficient system.
+    """
+    p = np.asarray(p, dtype=float)
+    n = len(estimates)
+    if not n:
+        return np.zeros((0, 3)), np.zeros(0, dtype=int), *np.zeros((2, 0, 3))
+    tables = [_config_table(est.best_config) for est in estimates]
+    p_bytes = p.tobytes()
+    systems = [est.system[2] if est.system is not None
+               and est.system[0] is est.box2d and est.system[1] == p_bytes
+               else None for est in estimates]
+    own = [i for i, system in enumerate(systems) if system is None]
+    if own:
+        a, k, _, pinv, s, singular = _side_systems(
+            [estimates[i].box2d for i in own], p)
+        for j, i in enumerate(own):
+            if singular[j]:
+                raise SingularSystem(_rank_message(s[j]))
+            systems[i] = (a[j], k[j], pinv[j])
+    a, k, pinv = (np.stack(part * 2) for part in zip(*systems))
+    dims = np.array([est.dims for est in estimates], dtype=float)
+    yaws = [est.yaw for est in estimates]
+    offsets = _corner_offsets(
+        np.concatenate([dims * (1.0 - params.s), dims * (1.0 + params.s)]),
+        yaws * 2)
+    ends = _solve_configs(a, k, pinv, offsets, np.stack(tables * 2))[:, 0]
+    p1, p2 = ends[:n], ends[n:]
+    span = p2 - p1
+    # one 1-D norm per estimate, as np.linalg.norm rounds it: a row-wise
+    # norm rounds differently, and the seed count is its ceiling
+    counts = np.array([max(1, math.ceil(math.sqrt(d.dot(d)) / params.stride))
+                       for d in span])
+    # seed j of an estimate sits j / count of the way along its span
+    owner = np.repeat(np.arange(n), counts)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    seeds = p1[owner] + (j / counts[owner])[:, None] * span[owner]
+    return seeds, counts, p1, p2
 
 
 def spatial_scatter(est, params, p):
     """Seed points between the shrunk- and grown-dims re-solves of the
-    winning configuration.
-
-    Both extremes keep the configuration fixed; the segment between their
-    centers is divided into ceil(len / stride) seeds (at least one),
-    starting at the shrunk-dims end and spaced len / n apart.  The
-    constraint system is the search's when est carries the one for its
-    own box and this P.
-    """
-    p = np.asarray(p, dtype=float)
-    dims = np.asarray(est.dims, dtype=float)
-    table = _config_table(est.best_config)
-    if (est.system is not None and est.system[0] is est.box2d
-            and est.system[1] == p.tobytes()):
-        system = est.system[2]
-    else:
-        system = _side_system(est.box2d, p)
-    p1, p2 = (
-        _solve_configs(system, corner_offsets(dims * scale, est.yaw), table)[0]
-        for scale in (1.0 - params.s, 1.0 + params.s)
-    )
-    span = float(np.linalg.norm(p2 - p1))
-    count = max(1, math.ceil(span / params.stride))
-    steps = np.arange(count, dtype=float)[:, None] / count
-    seeds = p1 + steps * (p2 - p1)
-    return ScatterResult(seed_points=seeds, p1=p1, p2=p2)
+    estimate's winning configuration: spatial_scatter_frame of this
+    estimate alone, as a ScatterResult."""
+    seeds, _, p1, p2 = spatial_scatter_frame([est], params, p)
+    return ScatterResult(seed_points=seeds, p1=p1[0], p2=p2[0])

@@ -1,12 +1,14 @@
 """End-to-end detection orchestration over pluggable predictors.
 
 Stages per frame: (a) a monocular predictor yields 2D boxes with dims and
-heading; solve_poses runs the agreement search on each, and
-scatter_proposals turns each solved pose into 3D seed points and their
-cylinder regions (the scatter sweep solves once per frame and scatters
-once per s); (b) cylinder regions around the seeds are scored by a
-proposal head (objectness plus a re-centering location); (c) a box head
-regresses the full box, in a head sequence set by the mode (MODE_STAGES):
+heading; solve_poses searches them all in one agreement_search_frame call
+(one stack of constraint systems per frame) and logs the failures in
+object order, and scatter_proposals turns every solved pose into 3D seed
+points and their cylinder regions in one spatial_scatter_frame call (the
+scatter sweep solves once per frame and scatters once per s); (b)
+cylinder regions around the seeds are scored by a proposal head
+(objectness plus a re-centering location); (c) a box head regresses the
+full box, in a head sequence set by the mode (MODE_STAGES):
   single_stage        rpn, then brn on the same region;
   single_stage_twice  rpn, brn, then rpn and brn again on the region
                       re-centered at the first box;
@@ -64,11 +66,13 @@ from .mono import (
     DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
     ScatterParams,
-    SingularSystem,
+    agreement_search_frame,
     check_residual_cap,
-    geometric_agreement_search,
-    spatial_scatter,
+    spatial_scatter_frame,
 )
+# seeding calls the frame functions above; perfbench/layers.py patches
+# these one-object names on this module
+from .mono import geometric_agreement_search, spatial_scatter  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -658,36 +662,43 @@ def region_points(index, region, config, sample_seed):
 
 
 def solve_poses(frame, monocular, config=PipelineConfig()):
-    """Stage (a), first half: monocular detections -> agreement search.
-    Returns (obj_idx, det2d, estimate) tuples; objects whose pose cannot
-    be solved are logged and skipped."""
-    p = frame.calib.p2
+    """Stage (a), first half: monocular detections -> agreement search,
+    one agreement_search_frame call for all of them.  Returns (obj_idx,
+    det2d, estimate) tuples; objects whose pose cannot be solved are
+    logged, in object order, and skipped."""
+    detections = list(monocular(frame))
+    outcomes = agreement_search_frame(
+        [det2d.box2d for det2d in detections],
+        [det2d.dims for det2d in detections],
+        [det2d.yaw for det2d in detections],
+        frame.calib.p2, residual_cap=config.residual_cap,
+    )
     poses = []
-    for obj_idx, det2d in enumerate(monocular(frame)):
-        try:
-            est = geometric_agreement_search(
-                det2d.box2d, det2d.dims, det2d.yaw, p,
-                residual_cap=config.residual_cap,
-            )
-        except (NoFeasibleConfiguration, SingularSystem) as exc:
-            logger.warning("frame %s object %d: %s", frame.frame_id, obj_idx, exc)
-            continue
-        poses.append((obj_idx, det2d, est))
+    for obj_idx, (det2d, est) in enumerate(zip(detections, outcomes)):
+        if isinstance(est, NoFeasibleConfiguration):
+            logger.warning("frame %s object %d: %s", frame.frame_id, obj_idx, est)
+        elif isinstance(est, Exception):
+            raise est
+        else:
+            poses.append((obj_idx, det2d, est))
     return poses
 
 
 def scatter_proposals(frame, poses, config=PipelineConfig()):
     """Stage (a), second half: solved poses -> scattered cylinder regions,
-    (obj_idx, seed_idx, det2d, region) tuples.  The scatter re-solves the
-    search's own constraint system, which the estimate carries, with its
+    (obj_idx, seed_idx, det2d, region) tuples, from one
+    spatial_scatter_frame call.  The scatter re-solves the search's own
+    constraint system, which each estimate carries, with its
     non-degenerate winner, so it cannot fail where the search succeeded."""
-    p = frame.calib.p2
     shape = ProposalRegion((0.0, 0.0, 0.0), config.region_radius,
                            config.region_y_extent, config.region_bounds)
+    seeds, counts, _, _ = spatial_scatter_frame(
+        [est for _, _, est in poses], config.scatter, frame.calib.p2)
+    seeds = iter(seeds.tolist())
     proposals = []
-    for obj_idx, det2d, est in poses:
-        seeds = spatial_scatter(est, config.scatter, p).seed_points.tolist()
-        for seed_idx, (x, _, z) in enumerate(seeds):
+    for (obj_idx, det2d, est), count in zip(poses, counts.tolist()):
+        for seed_idx in range(count):
+            x, _, z = next(seeds)
             region = shape.recentered((x, est.solved_center[1], z))
             proposals.append((obj_idx, seed_idx, det2d, region))
     return proposals

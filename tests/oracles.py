@@ -4,9 +4,10 @@ Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
 code paths.  The pose-search and point-head references at the end are
 the exception: they are the earlier, slower forms of the library's
-search and oracle heads, built on the library's own constraint rows and
-noise draws, with their own copy of the numpy arithmetic the library has
-since replaced, so that the two can be compared bit for bit.
+search, scatter and oracle heads, one object or region at a time, built
+on the library's noise draws, with their own copy of the constraint
+rows and of the numpy arithmetic the library has since replaced, so
+that the two can be compared bit for bit.
 """
 
 import itertools
@@ -30,8 +31,8 @@ from cyldet.mono import (
     NoFeasibleConfiguration,
     ScatterResult,
     SingularSystem,
+    RANK_RCOND,
     _config_table,
-    _side_system,
     enumerate_configurations,
 )
 from cyldet.pipeline import _graded_objectness, _label_rng, _noised_dims_yaw
@@ -254,6 +255,23 @@ def central_difference(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def side_system_reference(box2d, p):
+    """One box's constraint rows for [left, right, top, bottom] and their
+    pseudo-inverse, (a, k, coords, rows, pinv), from its own SVD.  Raises
+    SingularSystem when the constraint matrix is rank deficient."""
+    p = np.asarray(p, dtype=float)
+    coords = np.array([box2d.xmin, box2d.xmax, box2d.ymin, box2d.ymax])
+    rows = np.array([0, 0, 1, 1])
+    a = p[rows, :3] - coords[:, None] * p[2, :3]
+    k = p[rows, 3] - coords * p[2, 3]
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s[0] <= 0.0 or s[-1] / s[0] < RANK_RCOND:
+        raise SingularSystem(
+            f"constraint matrix is rank deficient (singular values {s})"
+        )
+    return a, k, coords, rows, (vt.T / s) @ u.T
+
+
 def _solve_rows_reference(system, sel_offsets):
     """Least-squares translations (M, 3) for the constrained corner
     offsets (M, 4, 3), one right-hand side per row."""
@@ -294,7 +312,7 @@ def agreement_search_reference(box2d, dims, yaw, p,
     configs = enumerate_configurations(reduced=reduced)
     sel_offsets = np.take(offsets, configs, axis=0)   # (M, 4, 3)
     try:
-        system = _side_system(box2d, p)
+        system = side_system_reference(box2d, p)
     except SingularSystem as exc:
         raise NoFeasibleConfiguration(str(exc)) from exc
     centers = _solve_rows_reference(system, sel_offsets)
@@ -353,7 +371,7 @@ def solve_translation_reference(box2d, dims, yaw, config, p,
                                 residual_cap=DEFAULT_RESIDUAL_CAP):
     """One configuration's (center, rms) or None, from its own gather."""
     sel_offsets = corner_offsets(dims, yaw)[_config_table(config)]
-    system = _side_system(box2d, p)
+    system = side_system_reference(box2d, p)
     centers = _solve_rows_reference(system, sel_offsets)
     rms, feasible = _feasibility_reference(system, sel_offsets, p,
                                           centers, residual_cap)
@@ -367,7 +385,7 @@ def spatial_scatter_reference(est, params, p):
     configuration, each extreme from its own gather."""
     dims = np.asarray(est.dims, dtype=float)
     table = _config_table(est.best_config)
-    system = _side_system(est.box2d, p)
+    system = side_system_reference(est.box2d, p)
     p1, p2 = (
         _solve_rows_reference(
             system, corner_offsets(dims * scale, est.yaw)[table])[0]

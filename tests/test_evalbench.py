@@ -299,20 +299,21 @@ class TestSweeps:
             ], cfg.region_radius))
 
         calls = []
-        search = pipeline.geometric_agreement_search
+        search = pipeline.agreement_search_frame
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return search(*args, **kwargs)
+        def counted(boxes, *args, **kwargs):
+            calls.append(list(boxes))
+            return search(boxes, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "geometric_agreement_search", counted)
+        monkeypatch.setattr(pipeline, "agreement_search_frame", counted)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="cyldet"):
             rows = sweep_scatter(self.frames, preds.monocular, s_values,
                                  config)
         assert rows == seeded
-        assert calls == [det.box2d for frame in self.frames
-                         for det in preds.monocular(frame)]
+        # one search per frame, over all of its objects
+        assert calls == [[det.box2d for det in preds.monocular(frame)]
+                         for frame in self.frames]
         assert [r.getMessage() for r in caplog.records] == [
             "frame 000000 object 0: no corner configuration yields a "
             "feasible translation",

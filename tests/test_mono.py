@@ -9,6 +9,7 @@ from cyldet import (
     Box2D,
     Box3D,
     CornerConfiguration,
+    MonoEstimate,
     NoFeasibleConfiguration,
     ScatterParams,
     SingularSystem,
@@ -23,8 +24,10 @@ from cyldet import (
 from cyldet.geometry import corner_offsets, project_points
 from cyldet.mono import (
     _SEARCH_TABLES,
+    agreement_search_frame,
+    spatial_scatter_frame,
     _feasibility,
-    _side_system,
+    _side_systems,
     _solve_configs,
 )
 from conftest import random_car_box
@@ -158,11 +161,11 @@ class TestRepresentativeRows:
         for _ in range(10):
             box = random_car_box(rng)
             b2d = project_box(box, p)
-            offsets = corner_offsets(box.dims, box.yaw)
-            system = _side_system(b2d, p)
-            centers = _solve_configs(system, offsets, configs)
-            rms, _ = _feasibility(system, offsets[configs], p, centers,
-                                  math.inf)
+            offsets = corner_offsets(box.dims, box.yaw)[None]
+            a, k, coords, pinv, _, _ = _side_systems([b2d], p)
+            centers = _solve_configs(a, k, pinv, offsets, configs)[0]
+            rms, _ = _feasibility(coords[0], centers[:, None, :]
+                                  + offsets[0][configs], p, centers, math.inf)
             solved = np.column_stack((centers, rms))[order]
             # each group is a run of 2 or 4 rows in group order; a row
             # equal to the one before it, bit for bit, is a repeat
@@ -444,3 +447,133 @@ class TestSearchMatchesReference:
             for r in solved
         )
         assert got == want
+
+
+def _drawn_object(p, z, x_over_z, y, dims, yaw, dims_noise, yaw_noise, kind,
+                  offsets, corner, size):
+    """(box2d, dims, yaw) of one drawn object: a car seen through p, with
+    a 2D box of one of _drawn_box2d's kinds, or a singular one of 1e-7 px,
+    and noised dims and yaw."""
+    if kind == "singular":
+        box2d = Box2D(corner[0], corner[1], corner[0] + 1e-7, corner[1] + 1e-7)
+    else:
+        tight = project_box(Box3D((x_over_z * z, y, z), dims, yaw), p)
+        box2d = _drawn_box2d(kind, tight, offsets, corner, size)
+    return (box2d, tuple(d * (1.0 + n) for d, n in zip(dims, dims_noise)),
+            yaw + yaw_noise)
+
+
+def _bits(outcome):
+    """An estimate's fields, its floats by their bytes, or an error's type
+    and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    floats = (*outcome.solved_center, outcome.agreement, outcome.residual)
+    return (outcome.box2d, outcome.dims, outcome.yaw, outcome.best_config,
+            np.array(floats).tobytes())
+
+
+def _reference(box2d, dims, yaw, p, residual_cap, reduced):
+    try:
+        return agreement_search_reference(box2d, dims, yaw, p,
+                                          residual_cap=residual_cap,
+                                          reduced=reduced)
+    except (NoFeasibleConfiguration, ValueError) as exc:
+        return exc
+
+
+_OBJECT = st.tuples(
+    st.floats(3.0, 60.0),                                   # z
+    st.floats(-0.4, 0.4),                                   # x / z
+    st.floats(-1.0, 2.0),                                   # y
+    st.tuples(st.floats(1.4, 2.0), st.floats(1.3, 1.9), st.floats(3.3, 4.8)),
+    st.floats(-math.pi, math.pi),                           # yaw
+    st.tuples(*[st.floats(-0.2, 0.2)] * 3),                 # dims noise
+    st.floats(-0.3, 0.3),                                   # yaw noise
+    st.sampled_from(["tight", "noisy", "tiny", "huge", "off_image",
+                     "singular"]),
+    st.tuples(*[st.floats(-20.0, 20.0)] * 4),               # noisy offsets
+    st.tuples(st.floats(-600.0, 1300.0), st.floats(-300.0, 700.0)),
+    st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),    # box size
+)
+
+
+class TestFrameSearchMatchesReference:
+    """agreement_search_frame searches every object of a frame in one
+    stack, and spatial_scatter_frame scatters every estimate in one.  Each
+    object's outcome must equal that of the one-object reference, bit for
+    bit, or be the same error with the same message, whichever objects
+    share its frame and in whatever order, and no object may warn."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_singular_values_fail_without_a_warning(self):
+        # a zero projection leaves every constraint matrix all zero, so
+        # each singular value is 0 and a pseudo-inverse would divide by it
+        p = np.zeros((3, 4))
+        boxes = [Box2D(600.0, 180.0, 640.0, 210.0), Box2D(1.0, 2.0, 3.0, 4.0)]
+        frame = agreement_search_frame(boxes, [(1.6, 1.5, 3.9)] * 2,
+                                       [0.3, -2.0], p)
+        assert [_bits(o) for o in frame] == [
+            _bits(_reference(b, (1.6, 1.5, 3.9), y, p, 10.0, False))
+            for b, y in zip(boxes, [0.3, -2.0])]
+        assert "singular values [0. 0. 0.]" in str(frame[0])
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        objects=st.lists(_OBJECT, max_size=10),
+        residual_cap=st.sampled_from([2.0, 10.0, math.inf]),
+        reduced=st.booleans(),
+        skew=st.just((0.0, 0.0))
+        | st.sampled_from([(1e-3, 0.0), (0.0, 1e-5), (-1e-3, 1e-5)]),
+    )
+    # a good car, a singular box and an off-image box in one frame
+    @example(
+        objects=[
+            (15.0, 2.0 / 15.0, 1.2, (1.6, 1.5, 3.9), 0.3, (0.0,) * 3, 0.0,
+             "tight", (0.0,) * 4, (0.0, 0.0), (1.0, 1.0)),
+            (15.0, 0.0, 1.2, (1.6, 1.5, 3.9), 0.3, (0.0,) * 3, 0.0,
+             "singular", (0.0,) * 4, (600.0, 180.0), (1.0, 1.0)),
+            (30.0, -0.2, 0.5, (1.8, 1.6, 4.2), -1.0, (0.1, 0.0, -0.1), 0.2,
+             "off_image", (0.0,) * 4, (900.0, 100.0), (2.0, 1.5)),
+        ],
+        residual_cap=10.0, reduced=False, skew=(0.0, 0.0))
+    def test_each_object_as_if_alone(self, calib, objects, residual_cap,
+                                     reduced, skew):
+        p = calib.p2.copy()
+        p[0, 1], p[2, 1] = skew
+        drawn = [_drawn_object(p, *obj) for obj in objects]
+        boxes, dims, yaws = ([d[i] for d in drawn] for i in range(3))
+        want = [_bits(_reference(*d, p, residual_cap, reduced))
+                for d in drawn]
+
+        def search(boxes, dims, yaws):
+            return agreement_search_frame(boxes, dims, yaws, p,
+                                          residual_cap, reduced)
+
+        frame = search(boxes, dims, yaws)
+        assert [_bits(o) for o in frame] == want
+        backwards = search(boxes[::-1], dims[::-1], yaws[::-1])[::-1]
+        assert [_bits(o) for o in backwards] == want
+        alone = [search([b], [d], [y])[0] for b, d, y in drawn]
+        assert [_bits(o) for o in alone] == want
+
+        estimates = [o for o in frame if isinstance(o, MonoEstimate)]
+        for s in (1e-9, 0.5, 1.0 - 1e-9):
+            # the stride keeps each scatter to at most 256 seeds: a tiny
+            # box's car solves kilometres away, and so does its grown end
+            ends = [spatial_scatter_reference(
+                est, ScatterParams(s=s, stride=1e300), p) for est in estimates]
+            stride = max([1.6] + [float(np.linalg.norm(r.p2 - r.p1)) / 256
+                                  for r in ends])
+            params = ScatterParams(s=s, stride=stride)
+            seeds, counts, p1, p2 = spatial_scatter_frame(estimates, params, p)
+            assert len(seeds) == counts.sum()
+            start = 0
+            for est, count, got_p1, got_p2 in zip(estimates, counts, p1, p2):
+                ref = spatial_scatter_reference(est, params, p)
+                got = seeds[start:start + count]
+                start += count
+                assert got.tobytes() == ref.seed_points.tobytes()
+                assert got_p1.tobytes() == ref.p1.tobytes()
+                assert got_p2.tobytes() == ref.p2.tobytes()

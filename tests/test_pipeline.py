@@ -14,10 +14,12 @@ from scipy.special import logit
 import cyldet
 from cyldet import mono, pipeline
 from cyldet import (
+    Box2D,
     Box3D,
     BrnOutput,
     Detection,
     EmptyCloud,
+    NoFeasibleConfiguration,
     OracleConfig,
     PipelineConfig,
     PointCloud,
@@ -45,6 +47,7 @@ from cyldet import (
 from cyldet.evalbench import DesyncConfig, desync_frame
 from cyldet.kitti import camera_to_lidar, stable_id_hash
 from cyldet.pipeline import (
+    Mono2DDetection,
     OracleBrnPredictor,
     OracleMonocularPredictor,
     OracleRpnPredictor,
@@ -60,6 +63,7 @@ from cyldet.pipeline import (
 from cyldet.synthetic import make_frame, make_frames
 from oracles import (
     _LabelTableReference,
+    agreement_search_reference,
     block_certificate_reference,
     cylinder_members_reference,
     greedy_nms_reference,
@@ -886,14 +890,15 @@ class TestWorkDoneOnce:
 
     @staticmethod
     def count_side_systems(monkeypatch):
+        """The boxes of each stacked constraint-system build."""
         calls = []
-        side_system = mono._side_system
+        side_systems = mono._side_systems
 
-        def counted(box2d, p):
-            calls.append(box2d)
-            return side_system(box2d, p)
+        def counted(boxes, p):
+            calls.append(list(boxes))
+            return side_systems(boxes, p)
 
-        monkeypatch.setattr(mono, "_side_system", counted)
+        monkeypatch.setattr(mono, "_side_systems", counted)
         return calls
 
     def test_each_label_is_noised_once_per_frame(self, monkeypatch):
@@ -925,12 +930,16 @@ class TestWorkDoneOnce:
             calls.clear()
             poses = solve_poses(frame, monocular, config)
             got = scatter_proposals(frame, poses, config)
-            assert len(calls) == len(frame.labels) and poses
-            # the same estimates without the search's system rebuild it
+            # one stacked build for all of the frame's objects, in the
+            # search; the scatter builds none
+            assert calls == [[det.box2d for det in monocular(frame)]]
+            assert len(poses) == len(frame.labels) > 1
+            # the same estimates without the search's system rebuild them,
+            # again as one stack
             rebuilt = scatter_proposals(frame, [
                 (obj_idx, det2d, dataclasses.replace(est, system=None))
                 for obj_idx, det2d, est in poses], config)
-            assert len(calls) == len(frame.labels) + len(poses)
+            assert calls[1:] == [[est.box2d for _, _, est in poses]]
             centers = [np.array([r.center for *_, r in proposals]).tobytes()
                        for proposals in (got, rebuilt)]
             assert centers[0] == centers[1]
@@ -951,7 +960,51 @@ class TestWorkDoneOnce:
         for s_values in ([0.5], [0.1, 0.3, 0.5, 0.7, 0.9]):
             calls.clear()
             sweep_scatter(frames, monocular, s_values)
-            assert len(calls) == sum(len(f.labels) for f in frames)
+            # one build per frame, in its search, and none per s
+            assert calls == [[det.box2d for det in monocular(f)]
+                             for f in frames]
+
+
+class TestSolvePosesLogs:
+    """solve_poses searches a frame's objects in one call, and logs the
+    failures afterwards, in object order, as a loop over the objects
+    would."""
+
+    def test_failures_log_as_a_per_object_loop(self, caplog):
+        frame = make_frame("000007", seed=7, n_cars=3)
+        good = [Mono2DDetection(lab.bbox2d, lab.box3d.dims, lab.box3d.yaw)
+                for lab in frame.labels]
+        car = (1.6, 1.5, 3.9)
+        # a box of 1e-7 px, whose constraint matrix is rank deficient; a
+        # box wider than the image, which no configuration fits; and one
+        # whose only feasible solves put corners behind the camera
+        bad = [Mono2DDetection(Box2D(600.0, 180.0, 600.0 + 1e-7, 180.0 + 1e-7),
+                               car, 0.3),
+               Mono2DDetection(Box2D(0.0, 0.0, 2000.0, 1000.0), car, 0.3),
+               Mono2DDetection(Box2D(1092.0, -73.0, 5208.0, 1347.0), car, 2.0)]
+        detections = [good[0], bad[0], good[1], bad[1], bad[2], good[2]]
+        p = frame.calib.p2
+
+        expected_poses, expected_log = [], []
+        for obj_idx, det2d in enumerate(detections):
+            try:
+                est = agreement_search_reference(det2d.box2d, det2d.dims,
+                                                 det2d.yaw, p)
+            except NoFeasibleConfiguration as exc:
+                expected_log.append(f"frame 000007 object {obj_idx}: {exc}")
+                continue
+            expected_poses.append((obj_idx, det2d, est))
+        assert [m.split(": ", 1)[1][:12] for m in expected_log] == [
+            "constraint m", "no corner co", "every feasib"]
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            poses = solve_poses(frame, lambda _: detections, PipelineConfig())
+        assert [r.getMessage() for r in caplog.records] == expected_log
+        assert poses == expected_poses
+        for (_, _, got), (_, _, want) in zip(poses, expected_poses):
+            assert (np.array(got.solved_center).tobytes()
+                    == np.array(want.solved_center).tobytes())
 
 
 class TestDetectFrame:
