@@ -329,26 +329,33 @@ def _prepare_run(args):
 
 
 def cmd_detect(args):
+    """Detect, write and evaluate each frame of the split as it finishes
+    (evaluate_detections reads a generator), then write summary.txt.
+    Exits 2 when every frame failed."""
     settings, output_dir, frames, config, predictors = _prepare_run(args)
     det_dir = os.path.join(output_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)
-    per_frame = []
-    n_failed = 0
-    for frame in frames:
-        dets = _detect_one(frame, predictors, config)
-        path = os.path.join(det_dir, frame.frame_id + ".txt")
-        if dets is None:
-            # a failed frame detects nothing: its ground truths stay misses,
-            # and no document of an earlier run may claim otherwise
-            n_failed += 1
-            if os.path.exists(path):
-                os.remove(path)
-        else:
-            write_detections(path, frame.frame_id, dets)
-        per_frame.append((dets or [], frame.labels))
-    stats = evaluate_detections(per_frame, EvalConfig(**settings["eval"]))
+    n_frames = n_failed = 0
+
+    def detected():
+        nonlocal n_frames, n_failed
+        for frame in frames:
+            dets = _detect_one(frame, predictors, config)
+            path = os.path.join(det_dir, frame.frame_id + ".txt")
+            n_frames += 1
+            if dets is None:
+                # a failed frame detects nothing: its ground truths stay
+                # misses, and no earlier run's document may claim otherwise
+                n_failed += 1
+                if os.path.exists(path):
+                    os.remove(path)
+            else:
+                write_detections(path, frame.frame_id, dets)
+            yield dets or [], frame.labels
+
+    stats = evaluate_detections(detected(), EvalConfig(**settings["eval"]))
     summary = (
-        f"frames {len(per_frame)} tp {stats['tp']} fp {stats['fp']} "
+        f"frames {n_frames} tp {stats['tp']} fp {stats['fp']} "
         f"fn {stats['fn']} recall {stats['recall']:.6f} ap {stats['ap']:.6f} "
         f"failed {n_failed}"
     )
@@ -356,7 +363,7 @@ def cmd_detect(args):
     with open(os.path.join(output_dir, "summary.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(summary + "\n")
-    if per_frame and n_failed == len(per_frame):
+    if n_frames and n_failed == n_frames:
         return EXIT_DATA
     return EXIT_OK
 

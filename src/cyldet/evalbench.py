@@ -172,8 +172,10 @@ def average_precision(scored, n_gt, mode="r11"):
 
 
 def evaluate_detections(per_frame, cfg=EvalConfig()):
-    """Aggregate matching over (detections, gts) pairs.
+    """Aggregate matching over (detections, gts) pairs, one per frame.
 
+    per_frame may be any iterable, read once: each frame is matched as it
+    arrives, and only its (confidence, is_tp) pairs and counts are kept.
     Returns a dict with tp/fp/fn counts, recall, and the PR curve with AP.
     """
     scored = []
@@ -198,12 +200,10 @@ def evaluate_detections(per_frame, cfg=EvalConfig()):
     }
 
 
-def proposal_recall(seeds, gts, radius):
-    """Fraction of ground truths with a seed within the cylinder radius
-    (ground-plane distance), plus seeds per ground truth."""
+def _captured(seeds, gts, radius):
+    """How many ground truths have a seed within the cylinder radius
+    (ground-plane distance), as an integer."""
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
-    if not gts:
-        return 0.0, 0.0
     captured = 0
     for gt in gts:
         cx, _, cz = gt.box3d.center
@@ -211,7 +211,16 @@ def proposal_recall(seeds, gts, radius):
             np.hypot(seeds[:, 0] - cx, seeds[:, 2] - cz) <= radius
         ):
             captured += 1
-    return captured / len(gts), len(seeds) / len(gts)
+    return captured
+
+
+def proposal_recall(seeds, gts, radius):
+    """Fraction of ground truths with a seed within the cylinder radius
+    (ground-plane distance), plus seeds per ground truth."""
+    seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
+    if not gts:
+        return 0.0, 0.0
+    return _captured(seeds, gts, radius) / len(gts), len(seeds) / len(gts)
 
 
 def detection_recall(detections, gts, cfg=EvalConfig()):
@@ -230,11 +239,11 @@ def _clamped_scatter(config, s):
 
 def _capture_row(value, frames, radius):
     """(value, capture recall, seeds per GT) over (seed centers, gts)
-    pairs, one pair per frame."""
+    pairs, one pair per frame.  Captured ground truths are counted as
+    integers, so the recall is their count over the total, exactly."""
     captured = total_gts = total_seeds = 0
     for seeds, gts in frames:
-        recall, _ = proposal_recall(seeds, gts, radius)
-        captured += recall * len(gts)
+        captured += _captured(seeds, gts, radius)
         total_gts += len(gts)
         total_seeds += len(seeds)
     return (

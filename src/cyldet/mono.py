@@ -6,7 +6,8 @@ top, bottom).  Pinning the assigned corner's image coordinate to its side
 yields, after cross-multiplying the projection, one linear constraint on
 the unknown translation per side; the 4x3 system is solved by least
 squares.  The configuration whose re-projected box best overlaps the 2D
-box wins.
+box wins, and that overlap (2D IoU), as the search ranked it, is the
+estimate's agreement: the winner is not projected again.
 
 Every object of a frame is searched in one call (agreement_search_frame)
 and scattered in one call (spatial_scatter_frame);
@@ -24,8 +25,11 @@ scatter re-solves skip the feasibility check.  Stacking changes no bit:
 each slice of a stacked matmul, SVD or einsum makes the call that one
 object's own product makes, the flat (rows * corners, 3) products keep
 each object's rows in their order, and the rest is elementwise or
-reduces each row alone.  A failing object does not touch its neighbours'
-values: a rank-deficient system's rows are skipped, and nothing warns.
+reduces each row alone.  Every object's outcome is an estimate or a
+NoFeasibleConfiguration, and a failing object does not touch its
+neighbours' values: the rows of an object whose dims or yaw are invalid
+(checked first, up front) or whose system is rank deficient are skipped,
+and nothing warns.
 
 The search tables, built once at import, hold only the non-degenerate
 configurations (3136 of the full 4096, 96 of the reduced 128): a
@@ -46,16 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    _CORNER_SIGNS,
-    BehindCamera,
-    Box2D,
-    Box3D,
-    iou_2d,
-    rotation_about_y,
-)
-# perfbench/layers.py patches this name on this module
-from .geometry import project_box  # noqa: F401
+from .geometry import _CORNER_SIGNS, Box2D, rotation_about_y
+# perfbench/layers.py patches these names on this module
+from .geometry import iou_2d, project_box  # noqa: F401
 
 RANK_RCOND = 1e-10
 # the projection row that each side [left, right, top, bottom] reads
@@ -331,20 +328,21 @@ def agreement_search_frame(boxes, dims, yaws, p,
     every object (boxes[i], dims[i], yaws[i]) of a frame at once.
 
     Returns one outcome per object, in object order: its MonoEstimate, or
-    the exception its search raises.  That is NoFeasibleConfiguration
-    when the constraint matrix is rank deficient, then when no
-    configuration is feasible, then when every feasible one projects
-    partly behind the camera; or the ValueError of a winner that is no
-    valid Box3D, lies partly behind the camera (BehindCamera) or projects
-    to no valid Box2D, as project_box raises them.
+    the NoFeasibleConfiguration of an object that has none.  An object
+    fails, first, when its dims are not all finite and > 0 or its yaw is
+    not finite (the message names them), then when its constraint matrix
+    is rank deficient, then when no configuration is feasible, then when
+    every feasible one projects partly behind the camera.  Nothing else
+    fails, and a failing object neither warns nor changes its neighbours'
+    outcomes: its rows are masked out.
 
     Every non-degenerate configuration is solved by least squares;
     feasible candidates are scored by the 2D IoU between the input box and
-    the axis-aligned hull of their re-projected corners.  Ties resolve by
-    smaller pixel residual, then lower configuration index.  The rows of
-    all objects are solved as one stack, tested and scored as one flat
-    list of (object, row) pairs, and each object's winner is the first of
-    its rows in one lexsort.
+    the axis-aligned hull of their re-projected corners, and the winner's
+    IoU is its agreement.  Ties resolve by smaller pixel residual, then
+    lower configuration index.  The rows of all objects are solved as one
+    stack, tested and scored as one flat list of (object, row) pairs, and
+    each object's winner is the first of its rows in one lexsort.
 
     With P[0, 1] == P[2, 1] == 0 the left and right constraint rows and
     their projections read no y, so corners i and i + 4 (one vertical
@@ -357,17 +355,26 @@ def agreement_search_frame(boxes, dims, yaws, p,
     if not outcomes:
         return outcomes
     dims = np.asarray(dims, dtype=float).reshape(-1, 3)
-    offsets = _corner_offsets(dims, yaws)                      # (N, 8, 3)
+    yaws = np.asarray(yaws, dtype=float)
+    bad = ~(np.all(np.isfinite(dims) & (dims > 0.0), axis=1)
+            & np.isfinite(yaws))
+    # a bad object is searched as a unit cube, so that nothing warns
+    offsets = _corner_offsets(np.where(bad[:, None], 1.0, dims),
+                              np.where(bad, 0.0, yaws))        # (N, 8, 3)
     every_row, representatives = _SEARCH_TABLES[bool(reduced)]
     configs, config_index = (
         representatives if p[0, 1] == 0.0 and p[2, 1] == 0.0 else every_row)
     a, k, coords, pinv, s, singular = _side_systems(boxes, p)
-    for i in np.flatnonzero(singular).tolist():
-        outcomes[i] = NoFeasibleConfiguration(_rank_message(s[i]))
+    failed = bad | singular
+    for i in np.flatnonzero(failed).tolist():
+        outcomes[i] = NoFeasibleConfiguration(
+            "dims must be finite and > 0 and yaw finite, got dims "
+            f"{tuple(dims[i].tolist())} and yaw {yaws[i]}" if bad[i]
+            else _rank_message(s[i]))
     m = len(configs)
     centers = _solve_configs(a, k, pinv, offsets, configs).reshape(-1, 3)
     # the rows ahead of the camera, as flat (object, row) pairs in order
-    pairs = np.flatnonzero((centers[:, 2] > 0.0) & np.repeat(~singular, m))
+    pairs = np.flatnonzero((centers[:, 2] > 0.0) & np.repeat(~failed, m))
     obj, row = np.divmod(pairs, m)
     centers = np.take(centers, pairs, axis=0)                   # (K, 3)
     # each row's constrained corners: offsets[obj, configs[row]] as one flat
@@ -410,29 +417,23 @@ def agreement_search_frame(boxes, dims, yaws, p,
     # each object's first row in that order is its winner; iou is -1 where
     # a corner lies behind the camera, and NaN sorts last, so the winner's
     # is >= 0 unless no row's is
-    winners = []
-    for best in order[np.diff(obj[order], prepend=-1) != 0].tolist():
-        if iou[best] >= 0.0:
-            winners.append((int(obj[best]), best))
-        else:
-            outcomes[obj[best]] = NoFeasibleConfiguration(
-                "every feasible translation projects partly behind the camera"
-            )
-    agreements = _agreements([(boxes[i], centers[best], dims[i], yaws[i])
-                              for i, best in winners], p)
     p_bytes = p.tobytes()
-    for (i, best), agreement in zip(winners, agreements):
-        outcomes[i] = agreement if isinstance(agreement, ValueError) else (
-            MonoEstimate(
+    for best in order[np.diff(obj[order], prepend=-1) != 0].tolist():
+        i = int(obj[best])
+        if iou[best] >= 0.0:
+            outcomes[i] = MonoEstimate(
                 box2d=boxes[i],
                 dims=tuple(dims[i].tolist()),
                 yaw=float(yaws[i]),
                 solved_center=tuple(centers[best].tolist()),
                 best_config=CornerConfiguration(*configs[row[best]].tolist()),
-                agreement=agreement,
+                agreement=float(iou[best]),
                 residual=float(rms[best]),
                 system=(boxes[i], p_bytes, (a[i], k[i], pinv[i])),
-            ))
+            )
+        else:
+            outcomes[i] = NoFeasibleConfiguration(
+                "every feasible translation projects partly behind the camera")
     return [
         NoFeasibleConfiguration(
             "no corner configuration yields a feasible translation")
@@ -441,52 +442,16 @@ def agreement_search_frame(boxes, dims, yaws, p,
     ]
 
 
-def _agreements(solved, p):
-    """iou_2d(box2d, project_box(Box3D(center, dims, yaw), p)) of each
-    (box2d, center, dims, yaw), with one stacked projection, or the
-    ValueError that Box3D or project_box raises for it (BehindCamera when
-    a corner has z <= 0, or that of a degenerate hull)."""
-    out, boxes3d = [], []
-    for box2d, center, dims, yaw in solved:
-        try:
-            boxes3d.append((len(out), box2d, Box3D(tuple(center), tuple(dims), yaw)))
-            out.append(None)
-        except ValueError as exc:
-            out.append(exc)
-    if not boxes3d:
-        return out
-    # project_box's corners: the box's own, with its normalized yaw
-    boxes = [box for *_, box in boxes3d]
-    corners = (np.array([box.center for box in boxes])[:, None, :]
-               + _corner_offsets([box.dims for box in boxes],
-                                 [box.yaw for box in boxes]))
-    ahead = np.all(corners[:, :, 2] > 0.0, axis=1).tolist()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hom = corners @ p[:, :3].T + p[:, 3]
-        uv = hom[:, :, :2] / hom[:, :, 2:3]
-    for (j, box2d, box), box_ahead, (umin, vmin), (umax, vmax) in zip(
-            boxes3d, ahead, uv.min(axis=1).tolist(), uv.max(axis=1).tolist()):
-        if not box_ahead:
-            out[j] = BehindCamera(f"box at {box.center} has corners with z <= 0")
-            continue
-        try:
-            out[j] = float(iou_2d(box2d, Box2D(umin, vmin, umax, vmax)))
-        except ValueError as exc:
-            out[j] = exc
-    return out
-
-
 def geometric_agreement_search(
     box2d, dims, yaw, p, residual_cap=DEFAULT_RESIDUAL_CAP, reduced=False
 ):
     """Best-overlap translation of one object over the corner
     configuration set: agreement_search_frame of this object alone.
-    Returns its MonoEstimate, or raises the exception that the frame
-    search returns for it (NoFeasibleConfiguration, or the ValueError of
-    a winner that project_box rejects)."""
+    Returns its MonoEstimate, or raises the NoFeasibleConfiguration that
+    the frame search returns for it."""
     (outcome,) = agreement_search_frame([box2d], [dims], [yaw], p,
                                         residual_cap, reduced)
-    if isinstance(outcome, Exception):
+    if isinstance(outcome, NoFeasibleConfiguration):
         raise outcome
     return outcome
 

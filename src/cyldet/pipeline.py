@@ -664,8 +664,10 @@ def region_points(index, region, config, sample_seed):
 def solve_poses(frame, monocular, config=PipelineConfig()):
     """Stage (a), first half: monocular detections -> agreement search,
     one agreement_search_frame call for all of them.  Returns (obj_idx,
-    det2d, estimate) tuples; objects whose pose cannot be solved are
-    logged, in object order, and skipped."""
+    det2d, estimate) tuples.  An object whose pose cannot be solved,
+    invalid dims or yaw included, is logged with its
+    NoFeasibleConfiguration, in object order, and skipped: no object
+    fails its frame."""
     detections = list(monocular(frame))
     outcomes = agreement_search_frame(
         [det2d.box2d for det2d in detections],
@@ -677,8 +679,6 @@ def solve_poses(frame, monocular, config=PipelineConfig()):
     for obj_idx, (det2d, est) in enumerate(zip(detections, outcomes)):
         if isinstance(est, NoFeasibleConfiguration):
             logger.warning("frame %s object %d: %s", frame.frame_id, obj_idx, est)
-        elif isinstance(est, Exception):
-            raise est
         else:
             poses.append((obj_idx, det2d, est))
     return poses

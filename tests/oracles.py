@@ -23,7 +23,7 @@ from cyldet.codec import (
     encode_size,
     logit,
 )
-from cyldet.geometry import Box3D, corner_offsets, iou_2d, project_box
+from cyldet.geometry import corner_offsets
 from cyldet.mono import (
     DEFAULT_RESIDUAL_CAP,
     CornerConfiguration,
@@ -306,7 +306,8 @@ def agreement_search_reference(box2d, dims, yaw, p,
                                reduced=False):
     """The search over every configuration of the set: each row gathers
     its own corner offsets and is solved, and the degenerate rows (one
-    corner pinned to two opposite sides) are masked after the solve."""
+    corner pinned to two opposite sides) are masked after the solve.  The
+    agreement is the IoU that the winner was ranked by."""
     p = np.asarray(p, dtype=float)
     offsets = corner_offsets(dims, yaw)
     configs = enumerate_configurations(reduced=reduced)
@@ -353,16 +354,13 @@ def agreement_search_reference(box2d, dims, yaw, p,
     )
     best = np.lexsort((config_index, rms_f, -iou))[0]
     center = centers_f[best]
-    agreement = iou_2d(
-        box2d, project_box(Box3D(tuple(center), tuple(dims), yaw), p)
-    )
     return MonoEstimate(
         box2d=box2d,
         dims=tuple(float(d) for d in dims),
         yaw=float(yaw),
         solved_center=tuple(float(c) for c in center),
         best_config=CornerConfiguration(*configs_f[best]),
-        agreement=float(agreement),
+        agreement=float(iou[best]),
         residual=float(rms_f[best]),
     )
 

@@ -249,6 +249,17 @@ class TestRecallHelpers:
         ])
         assert recall == pytest.approx(expected)
 
+    def test_capture_row_counts_captured_ground_truths_exactly(self):
+        # 20 ground truths with none captured, then 25 with 7 captured: the
+        # float round trip of recall * len(gts) read 0.15555555555555559
+        far = [gt_label((float(x), 0.0, 60.0)) for x in range(-40, 60, 5)]
+        near = [gt_label((float(x), 0.0, 20.0)) for x in range(-60, 65, 5)]
+        seeds = [gt.box3d.center for gt in near[:7]]
+        assert len(far) == 20 and len(near) == 25
+        value, recall, per_gt = evalbench._capture_row(
+            0.5, [([], far), (seeds, near)], radius=1.0)
+        assert (value, recall, per_gt) == (0.5, 7 / 45, 7 / 45)
+
     def test_detection_recall_uses_matching(self):
         gts = [gt_label((0, 0, 10)), gt_label((8, 0, 20))]
         dets = [detection((0, 0, 10))]

@@ -577,3 +577,93 @@ class TestFrameSearchMatchesReference:
                 assert got.tobytes() == ref.seed_points.tobytes()
                 assert got_p1.tobytes() == ref.p1.tobytes()
                 assert got_p2.tobytes() == ref.p2.tobytes()
+
+
+# dims of a car that are not all finite and > 0
+_BAD_DIMS = [(-1.6, 1.5, 3.9), (0.0, 1.5, 3.9), (math.nan, 1.5, 3.9),
+             (1.6, math.inf, 3.9)]
+
+
+def _input_message(dims, yaw):
+    return (f"dims must be finite and > 0 and yaw finite, got dims {dims} "
+            f"and yaw {yaw}")
+
+
+class TestInputsCheckedUpFront:
+    """An object whose dims are not all finite and > 0, or whose yaw is not
+    finite, fails first, with a NoFeasibleConfiguration that names them.
+    Its rows are masked out like a singular object's, so it neither warns
+    nor changes the other objects' outcomes.  Dims of -1.6 used to fail
+    only when the search found a winner, as Box3D rejected it; dims of 0
+    or NaN reported no feasible configuration, and inf dims warned."""
+
+    @staticmethod
+    def good_objects(calib):
+        rng = np.random.default_rng(8)
+        boxes = [random_car_box(rng) for _ in range(3)]
+        return [(project_box(box, calib.p2), box.dims, box.yaw)
+                for box in boxes]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dims", _BAD_DIMS)
+    def test_bad_dims_fail_by_name_and_leave_the_rest(self, calib, dims):
+        good = self.good_objects(calib)
+        bad = (good[1][0], dims, good[1][2])
+        objects = [bad, good[0], good[1], bad, good[2]]
+        frame = agreement_search_frame(*zip(*objects), calib.p2)
+        for outcome in (frame[0], frame[3]):
+            assert type(outcome) is NoFeasibleConfiguration
+            assert str(outcome) == _input_message(dims, bad[2])
+        alone = agreement_search_frame(*zip(*good), calib.p2)
+        assert all(isinstance(est, MonoEstimate) for est in alone)
+        assert ([_bits(o) for o in (frame[1], frame[2], frame[4])]
+                == [_bits(o) for o in alone])
+        with pytest.raises(NoFeasibleConfiguration, match=r"got dims \("):
+            geometric_agreement_search(*bad, calib.p2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("yaw", [math.inf, -math.inf, math.nan])
+    def test_a_yaw_not_finite_fails_by_name(self, calib, yaw):
+        # an infinite yaw used to fail the whole frame in math.cos
+        good = self.good_objects(calib)
+        box2d, dims, _ = good[0]
+        frame = agreement_search_frame(
+            [box2d, good[1][0]], [dims, good[1][1]], [yaw, good[1][2]],
+            calib.p2)
+        assert type(frame[0]) is NoFeasibleConfiguration
+        assert str(frame[0]) == _input_message(tuple(dims), yaw)
+        assert _bits(frame[1]) == _bits(
+            agreement_search_frame([good[1][0]], [good[1][1]], [good[1][2]],
+                                   calib.p2)[0])
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        objects=st.lists(st.tuples(
+            _OBJECT,
+            st.none() | st.tuples(*[st.floats(-10.0, 10.0) | st.sampled_from(
+                [0.0, -0.0, math.nan, math.inf, -math.inf])] * 3),
+            st.none() | st.floats(-10.0, 10.0)
+            | st.sampled_from([math.nan, math.inf, -math.inf]),
+        ), max_size=6),
+        reduced=st.booleans(),
+    )
+    def test_every_outcome_is_an_estimate_or_no_feasible_configuration(
+            self, calib, objects, reduced):
+        p = calib.p2
+        drawn = []
+        for obj, dims, yaw in objects:
+            box2d, good_dims, good_yaw = _drawn_object(p, *obj)
+            drawn.append((box2d, good_dims if dims is None else dims,
+                          good_yaw if yaw is None else yaw))
+        boxes, dims, yaws = ([d[i] for d in drawn] for i in range(3))
+        frame = agreement_search_frame(boxes, dims, yaws, p, reduced=reduced)
+        assert len(frame) == len(drawn)
+        for outcome, (_, d, y) in zip(frame, drawn):
+            assert type(outcome) in (MonoEstimate, NoFeasibleConfiguration)
+            valid = all(math.isfinite(v) and v > 0.0 for v in d)
+            if not (valid and math.isfinite(y)):
+                assert str(outcome) == _input_message(
+                    tuple(float(v) for v in d), float(y))
+            elif isinstance(outcome, MonoEstimate):
+                assert 0.0 <= outcome.agreement <= 1.0

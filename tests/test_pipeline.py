@@ -1007,6 +1007,37 @@ class TestSolvePosesLogs:
                     == np.array(want.solved_center).tobytes())
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dims", [(-1.6, 1.5, 3.9), (0.0, 1.5, 3.9),
+                                      (math.nan, 1.5, 3.9),
+                                      (1.6, math.inf, 3.9)])
+    def test_bad_dims_fail_their_object_not_the_frame(self, caplog, dims):
+        # dims of -1.6 used to raise out of solve_poses, failing the frame
+        frame = make_frame("000007", seed=7, n_cars=3)
+        good = [Mono2DDetection(lab.bbox2d, lab.box3d.dims, lab.box3d.yaw)
+                for lab in frame.labels]
+        # Mono2DDetection rejects dims <= 0, but a predictor need not
+        # return one
+        bad = collections.namedtuple("Det", "box2d dims yaw")(
+            good[1].box2d, dims, good[1].yaw)
+        detections = [bad, good[0], good[1], bad, good[2]]
+        alone = solve_poses(frame, lambda _: good, PipelineConfig())
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            poses = solve_poses(frame, lambda _: detections, PipelineConfig())
+        assert [r.getMessage() for r in caplog.records] == [
+            f"frame 000007 object {obj_idx}: dims must be finite and > 0 and "
+            f"yaw finite, got dims {dims} and yaw {bad.yaw}"
+            for obj_idx in (0, 3)]
+        assert [(i, det2d) for i, det2d, _ in poses] == [
+            (1, good[0]), (2, good[1]), (4, good[2])]
+        assert [est for _, _, est in poses] == [est for _, _, est in alone]
+        for (_, _, got), (_, _, want) in zip(poses, alone):
+            assert (np.array(got.solved_center).tobytes()
+                    == np.array(want.solved_center).tobytes())
+
+
 class TestDetectFrame:
     def test_single_car_zero_noise(self):
         frame = make_frame("000010", seed=10, n_cars=1)
