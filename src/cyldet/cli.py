@@ -17,6 +17,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from collections import namedtuple
@@ -127,6 +128,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError, and reads a number or comma list of numbers that
+    starts with "-" (--dims -1.6,1.5,3.9) as a value, not as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[-+.,\deE]*$")
+
     def error(self, message):
         raise UsageError(message)
 

@@ -320,7 +320,7 @@ def desync_frame(frame, cfg=DesyncConfig()):
         rng.uniform(-cfg.max_z_vertical, cfg.max_z_vertical),
         rng.uniform(-cfg.max_xy, cfg.max_xy),
     ])
-    points = frame.cloud.points.copy()
+    points = frame.cloud.points.copy(order="K")
     points[:, :3] += shift
     labels = tuple(
         replace(

@@ -13,6 +13,12 @@ Internally a 3D box stores its geometric center; the bottom-face-center
 shift happens only in box_to_fields / box_from_fields, which the label
 and detection-document readers and writers share.  All loaded values are
 immutable.
+
+A whole frame's cloud is stored column-major, an F-contiguous (N, 4)
+array: parse_velodyne transposes the float32 records once, and the two
+frame transforms multiply the coordinate rows, returning the transpose
+of a (4, N) result.  For input of either layout they give, bit for bit,
+the row-major products xyz @ M.T.  PointCloud accepts any layout.
 """
 
 import os
@@ -267,8 +273,8 @@ def parse_velodyne(data):
         raise TruncatedRecord(
             f"velodyne stream of {len(data)} bytes is not a multiple of 16"
         )
-    pts = np.frombuffer(data, dtype="<f4").astype(float).reshape(-1, 4)
-    return PointCloud(pts, frame="lidar")
+    records = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    return PointCloud(np.asfortranarray(records, dtype=float), frame="lidar")
 
 
 def emit_velodyne(cloud):
@@ -278,23 +284,37 @@ def emit_velodyne(cloud):
     return np.ascontiguousarray(cloud.points, dtype="<f4").tobytes()
 
 
+def _moved(cloud, first, shift, second, frame):
+    """The column-major cloud of second @ (first @ xyz + shift) for every
+    point, reflectance kept: two products on the coordinate rows."""
+    rows = cloud.points.T
+    ref = first @ rows[:3]
+    ref += shift[:, None]
+    # allocated after the temporary, so that the temporary's freed block
+    # lies below the output, where the next frame's arrays reuse it; at the
+    # heap top, glibc would return it to the system, and every loaded frame
+    # would fault its pages in anew
+    out = np.empty(rows.shape)
+    np.matmul(second, ref, out=out[:3])
+    out[3] = rows[3]
+    return PointCloud(out.T, frame=frame)
+
+
 def lidar_to_camera(cloud, calib):
     """Map a Lidar-frame cloud into the rectified camera frame."""
     if cloud.frame != "lidar":
         raise WrongFrame(f"expected lidar frame, got {cloud.frame}")
-    xyz = cloud.xyz
-    ref = xyz @ calib.tr_velo_to_cam[:, :3].T + calib.tr_velo_to_cam[:, 3]
-    cam = ref @ calib.r0_rect.T
-    return PointCloud(np.column_stack([cam, cloud.points[:, 3]]), frame="camera")
+    tr = calib.tr_velo_to_cam
+    return _moved(cloud, tr[:, :3], tr[:, 3], calib.r0_rect, "camera")
 
 
 def camera_to_lidar(cloud, calib):
     """Inverse of lidar_to_camera."""
     if cloud.frame != "camera":
         raise WrongFrame(f"expected camera frame, got {cloud.frame}")
-    ref = cloud.xyz @ calib.r0_rect
-    lidar = (ref - calib.tr_velo_to_cam[:, 3]) @ calib.tr_velo_to_cam[:, :3]
-    return PointCloud(np.column_stack([lidar, cloud.points[:, 3]]), frame="lidar")
+    tr = calib.tr_velo_to_cam
+    # adding -t gives the bits of subtracting t
+    return _moved(cloud, calib.r0_rect.T, -tr[:, 3], tr[:, :3].T, "lidar")
 
 
 def read_split_ids(list_path):

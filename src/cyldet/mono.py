@@ -27,9 +27,9 @@ object's own product makes, the flat (rows * corners, 3) products keep
 each object's rows in their order, and the rest is elementwise or
 reduces each row alone.  Every object's outcome is an estimate or a
 NoFeasibleConfiguration, and a failing object does not touch its
-neighbours' values: the rows of an object whose dims or yaw are invalid
-(checked first, up front) or whose system is rank deficient are skipped,
-and nothing warns.
+neighbours' values: the rows of an object whose dims, yaw or 2D box
+sides are invalid (checked first, up front) or whose system is rank
+deficient are skipped, and nothing warns.
 
 The search tables, built once at import, hold only the non-degenerate
 configurations (3136 of the full 4096, 96 of the reduced 128): a
@@ -148,9 +148,13 @@ class ScatterResult:
         return self.seed_points.shape[0]
 
 
-def _rank_message(s):
-    """The error message of a constraint matrix with singular values s
+def _system_message(box2d, s):
+    """The error message of a 2D box whose constraint system _side_systems
+    marks singular: a side is not finite, or the singular values s are
     below the rank tolerance."""
+    sides = (box2d.xmin, box2d.ymin, box2d.xmax, box2d.ymax)
+    if not all(map(math.isfinite, sides)):
+        return f"2D box sides must be finite, got {sides}"
     return f"constraint matrix is rank deficient (singular values {s})"
 
 
@@ -162,18 +166,24 @@ def _side_systems(boxes, p):
 
     Side i with image coordinate q_i taken from projection row r_i gives
     a_i . (T + o) + k_i = 0 with a_i = P[r_i,:3] - q_i P[2,:3].  A box
-    whose constraint matrix is rank deficient is marked singular, and its
-    pseudo-inverse, which may hold inf or NaN, must not be used.
+    whose constraint matrix is rank deficient, or that has an infinite
+    side, is marked singular, and its system is zeroed, so that solving it
+    neither warns nor overflows.  An infinite side's rows are built from a
+    zero box instead, whose SVD converges.
     """
     p = np.asarray(p, dtype=float)
     coords = np.array([[b.xmin, b.xmax, b.ymin, b.ymax] for b in boxes],
                       dtype=float).reshape(-1, 4)
-    a = p[_SIDE_ROWS, :3] - coords[:, :, None] * p[2, :3]
-    k = p[_SIDE_ROWS, 3] - coords * p[2, 3]
+    finite = np.all(np.isfinite(coords), axis=1)
+    sides = np.where(finite[:, None], coords, 0.0)
+    a = p[_SIDE_ROWS, :3] - sides[:, :, None] * p[2, :3]
+    k = p[_SIDE_ROWS, 3] - sides * p[2, 3]
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         singular = (s[:, 0] <= 0.0) | (s[:, -1] / s[:, 0] < RANK_RCOND)
+        singular |= ~finite
         pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+    a[singular], k[singular], pinv[singular] = 0.0, 0.0, 0.0
     return a, k, coords, pinv, s, singular
 
 
@@ -261,7 +271,7 @@ def solve_translation(box2d, dims, yaw, config, p, residual_cap=DEFAULT_RESIDUAL
     offsets = _corner_offsets([dims], [yaw])
     a, k, coords, pinv, s, singular = _side_systems([box2d], p)
     if singular[0]:
-        raise SingularSystem(_rank_message(s[0]))
+        raise SingularSystem(_system_message(box2d, s[0]))
     centers = _solve_configs(a, k, pinv, offsets, table)[0]
     rms, feasible = _feasibility(coords[0], centers[:, None, :]
                                  + offsets[0][table], p, centers, residual_cap)
@@ -330,8 +340,9 @@ def agreement_search_frame(boxes, dims, yaws, p,
     Returns one outcome per object, in object order: its MonoEstimate, or
     the NoFeasibleConfiguration of an object that has none.  An object
     fails, first, when its dims are not all finite and > 0 or its yaw is
-    not finite (the message names them), then when its constraint matrix
-    is rank deficient, then when no configuration is feasible, then when
+    not finite (the message names them), then when a side of its 2D box is
+    infinite (named too), then when its constraint matrix is rank
+    deficient, then when no configuration is feasible, then when
     every feasible one projects partly behind the camera.  Nothing else
     fails, and a failing object neither warns nor changes its neighbours'
     outcomes: its rows are masked out.
@@ -370,7 +381,7 @@ def agreement_search_frame(boxes, dims, yaws, p,
         outcomes[i] = NoFeasibleConfiguration(
             "dims must be finite and > 0 and yaw finite, got dims "
             f"{tuple(dims[i].tolist())} and yaw {yaws[i]}" if bad[i]
-            else _rank_message(s[i]))
+            else _system_message(boxes[i], s[i]))
     m = len(configs)
     centers = _solve_configs(a, k, pinv, offsets, configs).reshape(-1, 3)
     # the rows ahead of the camera, as flat (object, row) pairs in order
@@ -486,7 +497,8 @@ def spatial_scatter_frame(estimates, params, p):
             [estimates[i].box2d for i in own], p)
         for j, i in enumerate(own):
             if singular[j]:
-                raise SingularSystem(_rank_message(s[j]))
+                raise SingularSystem(_system_message(estimates[i].box2d,
+                                                     s[j]))
             systems[i] = (a[j], k[j], pinv[j])
     a, k, pinv = (np.stack(part * 2) for part in zip(*systems))
     dims = np.array([est.dims for est in estimates], dtype=float)

@@ -160,8 +160,10 @@ def make_frame(frame_id, seed, n_cars=3, ground_points=2000,
         gy = np.full(ground_points, GROUND_Y)
         clouds.append(np.column_stack([gx, gy, gz]))
     xyz = np.vstack(clouds) if clouds else np.zeros((0, 3))
-    reflectance = rng.uniform(0.0, 1.0, size=len(xyz))
-    cloud = PointCloud(np.column_stack([xyz, reflectance]), frame="camera")
+    points = np.empty((len(xyz), 4), order="F")
+    points[:, :3] = xyz
+    points[:, 3] = rng.uniform(0.0, 1.0, size=len(xyz))
+    cloud = PointCloud(points, frame="camera")
     return FrameData(
         frame_id=str(frame_id),
         calib=calib,

@@ -2,9 +2,10 @@
 
 Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
-code paths.  The pose-search and point-head references at the end are
-the exception: they are the earlier, slower forms of the library's
-search, scatter and oracle heads, one object or region at a time, built
+code paths.  The pose-search, point-head and frame-transform references
+at the end are the exception: they are the earlier, slower forms of the
+library's search, scatter, oracle heads and row-major cloud transforms,
+one object or region at a time where the library stacks them, built
 on the library's noise draws, with their own copy of the constraint
 rows and of the numpy arithmetic the library has since replaced, so
 that the two can be compared bit for bit.
@@ -24,6 +25,7 @@ from cyldet.codec import (
     logit,
 )
 from cyldet.geometry import corner_offsets
+from cyldet.kitti import PointCloud
 from cyldet.mono import (
     DEFAULT_RESIDUAL_CAP,
     CornerConfiguration,
@@ -473,3 +475,19 @@ def oracle_brn_reference(cfg, clusters, bins, region, frame):
         size_logits=size_logits,
         size_residuals=size_residuals,
     )
+
+
+def lidar_to_camera_reference(cloud, calib):
+    """The row-major Lidar-to-camera transform: (N, 3) coordinates times
+    the transposed rotations, the reflectance column stacked back on."""
+    xyz = cloud.xyz
+    ref = xyz @ calib.tr_velo_to_cam[:, :3].T + calib.tr_velo_to_cam[:, 3]
+    cam = ref @ calib.r0_rect.T
+    return PointCloud(np.column_stack([cam, cloud.points[:, 3]]), frame="camera")
+
+
+def camera_to_lidar_reference(cloud, calib):
+    """The row-major inverse of lidar_to_camera_reference."""
+    ref = cloud.xyz @ calib.r0_rect
+    lidar = (ref - calib.tr_velo_to_cam[:, 3]) @ calib.tr_velo_to_cam[:, :3]
+    return PointCloud(np.column_stack([lidar, cloud.points[:, 3]]), frame="lidar")

@@ -103,6 +103,28 @@ class TestSolvePose:
         assert rc == 2
         assert "got dims (-1.6, 1.5, 3.9)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, rc, out, err", [
+        ("--dims", "-1.6,1.5,3.9", 2, "", "got dims (-1.6, 1.5, 3.9)"),
+        ("--box2d", "-20,100,50,200", 0, "center: ", ""),
+        ("--residual-cap", "-1e-3", 2, "", "residual_cap must be positive"),
+    ])
+    def test_a_number_list_that_starts_with_minus_is_a_value(
+            self, dataset, capsys, flag, value, rc, out, err):
+        # argparse used to read it as a flag unless attached with "=", and
+        # exit 1 with "expected one argument"
+        root, _, _ = dataset
+        args = {"--box2d": "648.4,158.9,757.1,242.7", "--dims": "1.6,1.5,3.9",
+                "--residual-cap": "3.0"}
+        args[flag] = value
+        argv = ["solve-pose", "--calib",
+                os.path.join(root, "calib", "000000.txt"), "--yaw", "0.3"]
+        for name, text in args.items():
+            argv += [name, text]
+        assert main(argv) == rc
+        captured = capsys.readouterr()
+        assert out in captured.out and err in captured.err
+        assert "expected one argument" not in captured.err
+
     @pytest.mark.parametrize("cap", ["-1", "nan"])
     def test_residual_cap_not_above_zero_is_rejected_as_by_detect(
             self, dataset, tmp_path, capsys, cap):

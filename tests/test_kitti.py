@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyldet
 from cyldet import (
@@ -26,9 +28,11 @@ from cyldet import (
     parse_velodyne,
 )
 from cyldet import synthetic
+from cyldet.evalbench import desync_frame
 from cyldet.geometry import Box3D
 from cyldet.kitti import CalibrationSet
 from cyldet.synthetic import make_calibration, make_frames, write_dataset
+from oracles import camera_to_lidar_reference, lidar_to_camera_reference
 
 IDENTITY_CALIB = """P2: 1 0 0 0 0 1 0 0 0 0 1 0
 R0_rect: 1 0 0 0 1 0 0 0 1
@@ -238,6 +242,72 @@ class TestFrameTransforms:
             lidar_to_camera(camera_cloud, calib)
         with pytest.raises(WrongFrame):
             camera_to_lidar(PointCloud([[0, 0, 0, 0]], frame="lidar"), calib)
+
+
+class TestTransformMatchesReference:
+    """The transforms compute on coordinate rows of a column-major cloud;
+    they give the row-major references' bits for either input layout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 2, 58_400]) | st.integers(0, 5000),
+        order=st.sampled_from("CF"),
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+        scale=st.sampled_from([1e-3, 1.0, 80.0, 1e6]),
+        far=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_equal_the_row_major_reference(self, n, order, angles, scale,
+                                                far, seed):
+        rng = np.random.default_rng(seed)
+        tr = np.zeros((3, 4))
+        tr[:, :3] = rotation_xyz(*angles[:3])
+        tr[:, 3] = rng.uniform(-scale, scale, size=3)
+        calib = CalibrationSet(p2=make_calibration().p2,
+                               r0_rect=rotation_xyz(*angles[3:]),
+                               tr_velo_to_cam=tr)
+        pts = rng.uniform(-scale, scale, size=(n, 4))
+        if far:
+            pts[::3, :3] *= 1e9
+        pts = np.array(pts, order=order)
+        for frame, transform, reference in (
+            ("lidar", lidar_to_camera, lidar_to_camera_reference),
+            ("camera", camera_to_lidar, camera_to_lidar_reference),
+        ):
+            cloud = PointCloud(pts, frame=frame)
+            got, want = transform(cloud, calib), reference(cloud, calib)
+            assert got.frame == want.frame
+            assert got.points.shape == want.points.shape == (n, 4)
+            assert got.points.tobytes() == want.points.tobytes()
+
+
+class TestColumnMajorClouds:
+    """Whole-frame clouds are stored column-major (F-contiguous (N, 4)),
+    from the velodyne bytes through both transforms to a desynced copy."""
+
+    def test_every_whole_frame_cloud_is_column_major(self, tmp_path):
+        frame = synthetic.make_frame("000000", seed=1)
+        lidar = camera_to_lidar(frame.cloud, frame.calib)
+        clouds = [
+            frame.cloud,
+            desync_frame(frame).cloud,
+            lidar,
+            parse_velodyne(emit_velodyne(lidar)),
+            lidar_to_camera(lidar, frame.calib),
+            next(iter_split(write_dataset(str(tmp_path), [frame]),
+                            str(tmp_path))).cloud,
+        ]
+        for cloud in clouds:
+            assert len(cloud) > 2000 and cloud.points.flags.f_contiguous
+
+    def test_transforms_of_a_row_major_cloud_are_column_major(self):
+        calib = make_calibration()
+        pts = np.random.default_rng(5).uniform(-30, 30, size=(50, 4))
+        for frame, transform in (("lidar", lidar_to_camera),
+                                 ("camera", camera_to_lidar)):
+            cloud = PointCloud(pts, frame=frame)
+            assert cloud.points.flags.c_contiguous
+            assert transform(cloud, calib).points.flags.f_contiguous
 
 
 class TestDifficulty:

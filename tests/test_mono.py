@@ -637,6 +637,33 @@ class TestInputsCheckedUpFront:
                                    calib.p2)[0])
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sides", [
+        (600.0, 180.0, math.inf, 210.0), (-math.inf, 180.0, 700.0, 210.0),
+        (-math.inf, -math.inf, math.inf, math.inf),
+        (-1e308, 180.0, 1e308, 210.0)])
+    def test_a_box_side_not_finite_fails_by_name_and_leaves_the_rest(
+            self, calib, sides):
+        # an infinite side used to make the stacked SVD raise LinAlgError,
+        # failing the frame; a side of 1e308 warned as its system was solved
+        good = self.good_objects(calib)
+        bad = (Box2D(*sides), (1.6, 1.5, 3.9), 0.3)
+        objects = [good[0], bad, good[1], good[2], bad]
+        frame = agreement_search_frame(*zip(*objects), calib.p2)
+        message = (f"2D box sides must be finite, got {sides}"
+                   if not all(map(math.isfinite, sides))
+                   else "constraint matrix is rank deficient")
+        for outcome in (frame[1], frame[4]):
+            assert type(outcome) is NoFeasibleConfiguration
+            assert str(outcome).startswith(message)
+        alone = agreement_search_frame(*zip(*good), calib.p2)
+        assert ([_bits(o) for o in (frame[0], frame[2], frame[3])]
+                == [_bits(o) for o in alone])
+        with pytest.raises(NoFeasibleConfiguration, match=r"^2D box|^constr"):
+            geometric_agreement_search(*bad, calib.p2)
+        with pytest.raises(SingularSystem, match=r"^2D box|^constr"):
+            solve_translation(*bad, CornerConfiguration(0, 1, 4, 2), calib.p2)
+
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=100, deadline=None)
     @given(
         objects=st.lists(st.tuples(

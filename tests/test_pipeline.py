@@ -1037,6 +1037,30 @@ class TestSolvePosesLogs:
             assert (np.array(got.solved_center).tobytes()
                     == np.array(want.solved_center).tobytes())
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_infinite_box_side_fails_its_object_not_the_frame(self, caplog):
+        # the stacked SVD used to raise LinAlgError, failing the frame
+        frame = make_frame("000007", seed=7, n_cars=3)
+        good = [Mono2DDetection(lab.bbox2d, lab.box3d.dims, lab.box3d.yaw)
+                for lab in frame.labels]
+        bad = Mono2DDetection(Box2D(600.0, 180.0, math.inf, 210.0),
+                              good[1].dims, good[1].yaw)
+        alone = solve_poses(frame, lambda _: good, PipelineConfig())
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            poses = solve_poses(frame, lambda _: [good[0], bad, *good[1:]],
+                                PipelineConfig())
+        assert [r.getMessage() for r in caplog.records] == [
+            "frame 000007 object 1: 2D box sides must be finite, got "
+            "(600.0, 180.0, inf, 210.0)"]
+        assert [(i, det2d) for i, det2d, _ in poses] == [
+            (0, good[0]), (2, good[1]), (3, good[2])]
+        for (_, _, got), (_, _, want) in zip(poses, alone):
+            assert got == want
+            assert (np.array(got.solved_center).tobytes()
+                    == np.array(want.solved_center).tobytes())
+
 
 class TestDetectFrame:
     def test_single_car_zero_noise(self):
