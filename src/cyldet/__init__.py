@@ -40,7 +40,6 @@ from .evalbench import (
     average_precision,
     desync_frame,
     desync_robustness_curve,
-    detection_recall,
     evaluate_detections,
     match_detections,
     proposal_recall,

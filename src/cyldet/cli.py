@@ -35,6 +35,7 @@ from .evalbench import (
     EVAL_DIFFICULTIES,
     MATCH_METRICS,
     EvalConfig,
+    check_sweep_values,
     desync_robustness_curve,
     evaluate_detections,
     sweep_objectness,
@@ -287,10 +288,8 @@ def cmd_solve_pose(args):
     with open(path, "r", encoding="utf-8") as fh:
         calib = parse_calibration(fh.read())
     box2d = Box2D(*coords)
-    est = geometric_agreement_search(
-        box2d, tuple(dims), args.yaw, calib.p2,
-        residual_cap=args.residual_cap, reduced=args.reduced,
-    )
+    est = geometric_agreement_search(box2d, tuple(dims), args.yaw, calib.p2,
+                                     residual_cap=args.residual_cap)
     cfg = est.best_config
     if args.json:
         print(json.dumps({
@@ -377,7 +376,10 @@ def cmd_detect(args):
 
 
 def cmd_sweep(args):
-    values = _parse_values(args.values)
+    try:
+        values = check_sweep_values(args.kind, _parse_values(args.values))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     settings, output_dir, frames, config, predictors = _prepare_run(args)
     if args.kind == "scatter":
         rows = sweep_scatter(frames, predictors.monocular, values, config)
@@ -441,8 +443,6 @@ def build_parser():
     p_solve.add_argument("--yaw", required=True, type=float)
     p_solve.add_argument("--residual-cap", dest="residual_cap", type=float,
                          default=DEFAULT_RESIDUAL_CAP)
-    p_solve.add_argument("--reduced", action="store_true",
-                         help="use the reduced upright-box configuration search")
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve_pose)
 

@@ -70,8 +70,7 @@ class DesyncConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_xy < 0.0 or self.max_z_vertical < 0.0:
-            raise ValueError("translation bounds must be >= 0")
+        check_sweep_values("desync", (self.max_xy, self.max_z_vertical))
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,36 @@ def average_precision(scored, n_gt, mode="r11"):
                    mode=mode)
 
 
+class _Tally:
+    """The counts and (confidence, is_tp) pairs of the frames matched so
+    far: all that evaluate_detections keeps of a frame."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.tp = self.fp = self.fn = 0
+        self.scored = []
+
+    def add(self, detections, gts):
+        result = match_detections(detections, gts, self.cfg)
+        self.tp += result.tp
+        self.fp += result.fp
+        self.fn += result.fn
+        matched = {d for d, _, _ in result.matches}
+        ignored = set(result.ignored_dets)
+        self.scored.extend((det.confidence, idx in matched)
+                           for idx, det in enumerate(detections)
+                           if idx not in ignored)
+
+    def stats(self):
+        n_active = self.tp + self.fn
+        curve = average_precision(self.scored, n_active, self.cfg.ap_mode)
+        recall = self.tp / n_active if n_active else 0.0
+        return {
+            "tp": self.tp, "fp": self.fp, "fn": self.fn,
+            "recall": recall, "ap": curve.ap, "curve": curve,
+        }
+
+
 def evaluate_detections(per_frame, cfg=EvalConfig()):
     """Aggregate matching over (detections, gts) pairs, one per frame.
 
@@ -178,26 +207,10 @@ def evaluate_detections(per_frame, cfg=EvalConfig()):
     arrives, and only its (confidence, is_tp) pairs and counts are kept.
     Returns a dict with tp/fp/fn counts, recall, and the PR curve with AP.
     """
-    scored = []
-    tp = fp = fn = n_active = 0
+    tally = _Tally(cfg)
     for detections, gts in per_frame:
-        result = match_detections(detections, gts, cfg)
-        tp += result.tp
-        fp += result.fp
-        fn += result.fn
-        n_active += result.tp + result.fn
-        matched = {d for d, _, _ in result.matches}
-        ignored = set(result.ignored_dets)
-        for idx, det in enumerate(detections):
-            if idx in ignored:
-                continue
-            scored.append((det.confidence, idx in matched))
-    curve = average_precision(scored, n_active, cfg.ap_mode)
-    recall = tp / n_active if n_active else 0.0
-    return {
-        "tp": tp, "fp": fp, "fn": fn,
-        "recall": recall, "ap": curve.ap, "curve": curve,
-    }
+        tally.add(detections, gts)
+    return tally.stats()
 
 
 def _captured(seeds, gts, radius):
@@ -223,11 +236,23 @@ def proposal_recall(seeds, gts, radius):
     return _captured(seeds, gts, radius) / len(gts), len(seeds) / len(gts)
 
 
-def detection_recall(detections, gts, cfg=EvalConfig()):
-    """Fraction of active ground truths matched at the configured IoU."""
-    result = match_detections(detections, gts, cfg)
-    total = result.tp + result.fn
-    return result.tp / total if total else 0.0
+def check_sweep_values(kind, values):
+    """values as a list, or ValueError naming the first one outside the
+    range of the sweep kind's setting.  Each sweep checks its values before
+    it reads a frame."""
+    message, inside = {
+        "scatter": ("s must be in [0, 1)", lambda v: 0.0 <= v < 1.0),
+        "objectness": ("objectness threshold must be in [0, 1]",
+                       lambda v: 0.0 <= v <= 1.0),
+        "desync": ("desync translation bound must be finite and >= 0",
+                   lambda v: 0.0 <= v < np.inf),
+    }[kind]
+    values = list(values)
+    for v in values:
+        # negated, so that NaN is rejected too
+        if not inside(v):
+            raise ValueError(f"{message}, got {v!r}")
+    return values
 
 
 def _clamped_scatter(config, s):
@@ -263,7 +288,8 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     frames may be any iterable; it is read once.
     Returns (s, recall, proposals_per_gt) rows.
     """
-    rows = [(s, _clamped_scatter(config, s), []) for s in s_values]
+    rows = [(s, _clamped_scatter(config, s), [])
+            for s in check_sweep_values("scatter", s_values)]
     for frame in frames:
         poses = solve_poses(frame, monocular, config)
         for _, cfg, pairs in rows:
@@ -288,6 +314,7 @@ def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
     is read once.
     Returns (threshold, recall, proposals_per_gt) rows.
     """
+    thresholds = check_sweep_values("objectness", thresholds)
     scored_frames = [
         (run_proposals(frame, predictors, config, ("rpn",),
                        _score_seed_region),
@@ -348,7 +375,8 @@ def desync_robustness_curve(frames, predictors, magnitudes,
 
     The vertical cap scales as vertical_ratio times the ground-plane cap.
     metric selects 'recall' or 'map'.  frames may be any iterable; it is
-    read once.
+    read once, and each draw matches a frame as it finishes, keeping only
+    its (confidence, is_tp) pairs and counts.
     """
     if metric not in DESYNC_METRICS:
         raise ValueError(f"metric must be one of {DESYNC_METRICS}")
@@ -357,17 +385,16 @@ def desync_robustness_curve(frames, predictors, magnitudes,
     magnitudes = list(magnitudes)
     draws = [
         (DesyncConfig(max_xy=m, max_z_vertical=m * vertical_ratio,
-                      rng_seed=derive_seed(seed, k)), [])
+                      rng_seed=derive_seed(seed, k)), _Tally(eval_cfg))
         for m in magnitudes for k in range(n_seeds)
     ]
     for frame in frames:
-        for desync_cfg, per_frame in draws:
+        for desync_cfg, tally in draws:
             shifted = desync_frame(frame, desync_cfg)
             dets = detect_frame(shifted, predictors, config)
-            per_frame.append((dets, shifted.labels))
+            tally.add(dets, shifted.labels)
     key = "recall" if metric == "recall" else "ap"
-    values = [evaluate_detections(per_frame, eval_cfg)[key]
-              for _, per_frame in draws]
+    values = [tally.stats()[key] for _, tally in draws]
     return [
         (float(m), float(np.mean(values[i * n_seeds:(i + 1) * n_seeds])))
         for i, m in enumerate(magnitudes)

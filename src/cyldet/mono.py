@@ -32,17 +32,15 @@ sides are invalid (checked first, up front) or whose system is rank
 deficient are skipped, and nothing warns.
 
 The search tables, built once at import, hold only the non-degenerate
-configurations (3136 of the full 4096, 96 of the reduced 128): a
-configuration that pins one corner to two opposite sides forces that
-corner onto the camera plane and is never feasible.  When the
-projection's first and third rows read no y (P[0, 1] == P[2, 1] == 0, as
-in KITTI's rectified P2), the two corners of a vertical edge pin the left
-and right sides alike, so the search solves one representative row per
-distinct configuration: 896 of the full set's 3136 rows (the reduced
-set's rows are all distinct).  Of the solved rows, only those with the
-center ahead of the camera go on to the per-corner feasibility and
-overlap tests, as flat (object, row) pairs; the others are infeasible by
-the first test.
+configurations, 3136 of the 4096: a configuration that pins one corner to
+two opposite sides forces that corner onto the camera plane and is never
+feasible.  When the projection's first and third rows read no y
+(P[0, 1] == P[2, 1] == 0, as in KITTI's rectified P2), the two corners of
+a vertical edge pin the left and right sides alike, so the search solves
+one representative row per distinct configuration: 896 of the 3136 rows.
+Of the solved rows, only those with the center ahead of the camera go on
+to the per-corner feasibility and overlap tests, as flat (object, row)
+pairs; the others are infeasible by the first test.
 """
 
 import math
@@ -280,60 +278,36 @@ def solve_translation(box2d, dims, yaw, config, p, residual_cap=DEFAULT_RESIDUAL
     return centers[0], float(rms[0])
 
 
-def enumerate_configurations(reduced=False):
-    """Corner-index table of candidate configurations, shape (M, 4).
-
-    The full set enumerates all 4096 side-to-corner assignments.  The
-    reduced 128-entry set assumes an upright box and a zero-skew
-    projection: the horizontal extremes then lie on one of the four
-    vertical edges (whose two corners share their horizontal image
-    coordinate, so the bottom corner represents the edge), and the
-    vertical extremes lie on a depth-extreme footprint corner, the top on
-    the upper face and the bottom on the lower face, with the two corners
-    either sharing a footprint corner or sitting on antipodal ones.
-    """
-    if not reduced:
-        idx = np.arange(4096)
-        return np.stack(
-            [(idx >> 9) & 7, (idx >> 6) & 7, (idx >> 3) & 7, idx & 7], axis=1
-        )
-    vertical_patterns = ((0, 0), (1, 1), (2, 2), (3, 3),
-                         (0, 2), (2, 0), (1, 3), (3, 1))
-    rows = []
-    for left in range(4):
-        for right in range(4):
-            for top_fp, bottom_fp in vertical_patterns:
-                rows.append((left, right, top_fp + 4, bottom_fp))
-    return np.array(rows)
+def enumerate_configurations():
+    """Corner-index table of all 4096 side-to-corner assignments, shape
+    (4096, 4): row i holds the base-8 digits of i."""
+    idx = np.arange(4096)
+    return np.stack([(idx >> shift) & 7 for shift in (9, 6, 3, 0)], axis=1)
 
 
-def _search_table(reduced):
-    """The non-degenerate rows of a configuration set and their base-8
+def _search_table():
+    """The non-degenerate rows of the configuration set and their base-8
     configuration indices, read-only, and the same for the representative
     rows: the lowest index of each group of rows with equal (left & 3,
-    right & 3, top, bottom), 896 of the full set's 3136 rows and every row
-    of the reduced set."""
-    configs = enumerate_configurations(reduced=reduced)
+    right & 3, top, bottom), 896 of the 3136 rows."""
+    configs = enumerate_configurations()
     configs = configs[(configs[:, 0] != configs[:, 1])
                       & (configs[:, 2] != configs[:, 3])]
     index = configs @ np.array([512, 64, 8, 1])
-    # a row's group is its index with left and right taken mod 4
-    group = index & ~0o4400
-    lowest = np.full(4096, 4096)
-    np.minimum.at(lowest, group, index)
-    kept = lowest[group] == index
+    # a row's group is its index with left and right taken mod 4; the
+    # indices ascend, so a group's first row is its lowest
+    kept = np.sort(np.unique(index & ~0o4400, return_index=True)[1])
     tables = (configs, index, configs[kept], index[kept])
     for table in tables:
         table.flags.writeable = False
     return tables[:2], tables[2:]
 
 
-# keyed by the reduced flag
-_SEARCH_TABLES = {reduced: _search_table(reduced) for reduced in (False, True)}
+_SEARCH_TABLES = _search_table()
 
 
 def agreement_search_frame(boxes, dims, yaws, p,
-                           residual_cap=DEFAULT_RESIDUAL_CAP, reduced=False):
+                           residual_cap=DEFAULT_RESIDUAL_CAP):
     """Best-overlap translation over the corner configuration set, for
     every object (boxes[i], dims[i], yaws[i]) of a frame at once.
 
@@ -372,7 +346,7 @@ def agreement_search_frame(boxes, dims, yaws, p,
     # a bad object is searched as a unit cube, so that nothing warns
     offsets = _corner_offsets(np.where(bad[:, None], 1.0, dims),
                               np.where(bad, 0.0, yaws))        # (N, 8, 3)
-    every_row, representatives = _SEARCH_TABLES[bool(reduced)]
+    every_row, representatives = _SEARCH_TABLES
     configs, config_index = (
         representatives if p[0, 1] == 0.0 and p[2, 1] == 0.0 else every_row)
     a, k, coords, pinv, s, singular = _side_systems(boxes, p)
@@ -453,15 +427,14 @@ def agreement_search_frame(boxes, dims, yaws, p,
     ]
 
 
-def geometric_agreement_search(
-    box2d, dims, yaw, p, residual_cap=DEFAULT_RESIDUAL_CAP, reduced=False
-):
+def geometric_agreement_search(box2d, dims, yaw, p,
+                               residual_cap=DEFAULT_RESIDUAL_CAP):
     """Best-overlap translation of one object over the corner
     configuration set: agreement_search_frame of this object alone.
     Returns its MonoEstimate, or raises the NoFeasibleConfiguration that
     the frame search returns for it."""
     (outcome,) = agreement_search_frame([box2d], [dims], [yaw], p,
-                                        residual_cap, reduced)
+                                        residual_cap)
     if isinstance(outcome, NoFeasibleConfiguration):
         raise outcome
     return outcome

@@ -35,7 +35,6 @@ from cyldet.mono import (
     SingularSystem,
     RANK_RCOND,
     _config_table,
-    enumerate_configurations,
 )
 from cyldet.pipeline import _graded_objectness, _label_rng, _noised_dims_yaw
 
@@ -303,16 +302,19 @@ def _feasibility_reference(system, sel_offsets, p, centers, residual_cap):
     return rms, feasible
 
 
+# every (left, right, top, bottom) corner assignment, in base-8 index order
+_ALL_CONFIGURATIONS = np.array(list(itertools.product(range(8), repeat=4)))
+
+
 def agreement_search_reference(box2d, dims, yaw, p,
-                               residual_cap=DEFAULT_RESIDUAL_CAP,
-                               reduced=False):
-    """The search over every configuration of the set: each row gathers
-    its own corner offsets and is solved, and the degenerate rows (one
-    corner pinned to two opposite sides) are masked after the solve.  The
-    agreement is the IoU that the winner was ranked by."""
+                               residual_cap=DEFAULT_RESIDUAL_CAP):
+    """The search over the 4096 rows of _ALL_CONFIGURATIONS: each row
+    gathers its own corner offsets and is solved, and the degenerate rows
+    (one corner pinned to two opposite sides) are masked after the solve.
+    The agreement is the IoU that the winner was ranked by."""
     p = np.asarray(p, dtype=float)
     offsets = corner_offsets(dims, yaw)
-    configs = enumerate_configurations(reduced=reduced)
+    configs = _ALL_CONFIGURATIONS
     sel_offsets = np.take(offsets, configs, axis=0)   # (M, 4, 3)
     try:
         system = side_system_reference(box2d, p)

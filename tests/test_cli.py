@@ -125,6 +125,13 @@ class TestSolvePose:
         assert out in captured.out and err in captured.err
         assert "expected one argument" not in captured.err
 
+    def test_reduced_search_flag_is_gone(self, dataset, capsys):
+        # the 128-row configuration set it selected was deleted: every
+        # search runs over the 4096-row set
+        args, _ = self.solve_args(dataset, extra=["--reduced"])
+        assert main(args) == 1
+        assert "unrecognized arguments: --reduced" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", ["-1", "nan"])
     def test_residual_cap_not_above_zero_is_rejected_as_by_detect(
             self, dataset, tmp_path, capsys, cap):
@@ -623,6 +630,36 @@ class TestSweep:
                    "--output-dir", str(out_dir), f"--values={spec}"])
         assert rc == 1
         assert str(cyldet.cli.MAX_GRID_VALUES) in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind, spec, message", [
+        ("scatter", "1.5,1.0", "s must be in [0, 1), got 1.5"),
+        ("scatter", "-0.1:0.5:0.1", "s must be in [0, 1), got -0.1"),
+        ("objectness", "1.5,-0.2",
+         "objectness threshold must be in [0, 1], got 1.5"),
+        ("objectness", "nan", "got nan"),
+        ("desync", "inf", "desync translation bound must be finite and >= 0, "
+         "got inf"),
+        ("desync", "nan", "got nan"),
+        ("desync", "-0.5", "got -0.5"),
+    ])
+    def test_value_outside_its_range_is_usage_error_before_any_frame(
+            self, dataset, tmp_path, monkeypatch, capsys, kind, spec, message):
+        # scatter and objectness used to write rows for these values with
+        # exit 0; desync inf or NaN exited 3 with an OverflowError from the
+        # draw, and -0.5 exited 2 after writing config_effective.ini
+        root, split, _ = dataset
+
+        def no_frames(*args):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(cyldet.cli, "iter_split", no_frames)
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", kind, "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), f"--values={spec}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and message in err
         assert not out_dir.exists()
 
     def test_range_of_the_most_values_is_accepted(self):

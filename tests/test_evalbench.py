@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from cyldet import (
     desync_frame,
     desync_robustness_curve,
     detect_frame,
-    detection_recall,
     evaluate_detections,
     iou_3d,
     match_detections,
@@ -33,7 +33,7 @@ from cyldet import (
 )
 from cyldet import evalbench, pipeline
 from cyldet.pipeline import Detection, seed_proposals
-from cyldet.synthetic import make_frames
+from cyldet.synthetic import make_frame, make_frames
 from oracles import optimal_match_count
 
 
@@ -260,10 +260,11 @@ class TestRecallHelpers:
             0.5, [([], far), (seeds, near)], radius=1.0)
         assert (value, recall, per_gt) == (0.5, 7 / 45, 7 / 45)
 
-    def test_detection_recall_uses_matching(self):
+    def test_recall_of_one_frame_uses_matching(self):
         gts = [gt_label((0, 0, 10)), gt_label((8, 0, 20))]
         dets = [detection((0, 0, 10))]
-        assert detection_recall(dets, gts, EvalConfig()) == 0.5
+        stats = evaluate_detections([(dets, gts)], EvalConfig())
+        assert stats["recall"] == 0.5
 
 
 class TestSweeps:
@@ -393,6 +394,38 @@ class TestSweeps:
         assert (sweep_objectness(iter(self.frames), preds, thresholds, config)
                 == sweep_objectness(self.frames, preds, thresholds, config))
 
+    @pytest.mark.parametrize("kind, values, message", [
+        ("scatter", [0.5, 1.0], r"s must be in \[0, 1\), got 1\.0"),
+        ("scatter", [1.5], r"got 1\.5"),
+        ("scatter", [-0.1, 0.0], r"got -0\.1"),
+        ("scatter", [math.nan], r"got nan"),
+        ("objectness", [1.5, -0.2],
+         r"threshold must be in \[0, 1\], got 1\.5"),
+        ("objectness", [0.0, -0.2], r"got -0\.2"),
+        ("objectness", [math.nan], r"got nan"),
+        ("objectness", [math.inf], r"got inf"),
+    ])
+    def test_values_outside_their_range_raise_before_any_frame(
+            self, kind, values, message):
+        # they used to give rows: s = 1.5 and 1 a recall of 1, s = -0.1 and
+        # thresholds of 1.5, -0.2 and NaN rows that meant nothing
+        def unread():
+            raise AssertionError("a frame was read")
+            yield
+
+        preds = oracle_predictors()
+        with pytest.raises(ValueError, match=message):
+            if kind == "scatter":
+                sweep_scatter(unread(), preds.monocular, iter(values))
+            else:
+                sweep_objectness(unread(), preds, iter(values))
+
+    def test_the_ends_of_each_range_are_values(self):
+        for kind, values in [("scatter", [0.0, 1.0 - 1e-16]),
+                             ("objectness", [0.0, 1.0]),
+                             ("desync", [0.0, 1e308])]:
+            assert evalbench.check_sweep_values(kind, iter(values)) == values
+
 
 class TestDesync:
     frames = make_frames(4, seed=31, cars_per_frame=(1, 3))
@@ -469,6 +502,27 @@ class TestDesync:
 
         assert curve(iter(self.frames)) == curve(self.frames)
 
+    @pytest.mark.parametrize("max_xy, max_z_vertical", [
+        (math.nan, 0.2), (math.inf, 0.2), (-0.5, 0.2),
+        (0.8, math.nan), (0.8, math.inf), (0.8, -1e-9)])
+    def test_bounds_not_finite_and_at_least_zero_are_rejected(
+            self, max_xy, max_z_vertical):
+        # NaN and inf used to be accepted; inf made rng.uniform raise
+        # OverflowError
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            DesyncConfig(max_xy=max_xy, max_z_vertical=max_z_vertical)
+
+    @pytest.mark.parametrize("magnitude", [math.inf, math.nan, -0.5])
+    def test_magnitude_not_finite_and_at_least_zero_raises_before_any_frame(
+            self, magnitude):
+        def unread():
+            raise AssertionError("a frame was read")
+            yield
+
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            desync_robustness_curve(unread(), oracle_predictors(),
+                                    [0.2, magnitude])
+
     @pytest.mark.parametrize("n_seeds", [0, -1])
     def test_no_seed_draws_is_an_error(self, n_seeds):
         def exhausted():
@@ -478,6 +532,47 @@ class TestDesync:
         with pytest.raises(ValueError, match="n_seeds must be >= 1"):
             desync_robustness_curve(exhausted(), oracle_predictors(), [0.2],
                                     n_seeds=n_seeds)
+
+
+class TestDesyncCurveMemory:
+    """Each draw of desync_robustness_curve matches a frame as it finishes
+    and keeps only its (confidence, is_tp) pairs and counts, not every
+    frame's detections and labels until the split ends."""
+
+    @staticmethod
+    def curve(n_frames):
+        frames = (make_frame(f"{i:06d}", seed=100 + i, n_cars=3,
+                             ground_points=200) for i in range(n_frames))
+        preds = oracle_predictors(OracleConfig(
+            dims_noise_sigma=0.05, yaw_noise_sigma=0.05, box2d_noise_sigma=1.0,
+            center_noise_sigma=0.1, rng_seed=4))
+        return desync_robustness_curve(frames, preds, [0.3, 0.8],
+                                       PipelineConfig(), EvalConfig(),
+                                       metric="map", seed=9)
+
+    def test_rows_are_unchanged_and_peak_heap_does_not_grow(self, caplog):
+        # the log capture would keep every drop line of the split
+        caplog.set_level(logging.ERROR, logger="cyldet")
+
+        def peak(n_frames):
+            tracemalloc.start()
+            try:
+                return self.curve(n_frames), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # warm up: the first run fills caches that later runs reuse
+        self.curve(5)
+        _, short = peak(20)
+        rows, long = peak(200)
+        # written when each draw kept every frame's detections and labels
+        # and evaluated them after the last frame
+        assert rows == [(0.3, float.fromhex("0x1.8d45abad9ea97p-1")),
+                        (0.8, float.fromhex("0x1.47bd090af1de2p-1"))]
+        # what still grows is the AP's (confidence, is_tp) pairs: 0.12 MB
+        # more for the 200 frames than for the 20 (0.64 MB); keeping every
+        # frame's detections and labels made it 1.53 MB more
+        assert long - short < 0.3e6
 
 
 class TestEvaluateDetections:

@@ -112,13 +112,9 @@ class TestConfigurationSet:
         assert configs.shape == (4096, 4)
         assert len(np.unique(configs, axis=0)) == 4096
 
-    def test_reduced_enumeration(self):
-        configs = enumerate_configurations(reduced=True)
-        assert configs.shape == (128, 4)
-        assert np.all(configs[:, 0] < 4)
-        assert np.all(configs[:, 1] < 4)
-        assert np.all(configs[:, 2] >= 4)
-        assert np.all(configs[:, 3] < 4)
+    def test_row_i_holds_the_base8_digits_of_i(self):
+        np.testing.assert_array_equal(
+            enumerate_configurations() @ [512, 64, 8, 1], np.arange(4096))
 
     def test_configuration_index_is_base8(self):
         config = CornerConfiguration(left=1, right=2, top=3, bottom=4)
@@ -138,11 +134,9 @@ class TestRepresentativeRows:
     == 0 the rows of one group solve and test alike, bit for bit, so the
     search solves only each group's lowest configuration index."""
 
-    @pytest.mark.parametrize("reduced, rows, kept",
-                             [(False, 3136, 896), (True, 96, 96)])
-    def test_each_group_keeps_its_lowest_index(self, reduced, rows, kept):
-        (configs, index), (reps, rep_index) = _SEARCH_TABLES[reduced]
-        assert (len(configs), len(reps)) == (rows, kept)
+    def test_each_group_keeps_its_lowest_index(self):
+        (configs, index), (reps, rep_index) = _SEARCH_TABLES
+        assert (len(configs), len(reps)) == (3136, 896)
         np.testing.assert_array_equal(reps @ [512, 64, 8, 1], rep_index)
         lowest = {}
         for group, i in zip(_edge_groups(configs).tolist(), index.tolist()):
@@ -154,7 +148,7 @@ class TestRepresentativeRows:
         p = calib.p2.copy()
         if skew is not None:
             p[skew] = 1e-3
-        (configs, _), _ = _SEARCH_TABLES[False]
+        (configs, _), _ = _SEARCH_TABLES
         groups = _edge_groups(configs)
         order = np.argsort(groups, kind="stable")
         rng = np.random.default_rng(7)
@@ -189,17 +183,6 @@ class TestAgreementSearch:
             errors.append(np.linalg.norm(np.array(est.solved_center) - box.center))
             assert est.agreement >= 0.99
         assert np.median(errors) <= 1e-2
-
-    def test_reduced_mode_matches_full_on_round_trips(self, calib):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            box = random_car_box(rng)
-            b2d = project_box(box, calib.p2)
-            est = geometric_agreement_search(
-                b2d, box.dims, box.yaw, calib.p2, reduced=True
-            )
-            assert est.agreement >= 0.99
-            assert np.linalg.norm(np.array(est.solved_center) - box.center) < 1e-2
 
     def test_agreement_equals_reprojection_iou(self, calib):
         rng = np.random.default_rng(4)
@@ -388,7 +371,6 @@ class TestSearchMatchesReference:
         corner=st.tuples(st.floats(-600.0, 1300.0), st.floats(-300.0, 700.0)),
         size=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
         residual_cap=st.sampled_from([2.0, 10.0, math.inf]),
-        reduced=st.booleans(),
         s=st.floats(1e-9, 0.9),
         config=st.tuples(*[st.integers(0, 7)] * 4),
         skew=st.just((0.0, 0.0))
@@ -401,19 +383,18 @@ class TestSearchMatchesReference:
     @example(z=15.0, x_over_z=2.0 / 15.0, y=1.2, dims=(1.6, 1.5, 3.9),
              yaw=0.3, dims_noise=(0.0, 0.0, 0.0), yaw_noise=0.0,
              kind="tight", offsets=(0.0,) * 4, corner=(0.0, 0.0),
-             size=(1.0, 1.0), residual_cap=10.0, reduced=False, s=0.5,
+             size=(1.0, 1.0), residual_cap=10.0, s=0.5,
              config=(2, 0, 5, 3), skew=(0.0, 0.0))
     # the same car seen through a projection whose first and third rows
     # read y (P[0, 1] and P[2, 1]), where those corners no longer tie
     @example(z=15.0, x_over_z=2.0 / 15.0, y=1.2, dims=(1.6, 1.5, 3.9),
              yaw=0.3, dims_noise=(0.0, 0.0, 0.0), yaw_noise=0.0,
              kind="tight", offsets=(0.0,) * 4, corner=(0.0, 0.0),
-             size=(1.0, 1.0), residual_cap=10.0, reduced=False, s=0.5,
+             size=(1.0, 1.0), residual_cap=10.0, s=0.5,
              config=(6, 4, 5, 3), skew=(1e-3, 1e-5))
     def test_search_scatter_and_solve_match_reference(
             self, calib, z, x_over_z, y, dims, yaw, dims_noise, yaw_noise,
-            kind, offsets, corner, size, residual_cap, reduced, s, config,
-            skew):
+            kind, offsets, corner, size, residual_cap, s, config, skew):
         p = calib.p2.copy()
         p[0, 1], p[2, 1] = skew
         tight = project_box(Box3D((x_over_z * z, y, z), dims, yaw), p)
@@ -422,10 +403,9 @@ class TestSearchMatchesReference:
         seed_yaw = yaw + yaw_noise
 
         est = _outcome(geometric_agreement_search, b2d, seed_dims, seed_yaw,
-                       p, residual_cap=residual_cap, reduced=reduced)
+                       p, residual_cap=residual_cap)
         assert est == _outcome(agreement_search_reference, b2d, seed_dims,
-                               seed_yaw, p, residual_cap=residual_cap,
-                               reduced=reduced)
+                               seed_yaw, p, residual_cap=residual_cap)
         if not isinstance(est, tuple):
             params = ScatterParams(s=s, stride=1.6)
             got = spatial_scatter(est, params, p)
@@ -473,11 +453,10 @@ def _bits(outcome):
             np.array(floats).tobytes())
 
 
-def _reference(box2d, dims, yaw, p, residual_cap, reduced):
+def _reference(box2d, dims, yaw, p, residual_cap):
     try:
         return agreement_search_reference(box2d, dims, yaw, p,
-                                          residual_cap=residual_cap,
-                                          reduced=reduced)
+                                          residual_cap=residual_cap)
     except (NoFeasibleConfiguration, ValueError) as exc:
         return exc
 
@@ -514,7 +493,7 @@ class TestFrameSearchMatchesReference:
         frame = agreement_search_frame(boxes, [(1.6, 1.5, 3.9)] * 2,
                                        [0.3, -2.0], p)
         assert [_bits(o) for o in frame] == [
-            _bits(_reference(b, (1.6, 1.5, 3.9), y, p, 10.0, False))
+            _bits(_reference(b, (1.6, 1.5, 3.9), y, p, 10.0))
             for b, y in zip(boxes, [0.3, -2.0])]
         assert "singular values [0. 0. 0.]" in str(frame[0])
 
@@ -523,7 +502,6 @@ class TestFrameSearchMatchesReference:
     @given(
         objects=st.lists(_OBJECT, max_size=10),
         residual_cap=st.sampled_from([2.0, 10.0, math.inf]),
-        reduced=st.booleans(),
         skew=st.just((0.0, 0.0))
         | st.sampled_from([(1e-3, 0.0), (0.0, 1e-5), (-1e-3, 1e-5)]),
     )
@@ -537,19 +515,18 @@ class TestFrameSearchMatchesReference:
             (30.0, -0.2, 0.5, (1.8, 1.6, 4.2), -1.0, (0.1, 0.0, -0.1), 0.2,
              "off_image", (0.0,) * 4, (900.0, 100.0), (2.0, 1.5)),
         ],
-        residual_cap=10.0, reduced=False, skew=(0.0, 0.0))
+        residual_cap=10.0, skew=(0.0, 0.0))
     def test_each_object_as_if_alone(self, calib, objects, residual_cap,
-                                     reduced, skew):
+                                     skew):
         p = calib.p2.copy()
         p[0, 1], p[2, 1] = skew
         drawn = [_drawn_object(p, *obj) for obj in objects]
         boxes, dims, yaws = ([d[i] for d in drawn] for i in range(3))
-        want = [_bits(_reference(*d, p, residual_cap, reduced))
-                for d in drawn]
+        want = [_bits(_reference(*d, p, residual_cap)) for d in drawn]
 
         def search(boxes, dims, yaws):
             return agreement_search_frame(boxes, dims, yaws, p,
-                                          residual_cap, reduced)
+                                          residual_cap)
 
         frame = search(boxes, dims, yaws)
         assert [_bits(o) for o in frame] == want
@@ -673,10 +650,9 @@ class TestInputsCheckedUpFront:
             st.none() | st.floats(-10.0, 10.0)
             | st.sampled_from([math.nan, math.inf, -math.inf]),
         ), max_size=6),
-        reduced=st.booleans(),
     )
     def test_every_outcome_is_an_estimate_or_no_feasible_configuration(
-            self, calib, objects, reduced):
+            self, calib, objects):
         p = calib.p2
         drawn = []
         for obj, dims, yaw in objects:
@@ -684,7 +660,7 @@ class TestInputsCheckedUpFront:
             drawn.append((box2d, good_dims if dims is None else dims,
                           good_yaw if yaw is None else yaw))
         boxes, dims, yaws = ([d[i] for d in drawn] for i in range(3))
-        frame = agreement_search_frame(boxes, dims, yaws, p, reduced=reduced)
+        frame = agreement_search_frame(boxes, dims, yaws, p)
         assert len(frame) == len(drawn)
         for outcome, (_, d, y) in zip(frame, drawn):
             assert type(outcome) in (MonoEstimate, NoFeasibleConfiguration)
