@@ -325,6 +325,10 @@ def _prepare_run(args):
     output_dir = settings["run"]["output_dir"]
     if not output_dir:
         raise UsageError("--output-dir is required")
+    ratio = settings["desync"]["vertical_ratio"]
+    if not 0.0 <= ratio < math.inf:  # negated, so that NaN fails too
+        raise ValueError("[desync] vertical_ratio must be finite and >= 0, "
+                         f"got {ratio!r}")
     frames = _load_frames(settings)
     config = _pipeline_config(settings)
     # the [oracle] and [eval] keys are the fields of their config classes

@@ -88,11 +88,13 @@ def match_detections(detections, gts, cfg=EvalConfig()):
     Each detection takes the highest-IoU not-yet-matched active ground
     truth if that IoU clears the threshold.  Detections overlapping only
     harder-than-active or ignored ground truths are dropped from the
-    tally; everything else unmatched is a false positive.
+    tally; everything else unmatched is a false positive.  Each box's
+    footprint is built once, when the box first reaches the clip.
     """
     active = [i for i, g in enumerate(gts) if g.difficulty in _ACTIVE[cfg.difficulty]]
     ignore = [i for i in range(len(gts)) if i not in active]
     metric = cfg.metric
+    footprints = {}
     order = sorted(range(len(detections)),
                    key=lambda i: (-detections[i].confidence, i))
     matched_gts = set()
@@ -104,15 +106,15 @@ def match_detections(detections, gts, cfg=EvalConfig()):
         for gt_idx in active:
             if gt_idx in matched_gts:
                 continue
-            iou = metric(det.box3d, gts[gt_idx].box3d)
+            iou = metric(det.box3d, gts[gt_idx].box3d, footprints)
             if iou > best_iou:
                 best_iou, best_gt = iou, gt_idx
         if best_gt is not None and best_iou >= cfg.iou_threshold:
             matched_gts.add(best_gt)
             matches.append((det_idx, best_gt, best_iou))
             continue
-        if any(metric(det.box3d, gts[g].box3d) >= cfg.iou_threshold
-               for g in ignore):
+        if any(metric(det.box3d, gts[g].box3d, footprints)
+               >= cfg.iou_threshold for g in ignore):
             ignored_dets.append(det_idx)
             continue
         fp += 1
@@ -213,27 +215,40 @@ def evaluate_detections(per_frame, cfg=EvalConfig()):
     return tally.stats()
 
 
-def _captured(seeds, gts, radius):
-    """How many ground truths have a seed within the cylinder radius
-    (ground-plane distance), as an integer."""
-    seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
-    captured = 0
-    for gt in gts:
-        cx, _, cz = gt.box3d.center
-        if len(seeds) and np.any(
-            np.hypot(seeds[:, 0] - cx, seeds[:, 2] - cz) <= radius
-        ):
-            captured += 1
-    return captured
+class _Captures:
+    """The integer totals of one sweep row over the frames added so far:
+    ground truths with a seed within the cylinder radius (ground-plane
+    distance), ground truths and seeds."""
+
+    def __init__(self, radius):
+        self.radius = radius
+        self.captured = self.gts = self.seeds = 0
+
+    def add(self, seeds, gts):
+        seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
+        for gt in gts:
+            cx, _, cz = gt.box3d.center
+            if len(seeds) and np.any(
+                np.hypot(seeds[:, 0] - cx, seeds[:, 2] - cz) <= self.radius
+            ):
+                self.captured += 1
+        self.gts += len(gts)
+        self.seeds += len(seeds)
+
+    def row(self, value):
+        """(value, capture recall, seeds per GT); the recall is the
+        captured count over the total, exactly."""
+        if not self.gts:
+            return float(value), 0.0, 0.0
+        return float(value), self.captured / self.gts, self.seeds / self.gts
 
 
 def proposal_recall(seeds, gts, radius):
     """Fraction of ground truths with a seed within the cylinder radius
     (ground-plane distance), plus seeds per ground truth."""
-    seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
-    if not gts:
-        return 0.0, 0.0
-    return _captured(seeds, gts, radius) / len(gts), len(seeds) / len(gts)
+    captures = _Captures(radius)
+    captures.add(seeds, gts)
+    return captures.row(0.0)[1:]
 
 
 def check_sweep_values(kind, values):
@@ -262,22 +277,6 @@ def _clamped_scatter(config, s):
     return replace(config, scatter=replace(config.scatter, s=s_eff))
 
 
-def _capture_row(value, frames, radius):
-    """(value, capture recall, seeds per GT) over (seed centers, gts)
-    pairs, one pair per frame.  Captured ground truths are counted as
-    integers, so the recall is their count over the total, exactly."""
-    captured = total_gts = total_seeds = 0
-    for seeds, gts in frames:
-        captured += _captured(seeds, gts, radius)
-        total_gts += len(gts)
-        total_seeds += len(seeds)
-    return (
-        float(value),
-        captured / total_gts if total_gts else 0.0,
-        total_seeds / total_gts if total_gts else 0.0,
-    )
-
-
 def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     """Capture recall and seeds-per-GT of the scattered proposals, per s.
 
@@ -285,19 +284,19 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     so the seeds-per-GT column reflects the scatter arithmetic alone.
     The poses do not depend on s, so each frame's are solved once (and
     each pose failure logged once) and scattered once per s.
-    frames may be any iterable; it is read once.
+    frames may be any iterable; it is read once, and each row adds a
+    frame's counts as the frame finishes.
     Returns (s, recall, proposals_per_gt) rows.
     """
-    rows = [(s, _clamped_scatter(config, s), [])
+    rows = [(s, _clamped_scatter(config, s), _Captures(config.region_radius))
             for s in check_sweep_values("scatter", s_values)]
     for frame in frames:
         poses = solve_poses(frame, monocular, config)
-        for _, cfg, pairs in rows:
-            pairs.append((
+        for _, cfg, captures in rows:
+            captures.add(
                 [r.center for _, _, _, r in scatter_proposals(frame, poses, cfg)],
-                frame.labels,
-            ))
-    return [_capture_row(s, pairs, cfg.region_radius) for s, cfg, pairs in rows]
+                frame.labels)
+    return [captures.row(s) for s, _, captures in rows]
 
 
 def _score_seed_region(stage, proposal, out):
@@ -311,23 +310,19 @@ def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
     The proposal head scores every seed region once, dropping proposals
     as detect_frame does; each threshold row then filters the same scored
     set, so the sweep is exactly nested.  frames may be any iterable; it
-    is read once.
+    is read once, and each row adds a frame's counts as the frame finishes.
     Returns (threshold, recall, proposals_per_gt) rows.
     """
-    thresholds = check_sweep_values("objectness", thresholds)
-    scored_frames = [
-        (run_proposals(frame, predictors, config, ("rpn",),
-                       _score_seed_region),
-         frame.labels)
-        for frame in frames
-    ]
-    return [
-        _capture_row(threshold, [
-            ([center for score, center in scored if score >= threshold], gts)
-            for scored, gts in scored_frames
-        ], config.region_radius)
-        for threshold in thresholds
-    ]
+    rows = [(threshold, _Captures(config.region_radius))
+            for threshold in check_sweep_values("objectness", thresholds)]
+    for frame in frames:
+        scored = run_proposals(frame, predictors, config, ("rpn",),
+                               _score_seed_region)
+        for threshold, captures in rows:
+            captures.add(
+                [center for score, center in scored if score >= threshold],
+                frame.labels)
+    return [captures.row(threshold) for threshold, captures in rows]
 
 
 def desync_frame(frame, cfg=DesyncConfig()):

@@ -6,7 +6,9 @@ at yaw 0 the width spans x and the length spans z.
 
 BEV and 3D IoU clip one footprint polygon by the other, except for two
 footprints whose circumscribed circles lie clearly apart: their
-intersection area is 0.0 without a clip, as the clip would find.
+intersection area is 0.0 without a clip, as the clip would find.  The
+clip runs on plain floats; a caller that scores many pairs (NMS,
+matching) passes a memo so that each box's footprint is built once.
 """
 
 import math
@@ -160,16 +162,24 @@ def footprint_polygon(box):
 
 
 def polygon_area(poly):
-    """Shoelace area of a counter-clockwise polygon, (N, 2)."""
-    if len(poly) < 3:
+    """Shoelace area of a counter-clockwise polygon, (N, 2).
+
+    The sums are two np.dot calls, each of a strided column and a
+    contiguous gathered copy: BLAS picks its summation order by layout,
+    and a plain-float loop does not reproduce it bit for bit."""
+    n = len(poly)
+    if n < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    nxt = np.arange(1, n + 1) % n
+    return 0.5 * float(np.dot(x, y[nxt]) - np.dot(x[nxt], y))
+
 
 def clip_polygon(subject, clip):
     """Sutherland-Hodgman clip of a convex subject polygon by a convex clip
-    polygon.  Both counter-clockwise, arrays of shape (N, 2).  Returns the
-    (possibly empty) intersection polygon."""
+    polygon.  Both counter-clockwise sequences of (x, y) pairs; plain
+    floats are fastest.  Returns the (possibly empty) intersection
+    polygon, (N, 2)."""
     output = [tuple(v) for v in subject]
     n = len(clip)
     for i in range(n):
@@ -212,23 +222,32 @@ def _footprints_apart(a, b):
     return math.hypot(ax - bx, az - bz) > reach + slack
 
 
-def _bev_intersection_area(a, b):
+def _bev_intersection_area(a, b, memo):
     # clip in a canonical operand order so iou_*(a, b) == iou_*(b, a)
     # exactly despite floating-point rounding in the clipper
     if (b.center, b.dims, b.yaw) < (a.center, a.dims, a.yaw):
         a, b = b, a
     if _footprints_apart(a, b):
         return 0.0
-    inter = clip_polygon(footprint_polygon(a), footprint_polygon(b))
+    # keyed by identity: boxes that differ only in a signed zero are
+    # equal, yet their corners may not be
+    memo = {} if memo is None else memo
+    for box in (a, b):
+        if id(box) not in memo:
+            memo[id(box)] = footprint_polygon(box).tolist()
+    inter = clip_polygon(memo[id(a)], memo[id(b)])
     return max(0.0, polygon_area(inter))
 
 
-def iou_bev(a, b):
-    """IoU of the two yaw-rotated box footprints in the x-z ground plane."""
+def iou_bev(a, b, memo=None):
+    """IoU of the two yaw-rotated box footprints in the x-z ground plane.
+
+    memo, a dict that one caller passes to every pair it scores, holds
+    each box's footprint so that it is built once; the IoU is the same."""
     area_a = a.dims[0] * a.dims[2]
     area_b = b.dims[0] * b.dims[2]
     # rounding in the clip can carry the intersection past either area
-    inter = min(_bev_intersection_area(a, b), area_a, area_b)
+    inter = min(_bev_intersection_area(a, b, memo), area_a, area_b)
     if inter <= 0.0:
         return 0.0
     return inter / (area_a + area_b - inter)
@@ -240,12 +259,14 @@ def _y_overlap(a, b):
     return max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
 
 
-def iou_3d(a, b):
-    """Volumetric IoU: BEV intersection area times vertical overlap."""
+def iou_3d(a, b, memo=None):
+    """Volumetric IoU: BEV intersection area times vertical overlap.
+    memo as for iou_bev."""
     overlap = _y_overlap(a, b)
     if overlap <= 0.0:
         return 0.0
-    inter = min(_bev_intersection_area(a, b) * overlap, a.volume, b.volume)
+    inter = min(_bev_intersection_area(a, b, memo) * overlap, a.volume,
+                b.volume)
     if inter <= 0.0:
         return 0.0
     return inter / (a.volume + b.volume - inter)

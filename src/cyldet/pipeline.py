@@ -810,15 +810,17 @@ def detect_frame(frame, predictors, config=PipelineConfig()):
 def nms_bev(detections, threshold):
     """Greedy bird's-eye-view NMS: walk detections by descending
     confidence (ties keep insertion order) and suppress any detection
-    whose footprint IoU with an already kept one exceeds the threshold."""
+    whose footprint IoU with an already kept one exceeds the threshold.
+    Each footprint is built once, when its box first reaches the clip."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
     kept = []
     kept_idx = []
+    footprints = {}
     for i in order:
         cand = detections[i]
-        if any(iou_bev(cand.box3d, detections[j].box3d) > threshold
+        if any(iou_bev(cand.box3d, detections[j].box3d, footprints) > threshold
                for j in kept_idx):
             continue
         kept_idx.append(i)

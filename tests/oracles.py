@@ -2,13 +2,14 @@
 
 Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
-code paths.  The pose-search, point-head and frame-transform references
-at the end are the exception: they are the earlier, slower forms of the
-library's search, scatter, oracle heads and row-major cloud transforms,
-one object or region at a time where the library stacks them, built
-on the library's noise draws, with their own copy of the constraint
-rows and of the numpy arithmetic the library has since replaced, so
-that the two can be compared bit for bit.
+code paths.  The pose-search, point-head, frame-transform and overlap
+references at the end are the exception: they are the earlier, slower
+forms of the library's search, scatter, oracle heads, row-major cloud
+transforms, and of its IoUs, NMS and matching, one object, region or
+pair at a time where the library stacks or memoizes them, built on the
+library's noise draws and corner offsets, with their own copy of the
+constraint rows and of the numpy arithmetic the library has since
+replaced, so that the two can be compared bit for bit.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from cyldet.codec import (
     encode_size,
     logit,
 )
+from cyldet.evalbench import _ACTIVE, MatchResult
 from cyldet.geometry import corner_offsets
 from cyldet.kitti import PointCloud
 from cyldet.mono import (
@@ -493,3 +495,135 @@ def camera_to_lidar_reference(cloud, calib):
     ref = cloud.xyz @ calib.r0_rect
     lidar = (ref - calib.tr_velo_to_cam[:, 3]) @ calib.tr_velo_to_cam[:, :3]
     return PointCloud(np.column_stack([lidar, cloud.points[:, 3]]), frame="lidar")
+
+
+# The overlap code as it was before each box's footprint was built once
+# per NMS or matching call and clipped in plain floats: the footprint
+# rebuilt for every pair, the clip on numpy scalars, np.roll in the area.
+_CLIP_EPS = 1e-12
+
+
+def footprint_polygon_reference(box):
+    corners = np.asarray(box.center) + corner_offsets(box.dims, box.yaw)
+    return corners[:4][:, [0, 2]]
+
+
+def polygon_area_reference(poly):
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def clip_polygon_reference(subject, clip):
+    output = [tuple(v) for v in subject]
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        vertices = output
+        output = []
+        m = len(vertices)
+        side = [ex * (vy - ay) - ey * (vx - ax) for vx, vy in vertices]
+        for j in range(m):
+            k = (j + 1) % m
+            (cx, cy), s_c = vertices[j], side[j]
+            (dx, dy), s_d = vertices[k], side[k]
+            if s_c >= -_CLIP_EPS:
+                output.append((cx, cy))
+            if (s_c >= -_CLIP_EPS) != (s_d >= -_CLIP_EPS):
+                t = s_c / (s_c - s_d)
+                output.append((cx + t * (dx - cx), cy + t * (dy - cy)))
+    if len(output) < 3:
+        return np.zeros((0, 2))
+    return np.array(output)
+
+
+def _footprints_apart_reference(a, b):
+    (ax, _, az), (bx, _, bz) = a.center, b.center
+    (aw, _, al), (bw, _, bl) = a.dims, b.dims
+    reach = 0.5 * (math.hypot(aw, al) + math.hypot(bw, bl))
+    slack = (2.0 * _CLIP_EPS / min(aw, al, bw, bl)
+             + 1e-9 * (reach + abs(ax) + abs(az) + abs(bx) + abs(bz)))
+    return math.hypot(ax - bx, az - bz) > reach + slack
+
+
+def _bev_intersection_area_reference(a, b):
+    if (b.center, b.dims, b.yaw) < (a.center, a.dims, a.yaw):
+        a, b = b, a
+    if _footprints_apart_reference(a, b):
+        return 0.0
+    inter = clip_polygon_reference(footprint_polygon_reference(a),
+                                   footprint_polygon_reference(b))
+    return max(0.0, polygon_area_reference(inter))
+
+
+def iou_bev_reference(a, b):
+    area_a = a.dims[0] * a.dims[2]
+    area_b = b.dims[0] * b.dims[2]
+    inter = min(_bev_intersection_area_reference(a, b), area_a, area_b)
+    if inter <= 0.0:
+        return 0.0
+    return inter / (area_a + area_b - inter)
+
+
+def iou_3d_reference(a, b):
+    a_lo, a_hi = a.center[1] - a.dims[1] / 2.0, a.center[1] + a.dims[1] / 2.0
+    b_lo, b_hi = b.center[1] - b.dims[1] / 2.0, b.center[1] + b.dims[1] / 2.0
+    overlap = max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
+    if overlap <= 0.0:
+        return 0.0
+    inter = min(_bev_intersection_area_reference(a, b) * overlap,
+                a.volume, b.volume)
+    if inter <= 0.0:
+        return 0.0
+    return inter / (a.volume + b.volume - inter)
+
+
+def nms_bev_reference(detections, threshold):
+    """Kept detections, in kept order."""
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-detections[i].confidence, i))
+    kept_idx = []
+    for i in order:
+        if any(iou_bev_reference(detections[i].box3d, detections[j].box3d)
+               > threshold for j in kept_idx):
+            continue
+        kept_idx.append(i)
+    return [detections[i] for i in kept_idx]
+
+
+def match_detections_reference(detections, gts, cfg):
+    active = [i for i, g in enumerate(gts)
+              if g.difficulty in _ACTIVE[cfg.difficulty]]
+    ignore = [i for i in range(len(gts)) if i not in active]
+    metric = {"iou_3d": iou_3d_reference,
+              "iou_bev": iou_bev_reference}[cfg.match_metric]
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-detections[i].confidence, i))
+    matched_gts = set()
+    matches, ignored_dets = [], []
+    fp = 0
+    for det_idx in order:
+        det = detections[det_idx]
+        best_iou, best_gt = 0.0, None
+        for gt_idx in active:
+            if gt_idx in matched_gts:
+                continue
+            iou = metric(det.box3d, gts[gt_idx].box3d)
+            if iou > best_iou:
+                best_iou, best_gt = iou, gt_idx
+        if best_gt is not None and best_iou >= cfg.iou_threshold:
+            matched_gts.add(best_gt)
+            matches.append((det_idx, best_gt, best_iou))
+            continue
+        if any(metric(det.box3d, gts[g].box3d) >= cfg.iou_threshold
+               for g in ignore):
+            ignored_dets.append(det_idx)
+            continue
+        fp += 1
+    return MatchResult(tp=len(matches), fp=fp, fn=len(active) - len(matches),
+                       matches=tuple(matches), ignored_dets=tuple(ignored_dets))

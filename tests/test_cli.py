@@ -662,6 +662,29 @@ class TestSweep:
         assert err.startswith("usage error: ") and message in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("ratio", ["-1", "nan", "inf"])
+    def test_vertical_ratio_not_finite_and_at_least_zero_fails_before_writing(
+            self, dataset, tmp_path, monkeypatch, capsys, ratio):
+        # -1 used to exit 2 after writing config_effective.ini, naming the
+        # product ("desync translation bound ...") instead of the setting
+        root, split, _ = dataset
+
+        def no_frames(*args):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(cyldet.cli, "iter_split", no_frames)
+        config = tmp_path / "ratio.ini"
+        config.write_text(f"[desync]\nvertical_ratio = {ratio}\n")
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", "desync", "--config", str(config),
+                   "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--values", "0.2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: [desync] vertical_ratio must be finite and >= 0, "
+            f"got {float(ratio)!r}\n")
+        assert not out_dir.exists()
+
     def test_range_of_the_most_values_is_accepted(self):
         most = cyldet.cli.MAX_GRID_VALUES
         values = cyldet.cli._parse_values(f"0:{most - 1}:1")

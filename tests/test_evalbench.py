@@ -31,10 +31,12 @@ from cyldet import (
     sweep_scatter,
     write_csv,
 )
-from cyldet import evalbench, pipeline
-from cyldet.pipeline import Detection, seed_proposals
+from cyldet import evalbench, geometry, pipeline
+from cyldet.kitti import DIFFICULTIES
+from cyldet.pipeline import Detection, nms_bev, seed_proposals
 from cyldet.synthetic import make_frame, make_frames
-from oracles import optimal_match_count
+from oracles import match_detections_reference, optimal_match_count
+from test_geometry import _box_pairs, _near_touching_pairs, _signed_zero_twins
 
 
 def gt_label(center, yaw=0.0, dims=(1.6, 1.5, 3.9), difficulty="easy"):
@@ -256,9 +258,10 @@ class TestRecallHelpers:
         near = [gt_label((float(x), 0.0, 20.0)) for x in range(-60, 65, 5)]
         seeds = [gt.box3d.center for gt in near[:7]]
         assert len(far) == 20 and len(near) == 25
-        value, recall, per_gt = evalbench._capture_row(
-            0.5, [([], far), (seeds, near)], radius=1.0)
-        assert (value, recall, per_gt) == (0.5, 7 / 45, 7 / 45)
+        captures = evalbench._Captures(radius=1.0)
+        captures.add([], far)
+        captures.add(seeds, near)
+        assert captures.row(0.5) == (0.5, 7 / 45, 7 / 45)
 
     def test_recall_of_one_frame_uses_matching(self):
         gts = [gt_label((0, 0, 10)), gt_label((8, 0, 20))]
@@ -304,11 +307,12 @@ class TestSweeps:
         seeded = []
         for s in s_values:
             cfg = evalbench._clamped_scatter(config, s)
-            seeded.append(evalbench._capture_row(s, [
-                ([r.center for _, _, _, r in
-                  seed_proposals(frame, preds.monocular, cfg)], frame.labels)
-                for frame in self.frames
-            ], cfg.region_radius))
+            captures = evalbench._Captures(cfg.region_radius)
+            for frame in self.frames:
+                captures.add([r.center for _, _, _, r in
+                              seed_proposals(frame, preds.monocular, cfg)],
+                             frame.labels)
+            seeded.append(captures.row(s))
 
         calls = []
         search = pipeline.agreement_search_frame
@@ -573,6 +577,139 @@ class TestDesyncCurveMemory:
         # more for the 200 frames than for the 20 (0.64 MB); keeping every
         # frame's detections and labels made it 1.53 MB more
         assert long - short < 0.3e6
+
+
+class TestSweepMemory:
+    """Each sweep row adds a frame's counts as the frame finishes, instead
+    of keeping every frame's seed centers or scored regions until the
+    split ends."""
+
+    preds = oracle_predictors(OracleConfig(
+        dims_noise_sigma=0.05, yaw_noise_sigma=0.05, box2d_noise_sigma=1.0,
+        center_noise_sigma=0.1, rng_seed=4))
+
+    @staticmethod
+    def frames(n_frames):
+        return (make_frame(f"{i:06d}", seed=100 + i, n_cars=3,
+                           ground_points=200) for i in range(n_frames))
+
+    def scatter(self, n_frames):
+        return sweep_scatter(self.frames(n_frames), self.preds.monocular,
+                             [0.0, 0.3, 0.6])
+
+    def objectness(self, n_frames):
+        return sweep_objectness(self.frames(n_frames), self.preds, [0.1, 0.6])
+
+    # written when each sweep kept every frame's seeds until the split
+    # ended: 2.30 MB (scatter) and 1.66 MB (objectness) more for 200
+    # frames than for 20
+    @pytest.mark.parametrize("kind, hex_rows", [
+        ("scatter", [
+            ("0x0.0p+0", "0x1.db4e81b4e81b5p-1", "0x1.0000000000000p+0"),
+            ("0x1.3333333333333p-2", "0x1.0000000000000p+0",
+             "0x1.1e06d3a06d3a0p+3"),
+            ("0x1.3333333333333p-1", "0x1.0000000000000p+0",
+             "0x1.15f258bf258bfp+4")]),
+        ("objectness", [
+            ("0x1.999999999999ap-4", "0x1.0000000000000p+0",
+             "0x1.a1b4e81b4e81bp+0"),
+            ("0x1.3333333333333p-1", "0x1.7f258bf258bf2p-1",
+             "0x1.8e81b4e81b4e8p-1")]),
+    ])
+    def test_rows_are_unchanged_and_peak_heap_does_not_grow(
+            self, caplog, kind, hex_rows):
+        # the log capture would keep every drop line of the split
+        caplog.set_level(logging.ERROR, logger="cyldet")
+        sweep = getattr(self, kind)
+
+        def peak(n_frames):
+            tracemalloc.start()
+            try:
+                return sweep(n_frames), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # warm up: the first run fills caches that later runs reuse
+        sweep(5)
+        _, short = peak(20)
+        rows, long = peak(200)
+        assert rows == [tuple(float.fromhex(v) for v in row)
+                        for row in hex_rows]
+        assert long - short < 0.3e6
+
+
+@st.composite
+def _match_cases(draw):
+    """Detections and ground truths on near-touching and overlapping box
+    pairs, with exact hits, one box object shared, signed-zero twins, tied
+    confidences and every difficulty."""
+    pairs = draw(st.lists(_near_touching_pairs() | _box_pairs(),
+                          min_size=1, max_size=5))
+    det_boxes = [a for a, _ in pairs]
+    gt_boxes = [b for _, b in pairs]
+    for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=4)):
+        box = gt_boxes[i]
+        det_boxes += draw(st.sampled_from([
+            [box], [Box3D(box.center, box.dims, box.yaw)],
+            _signed_zero_twins(box)]))
+    confidence = st.sampled_from([0.25, 0.5, 0.5, 0.9]) | st.floats(0.0, 1.0)
+    dets = [Detection(box, Box2D(0, 0, 100, 100), 1.0, draw(confidence))
+            for box in det_boxes]
+    gts = [dataclasses.replace(gt_label((0, 0, 10)), box3d=box,
+                               difficulty=draw(st.sampled_from(DIFFICULTIES)))
+           for box in gt_boxes]
+    cfg = EvalConfig(
+        iou_threshold=draw(st.sampled_from([0.1, 0.5, 0.7, 1.0])
+                           | st.floats(0.01, 1.0)),
+        difficulty=draw(st.sampled_from(evalbench.EVAL_DIFFICULTIES)),
+        match_metric=draw(st.sampled_from(evalbench.MATCH_METRICS)))
+    return dets, gts, cfg
+
+
+class TestOverlapBits:
+    """Matching equals the reference (the overlap code that rebuilt both
+    footprints for every pair and clipped on numpy scalars) bit for bit,
+    and NMS and matching build each box's footprint at most once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_match_cases())
+    def test_match_results_equal_the_reference(self, case):
+        dets, gts, cfg = case
+        got = match_detections(dets, gts, cfg)
+        want = match_detections_reference(dets, gts, cfg)
+        assert got == want
+        assert all(type(iou) is float for _, _, iou in got.matches)
+        assert ([iou.hex() for _, _, iou in got.matches]
+                == [iou.hex() for _, _, iou in want.matches])
+
+    def test_each_footprint_is_built_at_most_once_per_call(self, monkeypatch):
+        built = []
+        footprint = geometry.footprint_polygon
+
+        def counted(box):
+            built.append(id(box))
+            return footprint(box)
+
+        monkeypatch.setattr(geometry, "footprint_polygon", counted)
+        rng = np.random.default_rng(8)
+        boxes = [Box3D((x, 0.0, z), (1.6, 1.5, 3.9), yaw) for x, z, yaw in
+                 rng.uniform((-2, 10, -3), (2, 14, 3), size=(12, 3))]
+        # at threshold 1 nothing is suppressed, so every pair is scored
+        dets = [detection(box.center, box.yaw, c) for box, c in
+                zip(boxes, rng.uniform(size=12))]
+        nms_bev(dets, 1.0)
+        assert sorted(built) == sorted(id(d.box3d) for d in dets)
+        # every detection meets every ground truth, active and ignored
+        built.clear()
+        gts = [gt_label(box.center, box.yaw, difficulty=difficulty)
+               for box, difficulty in zip(boxes[:6], DIFFICULTIES * 2)]
+        for metric in evalbench.MATCH_METRICS:
+            match_detections(dets, gts, EvalConfig(iou_threshold=1.0,
+                                                   match_metric=metric))
+            assert sorted(built) == sorted(
+                id(box) for box in [d.box3d for d in dets]
+                + [g.box3d for g in gts])
+            built.clear()
 
 
 class TestEvaluateDetections:

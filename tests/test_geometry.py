@@ -20,7 +20,15 @@ from cyldet import (
 )
 from cyldet import geometry
 from conftest import random_car_box
-from oracles import mc_iou_3d, mc_iou_bev, project_corners_reference
+from oracles import (
+    iou_3d_reference,
+    iou_bev_reference,
+    mc_iou_3d,
+    mc_iou_bev,
+    nms_bev_reference,
+    polygon_area_reference,
+    project_corners_reference,
+)
 
 
 class TestBoxTypes:
@@ -369,3 +377,66 @@ class TestSeparationReject:
                 for box, c in zip([box for pair in pairs for box in pair],
                                   confidences)]
         assert nms_bev(dets, 0.0) == _clip_only(nms_bev, dets, 0.0)
+
+
+def _signed_zero_twins(box):
+    """The box moved to x = 0.0, and an equal box at x = -0.0."""
+    _, y, z = box.center
+    return [Box3D((x, y, z), box.dims, box.yaw) for x in (0.0, -0.0)]
+
+
+@st.composite
+def _detection_sets(draw):
+    """Detections on near-touching and overlapping boxes, with repeats of
+    one box object, equal copies, signed-zero twins and tied confidences."""
+    pairs = draw(st.lists(_near_touching_pairs() | _box_pairs(),
+                          min_size=1, max_size=5))
+    boxes = [box for pair in pairs for box in pair]
+    for i in draw(st.lists(st.integers(0, len(boxes) - 1), max_size=4)):
+        box = boxes[i]
+        boxes += draw(st.sampled_from([
+            [box], [Box3D(box.center, box.dims, box.yaw)],
+            _signed_zero_twins(box)]))
+    confidence = st.sampled_from([0.25, 0.5, 0.5, 0.9]) | st.floats(0.0, 1.0)
+    box2d = Box2D(0.0, 0.0, 1.0, 1.0)
+    return [Detection(box, box2d, 1.0, draw(confidence)) for box in boxes]
+
+
+class TestOverlapBits:
+    """IoUs, areas and NMS equal the references (the overlap code that
+    rebuilt both footprints for every pair and clipped on numpy scalars)
+    bit for bit, with and without a footprint memo."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_near_touching_pairs() | _box_pairs(), st.booleans())
+    @example((Box3D((0.0, 0.0, 10.0), (0.3, 1.0, 0.3), 0.0),) * 2, False)
+    @example(tuple(_signed_zero_twins(Box3D((1.0, 0.0, 10.0), (1.6, 1.5, 3.9),
+                                            0.4))), True)
+    def test_ious_equal_the_reference(self, pair, zero_twins):
+        a, b = pair
+        boxes = [a, b] + (_signed_zero_twins(a) if zero_twins else [])
+        memo = {}
+        for iou, reference in ((iou_bev, iou_bev_reference),
+                               (iou_3d, iou_3d_reference)):
+            for x in boxes:
+                for y in boxes:
+                    want = reference(x, y).hex()
+                    assert iou(x, y).hex() == want
+                    assert iou(x, y, memo).hex() == want
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+                    | st.tuples(st.floats(-1.0, 1.0), st.floats(-1e-6, 1e-6)),
+                    min_size=3, max_size=8))
+    def test_polygon_area_equals_the_reference(self, vertices):
+        poly = np.array(vertices)
+        assert (geometry.polygon_area(poly).hex()
+                == polygon_area_reference(poly).hex())
+
+    @settings(max_examples=300, deadline=None)
+    @given(_detection_sets(),
+           st.sampled_from([0.0, 0.1, 0.5, 0.7]) | st.floats(0.0, 1.0))
+    def test_nms_keeps_what_the_reference_keeps(self, dets, threshold):
+        kept = nms_bev(dets, threshold)
+        assert [id(d) for d in kept] == [
+            id(d) for d in nms_bev_reference(dets, threshold)]
