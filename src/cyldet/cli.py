@@ -310,17 +310,9 @@ def cmd_solve_pose(args):
     return EXIT_OK
 
 
-def _detect_one(frame, predictors, config):
-    try:
-        return detect_frame(frame, predictors, config)
-    except ValueError as exc:
-        print(f"frame {frame.frame_id} failed: {exc}", file=sys.stderr)
-        return None
-
-
 def _prepare_run(args):
-    """Settings, output directory, frames, pipeline config and predictors
-    of a detect or sweep run; echoes the settings into the output dir."""
+    """Settings, output directory, frames, pipeline config, predictors and
+    eval config of a detect or sweep run, echoed once all are checked."""
     settings = _resolve_settings(args)
     output_dir = settings["run"]["output_dir"]
     if not output_dir:
@@ -335,15 +327,16 @@ def _prepare_run(args):
     oracle = OracleConfig(**settings["oracle"], rng_seed=config.seed)
     predictors = oracle_predictors(oracle, clusters=config.clusters,
                                    bins=config.bins)
+    evaluation = EvalConfig(**settings["eval"])
     _echo_settings(settings, output_dir)
-    return settings, output_dir, frames, config, predictors
+    return settings, output_dir, frames, config, predictors, evaluation
 
 
 def cmd_detect(args):
     """Detect, write and evaluate each frame of the split as it finishes
     (evaluate_detections reads a generator), then write summary.txt.
     Exits 2 when every frame failed."""
-    settings, output_dir, frames, config, predictors = _prepare_run(args)
+    _, output_dir, frames, config, predictors, evaluation = _prepare_run(args)
     det_dir = os.path.join(output_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)
     n_frames = n_failed = 0
@@ -351,20 +344,23 @@ def cmd_detect(args):
     def detected():
         nonlocal n_frames, n_failed
         for frame in frames:
-            dets = _detect_one(frame, predictors, config)
             path = os.path.join(det_dir, frame.frame_id + ".txt")
             n_frames += 1
-            if dets is None:
+            try:
+                dets = detect_frame(frame, predictors, config)
+            except ValueError as exc:
                 # a failed frame detects nothing: its ground truths stay
                 # misses, and no earlier run's document may claim otherwise
+                print(f"frame {frame.frame_id} failed: {exc}", file=sys.stderr)
                 n_failed += 1
+                dets = []
                 if os.path.exists(path):
                     os.remove(path)
             else:
                 write_detections(path, frame.frame_id, dets)
-            yield dets or [], frame.labels
+            yield dets, frame.labels
 
-    stats = evaluate_detections(detected(), EvalConfig(**settings["eval"]))
+    stats = evaluate_detections(detected(), evaluation)
     summary = (
         f"frames {n_frames} tp {stats['tp']} fp {stats['fp']} "
         f"fn {stats['fn']} recall {stats['recall']:.6f} ap {stats['ap']:.6f} "
@@ -384,7 +380,8 @@ def cmd_sweep(args):
         values = check_sweep_values(args.kind, _parse_values(args.values))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    settings, output_dir, frames, config, predictors = _prepare_run(args)
+    settings, output_dir, frames, config, predictors, evaluation = (
+        _prepare_run(args))
     if args.kind == "scatter":
         rows = sweep_scatter(frames, predictors.monocular, values, config)
         path = os.path.join(output_dir, "sweep_scatter.csv")
@@ -396,7 +393,7 @@ def cmd_sweep(args):
     else:
         desync = settings["desync"]
         rows = desync_robustness_curve(
-            frames, predictors, values, config, EvalConfig(**settings["eval"]),
+            frames, predictors, values, config, evaluation,
             metric=desync["metric"], n_seeds=desync["seeds"],
             vertical_ratio=desync["vertical_ratio"], seed=config.seed,
         )
@@ -475,10 +472,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

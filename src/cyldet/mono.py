@@ -122,8 +122,9 @@ class ScatterParams:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must be in (0, 1), got {self.s}")
-        if self.stride <= 0.0:
-            raise ValueError(f"stride must be positive, got {self.stride}")
+        if not 0.0 < self.stride < math.inf:  # NaN fails too
+            raise ValueError(f"stride must be finite and positive, got "
+                             f"{self.stride}")
 
 
 @dataclass(frozen=True)

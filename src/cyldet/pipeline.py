@@ -34,8 +34,10 @@ reads points, or a region its table of counts cannot settle.  An empty
 region is dropped with EmptyCloud before the head runs.
 Oracle implementations backed by ground truth (with optional seeded noise)
 stand in for trained networks; the point-head oracles read no points, and
-the two of an oracle_predictors bundle share one label table per frame,
-in plain floats, so each label's noise is drawn once per frame.
+the two of an oracle_predictors bundle share one label table, bound to the
+bundle's size clusters and rotation bins, which keeps the last frame's
+labels in plain floats: each label's noise is drawn, and its box encoded,
+once per frame.
 """
 
 import logging
@@ -289,8 +291,8 @@ def gather_cylinder(cloud, region):
 
 def voxel_downsample(cloud, resolution):
     """One centroid per occupied voxel of the given edge length."""
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    if not 0.0 < resolution < math.inf:  # NaN fails too
+        raise ValueError("resolution must be finite and positive")
     pts = cloud.points
     if len(pts) == 0:
         return cloud
@@ -364,8 +366,8 @@ class OracleConfig:
     def __post_init__(self):
         for name in ("dims_noise_sigma", "yaw_noise_sigma",
                      "center_noise_sigma", "box2d_noise_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _label_rng(cfg, frame_id, label_idx, stream):
@@ -412,19 +414,29 @@ def _noised_dims_yaw(cfg, box3d, rng):
     return np.maximum(noised, 0.2 * dims), yaw
 
 
-class _FrameLabels:
-    """One frame's label centers, and each label's noised box and box-head
-    encodings once computed, as plain floats.  It keeps the frame's id and
-    labels, not the frame, so it holds no point cloud; holding the labels
-    also keeps their identity unique."""
+class _LabelTable:
+    """The labels of the last frame asked for, their centers, and each
+    label's noised box and box-head codes under one box head's size
+    clusters and rotation bins, computed once, as plain floats.  It keeps
+    the frame's id and labels, not the frame, so it holds no point cloud;
+    holding the labels also keeps their identity unique."""
 
-    def __init__(self, cfg, frame):
+    def __init__(self, cfg, clusters=DEFAULT_SIZE_CLUSTERS,
+                 bins=DEFAULT_ROTATION_BINS):
         self.cfg = cfg
-        self.frame_id = frame.frame_id
-        self.labels = frame.labels
-        self.centers = [lab.box3d.center for lab in frame.labels]
-        self._truths = {}
-        self._codes = {}
+        self.clusters = clusters
+        self.bins = bins
+        self.frame_id = self.labels = None
+
+    def of(self, frame):
+        """The table, reset to frame's labels unless it holds them."""
+        if self.frame_id != frame.frame_id or self.labels is not frame.labels:
+            self.frame_id = frame.frame_id
+            self.labels = frame.labels
+            self.centers = [lab.box3d.center for lab in frame.labels]
+            self._truths = {}
+            self._codes = {}
+        return self
 
     def nearest(self, region):
         """(index, center) of the label nearest the region center, the
@@ -453,50 +465,17 @@ class _FrameLabels:
             self._truths[idx] = (center, *_noised_dims_yaw(self.cfg, box, rng))
         return self._truths[idx]
 
-    def codes(self, idx, clusters, bins):
-        """encode_rotation and encode_size of label idx's noised box, kept
-        per label for the clusters and bins last asked for, read-only."""
-        entry = self._codes.get(idx)
-        if entry is None or entry[0] is not clusters or entry[1] is not bins:
+    def codes(self, idx):
+        """encode_rotation and encode_size of label idx's noised box under
+        the table's bins and clusters, kept per label, read-only."""
+        if idx not in self._codes:
             _, (w, h, length), yaw = self.truth(idx)
-            arrays = (*encode_rotation(yaw, bins),
-                      *encode_size((h, w, length), clusters))
+            arrays = (*encode_rotation(yaw, self.bins),
+                      *encode_size((h, w, length), self.clusters))
             for array in arrays:
                 array.flags.writeable = False
-            entry = self._codes[idx] = (clusters, bins, arrays)
-        return entry[2]
-
-
-class _LabelTable:
-    """The _FrameLabels of the last frame asked for.  oracle_predictors
-    gives one table to both point-head oracles, so each label's noise is
-    drawn once per frame."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self._labels = None
-
-    def of(self, frame):
-        labels = self._labels
-        if (labels is None or labels.frame_id != frame.frame_id
-                or labels.labels is not frame.labels):
-            labels = self._labels = _FrameLabels(self.cfg, frame)
-        return labels
-
-
-class _PointHeadOracle:
-    """A point-head oracle: reads no points, and reads the frame's labels
-    from its _LabelTable, its own or one shared over the same cfg."""
-
-    uses_points = False
-
-    def __init__(self, cfg=OracleConfig(), table=None):
-        if table is None:
-            table = _LabelTable(cfg)
-        elif table.cfg != cfg:
-            raise ValueError("the label table was made for another cfg")
-        self.cfg = cfg
-        self.table = table
+            self._codes[idx] = arrays
+        return self._codes[idx]
 
 
 def _graded_objectness(ground_dist, radius):
@@ -524,10 +503,15 @@ def _clamped_encode(center, region):
     return encode_location(target, region)
 
 
-class OracleRpnPredictor(_PointHeadOracle):
-    """Proposal-head oracle: location encoding of the (noised) nearest
-    ground truth when it lies within the region bounds, with objectness
-    graded by the true center's normalized offset."""
+class OracleRpnPredictor:
+    """Proposal-head oracle, reading no points: location encoding of the
+    (noised) nearest ground truth when it lies within the region bounds,
+    with objectness graded by the true center's normalized offset."""
+
+    uses_points = False
+
+    def __init__(self, cfg=OracleConfig()):
+        self.table = _LabelTable(cfg)
 
     def __call__(self, points, region, frame):
         table = self.table.of(frame)
@@ -545,15 +529,16 @@ class OracleRpnPredictor(_PointHeadOracle):
         return RpnOutput(t_loc=_clamped_encode(center, region), t_obj=t_obj)
 
 
-class OracleBrnPredictor(_PointHeadOracle):
-    """Box-head oracle: encodings of the (noised) nearest ground truth via
-    the location, rotation-bin, and size-cluster codecs."""
+class OracleBrnPredictor:
+    """Box-head oracle, reading no points: encodings of the (noised)
+    nearest ground truth via the location codec and its label table's
+    rotation bins and size clusters."""
+
+    uses_points = False
 
     def __init__(self, cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
-                 bins=DEFAULT_ROTATION_BINS, table=None):
-        super().__init__(cfg, table)
-        self.clusters = clusters
-        self.bins = bins
+                 bins=DEFAULT_ROTATION_BINS):
+        self.table = _LabelTable(cfg, clusters, bins)
 
     def __call__(self, points, region, frame):
         table = self.table.of(frame)
@@ -561,14 +546,14 @@ class OracleBrnPredictor(_PointHeadOracle):
         if idx is None or not _within_bounds(true_center, region):
             return BrnOutput(
                 t_loc=(0.0, 0.0, 0.0),
-                rot_logits=np.zeros(self.bins.n_bins),
-                rot_residuals=np.zeros(self.bins.n_bins),
-                size_logits=np.zeros(self.clusters.n_clusters),
-                size_residuals=np.zeros((self.clusters.n_clusters, 3)),
+                rot_logits=np.zeros(table.bins.n_bins),
+                rot_residuals=np.zeros(table.bins.n_bins),
+                size_logits=np.zeros(table.clusters.n_clusters),
+                size_residuals=np.zeros((table.clusters.n_clusters, 3)),
             )
         center, _, _ = table.truth(idx)
         rot_logits, rot_residuals, size_logits, size_residuals = table.codes(
-            idx, self.clusters, self.bins)
+            idx)
         return BrnOutput(
             t_loc=_clamped_encode(center, region),
             rot_logits=rot_logits,
@@ -588,13 +573,12 @@ class Predictors:
 def oracle_predictors(cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
                       bins=DEFAULT_ROTATION_BINS):
     """Bundle of the three ground-truth-backed predictors; the two point
-    heads share one label table per frame."""
-    table = _LabelTable(cfg)
-    return Predictors(
-        monocular=OracleMonocularPredictor(cfg),
-        rpn=OracleRpnPredictor(cfg, table),
-        brn=OracleBrnPredictor(cfg, clusters, bins, table),
-    )
+    heads share the box head's label table."""
+    rpn = OracleRpnPredictor(cfg)
+    brn = OracleBrnPredictor(cfg, clusters, bins)
+    rpn.table = brn.table
+    return Predictors(monocular=OracleMonocularPredictor(cfg), rpn=rpn,
+                      brn=brn)
 
 
 @dataclass(frozen=True)
@@ -627,8 +611,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in PIPELINE_MODES:
             raise ValueError(f"mode must be one of {PIPELINE_MODES}")
-        if self.voxel_resolution <= 0.0:
-            raise ValueError("voxel_resolution must be positive")
+        if not 0.0 < self.voxel_resolution < math.inf:  # NaN fails too
+            raise ValueError("voxel_resolution must be finite and positive")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
         check_residual_cap(self.residual_cap)

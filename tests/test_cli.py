@@ -307,6 +307,46 @@ class TestDetect:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (out_dir / "summary.txt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, name", [
+        ("--dims-noise", "dims_noise_sigma"),
+        ("--center-noise", "center_noise_sigma"),
+        ("--scatter-stride", "stride"),
+        ("[pipeline] voxel_resolution", "voxel_resolution"),
+    ])
+    def test_setting_not_finite_fails_before_writing(
+            self, dataset, tmp_path, capsys, flag, name, value):
+        # a NaN noise used to drop every object or proposal, exiting 0
+        # with recall 0, and a NaN stride failed every frame
+        root, split, _ = dataset
+        out_dir = tmp_path / "out"
+        args = ["detect", "--dataset-root", root, "--split", split,
+                "--output-dir", str(out_dir)]
+        if flag.startswith("["):
+            config = tmp_path / "setting.ini"
+            section, key = flag[1:].split("] ")
+            config.write_text(f"[{section}]\n{key} = {value}\n")
+            args += ["--config", str(config)]
+        else:
+            args.append(f"{flag}={value}")
+        assert main(args) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_eval_setting_out_of_range_fails_before_writing(
+            self, dataset, tmp_path, capsys):
+        # [eval] used to be checked after config_effective.ini and an empty
+        # detections/ were written
+        root, split, _ = dataset
+        config = tmp_path / "eval.ini"
+        config.write_text("[eval]\niou_threshold = 2\n")
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--config", str(config)])
+        assert rc == 2
+        assert "iou_threshold" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unordered_region_band_is_data_error(self, dataset, tmp_path,
                                                  capsys):
         root, split, _ = dataset
@@ -683,6 +723,20 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: [desync] vertical_ratio must be finite and >= 0, "
             f"got {float(ratio)!r}\n")
+        assert not out_dir.exists()
+
+    def test_eval_setting_out_of_range_fails_before_writing(
+            self, dataset, tmp_path, capsys):
+        # [eval] used to be checked after config_effective.ini was written
+        root, split, _ = dataset
+        config = tmp_path / "eval.ini"
+        config.write_text("[eval]\niou_threshold = 2\n")
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", "desync", "--config", str(config),
+                   "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--values", "0.2"])
+        assert rc == 2
+        assert "iou_threshold" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_range_of_the_most_values_is_accepted(self):

@@ -249,8 +249,10 @@ class TestSpatialScatter:
             ScatterParams(s=0.0)
         with pytest.raises(ValueError):
             ScatterParams(s=1.0)
-        with pytest.raises(ValueError):
-            ScatterParams(s=0.5, stride=0.0)
+        # a NaN stride used to pass, then fail every frame in the seed count
+        for stride in (0.0, -1.6, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="stride must be finite"):
+                ScatterParams(s=0.5, stride=stride)
 
     def test_zero_deviation_limit(self, calib):
         box = Box3D((2.0, 0.5, 15.0), (1.6, 1.5, 3.9), 0.3)

@@ -510,6 +510,13 @@ class TestRegionIndex:
 
 
 class TestVoxelDownsample:
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, math.nan, math.inf,
+                                            -math.inf])
+    def test_resolution_must_be_finite_and_positive(self, resolution):
+        cloud = camera_cloud([[0.01, 0.01, 0.01]])
+        with pytest.raises(ValueError, match="finite and positive"):
+            voxel_downsample(cloud, resolution)
+
     def test_same_voxel_collapses_to_centroid(self):
         cloud = camera_cloud([[0.01, 0.01, 0.01], [0.02, 0.01, 0.01]])
         out = voxel_downsample(cloud, 0.1)
@@ -827,7 +834,7 @@ class TestOracleHeadsMatchReference:
     def test_outputs_equal_the_reference_bit_for_bit(self, case):
         frame, regions, cfg, brn_first = case
         oracles = oracle_predictors(cfg)
-        clusters, bins = oracles.brn.clusters, oracles.brn.bins
+        clusters, bins = oracles.brn.table.clusters, oracles.brn.table.bins
         for region in regions:
             calls = [(oracles.rpn, lambda: oracle_rpn_reference(
                 cfg, region, frame)),
@@ -836,28 +843,33 @@ class TestOracleHeadsMatchReference:
             for head, reference in calls[::-1] if brn_first else calls:
                 self.assert_same_bits(head(None, region, frame), reference())
 
-    def test_heads_with_other_codecs_share_a_table(self):
+    def test_the_heads_of_a_bundle_share_one_table(self):
         frame = make_frame("000041", seed=41, n_cars=3)
         cfg = OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1)
-        oracles = oracle_predictors(cfg)
         clusters = cyldet.SizeClusters(np.array([[1.5, 1.6, 3.9],
                                                  [1.6, 1.8, 4.4]]))
-        other = OracleBrnPredictor(cfg, clusters, RotationBins(5),
-                                   oracles.brn.table)
+        bins = RotationBins(5)
+        oracles = oracle_predictors(cfg, clusters, bins)
+        # one table, bound to the bundle's codecs, serves both heads
+        table = oracles.brn.table
+        assert oracles.rpn.table is table
+        assert table.clusters is clusters and table.bins is bins
         regions = [ProposalRegion(np.add(lab.box3d.center, 0.2))
                    for lab in frame.labels]
         for _ in range(2):
-            for head in (oracles.brn, other):
-                for region in regions:
-                    out = head(None, region, frame)
-                    self.assert_same_bits(out, oracle_brn_reference(
-                        cfg, head.clusters, head.bins, region, frame))
-                    # the codes are kept per label, and no output can
-                    # write to them
+            for region in regions:
+                self.assert_same_bits(
+                    oracles.rpn(None, region, frame),
+                    oracle_rpn_reference(cfg, region, frame))
+                out = oracles.brn(None, region, frame)
+                self.assert_same_bits(out, oracle_brn_reference(
+                    cfg, clusters, bins, region, frame))
+                # the codes are kept per label, and no output can write
+                # to them
+                for name in ("rot_logits", "rot_residuals", "size_logits",
+                             "size_residuals"):
                     with pytest.raises(ValueError):
-                        out.rot_logits.flags.writeable = True
-        with pytest.raises(ValueError, match="another cfg"):
-            OracleRpnPredictor(OracleConfig(), oracles.brn.table)
+                        getattr(out, name).flags.writeable = True
 
     NEAR, OTHER = (0.07093, 2.702782, -2.135042), (-2.135042, 2.702782, 0.07093)
 
@@ -878,7 +890,7 @@ class TestOracleHeadsMatchReference:
         region = ProposalRegion(region_center)
         want = _LabelTableReference(OracleConfig(), frame).nearest(region)
         assert want[0] == wins
-        got = pipeline._FrameLabels(OracleConfig(), frame).nearest(region)
+        got = pipeline._LabelTable(OracleConfig()).of(frame).nearest(region)
         assert got == (wins, centers[wins])
 
 
@@ -921,6 +933,40 @@ class TestWorkDoneOnce:
             assert set(draws) == {(f.frame_id, i) for f in frames
                                   for i in range(len(f.labels))}
             assert set(draws.values()) == {1}
+
+    def test_a_bundle_encodes_each_label_once_per_frame(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name):
+            call = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                stream = kwargs.get("stream")
+                if name != "_label_rng" or stream == 2:
+                    calls[name] += 1
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        for name in ("_label_rng", "encode_rotation", "encode_size"):
+            counted(name)
+        a = make_frame("000042", seed=42, n_cars=3)
+        b = make_frame("000043", seed=43, n_cars=2)
+        oracles = oracle_predictors(self.noisy)
+        # a is asked for again after b, and each frame's regions lie
+        # beside every label, each region asked of both heads in turn
+        for frame in (a, b, a):
+            calls.clear()
+            for lab in frame.labels:
+                for dx in (-0.3, 0.0, 0.3):
+                    for dz in (-0.2, 0.2):
+                        region = ProposalRegion(
+                            tuple(np.add(lab.box3d.center, (dx, 0.1, dz))))
+                        assert oracles.rpn(None, region, frame).t_obj > 0
+                        oracles.brn(None, region, frame)
+            assert calls == dict.fromkeys(
+                ("_label_rng", "encode_rotation", "encode_size"),
+                len(frame.labels))
 
     def test_the_scatter_reuses_the_search_system(self, monkeypatch):
         calls = self.count_side_systems(monkeypatch)
@@ -1469,9 +1515,23 @@ class TestNanObjectness:
         assert all("nan" not in line for line in document(nan))
 
 
+class TestOracleConfig:
+    @pytest.mark.parametrize("field", ["dims_noise_sigma", "yaw_noise_sigma",
+                                       "center_noise_sigma",
+                                       "box2d_noise_sigma"])
+    @pytest.mark.parametrize("value", [-0.1, math.nan, math.inf, -math.inf])
+    def test_noise_must_be_finite_and_at_least_zero(self, field, value):
+        # a NaN sigma used to pass and drop every object or proposal,
+        # which read as recall 0 rather than a bad setting
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OracleConfig(**{field: value})
+
+
 class TestPipelineConfig:
     @pytest.mark.parametrize("field, value", [
         ("voxel_resolution", 0.0), ("voxel_resolution", -0.1),
+        ("voxel_resolution", math.nan), ("voxel_resolution", math.inf),
+        ("voxel_resolution", -math.inf),
         ("sample_count", 0), ("sample_count", -3),
     ])
     def test_point_preparation_settings_are_checked(self, field, value):
