@@ -42,7 +42,6 @@ from .evalbench import (
     desync_robustness_curve,
     evaluate_detections,
     match_detections,
-    proposal_recall,
     sweep_objectness,
     sweep_scatter,
     write_csv,

@@ -10,6 +10,7 @@ calibration untouched, emulating a Lidar that drifted relative to the
 camera between captures.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +24,9 @@ from .pipeline import (
     derive_seed,
     objectness,
     run_proposals,
-    scatter_proposals,
     solve_poses,
 )
+from .mono import _scatter_stack
 
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .pipeline import gather_cylinder, seed_proposals  # noqa: F401
@@ -215,40 +216,23 @@ def evaluate_detections(per_frame, cfg=EvalConfig()):
     return tally.stats()
 
 
-class _Captures:
-    """The integer totals of one sweep row over the frames added so far:
-    ground truths with a seed within the cylinder radius (ground-plane
-    distance), ground truths and seeds."""
-
-    def __init__(self, radius):
-        self.radius = radius
-        self.captured = self.gts = self.seeds = 0
-
-    def add(self, seeds, gts):
-        seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
-        for gt in gts:
-            cx, _, cz = gt.box3d.center
-            if len(seeds) and np.any(
-                np.hypot(seeds[:, 0] - cx, seeds[:, 2] - cz) <= self.radius
-            ):
-                self.captured += 1
-        self.gts += len(gts)
-        self.seeds += len(seeds)
-
-    def row(self, value):
-        """(value, capture recall, seeds per GT); the recall is the
-        captured count over the total, exactly."""
-        if not self.gts:
-            return float(value), 0.0, 0.0
-        return float(value), self.captured / self.gts, self.seeds / self.gts
+def _within_radius(seeds, gts, radius):
+    """(G, S) table of which seeds (S, 3) lie within the cylinder radius of
+    each ground truth (ground-plane distance, one np.hypot per pair)."""
+    centers = np.array([gt.box3d.center for gt in gts],
+                       dtype=float).reshape(-1, 3)
+    return np.hypot(seeds[:, 0] - centers[:, :1],
+                    seeds[:, 2] - centers[:, 2:]) <= radius
 
 
-def proposal_recall(seeds, gts, radius):
-    """Fraction of ground truths with a seed within the cylinder radius
-    (ground-plane distance), plus seeds per ground truth."""
-    captures = _Captures(radius)
-    captures.add(seeds, gts)
-    return captures.row(0.0)[1:]
+def _capture_rows(values, captured, gts, seeds):
+    """(value, capture recall, seeds per GT) rows from each row's captured
+    and seed totals and the ground-truth total; the recall is the captured
+    count over the total, exactly."""
+    if not gts:
+        return [(float(value), 0.0, 0.0) for value in values]
+    return [(float(value), c / gts, n / gts)
+            for value, c, n in zip(values, captured.tolist(), seeds.tolist())]
 
 
 def check_sweep_values(kind, values):
@@ -270,33 +254,57 @@ def check_sweep_values(kind, values):
     return values
 
 
-def _clamped_scatter(config, s):
+def _clamped_scatter(params, s):
     # ScatterParams requires s strictly inside (0, 1); the s = 0 sweep row
     # is realized as the limit, which collapses to the unscaled solution.
-    s_eff = min(max(s, 1e-9), 1.0 - 1e-9)
-    return replace(config, scatter=replace(config.scatter, s=s_eff))
+    return replace(params, s=min(max(s, 1e-9), 1.0 - 1e-9))
+
+
+def _scatter_seeds(estimates, scatters, p):
+    """The seeds of every estimate for every ScatterParams in scatters,
+    from one stacked scatter (mono._scatter_stack), and the number of
+    seeds of each params.  A seed's region center would take its
+    estimate's y, so a y that is not finite raises the ValueError that
+    ProposalRegion raises.  A seed's x and z lie between finite ends: an
+    end that is not finite fails the seed count first."""
+    seeds, counts, _, _ = _scatter_stack(estimates, scatters, p)
+    if len(seeds) and not all(math.isfinite(est.solved_center[1])
+                              for est in estimates):
+        raise ValueError("center must be finite")
+    return seeds, counts.sum(axis=1)
 
 
 def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     """Capture recall and seeds-per-GT of the scattered proposals, per s.
 
-    Counts raw stage-(a) seed regions, before any objectness filtering,
-    so the seeds-per-GT column reflects the scatter arithmetic alone.
-    The poses do not depend on s, so each frame's are solved once (and
-    each pose failure logged once) and scattered once per s.
-    frames may be any iterable; it is read once, and each row adds a
-    frame's counts as the frame finishes.
-    Returns (s, recall, proposals_per_gt) rows.
+    Counts raw stage-(a) seeds, before any objectness filtering, so the
+    seeds-per-GT column reflects the scatter arithmetic alone.  The poses
+    do not depend on s, so each frame's are solved once (and each pose
+    failure logged once), and all of its s values are scattered in one
+    stacked solve; a ground truth is captured at s when a seed of s lies
+    within the region radius, read from one ground-truth by seed distance
+    table per frame.  No region is built.  frames may be any iterable; it
+    is read once, and each row adds a frame's counts as the frame
+    finishes.  Returns (s, recall, proposals_per_gt) rows.
     """
-    rows = [(s, _clamped_scatter(config, s), _Captures(config.region_radius))
-            for s in check_sweep_values("scatter", s_values)]
+    s_values = check_sweep_values("scatter", s_values)
+    scatters = [_clamped_scatter(config.scatter, s) for s in s_values]
+    captured = np.zeros(len(scatters), dtype=int)
+    seeds_total = np.zeros(len(scatters), dtype=int)
+    gts = 0
     for frame in frames:
         poses = solve_poses(frame, monocular, config)
-        for _, cfg, captures in rows:
-            captures.add(
-                [r.center for _, _, _, r in scatter_proposals(frame, poses, cfg)],
-                frame.labels)
-    return [captures.row(s) for s, _, captures in rows]
+        seeds, counts = _scatter_seeds([est for _, _, est in poses],
+                                       scatters, frame.calib.p2)
+        gts += len(frame.labels)
+        seeds_total += counts
+        if len(seeds):
+            # each s's seeds are a nonempty run of the table's columns
+            starts = np.cumsum(counts) - counts
+            captured += np.logical_or.reduceat(
+                _within_radius(seeds, frame.labels, config.region_radius),
+                starts, axis=1).sum(axis=0)
+    return _capture_rows(s_values, captured, gts, seeds_total)
 
 
 def _score_seed_region(stage, proposal, out):
@@ -309,20 +317,31 @@ def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
 
     The proposal head scores every seed region once, dropping proposals
     as detect_frame does; each threshold row then filters the same scored
-    set, so the sweep is exactly nested.  frames may be any iterable; it
-    is read once, and each row adds a frame's counts as the frame finishes.
-    Returns (threshold, recall, proposals_per_gt) rows.
+    set, so the sweep is exactly nested.  Every row of a frame is counted
+    in one pass: a ground truth is captured at threshold t when the best
+    score among the regions within the radius of it is >= t, and the
+    regions kept at t are counted over the sorted scores.  frames may be
+    any iterable; it is read once, and each row adds a frame's counts as
+    the frame finishes.  Returns (threshold, recall, proposals_per_gt)
+    rows.
     """
-    rows = [(threshold, _Captures(config.region_radius))
-            for threshold in check_sweep_values("objectness", thresholds)]
+    thresholds = check_sweep_values("objectness", thresholds)
+    ts = np.array(thresholds, dtype=float)
+    captured = np.zeros(len(ts), dtype=int)
+    kept = np.zeros(len(ts), dtype=int)
+    gts = 0
     for frame in frames:
         scored = run_proposals(frame, predictors, config, ("rpn",),
                                _score_seed_region)
-        for threshold, captures in rows:
-            captures.add(
-                [center for score, center in scored if score >= threshold],
-                frame.labels)
-    return [captures.row(threshold) for threshold, captures in rows]
+        scores = np.array([score for score, _ in scored], dtype=float)
+        centers = np.array([center for _, center in scored],
+                           dtype=float).reshape(-1, 3)
+        within = _within_radius(centers, frame.labels, config.region_radius)
+        best = np.where(within, scores, -np.inf).max(axis=1, initial=-np.inf)
+        gts += len(frame.labels)
+        captured += np.count_nonzero(best[:, None] >= ts, axis=0)
+        kept += len(scores) - np.searchsorted(np.sort(scores), ts)
+    return _capture_rows(thresholds, captured, gts, kept)
 
 
 def desync_frame(frame, cfg=DesyncConfig()):

@@ -12,10 +12,14 @@ estimate's agreement: the winner is not projected again.
 Every object of a frame is searched in one call (agreement_search_frame)
 and scattered in one call (spatial_scatter_frame);
 geometric_agreement_search, solve_translation and spatial_scatter are
-one-object calls of the same code.  The constraint system depends only on
-the 2D box and the projection, so a frame's systems are built once, as
-one (N, 4, 3) stack with one SVD and one stacked pseudo-inverse: each
-estimate carries its own, and the two re-solves of the scatter reuse it.
+one-object calls of the same code.  spatial_scatter_frame is itself the
+one-s call of _scatter_stack, which the scatter sweep calls once per frame
+with every s: each estimate's rotation is built once, and both ends of
+every (s, estimate) pair are solved as one stack.  The constraint system
+depends only on the 2D box and the projection, so a frame's systems are
+built once, as one (N, 4, 3) stack with one SVD and one stacked
+pseudo-inverse: each estimate carries its own, and the re-solves of the
+scatter reuse it.
 A configuration picks one of the eight corners for each side, so the
 right-hand sides of all of an object's configurations come from one 4x8
 table (every side against every corner), and one stacked matrix product
@@ -198,12 +202,16 @@ def _config_table(config):
     return config.as_array()[None, :]
 
 
-def _corner_offsets(dims, yaws):
-    """geometry.corner_offsets of each (dims, yaw) pair, as one (N, 8, 3)
-    stack."""
+def _rotations(yaws):
+    """rotation_about_y of each yaw, as one (N, 3, 3) stack."""
+    return np.array([rotation_about_y(yaw) for yaw in yaws]).reshape(-1, 3, 3)
+
+
+def _corner_offsets(dims, rotations):
+    """geometry.corner_offsets of each (dims, rotation) pair, as one
+    (N, 8, 3) stack, for rotations (N, 3, 3) from _rotations."""
     local = _CORNER_SIGNS * (0.5 * np.asarray(dims, dtype=float))[:, None, :]
-    rotations = np.array([rotation_about_y(yaw) for yaw in yaws])
-    return local @ np.swapaxes(rotations.reshape(-1, 3, 3), 1, 2)
+    return local @ np.swapaxes(rotations, 1, 2)
 
 
 def _solve_configs(a, k, pinv, offsets, configs):
@@ -267,7 +275,7 @@ def solve_translation(box2d, dims, yaw, config, p, residual_cap=DEFAULT_RESIDUAL
     configurations (one corner pinned to both members of opposite sides).
     """
     table = _config_table(config)
-    offsets = _corner_offsets([dims], [yaw])
+    offsets = _corner_offsets([dims], _rotations([yaw]))
     a, k, coords, pinv, s, singular = _side_systems([box2d], p)
     if singular[0]:
         raise SingularSystem(_system_message(box2d, s[0]))
@@ -346,7 +354,7 @@ def agreement_search_frame(boxes, dims, yaws, p,
             & np.isfinite(yaws))
     # a bad object is searched as a unit cube, so that nothing warns
     offsets = _corner_offsets(np.where(bad[:, None], 1.0, dims),
-                              np.where(bad, 0.0, yaws))        # (N, 8, 3)
+                              _rotations(np.where(bad, 0.0, yaws)))
     every_row, representatives = _SEARCH_TABLES
     configs, config_index = (
         representatives if p[0, 1] == 0.0 and p[2, 1] == 0.0 else every_row)
@@ -441,26 +449,25 @@ def geometric_agreement_search(box2d, dims, yaw, p,
     return outcome
 
 
-def spatial_scatter_frame(estimates, params, p):
-    """Seed points of every estimate of a frame, between the shrunk- and
-    grown-dims re-solves of its winning configuration: (seeds (S, 3),
-    counts (N,), p1 (N, 3), p2 (N, 3)), estimate i's counts[i] seeds
-    following those of the estimates before it.
+def _scatter_stack(estimates, params, p):
+    """spatial_scatter_frame of every ScatterParams in params at once:
+    (seeds (S, 3), counts (K, N), p1 (K, N, 3), p2 (K, N, 3)) for K params
+    and N estimates, the counts[k].sum() seeds of params[k] following those
+    of the params before it, each in spatial_scatter_frame's order.
 
-    Both extremes keep the configuration fixed; the segment between their
-    centers is divided into ceil(len / stride) seeds (at least one),
-    starting at the shrunk-dims end and spaced len / n apart.  An
-    estimate's constraint system is the search's when it carries the one
-    for its own box and this P; the others are built as one stack.  Both
-    extremes of every estimate are solved as one stacked product of
-    one-row tables.  Raises SingularSystem for a degenerate winning
-    configuration, then for a rank-deficient system.
+    The estimates' constraint systems, configuration tables and rotations
+    are gathered once, and the shrunk and grown ends of every (params,
+    estimate) pair are solved as one stacked product of one-row tables.
+    Raises SingularSystem for a degenerate winning configuration, then for
+    a rank-deficient system; with no params or no estimates, nothing is
+    solved and nothing raises.
     """
     p = np.asarray(p, dtype=float)
-    n = len(estimates)
-    if not n:
-        return np.zeros((0, 3)), np.zeros(0, dtype=int), *np.zeros((2, 0, 3))
-    tables = [_config_table(est.best_config) for est in estimates]
+    n, m = len(estimates), len(params)
+    if not n * m:
+        return (np.zeros((0, 3)), np.zeros((m, n), dtype=int),
+                *np.zeros((2, m, n, 3)))
+    tables = np.stack([_config_table(est.best_config) for est in estimates])
     p_bytes = p.tobytes()
     systems = [est.system[2] if est.system is not None
                and est.system[0] is est.box2d and est.system[1] == p_bytes
@@ -474,24 +481,51 @@ def spatial_scatter_frame(estimates, params, p):
                 raise SingularSystem(_system_message(estimates[i].box2d,
                                                      s[j]))
             systems[i] = (a[j], k[j], pinv[j])
-    a, k, pinv = (np.stack(part * 2) for part in zip(*systems))
+    # the ends in (params, shrunk or grown, estimate) order
+    scales = np.array([(1.0 - q.s, 1.0 + q.s) for q in params])
     dims = np.array([est.dims for est in estimates], dtype=float)
-    yaws = [est.yaw for est in estimates]
+    every = np.tile(np.arange(n), 2 * m)
+    a, k, pinv = (np.stack(part)[every] for part in zip(*systems))
     offsets = _corner_offsets(
-        np.concatenate([dims * (1.0 - params.s), dims * (1.0 + params.s)]),
-        yaws * 2)
-    ends = _solve_configs(a, k, pinv, offsets, np.stack(tables * 2))[:, 0]
-    p1, p2 = ends[:n], ends[n:]
-    span = p2 - p1
-    # one 1-D norm per estimate, as np.linalg.norm rounds it: a row-wise
-    # norm rounds differently, and the seed count is its ceiling
-    counts = np.array([max(1, math.ceil(math.sqrt(d.dot(d)) / params.stride))
-                       for d in span])
-    # seed j of an estimate sits j / count of the way along its span
-    owner = np.repeat(np.arange(n), counts)
+        (scales.reshape(-1, 1, 1) * dims).reshape(-1, 3),
+        _rotations([est.yaw for est in estimates])[every])
+    ends = _solve_configs(a, k, pinv, offsets, tables[every])[:, 0]
+    ends = ends.reshape(m, 2, n, 3)
+    p1, p2 = ends[:, 0], ends[:, 1]
+    span = (p2 - p1).reshape(-1, 3)
+    # one 1-D norm per (params, estimate) pair, as np.linalg.norm rounds
+    # it: a row-wise norm rounds differently, and the seed count is its
+    # ceiling
+    strides = [q.stride for q in params for _ in range(n)]
+    counts = np.array([max(1, math.ceil(math.sqrt(d.dot(d)) / stride))
+                       for d, stride in zip(span, strides)])
+    # seed j of a pair sits j / count of the way along its span
+    owner = np.repeat(np.arange(n * m), counts)
     j = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    seeds = p1[owner] + (j / counts[owner])[:, None] * span[owner]
-    return seeds, counts, p1, p2
+    seeds = (p1.reshape(-1, 3)[owner]
+             + (j / counts[owner])[:, None] * span[owner])
+    return seeds, counts.reshape(m, n), p1, p2
+
+
+def spatial_scatter_frame(estimates, params, p):
+    """Seed points of every estimate of a frame, between the shrunk- and
+    grown-dims re-solves of its winning configuration: (seeds (S, 3),
+    counts (N,), p1 (N, 3), p2 (N, 3)), estimate i's counts[i] seeds
+    following those of the estimates before it.
+
+    Both extremes keep the configuration fixed; the segment between their
+    centers is divided into ceil(len / stride) seeds (at least one),
+    starting at the shrunk-dims end and spaced len / n apart.  An
+    estimate's constraint system is the search's when it carries the one
+    for its own box and this P; the others are built as one stack.  Both
+    extremes of every estimate are solved as one stacked product of
+    one-row tables: this is the one-params call of _scatter_stack, which
+    the scatter sweep calls with all of its s values.  Raises
+    SingularSystem for a degenerate winning configuration, then for a
+    rank-deficient system.
+    """
+    seeds, counts, p1, p2 = _scatter_stack(estimates, [params], p)
+    return seeds, counts[0], p1[0], p2[0]
 
 
 def spatial_scatter(est, params, p):

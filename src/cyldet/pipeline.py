@@ -5,7 +5,8 @@ heading; solve_poses searches them all in one agreement_search_frame call
 (one stack of constraint systems per frame) and logs the failures in
 object order, and scatter_proposals turns every solved pose into 3D seed
 points and their cylinder regions in one spatial_scatter_frame call (the
-scatter sweep solves once per frame and scatters once per s); (b)
+scatter sweep solves once per frame, then scatters every s in one stacked
+solve and builds no region); (b)
 cylinder regions around the seeds are scored by a proposal head
 (objectness plus a re-centering location); (c) a box head regresses the
 full box, in a head sequence set by the mode (MODE_STAGES):

@@ -2,18 +2,20 @@
 
 Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
-code paths.  The pose-search, point-head, frame-transform and overlap
+code paths.  The pose-search, point-head, frame-transform, overlap and sweep
 references at the end are the exception: they are the earlier, slower
 forms of the library's search, scatter, oracle heads, row-major cloud
-transforms, and of its IoUs, NMS and matching, one object, region or
-pair at a time where the library stacks or memoizes them, built on the
-library's noise draws and corner offsets, with their own copy of the
-constraint rows and of the numpy arithmetic the library has since
-replaced, so that the two can be compared bit for bit.
+transforms, of its IoUs, NMS and matching, and of its recall sweeps, one
+object, region, pair or sweep row at a time where the library stacks or
+memoizes them, built on the library's noise draws, corner offsets and
+pipeline stages, with their own copy of the constraint rows and of the
+numpy arithmetic the library has since replaced, so that the two can be
+compared bit for bit.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,8 +26,9 @@ from cyldet.codec import (
     encode_rotation,
     encode_size,
     logit,
+    objectness,
 )
-from cyldet.evalbench import _ACTIVE, MatchResult
+from cyldet.evalbench import _ACTIVE, MatchResult, check_sweep_values
 from cyldet.geometry import corner_offsets
 from cyldet.kitti import PointCloud
 from cyldet.mono import (
@@ -38,7 +41,15 @@ from cyldet.mono import (
     RANK_RCOND,
     _config_table,
 )
-from cyldet.pipeline import _graded_objectness, _label_rng, _noised_dims_yaw
+from cyldet.pipeline import (
+    PipelineConfig,
+    _graded_objectness,
+    _label_rng,
+    _noised_dims_yaw,
+    run_proposals,
+    scatter_proposals,
+    solve_poses,
+)
 
 
 def footprint_membership(points_xz, box):
@@ -627,3 +638,80 @@ def match_detections_reference(detections, gts, cfg):
         fp += 1
     return MatchResult(tp=len(matches), fp=fp, fn=len(active) - len(matches),
                        matches=tuple(matches), ignored_dets=tuple(ignored_dets))
+
+
+# The recall sweeps as they were before each frame's s values were
+# scattered in one stacked solve and each frame's rows counted in one pass:
+# one scatter_proposals call per s, a region built for every seed, and one
+# ground-truth loop per sweep row.
+class Captures:
+    """The integer totals of one sweep row over the frames added so far:
+    ground truths with a seed within the cylinder radius (ground-plane
+    distance), ground truths and seeds."""
+
+    def __init__(self, radius):
+        self.radius = radius
+        self.captured = self.gts = self.seeds = 0
+
+    def add(self, seeds, gts):
+        seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
+        for gt in gts:
+            cx, _, cz = gt.box3d.center
+            if len(seeds) and np.any(
+                np.hypot(seeds[:, 0] - cx, seeds[:, 2] - cz) <= self.radius
+            ):
+                self.captured += 1
+        self.gts += len(gts)
+        self.seeds += len(seeds)
+
+    def row(self, value):
+        """(value, capture recall, seeds per GT); the recall is the
+        captured count over the total, exactly."""
+        if not self.gts:
+            return float(value), 0.0, 0.0
+        return float(value), self.captured / self.gts, self.seeds / self.gts
+
+
+def proposal_recall(seeds, gts, radius):
+    """Fraction of ground truths with a seed within the cylinder radius
+    (ground-plane distance), plus seeds per ground truth."""
+    captures = Captures(radius)
+    captures.add(seeds, gts)
+    return captures.row(0.0)[1:]
+
+
+def clamped_scatter_reference(config, s):
+    """config with its scatter s clamped into (0, 1): the s = 0 sweep row
+    is the limit."""
+    s_eff = min(max(s, 1e-9), 1.0 - 1e-9)
+    return replace(config, scatter=replace(config.scatter, s=s_eff))
+
+
+def sweep_scatter_reference(frames, monocular, s_values,
+                            config=PipelineConfig()):
+    rows = [(s, clamped_scatter_reference(config, s),
+             Captures(config.region_radius))
+            for s in check_sweep_values("scatter", s_values)]
+    for frame in frames:
+        poses = solve_poses(frame, monocular, config)
+        for _, cfg, captures in rows:
+            proposals = scatter_proposals(frame, poses, cfg)
+            captures.add([r.center for _, _, _, r in proposals],
+                         frame.labels)
+    return [captures.row(s) for s, _, captures in rows]
+
+
+def sweep_objectness_reference(frames, predictors, thresholds,
+                               config=PipelineConfig()):
+    rows = [(threshold, Captures(config.region_radius))
+            for threshold in check_sweep_values("objectness", thresholds)]
+    for frame in frames:
+        scored = run_proposals(
+            frame, predictors, config, ("rpn",),
+            lambda stage, proposal, out: (objectness(out.t_obj),
+                                          proposal[3].center))
+        for threshold, captures in rows:
+            captures.add(
+                [center for score, center in scored if score >= threshold],
+                frame.labels)
+    return [captures.row(threshold) for threshold, captures in rows]

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyldet
@@ -26,16 +26,31 @@ from cyldet import (
     iou_3d,
     match_detections,
     oracle_predictors,
-    proposal_recall,
     sweep_objectness,
     sweep_scatter,
     write_csv,
 )
-from cyldet import evalbench, geometry, pipeline
+from cyldet import evalbench, geometry, mono, pipeline
 from cyldet.kitti import DIFFICULTIES
-from cyldet.pipeline import Detection, nms_bev, seed_proposals
+from cyldet.mono import ScatterParams, spatial_scatter_frame
+from cyldet.pipeline import (
+    Detection,
+    OracleMonocularPredictor,
+    nms_bev,
+    run_proposals,
+    seed_proposals,
+    solve_poses,
+)
 from cyldet.synthetic import make_frame, make_frames
-from oracles import match_detections_reference, optimal_match_count
+from oracles import (
+    Captures,
+    clamped_scatter_reference,
+    match_detections_reference,
+    optimal_match_count,
+    proposal_recall,
+    sweep_objectness_reference,
+    sweep_scatter_reference,
+)
 from test_geometry import _box_pairs, _near_touching_pairs, _signed_zero_twins
 
 
@@ -258,7 +273,7 @@ class TestRecallHelpers:
         near = [gt_label((float(x), 0.0, 20.0)) for x in range(-60, 65, 5)]
         seeds = [gt.box3d.center for gt in near[:7]]
         assert len(far) == 20 and len(near) == 25
-        captures = evalbench._Captures(radius=1.0)
+        captures = Captures(radius=1.0)
         captures.add([], far)
         captures.add(seeds, near)
         assert captures.row(0.5) == (0.5, 7 / 45, 7 / 45)
@@ -306,8 +321,8 @@ class TestSweeps:
         # rows as built by seeding every s afresh
         seeded = []
         for s in s_values:
-            cfg = evalbench._clamped_scatter(config, s)
-            captures = evalbench._Captures(cfg.region_radius)
+            cfg = clamped_scatter_reference(config, s)
+            captures = Captures(cfg.region_radius)
             for frame in self.frames:
                 captures.add([r.center for _, _, _, r in
                               seed_proposals(frame, preds.monocular, cfg)],
@@ -336,6 +351,29 @@ class TestSweeps:
             "frame 000002 object 1: no corner configuration yields a "
             "feasible translation",
         ]
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf])
+    def test_a_seed_center_that_is_not_finite_raises_as_a_region_does(
+            self, y):
+        # the stacked scatter builds no region, so it checks the centers
+        # that the per-s regions were built from.  No frame reaches this
+        # through sweep_scatter: its estimates come from the search, whose
+        # winners have finite centers, and a scatter end that is not
+        # finite fails the seed count before a seed is placed
+        frame = self.frames[0]
+        (obj_idx, det2d, est), *_ = solve_poses(
+            frame, oracle_predictors().monocular)
+        x, _, z = est.solved_center
+        est = dataclasses.replace(est, solved_center=(x, y, z))
+        config = PipelineConfig()
+        with pytest.raises(ValueError, match="^center must be finite$"):
+            pipeline.scatter_proposals(frame, [(obj_idx, det2d, est)], config)
+        with pytest.raises(ValueError, match="^center must be finite$"):
+            evalbench._scatter_seeds([est], [ScatterParams(0.9),
+                                             config.scatter], frame.calib.p2)
+        # without an s there is no seed, and no region to fail
+        seeds, counts = evalbench._scatter_seeds([est], [], frame.calib.p2)
+        assert seeds.shape == (0, 3) and counts.shape == (0,)
 
     def test_objectness_extremes(self):
         preds = oracle_predictors()
@@ -429,6 +467,94 @@ class TestSweeps:
                              ("objectness", [0.0, 1.0]),
                              ("desync", [0.0, 1e308])]:
             assert evalbench.check_sweep_values(kind, iter(values)) == values
+
+
+class _FailingMonocular:
+    """The noised oracle's detections, with the yaw of each object whose
+    index is in failing made NaN, so that its pose fails."""
+
+    def __init__(self, cfg, failing):
+        self.oracle = OracleMonocularPredictor(cfg)
+        self.failing = failing
+
+    def __call__(self, frame):
+        return [dataclasses.replace(det, yaw=math.nan)
+                if i in self.failing else det
+                for i, det in enumerate(self.oracle(frame))]
+
+
+# s values of the scatter grid: 0 is clamped to 1e-9, and 1 - 1e-9 is the
+# largest that ScatterParams takes
+_S_VALUES = st.sampled_from([0.0, 1e-9, 0.05, 0.3, 0.5, 0.75, 1.0 - 1e-9]) | (
+    st.floats(0.0, 1.0, exclude_max=True))
+_THRESHOLDS = (st.sampled_from([0.0, 0.01, 0.25, 0.5, 1.0])
+               | st.floats(0.0, 1.0))
+
+
+class TestSweepMatchesReference:
+    """sweep_scatter scatters all of a frame's s values in one stacked
+    solve and counts captures from the seed arrays; sweep_objectness counts
+    every threshold row of a frame in one pass.  Their rows must equal
+    those of the per-s and per-row references bit for bit, and the seeds
+    that the stacked scatter gives each s must be the bytes that the
+    one-s spatial_scatter_frame gives it, whatever the grid and whichever
+    poses fail."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cars=st.lists(st.integers(0, 10), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.1, 0.3]),
+        residual_cap=st.sampled_from([2.0, 10.0]),
+        failing=st.sets(st.integers(0, 9), max_size=4),
+        s_values=st.lists(_S_VALUES, max_size=8),
+        thresholds=st.lists(_THRESHOLDS, max_size=8),
+        at_scores=st.lists(st.integers(0, 10**6), max_size=4),
+    )
+    @example(cars=[3, 0, 10], seed=7, noise=0.3, residual_cap=2.0,
+             failing={1, 4}, s_values=[0.0, 1.0 - 1e-9, 0.5, 0.5, 0.0, 1e-9],
+             thresholds=[0.0, 1.0, 0.5, 0.5], at_scores=[0, 5, 5, 17])
+    def test_rows_and_seeds(self, cars, seed, noise, residual_cap, failing,
+                            s_values, thresholds, at_scores):
+        frames = [make_frame(f"{i:06d}", seed=seed + i, n_cars=n,
+                             ground_points=200)
+                  for i, n in enumerate(cars)]
+        cfg = OracleConfig(dims_noise_sigma=noise, yaw_noise_sigma=noise,
+                           box2d_noise_sigma=10.0 * noise,
+                           center_noise_sigma=noise, rng_seed=seed)
+        preds = dataclasses.replace(oracle_predictors(cfg),
+                                    monocular=_FailingMonocular(cfg, failing))
+        config = PipelineConfig(residual_cap=residual_cap)
+        # thresholds equal to some of the scores, which the rows count as
+        # kept, and repeated
+        scores = [score for frame in frames for score, _ in run_proposals(
+            frame, preds, config, ("rpn",), evalbench._score_seed_region)]
+        if scores:
+            thresholds = thresholds + [scores[i % len(scores)]
+                                       for i in at_scores]
+        assert (sweep_scatter(frames, preds.monocular, s_values, config)
+                == sweep_scatter_reference(frames, preds.monocular, s_values,
+                                           config))
+        assert (sweep_objectness(frames, preds, thresholds, config)
+                == sweep_objectness_reference(frames, preds, thresholds,
+                                              config))
+
+        scatters = [clamped_scatter_reference(config, s).scatter
+                    for s in s_values]
+        for frame in frames:
+            estimates = [est for _, _, est in
+                         solve_poses(frame, preds.monocular, config)]
+            p = frame.calib.p2
+            seeds, counts, p1, p2 = mono._scatter_stack(estimates, scatters,
+                                                         p)
+            assert counts.shape == (len(scatters), len(estimates))
+            ends = np.cumsum(counts.sum(axis=1))
+            for params, run, got_counts, got_p1, got_p2 in zip(
+                    scatters, np.split(seeds, ends[:-1]), counts, p1, p2):
+                want = spatial_scatter_frame(estimates, params, p)
+                assert [run.tobytes(), got_counts.tobytes(), got_p1.tobytes(),
+                        got_p2.tobytes()] == [x.tobytes() for x in want]
 
 
 class TestDesync:

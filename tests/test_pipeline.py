@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import logit
 
 import cyldet
-from cyldet import mono, pipeline
+from cyldet import codec, mono, pipeline
 from cyldet import (
     Box2D,
     Box3D,
@@ -1000,15 +1000,38 @@ class TestWorkDoneOnce:
                     assert got.seed_points.tobytes() == want.seed_points.tobytes()
 
     def test_the_scatter_sweep_solves_each_object_once(self, monkeypatch):
-        calls = self.count_side_systems(monkeypatch)
         frames = make_frames(4, seed=7)
         monocular = OracleMonocularPredictor(self.noisy)
-        for s_values in ([0.5], [0.1, 0.3, 0.5, 0.7, 0.9]):
+        poses = [len(solve_poses(f, monocular)) for f in frames]
+        calls = self.count_side_systems(monkeypatch)
+        solves, regions = [], []
+        solve_configs = mono._solve_configs
+        region_center = codec._region_center
+
+        def counted_solve(a, *args):
+            solves.append(len(a))
+            return solve_configs(a, *args)
+
+        def counted_region(center):
+            regions.append(center)
+            return region_center(center)
+
+        monkeypatch.setattr(mono, "_solve_configs", counted_solve)
+        monkeypatch.setattr(codec, "_region_center", counted_region)
+        for s_values in ([0.5], [0.1, 0.3, 0.5, 0.7, 0.9], [0.0] * 9):
             calls.clear()
+            solves.clear()
             sweep_scatter(frames, monocular, s_values)
             # one build per frame, in its search, and none per s
             assert calls == [[det.box2d for det in monocular(f)]
                              for f in frames]
+            # per frame, the search's solve, then one scatter solve of both
+            # ends of every (s, pose) pair
+            assert solves == [rows for f, n in zip(frames, poses)
+                              for rows in (len(monocular(f)),
+                                           2 * len(s_values) * n)]
+        # the captures are counted from the seeds: no region is built
+        assert regions == []
 
 
 class TestSolvePosesLogs:
