@@ -167,7 +167,13 @@ def _resolve_settings(args):
     for row in _SCHEMA:
         value = row.default
         if cfg.has_option(row.section, row.key):
-            value = row.cast(cfg.get(row.section, row.key))
+            text = cfg.get(row.section, row.key)
+            try:
+                value = row.cast(text)
+            except ValueError:  # only the int and float casts can fail
+                kind = "an int" if row.cast is int else "a float"
+                raise UsageError(f"[{row.section}] {row.key} must be {kind}, "
+                                 f"got {text!r}") from None
             if row.choices and value not in row.choices:
                 raise UsageError(f"[{row.section}] {row.key} must be one of "
                                  f"{row.choices}, got {value!r}")
@@ -321,6 +327,9 @@ def _prepare_run(args):
     if not 0.0 <= ratio < math.inf:  # negated, so that NaN fails too
         raise ValueError("[desync] vertical_ratio must be finite and >= 0, "
                          f"got {ratio!r}")
+    seeds = settings["desync"]["seeds"]
+    if seeds < 1:
+        raise ValueError(f"[desync] seeds must be >= 1, got {seeds!r}")
     frames = _load_frames(settings)
     config = _pipeline_config(settings)
     # the [oracle] and [eval] keys are the fields of their config classes

@@ -10,7 +10,6 @@ calibration untouched, emulating a Lidar that drifted relative to the
 camera between captures.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from .pipeline import (
     run_proposals,
     solve_poses,
 )
-from .mono import _scatter_stack
+from .mono import spatial_scatter_frame
 
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .pipeline import gather_cylinder, seed_proposals  # noqa: F401
@@ -254,26 +253,6 @@ def check_sweep_values(kind, values):
     return values
 
 
-def _clamped_scatter(params, s):
-    # ScatterParams requires s strictly inside (0, 1); the s = 0 sweep row
-    # is realized as the limit, which collapses to the unscaled solution.
-    return replace(params, s=min(max(s, 1e-9), 1.0 - 1e-9))
-
-
-def _scatter_seeds(estimates, scatters, p):
-    """The seeds of every estimate for every ScatterParams in scatters,
-    from one stacked scatter (mono._scatter_stack), and the number of
-    seeds of each params.  A seed's region center would take its
-    estimate's y, so a y that is not finite raises the ValueError that
-    ProposalRegion raises.  A seed's x and z lie between finite ends: an
-    end that is not finite fails the seed count first."""
-    seeds, counts, _, _ = _scatter_stack(estimates, scatters, p)
-    if len(seeds) and not all(math.isfinite(est.solved_center[1])
-                              for est in estimates):
-        raise ValueError("center must be finite")
-    return seeds, counts.sum(axis=1)
-
-
 def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     """Capture recall and seeds-per-GT of the scattered proposals, per s.
 
@@ -288,14 +267,18 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     finishes.  Returns (s, recall, proposals_per_gt) rows.
     """
     s_values = check_sweep_values("scatter", s_values)
-    scatters = [_clamped_scatter(config.scatter, s) for s in s_values]
+    # ScatterParams requires s strictly inside (0, 1); the s = 0 sweep row
+    # is realized as the limit, which collapses to the unscaled solution.
+    scatters = [replace(config.scatter, s=min(max(s, 1e-9), 1.0 - 1e-9))
+                for s in s_values]
     captured = np.zeros(len(scatters), dtype=int)
     seeds_total = np.zeros(len(scatters), dtype=int)
     gts = 0
     for frame in frames:
         poses = solve_poses(frame, monocular, config)
-        seeds, counts = _scatter_seeds([est for _, _, est in poses],
-                                       scatters, frame.calib.p2)
+        seeds, counts, _, _ = spatial_scatter_frame(
+            [est for _, _, est in poses], scatters, frame.calib.p2)
+        counts = counts.sum(axis=1)
         gts += len(frame.labels)
         seeds_total += counts
         if len(seeds):

@@ -10,12 +10,11 @@ box wins, and that overlap (2D IoU), as the search ranked it, is the
 estimate's agreement: the winner is not projected again.
 
 Every object of a frame is searched in one call (agreement_search_frame)
-and scattered in one call (spatial_scatter_frame);
+and scattered in one call (spatial_scatter_frame), which takes every s of
+the scatter sweep at once: each estimate's rotation is built once, and
+both ends of every (s, estimate) pair are solved as one stack.
 geometric_agreement_search, solve_translation and spatial_scatter are
-one-object calls of the same code.  spatial_scatter_frame is itself the
-one-s call of _scatter_stack, which the scatter sweep calls once per frame
-with every s: each estimate's rotation is built once, and both ends of
-every (s, estimate) pair are solved as one stack.  The constraint system
+one-object calls of the same code.  The constraint system
 depends only on the 2D box and the projection, so a frame's systems are
 built once, as one (N, 4, 3) stack with one SVD and one stacked
 pseudo-inverse: each estimate carries its own, and the re-solves of the
@@ -97,9 +96,6 @@ class CornerConfiguration:
     @property
     def index(self):
         return ((self.left * 8 + self.right) * 8 + self.top) * 8 + self.bottom
-
-    def as_array(self):
-        return np.array([self.left, self.right, self.top, self.bottom])
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,7 @@ def _config_table(config):
             "configuration pins one corner to two opposite sides, which "
             "forces the corner onto the camera plane"
         )
-    return config.as_array()[None, :]
+    return np.array([[config.left, config.right, config.top, config.bottom]])
 
 
 def _rotations(yaws):
@@ -449,17 +445,22 @@ def geometric_agreement_search(box2d, dims, yaw, p,
     return outcome
 
 
-def _scatter_stack(estimates, params, p):
-    """spatial_scatter_frame of every ScatterParams in params at once:
-    (seeds (S, 3), counts (K, N), p1 (K, N, 3), p2 (K, N, 3)) for K params
-    and N estimates, the counts[k].sum() seeds of params[k] following those
-    of the params before it, each in spatial_scatter_frame's order.
+def spatial_scatter_frame(estimates, params, p):
+    """Seed points of every estimate of a frame for each of K ScatterParams
+    in params: (seeds (S, 3), counts (K, N), p1 (K, N, 3), p2 (K, N, 3))
+    for N estimates.  The counts[k].sum() seeds of params[k] follow those
+    of the params before it, and within them estimate i's counts[k, i]
+    seeds follow those of the estimates before it.
 
-    The estimates' constraint systems, configuration tables and rotations
-    are gathered once, and the shrunk and grown ends of every (params,
-    estimate) pair are solved as one stacked product of one-row tables.
-    Raises SingularSystem for a degenerate winning configuration, then for
-    a rank-deficient system; with no params or no estimates, nothing is
+    p1 and p2 re-solve the winning configuration at shrunk and grown dims;
+    the segment between them is divided into ceil(len / stride) seeds (at
+    least one), starting at p1 and spaced len / n apart.  An estimate's
+    constraint system is the search's when it carries the one for its own
+    box and this P; the others are built as one stack.  Both ends of every
+    (params, estimate) pair are solved as one stacked product of one-row
+    tables, so each params gets the bits it gets alone.  Raises
+    SingularSystem for a degenerate winning configuration, then for a
+    rank-deficient system; with no params or no estimates, nothing is
     solved and nothing raises.
     """
     p = np.asarray(p, dtype=float)
@@ -507,30 +508,9 @@ def _scatter_stack(estimates, params, p):
     return seeds, counts.reshape(m, n), p1, p2
 
 
-def spatial_scatter_frame(estimates, params, p):
-    """Seed points of every estimate of a frame, between the shrunk- and
-    grown-dims re-solves of its winning configuration: (seeds (S, 3),
-    counts (N,), p1 (N, 3), p2 (N, 3)), estimate i's counts[i] seeds
-    following those of the estimates before it.
-
-    Both extremes keep the configuration fixed; the segment between their
-    centers is divided into ceil(len / stride) seeds (at least one),
-    starting at the shrunk-dims end and spaced len / n apart.  An
-    estimate's constraint system is the search's when it carries the one
-    for its own box and this P; the others are built as one stack.  Both
-    extremes of every estimate are solved as one stacked product of
-    one-row tables: this is the one-params call of _scatter_stack, which
-    the scatter sweep calls with all of its s values.  Raises
-    SingularSystem for a degenerate winning configuration, then for a
-    rank-deficient system.
-    """
-    seeds, counts, p1, p2 = _scatter_stack(estimates, [params], p)
-    return seeds, counts[0], p1[0], p2[0]
-
-
 def spatial_scatter(est, params, p):
     """Seed points between the shrunk- and grown-dims re-solves of the
     estimate's winning configuration: spatial_scatter_frame of this
     estimate alone, as a ScatterResult."""
-    seeds, _, p1, p2 = spatial_scatter_frame([est], params, p)
-    return ScatterResult(seed_points=seeds, p1=p1[0], p2=p2[0])
+    seeds, _, p1, p2 = spatial_scatter_frame([est], [params], p)
+    return ScatterResult(seed_points=seeds, p1=p1[0, 0], p2=p2[0, 0])

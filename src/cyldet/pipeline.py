@@ -5,11 +5,10 @@ heading; solve_poses searches them all in one agreement_search_frame call
 (one stack of constraint systems per frame) and logs the failures in
 object order, and scatter_proposals turns every solved pose into 3D seed
 points and their cylinder regions in one spatial_scatter_frame call (the
-scatter sweep solves once per frame, then scatters every s in one stacked
-solve and builds no region); (b)
-cylinder regions around the seeds are scored by a proposal head
-(objectness plus a re-centering location); (c) a box head regresses the
-full box, in a head sequence set by the mode (MODE_STAGES):
+scatter sweep makes the same call once per frame with every s, and builds
+no region); (b) cylinder regions around the seeds are scored by a proposal
+head (objectness plus a re-centering location); (c) a box head regresses
+the full box, in a head sequence set by the mode (MODE_STAGES):
   single_stage        rpn, then brn on the same region;
   single_stage_twice  rpn, brn, then rpn and brn again on the region
                       re-centered at the first box;
@@ -678,10 +677,10 @@ def scatter_proposals(frame, poses, config=PipelineConfig()):
     shape = ProposalRegion((0.0, 0.0, 0.0), config.region_radius,
                            config.region_y_extent, config.region_bounds)
     seeds, counts, _, _ = spatial_scatter_frame(
-        [est for _, _, est in poses], config.scatter, frame.calib.p2)
+        [est for _, _, est in poses], [config.scatter], frame.calib.p2)
     seeds = iter(seeds.tolist())
     proposals = []
-    for (obj_idx, det2d, est), count in zip(poses, counts.tolist()):
+    for (obj_idx, det2d, est), count in zip(poses, counts[0].tolist()):
         for seed_idx in range(count):
             x, _, z = next(seeds)
             region = shape.recentered((x, est.solved_center[1], z))

@@ -559,6 +559,32 @@ class TestSettings:
         assert f"[{row.section}] {row.key}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "row, text",
+        [(row, text) for row in cyldet.cli._SCHEMA if row.cast is not str
+         for text in (["abc", "1.5"] if row.cast is int else ["abc", ""])],
+        ids=lambda v: v if isinstance(v, str) else f"{v.section}.{v.key}")
+    def test_config_value_that_does_not_parse_is_usage_error(
+            self, dataset, tmp_path, monkeypatch, capsys, row, text):
+        # it used to exit 2 with the cast's own message, naming no key
+        root, split, _ = dataset
+
+        def no_frames(*args):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(cyldet.cli, "iter_split", no_frames)
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{row.section}]\n{row.key} = {text}\n")
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--config", str(config)])
+        kind = "an int" if row.cast is int else "a float"
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"usage error: [{row.section}] {row.key} must be {kind}, "
+            f"got {text!r}\n")
+        assert not out_dir.exists()
+
     def test_echoed_config_reproduces_the_run(self, dataset, tmp_path):
         root, split, _ = dataset
         first = tmp_path / "first"
@@ -589,15 +615,39 @@ class TestSweep:
         assert len(lines) == 10
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
-    def test_desync_without_seed_draws_is_data_error(self, dataset, tmp_path,
-                                                     seeds):
+    def test_desync_without_seed_draws_is_data_error(
+            self, dataset, tmp_path, monkeypatch, capsys, seeds):
+        # it used to exit 2 only after writing config_effective.ini, and
+        # named no setting ("n_seeds must be >= 1")
         root, split, _ = dataset
+
+        def no_frames(*args):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(cyldet.cli, "iter_split", no_frames)
         out_dir = tmp_path / "sweep"
         rc = main(["sweep", "desync", "--dataset-root", root, "--split", split,
                    "--output-dir", str(out_dir), "--values", "0.2",
                    "--desync-seeds", seeds])
         assert rc == 2
-        assert not (out_dir / "sweep_desync.csv").exists()
+        assert capsys.readouterr().err == (
+            f"error: [desync] seeds must be >= 1, got {int(seeds)}\n")
+        assert not out_dir.exists()
+
+    def test_detect_with_desync_seeds_below_one_is_data_error(
+            self, dataset, tmp_path, capsys):
+        # detect runs no desync sweep, but checks [desync] as it checks
+        # vertical_ratio; it used to exit 0
+        root, split, _ = dataset
+        config = tmp_path / "seeds.ini"
+        config.write_text("[desync]\nseeds = 0\n")
+        out_dir = tmp_path / "detect"
+        rc = main(["detect", "--config", str(config), "--dataset-root", root,
+                   "--split", split, "--output-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: [desync] seeds must be >= 1, got 0\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("spec", ["0.7:0.1:0.1", "nan:1:0.1", ","])
     def test_empty_grid_is_usage_error_before_any_frame(

@@ -30,9 +30,9 @@ from cyldet import (
     sweep_scatter,
     write_csv,
 )
-from cyldet import evalbench, geometry, mono, pipeline
+from cyldet import evalbench, geometry, pipeline
 from cyldet.kitti import DIFFICULTIES
-from cyldet.mono import ScatterParams, spatial_scatter_frame
+from cyldet.mono import spatial_scatter_frame
 from cyldet.pipeline import (
     Detection,
     OracleMonocularPredictor,
@@ -355,25 +355,17 @@ class TestSweeps:
     @pytest.mark.parametrize("y", [math.nan, math.inf])
     def test_a_seed_center_that_is_not_finite_raises_as_a_region_does(
             self, y):
-        # the stacked scatter builds no region, so it checks the centers
-        # that the per-s regions were built from.  No frame reaches this
-        # through sweep_scatter: its estimates come from the search, whose
-        # winners have finite centers, and a scatter end that is not
-        # finite fails the seed count before a seed is placed
+        # the scatter sweep builds no region, and no frame gives it such an
+        # estimate: its estimates come from the search, whose winners have
+        # finite centers (TestFrameSearchMatchesReference in test_mono.py)
         frame = self.frames[0]
         (obj_idx, det2d, est), *_ = solve_poses(
             frame, oracle_predictors().monocular)
         x, _, z = est.solved_center
         est = dataclasses.replace(est, solved_center=(x, y, z))
-        config = PipelineConfig()
         with pytest.raises(ValueError, match="^center must be finite$"):
-            pipeline.scatter_proposals(frame, [(obj_idx, det2d, est)], config)
-        with pytest.raises(ValueError, match="^center must be finite$"):
-            evalbench._scatter_seeds([est], [ScatterParams(0.9),
-                                             config.scatter], frame.calib.p2)
-        # without an s there is no seed, and no region to fail
-        seeds, counts = evalbench._scatter_seeds([est], [], frame.calib.p2)
-        assert seeds.shape == (0, 3) and counts.shape == (0,)
+            pipeline.scatter_proposals(frame, [(obj_idx, det2d, est)],
+                                       PipelineConfig())
 
     def test_objectness_extremes(self):
         preds = oracle_predictors()
@@ -497,7 +489,7 @@ class TestSweepMatchesReference:
     every threshold row of a frame in one pass.  Their rows must equal
     those of the per-s and per-row references bit for bit, and the seeds
     that the stacked scatter gives each s must be the bytes that the
-    one-s spatial_scatter_frame gives it, whatever the grid and whichever
+    spatial_scatter_frame gives it alone, whatever the grid and whichever
     poses fail."""
 
     @pytest.mark.filterwarnings("error")
@@ -546,13 +538,15 @@ class TestSweepMatchesReference:
             estimates = [est for _, _, est in
                          solve_poses(frame, preds.monocular, config)]
             p = frame.calib.p2
-            seeds, counts, p1, p2 = mono._scatter_stack(estimates, scatters,
-                                                         p)
+            seeds, counts, p1, p2 = spatial_scatter_frame(estimates,
+                                                          scatters, p)
             assert counts.shape == (len(scatters), len(estimates))
             ends = np.cumsum(counts.sum(axis=1))
             for params, run, got_counts, got_p1, got_p2 in zip(
                     scatters, np.split(seeds, ends[:-1]), counts, p1, p2):
-                want = spatial_scatter_frame(estimates, params, p)
+                alone, alone_counts, alone_p1, alone_p2 = (
+                    spatial_scatter_frame(estimates, [params], p))
+                want = [alone, alone_counts[0], alone_p1[0], alone_p2[0]]
                 assert [run.tobytes(), got_counts.tobytes(), got_p1.tobytes(),
                         got_p2.tobytes()] == [x.tobytes() for x in want]
 

@@ -481,10 +481,11 @@ _OBJECT = st.tuples(
 
 class TestFrameSearchMatchesReference:
     """agreement_search_frame searches every object of a frame in one
-    stack, and spatial_scatter_frame scatters every estimate in one.  Each
-    object's outcome must equal that of the one-object reference, bit for
-    bit, or be the same error with the same message, whichever objects
-    share its frame and in whatever order, and no object may warn."""
+    stack, and spatial_scatter_frame scatters every estimate for every
+    params in one.  Each object's outcome must equal that of the one-object
+    reference, bit for bit, or be the same error with the same message,
+    whichever objects share its frame and in whatever order, and whichever
+    params share its scatter, and no object may warn."""
 
     @pytest.mark.filterwarnings("error")
     def test_zero_singular_values_fail_without_a_warning(self):
@@ -538,6 +539,10 @@ class TestFrameSearchMatchesReference:
         assert [_bits(o) for o in alone] == want
 
         estimates = [o for o in frame if isinstance(o, MonoEstimate)]
+        # a winner's center is finite, so the scatter sweep, which builds no
+        # region, need not check what a region's center would
+        assert all(np.isfinite(est.solved_center).all() for est in estimates)
+        scatters = []
         for s in (1e-9, 0.5, 1.0 - 1e-9):
             # the stride keeps each scatter to at most 256 seeds: a tiny
             # box's car solves kilometres away, and so does its grown end
@@ -545,11 +550,22 @@ class TestFrameSearchMatchesReference:
                 est, ScatterParams(s=s, stride=1e300), p) for est in estimates]
             stride = max([1.6] + [float(np.linalg.norm(r.p2 - r.p1)) / 256
                                   for r in ends])
-            params = ScatterParams(s=s, stride=stride)
-            seeds, counts, p1, p2 = spatial_scatter_frame(estimates, params, p)
+            scatters.append(ScatterParams(s=s, stride=stride))
+        # every params in one call gives each params the bytes it gets alone
+        stacked, stacked_counts, stacked_p1, stacked_p2 = (
+            spatial_scatter_frame(estimates, scatters, p))
+        runs = np.split(stacked, np.cumsum(stacked_counts.sum(axis=1))[:-1])
+        for k, params in enumerate(scatters):
+            seeds, counts, p1, p2 = spatial_scatter_frame(estimates, [params],
+                                                          p)
+            assert [x.tobytes() for x in (seeds, counts, p1, p2)] == [
+                x.tobytes() for x in (runs[k], stacked_counts[k:k + 1],
+                                      stacked_p1[k:k + 1],
+                                      stacked_p2[k:k + 1])]
             assert len(seeds) == counts.sum()
             start = 0
-            for est, count, got_p1, got_p2 in zip(estimates, counts, p1, p2):
+            for est, count, got_p1, got_p2 in zip(estimates, counts[0], p1[0],
+                                                  p2[0]):
                 ref = spatial_scatter_reference(est, params, p)
                 got = seeds[start:start + count]
                 start += count
