@@ -70,7 +70,10 @@ class DesyncConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_sweep_values("desync", (self.max_xy, self.max_z_vertical))
+        max_xy, max_z = check_sweep_values(
+            "desync", (self.max_xy, self.max_z_vertical))
+        object.__setattr__(self, "max_xy", max_xy)
+        object.__setattr__(self, "max_z_vertical", max_z)
 
 
 @dataclass(frozen=True)
@@ -235,9 +238,11 @@ def _capture_rows(values, captured, gts, seeds):
 
 
 def check_sweep_values(kind, values):
-    """values as a list, or ValueError naming the first one outside the
-    range of the sweep kind's setting.  Each sweep checks its values before
-    it reads a frame."""
+    """values as a list, each plus 0.0, or ValueError naming the first one
+    outside the range of the sweep kind's setting.  Each sweep checks its
+    values before it reads a frame.  Adding 0.0 turns -0.0 into 0.0, whose
+    sign rng.uniform(-v, v) would otherwise read as high < low, and leaves
+    every other value's bits as they are."""
     message, inside = {
         "scatter": ("s must be in [0, 1)", lambda v: 0.0 <= v < 1.0),
         "objectness": ("objectness threshold must be in [0, 1]",
@@ -250,7 +255,7 @@ def check_sweep_values(kind, values):
         # negated, so that NaN is rejected too
         if not inside(v):
             raise ValueError(f"{message}, got {v!r}")
-    return values
+    return [v + 0.0 for v in values]
 
 
 def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
@@ -379,7 +384,10 @@ def desync_robustness_curve(frames, predictors, magnitudes,
         raise ValueError(f"metric must be one of {DESYNC_METRICS}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    magnitudes = list(magnitudes)
+    if not 0.0 <= vertical_ratio < np.inf:  # negated, so that NaN fails too
+        raise ValueError("vertical_ratio must be finite and >= 0, got "
+                         f"{vertical_ratio!r}")
+    magnitudes = check_sweep_values("desync", magnitudes)
     draws = [
         (DesyncConfig(max_xy=m, max_z_vertical=m * vertical_ratio,
                       rng_seed=derive_seed(seed, k)), _Tally(eval_cfg))

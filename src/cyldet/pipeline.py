@@ -23,15 +23,16 @@ BrnOutput.  run_proposals runs the stages of (b) and (c) stage-major, for
 detect_frame and the objectness sweep alike: each stage runs over every
 region of the frame that the stage before kept, and dropped proposals are
 logged at the frame's end in (object, seed) order.  A point head is called
-once per region.  Each frame has one RegionIndex, which rejects a cloud
-not in the camera frame with WrongFrame when it is built.  A head receives
-region_points(index, ...) of its region unless it sets the class attribute
-uses_points = False, in which case points is None, no gather, voxel or
-sample work is done for it, and the stage asks the index once for the
-occupancy of all its regions.  The index counts the frame's points per
-grid cell, and sorts them only for the first members query: a head that
-reads points, or a region its table of counts cannot settle.  An empty
-region is dropped with EmptyCloud before the head runs.
+once per region.  Every region of a run is PipelineConfig.region
+recentered; each frame has one RegionIndex, built from that shape, which
+picks its own cells and rejects a cloud not in the camera frame with
+WrongFrame.  A head receives region_points(index, ...) of its region
+unless it sets the class attribute uses_points = False, in which case
+points is None, no gather, voxel or sample work is done for it, and the
+stage asks the index once for the occupancy of all its regions.  The index
+counts the points per cell when built, and sorts them only for the first
+members query: a head that reads points, or a center its counts cannot
+settle.  An empty region is dropped with EmptyCloud before the head runs.
 Oracle implementations backed by ground truth (with optional seeded noise)
 stand in for trained networks; the point-head oracles read no points, and
 the two of an oracle_predictors bundle share one label table, bound to the
@@ -109,41 +110,39 @@ _CELL_LIMIT = 2**30
 
 
 class RegionIndex:
-    """Cylinder-region membership over one camera-frame cloud; any other
-    cloud raises WrongFrame at construction.
+    """Cylinder membership over one camera-frame cloud for one region shape,
+    whose regions differ only by center (recentered keeps the rest); a
+    cloud not in the camera frame raises WrongFrame.
 
-    On the first query, each point inside the vertical band y_extent
+    At construction, each point inside the shape's band y_extent
     (inclusive) gets the x-major key of its cell in a square x-z grid of
-    cells `cell` wide, and the index counts the points per cell: starts[k],
-    a prefix sum of np.bincount(keys), is the number of band points with a
-    key below k, the integer np.searchsorted(sorted keys, k) gives.  That
-    sorts nothing, and copies no point when the band holds them all.
-    occupied() answers a list of regions at once: the table counts the
-    points of the 3x3 block of cells around each center's cell, for the
-    regions whose block lies wholly inside the circle, and it calls
-    members() only for a region whose block is empty or cannot settle it.
-    The first members() call sorts the band's points by key, with numpy's
-    stable sort on the narrowest unsigned type that holds the keys (a
-    radix sort up to 2**16 cells).  members() reads the cells its circle
-    can reach, widened by a few ulps against rounding, as one slice of the
-    sorted arrays per x column, and tests those points with
-    dx*dx + dz*dz <= r**2.  A grid too large for the table (see
-    _CELL_LIMIT) is sorted at build and counted with searchsorted.  Every
-    region of a frame shares the band (recentered keeps it), so one index
-    answers them all.
+    cells radius / 3 wide, and the index counts the points per cell:
+    starts[k], a prefix sum of np.bincount(keys), is the number of band
+    points with a key below k, the integer np.searchsorted(sorted keys, k)
+    gives.  That sorts nothing, and copies no point when the band holds
+    them all.  occupied() answers many centers at once: the table counts
+    the points of the 3x3 block of cells around each center's cell, which
+    lies inside the circle, and it calls members() only for a center whose
+    block is empty or clipped.  The first members() call sorts the band's
+    points by key, with numpy's stable sort on the narrowest unsigned type
+    that holds the keys (a radix sort up to 2**16 cells).  members() reads
+    the cells its circle can reach, widened by a few ulps against rounding,
+    as one slice of the sorted arrays per x column, and tests those points
+    with dx*dx + dz*dz <= r**2, exactly for any cell width.  A grid too
+    large for the table (see _CELL_LIMIT) is sorted at construction and
+    counted with searchsorted.
     """
 
-    def __init__(self, cloud, y_extent, cell):
+    def __init__(self, cloud, shape):
         if cloud.frame != "camera":
             raise WrongFrame(f"expected camera frame, got {cloud.frame}")
         self.cloud = cloud
-        self.y_extent = tuple(float(v) for v in y_extent)
-        self.cell = float(cell)
-        self._keys = None
-
-    def _build(self):
-        pts = self.cloud.points
-        y0, y1 = self.y_extent
+        self.radius = shape.radius
+        # cells of a third of the radius, so that occupied() settles most
+        # centers from the 3x3 block of cells around them
+        self.cell = shape.radius / 3
+        pts = cloud.points
+        y0, y1 = shape.y_extent
         band = np.flatnonzero((pts[:, 1] >= y0) & (pts[:, 1] <= y1))
         xz = pts[:, ::2].T  # rows x and z
         if len(band) < len(pts):
@@ -194,12 +193,12 @@ class RegionIndex:
         return (max(lo - self._lo[axis], 0),
                 min(hi - self._lo[axis], self._shape[axis] - 1))
 
-    def _cell_range(self, axis, center, radius):
+    def _cell_range(self, axis, center):
         # widened by 2**-48 of the cell numbers, many times the rounding
         # error of a point's offset: no point outside the widened cells
         # rounds onto the circle
         lo, hi = (min(max(v / self.cell, -_CELL_LIMIT), _CELL_LIMIT)
-                  for v in (center - radius, center + radius))
+                  for v in (center - self.radius, center + self.radius))
         pad = (abs(lo) + abs(hi)) * 2**-48
         return self._clamp(axis, math.floor(lo - pad), math.floor(hi + pad))
 
@@ -211,20 +210,12 @@ class RegionIndex:
             column * width + z for column in range(x0, x1 + 1)
             for z in (z0, z1 + 1)])
 
-    def _check(self, region):
-        if region.y_extent != self.y_extent:
-            raise RuntimeError(f"region band {region.y_extent} is not the "
-                               f"index band {self.y_extent}")
-        if self._keys is None:
-            self._build()
-
-    def members(self, region):
-        """Cloud-order indices of the points inside region, whose band must
-        be the index's."""
-        self._check(region)
-        cx, _, cz = region.center
-        x0, x1 = self._cell_range(0, cx, region.radius)
-        z0, z1 = self._cell_range(1, cz, region.radius)
+    def members(self, center):
+        """Cloud-order indices of the points inside the region centered at
+        center, an (x, y, z) of floats."""
+        cx, _, cz = center
+        x0, x1 = self._cell_range(0, cx)
+        z0, z1 = self._cell_range(1, cz)
         if x0 > x1 or z0 > z1:
             return np.zeros(0, np.int64)
         if not self._sorted:
@@ -236,30 +227,25 @@ class RegionIndex:
         dz -= cz
         # a far point's square may overflow to inf, which is outside
         with np.errstate(over="ignore"):
-            inside = dx * dx + dz * dz <= region.radius**2
+            inside = dx * dx + dz * dz <= self.radius**2
         members = np.concatenate([self._members[s] for s in runs])
         return np.sort(members[inside])
 
-    def occupied(self, regions):
-        """Whether each region holds a point, len(members(region)) > 0, as
-        a bool array."""
-        if not regions:
-            return np.zeros(0, bool)
-        for region in regions:
-            self._check(region)
+    def occupied(self, centers):
+        """Whether len(members(center)) > 0 for each of centers, an (R, 3)
+        array or sequence, as a bool array."""
+        centers = np.asarray(centers, dtype=float).reshape(-1, 3)
         # a point of the 3x3 block of cells around the center's cell lies
         # less than 2*sqrt(2) < 2.83 cells from the center, however the
         # divisions round (cell numbers below 2**30 keep that error under
-        # 1e-6 cells), so with cells at most r / 2.9 it passes members()'
-        # test; the block must hold no clipped cell, where far points lie
-        # (a center that overflows the division to +-inf is clipped too)
+        # 1e-6 cells), so with cells of r / 3 it passes members()' test;
+        # the block must hold no clipped cell, where far points lie (a
+        # center that overflows the division to +-inf is clipped too)
         with np.errstate(over="ignore"):
-            centers = np.array([r.center[::2] for r in regions]) / self.cell
-        cells = np.floor(np.clip(centers, -_CELL_LIMIT,
+            cells = centers[:, ::2] / self.cell
+        cells = np.floor(np.clip(cells, -_CELL_LIMIT,
                                  _CELL_LIMIT)).astype(np.int64)
-        settled = ((np.abs(cells).max(axis=1) < _CELL_LIMIT - 1)
-                   & np.array([2.9 * self.cell <= r.radius for r in regions],
-                              bool))
+        settled = np.abs(cells).max(axis=1) < _CELL_LIMIT - 1
         # the block's z-run [z0, z1] in each of its three x columns, cut to
         # the grid's rows; a run outside the grid, in a column or a row
         # beyond its edge, has no key range with start < stop
@@ -270,23 +256,22 @@ class RegionIndex:
                 + np.stack((z0, z1 + 1), axis=1)[:, None, :])
         bounds = self._count(keys)
         occupied = settled & (bounds[:, :, 1] > bounds[:, :, 0]).any(axis=1)
-        # an empty or unsettled block falls back to the members query
+        # an empty or clipped block falls back to the members query
         for i in np.flatnonzero(~occupied):
-            occupied[i] = len(self.members(regions[i])) > 0
+            occupied[i] = len(self.members(centers[i].tolist())) > 0
         return occupied
 
-    def points(self, members, region):
-        """The member points re-expressed relative to the region center."""
-        cx, cy, cz = region.center
-        rel = self.cloud.points[members] - np.array([cx, cy, cz, 0.0])
+    def points(self, members, center):
+        """The member points re-expressed relative to center."""
+        rel = self.cloud.points[members] - np.array([*center, 0.0])
         return PointCloud(rel, frame="camera")
 
 
 def gather_cylinder(cloud, region):
     """Points inside a standing-cylinder region, re-expressed relative to
     the region center.  The cloud must be in the camera frame."""
-    index = RegionIndex(cloud, region.y_extent, region.radius)
-    return index.points(index.members(region), region)
+    index = RegionIndex(cloud, region)
+    return index.points(index.members(region.center), region.center)
 
 
 def voxel_downsample(cloud, resolution):
@@ -608,6 +593,12 @@ class PipelineConfig:
     bins: RotationBins = DEFAULT_ROTATION_BINS
     seed: int = 0
 
+    @property
+    def region(self):
+        """The shape of every proposal's region, at the origin."""
+        return ProposalRegion((0.0, 0.0, 0.0), self.region_radius,
+                              self.region_y_extent, self.region_bounds)
+
     def __post_init__(self):
         if self.mode not in PIPELINE_MODES:
             raise ValueError(f"mode must be one of {PIPELINE_MODES}")
@@ -620,9 +611,7 @@ class PipelineConfig:
             raise ValueError("nms_threshold must be in [0, 1]")
         if not 0.0 <= self.objectness_threshold <= 1.0:
             raise ValueError("objectness_threshold must be in [0, 1]")
-        # the region of every proposal is built from these fields
-        ProposalRegion((0.0, 0.0, 0.0), self.region_radius,
-                       self.region_y_extent, self.region_bounds)
+        self.region  # checks the region fields
 
 
 def decode_box(brn_out, region, clusters, bins):
@@ -637,10 +626,10 @@ def region_points(index, region, config, sample_seed):
     """The point-head input for one region of the frame whose RegionIndex
     is index: gather, voxel-downsample, then sample config.sample_count
     points.  Raises EmptyCloud when the region holds no point."""
-    members = index.members(region)
+    members = index.members(region.center)
     if len(members) == 0:
         raise EmptyCloud("no points inside the proposal region")
-    gathered = index.points(members, region)
+    gathered = index.points(members, region.center)
     downsampled = voxel_downsample(gathered, config.voxel_resolution)
     return sample_points(downsampled, config.sample_count, sample_seed)
 
@@ -674,8 +663,7 @@ def scatter_proposals(frame, poses, config=PipelineConfig()):
     spatial_scatter_frame call.  The scatter re-solves the search's own
     constraint system, which each estimate carries, with its
     non-degenerate winner, so it cannot fail where the search succeeded."""
-    shape = ProposalRegion((0.0, 0.0, 0.0), config.region_radius,
-                           config.region_y_extent, config.region_bounds)
+    shape = config.region
     seeds, counts, _, _ = spatial_scatter_frame(
         [est for _, _, est in poses], [config.scatter], frame.calib.p2)
     seeds = iter(seeds.tolist())
@@ -718,17 +706,14 @@ def run_proposals(frame, predictors, config, heads, step):
     propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
-    # cells of a third of the radius, so that occupied() settles most
-    # regions from the 3x3 block of cells around their center
-    index = RegionIndex(frame.cloud, config.region_y_extent,
-                        config.region_radius / 3)
+    index = RegionIndex(frame.cloud, config.region)
     proposals = seed_proposals(frame, predictors.monocular, config)
     drops = []
     for stage, name in enumerate(heads):
         head = getattr(predictors, name)
         reads_points = getattr(head, "uses_points", True)
         if not reads_points:
-            occupied = index.occupied([p[3] for p in proposals])
+            occupied = index.occupied([p[3].center for p in proposals])
         kept = []
         for i, proposal in enumerate(proposals):
             obj_idx, seed_idx, _, region = proposal

@@ -775,6 +775,28 @@ class TestSweep:
             f"got {float(ratio)!r}\n")
         assert not out_dir.exists()
 
+    def test_a_signed_zero_desync_bound_is_zero(self, dataset, tmp_path):
+        # --values=-0.0, and a vertical_ratio of -0.0, passed every check,
+        # then exited 2 from rng.uniform(0.0, -0.0) ("high - low < 0")
+        # after writing config_effective.ini
+        root, split, _ = dataset
+        csvs = {}
+        for name, ratio, values in [("zero", "0.0", "0.0"),
+                                    ("negative", "0.0", "-0.0"),
+                                    ("ratio", "0.0", "0.2"),
+                                    ("negative_ratio", "-0.0", "0.2")]:
+            config = tmp_path / f"{name}.ini"
+            config.write_text(f"[desync]\nvertical_ratio = {ratio}\n")
+            out_dir = tmp_path / name
+            rc = main(["sweep", "desync", "--config", str(config),
+                       "--dataset-root", root, "--split", split,
+                       "--output-dir", str(out_dir), f"--values={values}"])
+            assert rc == 0
+            csvs[name] = (out_dir / "sweep_desync.csv").read_bytes()
+        assert csvs["negative"] == csvs["zero"]
+        assert csvs["negative_ratio"] == csvs["ratio"]
+        assert csvs["zero"].splitlines()[1].startswith(b"0,")
+
     def test_eval_setting_out_of_range_fails_before_writing(
             self, dataset, tmp_path, capsys):
         # [eval] used to be checked after config_effective.ini was written

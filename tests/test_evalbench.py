@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -646,6 +647,48 @@ class TestDesync:
         with pytest.raises(ValueError, match="finite and >= 0"):
             desync_robustness_curve(unread(), oracle_predictors(),
                                     [0.2, magnitude])
+
+    @pytest.mark.parametrize("magnitude, ratio", [
+        (0.5, -1.0), (0.0, -1.0), (0.5, math.nan), (0.0, math.inf),
+        (0.5, -math.inf)])
+    def test_vertical_ratio_not_finite_and_at_least_zero_raises_before_any_frame(
+            self, magnitude, ratio):
+        # it used to name the product ("desync translation bound must be
+        # finite and >= 0, got -0.5", or "got nan"), and at magnitude 0 a
+        # ratio of -1 gave a bound of -0.0, which rng.uniform rejected only
+        # after the first frame was read
+        def unread():
+            raise AssertionError("a frame was read")
+            yield
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"vertical_ratio must be finite and >= 0, got {ratio!r}")):
+            desync_robustness_curve(unread(), oracle_predictors(), [magnitude],
+                                    vertical_ratio=ratio)
+
+    def test_a_signed_zero_bound_is_zero(self):
+        # -0.0 passed every check, then rng.uniform(0.0, -0.0) raised
+        # "high - low < 0"
+        values = evalbench.check_sweep_values("desync", [-0.0, 0.5, 0])
+        assert [(v, math.copysign(1.0, v)) for v in values] == [
+            (0.0, 1.0), (0.5, 1.0), (0.0, 1.0)]
+        cfg = DesyncConfig(max_xy=-0.0, max_z_vertical=-0.0)
+        assert math.copysign(1.0, cfg.max_xy) == 1.0
+        assert math.copysign(1.0, cfg.max_z_vertical) == 1.0
+        frame = self.frames[0]
+        np.testing.assert_array_equal(desync_frame(frame, cfg).cloud.points,
+                                      frame.cloud.points)
+        preds = oracle_predictors(OracleConfig(dims_noise_sigma=0.1,
+                                               rng_seed=2))
+
+        def curve(magnitudes, ratio):
+            return desync_robustness_curve(
+                self.frames, preds, magnitudes, PipelineConfig(),
+                EvalConfig(iou_threshold=0.5), vertical_ratio=ratio)
+
+        rows = curve([-0.0, 0.4], -0.0)
+        assert rows == curve([0.0, 0.4], 0.0)
+        assert math.copysign(1.0, rows[0][0]) == 1.0
 
     @pytest.mark.parametrize("n_seeds", [0, -1])
     def test_no_seed_draws_is_an_error(self, n_seeds):

@@ -122,8 +122,8 @@ class TestGatherCylinder:
 class TestRegionIndex:
     """RegionIndex membership equals the scan of every point
     (oracles.cylinder_members_reference) exactly, boundary points
-    included, for any region radius and cell width; occupied() is True
-    exactly when that scan finds a point."""
+    included, for any region radius, whose third is the index's cell
+    width; occupied() is True exactly when that scan finds a point."""
 
     band = (-1.0, 3.0)
     _edge_y = st.sampled_from([
@@ -135,31 +135,37 @@ class TestRegionIndex:
     _coord = (st.floats(-40.0, 40.0)
               | st.integers(-80, 80).map(lambda k: k * 0.5)
               | st.sampled_from([-1e30, -1e15, 1e15, 1e30]))
+    # radii whose cells are 0.5, 2 and 3 m wide, on which the grid-aligned
+    # values above lie, among others
+    _radius = st.sampled_from([0.3, 1.0, 1.5, 2.0, 2.5, 6.0, 7.3, 9.0])
 
-    def assert_matches(self, points, regions, cell):
+    def shape(self, radius):
+        return ProposalRegion((0.0, 0.0, 0.0), radius, self.band)
+
+    def assert_matches(self, points, centers, radius):
         cloud = PointCloud(np.reshape(points, (-1, 4)), frame="camera")
-        index = RegionIndex(cloud, self.band, cell)
-        for region, found in zip(regions, index.occupied(regions),
+        shape = self.shape(radius)
+        index = RegionIndex(cloud, shape)
+        for center, found in zip(centers, index.occupied(centers),
                                  strict=True):
-            want = cylinder_members_reference(cloud.points, region)
+            want = cylinder_members_reference(cloud.points,
+                                              shape.recentered(center))
             assert found == (len(want) > 0)
-            np.testing.assert_array_equal(index.members(region), want)
+            np.testing.assert_array_equal(index.members(center), want)
 
     @settings(max_examples=300, deadline=None)
     @given(
         center=st.tuples(st.floats(-40.0, 40.0), st.floats(-2.0, 4.0),
                          st.floats(-40.0, 40.0)),
-        radius=st.sampled_from([0.3, 1.0, 2.0, 2.5, 7.3]),
-        cell=st.sampled_from([0.5, 2.0, 3.0]),
+        radius=_radius,
         on_circle=st.lists(st.tuples(st.floats(0.0, 2 * math.pi), _edge_y),
                            min_size=1, max_size=40),
     )
-    def test_points_on_the_circle(self, center, radius, cell, on_circle):
+    def test_points_on_the_circle(self, center, radius, on_circle):
         cx, _, cz = center
         points = [[cx + radius * math.cos(a), y, cz + radius * math.sin(a), 0.0]
                   for a, y in on_circle]
-        self.assert_matches(points, [ProposalRegion(center, radius, self.band)],
-                            cell)
+        self.assert_matches(points, [center], radius)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -168,51 +174,46 @@ class TestRegionIndex:
         centers=st.lists(st.tuples(st.floats(-100.0, 100.0),
                                    st.floats(-100.0, 100.0)),
                          min_size=1, max_size=6),
-        radius=st.sampled_from([0.3, 1.0, 2.0, 7.3]),
-        cell=st.sampled_from([0.5, 2.0, 3.0]),
+        radius=_radius,
     )
     # every point outside the band; two copies of a point on a cell corner,
     # queried from a region outside the grid; a point one cell left of the
     # circle's cells whose offset rounds to exactly -r (the padding's case);
     # points beyond the cell-number limit
     @example(points=[(1.0, 7.0, 1.0, 2), (3.0, -5.0, 2.0, 1)],
-             centers=[(1.0, 1.0)], radius=2.0, cell=2.0)
+             centers=[(1.0, 1.0)], radius=6.0)
     @example(points=[(2.0, 0.5, 2.0, 2)], centers=[(60.0, -60.0), (2.0, 2.0)],
-             radius=1.0, cell=2.0)
+             radius=6.0)
     @example(points=[(math.nextafter(2.0, 0.0), 0.5, 0.0, 1)],
-             centers=[(4.0, 0.0)], radius=2.0, cell=2.0)
+             centers=[(8.0, 0.0)], radius=6.0)
     @example(points=[(1.0, 0.5, 1.0, 1), (1e15, 0.5, 0.0, 1),
                      (0.0, 0.5, 1e15, 1), (1e30, 0.5, -1e30, 2)],
-             centers=[(0.0, 0.0), (1e15, 0.0), (1e30, -1e30)],
-             radius=2.0, cell=2.0)
+             centers=[(0.0, 0.0), (1e15, 0.0), (1e30, -1e30)], radius=6.0)
     def test_clouds_with_duplicates_and_far_regions(self, points, centers,
-                                                    radius, cell):
+                                                    radius):
         rows = [[x, y, z, 0.0] for x, y, z, copies in points
                 for _ in range(copies)]
-        regions = [ProposalRegion((x, 0.0, z), radius, self.band)
-                   for x, z in centers]
-        self.assert_matches(rows, regions, cell)
+        self.assert_matches(rows, [(x, 0.0, z) for x, z in centers], radius)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        cell=st.sampled_from([0.5, 2.0, 3.0]),
+        radius=st.sampled_from([1.5, 6.0, 9.0]),
         crowded=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
                                    st.integers(100, 1500)),
                          min_size=1, max_size=4),
         ys=st.lists(_edge_y, min_size=1, max_size=7),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_crowded_cells(self, cell, crowded, ys, seed):
+    def test_crowded_cells(self, radius, crowded, ys, seed):
         """Hundreds to thousands of points in a few cells, with copies,
         points on cell edges, and points on and one ulp outside every
         circle."""
         rng = np.random.default_rng(seed)
-        # (x, z) of the center in cells of the crowded cell, and the radius
-        # in cells: circles across 1, 2, 3 and 6 columns of cells, and one
-        # whose edges lie on cell edges
-        shapes = [(0.5, 0.5, 0.3), (1.0, 0.5, 0.75), (0.5, 0.0, 1.2),
-                  (0.0, 0.0, 2.6), (1.0, 0.0, 1.0)]
-        rows, regions = [], []
+        cell = radius / 3
+        # (x, z) of the center in cells of the crowded cell: circles whose
+        # edges lie inside cells, on cell edges on one axis, or on both
+        shapes = [(0.5, 0.5), (1.0, 0.5), (0.5, 0.0), (0.0, 0.0), (1.0, 0.0)]
+        rows, centers = [], []
 
         def add(x, z):
             rows.append(np.column_stack((x, rng.choice(ys, len(x)),
@@ -224,16 +225,17 @@ class TestRegionIndex:
             x, z = ((np.array([i, j]) + offsets) * cell).T
             copies = rng.integers(1, 4, count)
             add(np.repeat(x, copies), np.repeat(z, copies))
-            for fx, fz, r in shapes:
-                cx, cz, r = (i + fx) * cell, (j + fz) * cell, r * cell
-                regions.append(ProposalRegion((cx, 0.0, cz), r, self.band))
+            for fx, fz in shapes:
+                cx, cz = (i + fx) * cell, (j + fz) * cell
+                centers.append((cx, 0.0, cz))
                 a = rng.uniform(0.0, 2 * math.pi, 20)
-                add(cx + r * np.cos(a), cz + r * np.sin(a))
-                out = np.nextafter([cx - r, cx + r], [-math.inf, math.inf])
+                add(cx + radius * np.cos(a), cz + radius * np.sin(a))
+                out = np.nextafter([cx - radius, cx + radius],
+                                   [-math.inf, math.inf])
                 add(out, [cz, cz])
-                add([cx, cx], np.nextafter([cz - r, cz + r],
+                add([cx, cx], np.nextafter([cz - radius, cz + radius],
                                            [-math.inf, math.inf]))
-        self.assert_matches(np.concatenate(rows), regions, cell)
+        self.assert_matches(np.concatenate(rows), centers, radius)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -249,18 +251,15 @@ class TestRegionIndex:
     # the only point lies clipped into the block's edge cell, far away
     @example(radius=2.0, cell_xz=(2**30 - 1, 0), frac=(0.5, 0.5),
              picks=[(30, 0.5)])
-    # the only point is the block corner farthest from the center, outside
-    # the narrow region
+    # the only point is the block corner farthest from the center
     @example(radius=2.0, cell_xz=(0, 0), frac=(math.nextafter(1.0, 0.0),) * 2,
              picks=[(5, 0.5)])
     def test_cells_of_a_third_of_the_radius(self, radius, cell_xz, frac,
                                             picks):
-        """Cells as run_proposals builds them, so occupied() can settle a
-        region from the 3x3 block around its center's cell: points on the
-        block's corners and one ulp outside it, on and one ulp outside the
-        circle, and far points clipped into the edge cells near the
-        center.  A second region, 2.5 cells wide, is too narrow to hold
-        the block."""
+        """occupied() settles a region from the 3x3 block around its
+        center's cell: points on the block's corners and one ulp outside
+        it, on and one ulp outside the circle, and far points clipped into
+        the edge cells near the center."""
         cell = radius / 3
         (i, j), (fx, fz) = cell_xz, frac
         cx, cz = (i + fx) * cell, (j + fz) * cell
@@ -283,9 +282,7 @@ class TestRegionIndex:
         candidates += candidates[:24]
         points = [[candidates[k][0], y, candidates[k][1], 0.0]
                   for k, y in picks]
-        regions = [ProposalRegion((cx, 0.0, cz), radius, self.band),
-                   ProposalRegion((cx, 0.0, cz), 2.5 * cell, self.band)]
-        self.assert_matches(points, regions, cell)
+        self.assert_matches(points, [(cx, 0.0, cz)], radius)
 
     def test_block_beyond_the_grid_edge(self):
         # the block's top row of cells lies above the grid's; its z-run
@@ -293,8 +290,7 @@ class TestRegionIndex:
         cell = 2.0 / 3
         points = [[x * cell, 0.5, z * cell, 0.0]
                   for x, z in ((2.5, -4.5), (6.5, 0.5), (-0.5, -4.5))]
-        region = ProposalRegion((0.5 * cell, 0.0, 0.5 * cell), 2.0, self.band)
-        self.assert_matches(points, [region], cell)
+        self.assert_matches(points, [(0.5 * cell, 0.0, 0.5 * cell)], 2.0)
 
     def test_every_region_of_a_large_frame(self, monkeypatch):
         frame = make_frames(1, seed=8, cars_per_frame=(5, 5),
@@ -306,18 +302,18 @@ class TestRegionIndex:
         members, occupied = RegionIndex.members, RegionIndex.occupied
 
         def record(name, query):
-            # occupied() takes every region of a stage at once
-            def recorded(index, regions):
-                queried[name].extend(regions if name == "occupied"
-                                     else [regions])
-                return query(index, regions)
+            # occupied() takes the centers of every region of a stage at once
+            def recorded(index, centers):
+                queried[name].extend(centers if name == "occupied"
+                                     else [centers])
+                return query(index, centers)
             return recorded
 
         monkeypatch.setattr(RegionIndex, "members", record("members", members))
         monkeypatch.setattr(RegionIndex, "occupied",
                             record("occupied", occupied))
         detect_frame(frame, predictors, config)
-        seeds = {region for *_, region in seed_proposals(
+        seeds = {region.center for *_, region in seed_proposals(
             frame, predictors.monocular, config)}
         # the oracle heads read no points: every seed region, and the
         # regions re-centred on a head's output, are checked with
@@ -326,12 +322,12 @@ class TestRegionIndex:
         assert seeds <= asked
         assert len(asked - seeds) >= 5
         assert len(queried["members"]) < len(queried["occupied"]) / 4
-        index = RegionIndex(frame.cloud, config.region_y_extent,
-                            config.region_radius / 3)
-        for region in asked:
-            want = cylinder_members_reference(frame.cloud.points, region)
-            np.testing.assert_array_equal(members(index, region), want)
-            assert occupied(index, [region])[0] == (len(want) > 0)
+        index = RegionIndex(frame.cloud, config.region)
+        for center in asked:
+            want = cylinder_members_reference(
+                frame.cloud.points, config.region.recentered(center))
+            np.testing.assert_array_equal(members(index, center), want)
+            assert occupied(index, [center])[0] == (len(want) > 0)
 
     # in cells: a point's coordinate, and a region center's, which reaches
     # past the points' grid on every side and to the clipped far cells
@@ -350,8 +346,7 @@ class TestRegionIndex:
         points=st.lists(st.tuples(_in_cells, _edge_y, _in_cells), max_size=30),
         far=st.lists(st.sampled_from([(1e30, 0.0), (0.0, -1e30),
                                       (-1e15, 1e15)]), max_size=2),
-        centers=st.lists(st.tuples(_center_in_cells, _center_in_cells,
-                                   st.sampled_from([3.0, 2.5, 4.0])),
+        centers=st.lists(st.tuples(_center_in_cells, _center_in_cells),
                          max_size=12),
         frac=st.tuples(*[st.sampled_from([0.0, math.nextafter(1.0, 0.0)])
                          | st.floats(0.0, 1.0, exclude_max=True)] * 2),
@@ -361,13 +356,12 @@ class TestRegionIndex:
     @example(radius=2.0, points=[], far=[], centers=[], frac=(0.5, 0.5))
     @example(radius=2.0, points=[(2.5, 0.5, -4.5), (6.5, 0.5, 0.5),
                                  (-0.5, 0.5, -4.5)], far=[],
-             centers=[(0.5, 0.5, 3.0)], frac=(0.5, 0.5))
+             centers=[(0.5, 0.5)], frac=(0.5, 0.5))
     def test_batched_occupancy_is_the_scan_of_every_point(
             self, radius, points, far, centers, frac):
-        """occupied() over a list of regions, with cells of a third of the
-        radius as run_proposals builds them: regions three or four cells
-        wide are settled by their 3x3 block when it holds a point, and
-        only the others (2.5 cells wide, a block clipped at the cell-number
+        """occupied() over many centers, with cells of a third of the
+        radius: a region is settled by its 3x3 block when it holds a
+        point, and only the others (a block clipped at the cell-number
         limit, an empty block) ask members()."""
         cell = radius / 3
         rows = [[x * cell, y, z * cell, 0.0] for x, y, z in points]
@@ -378,24 +372,25 @@ class TestRegionIndex:
             # in each cell of the ring just outside it
             x, _, z = points[0]
             centers = centers + [
-                (math.floor(x) + dx + frac[0], math.floor(z) + dz + frac[1],
-                 3.0) for dx in range(-2, 3) for dz in range(-2, 3)]
-        regions = [ProposalRegion((x * cell, 0.0, z * cell), width * cell,
-                                  self.band) for x, z, width in centers]
+                (math.floor(x) + dx + frac[0], math.floor(z) + dz + frac[1])
+                for dx in range(-2, 3) for dz in range(-2, 3)]
+        shape = self.shape(radius)
+        regions = [shape.recentered((x * cell, 0.0, z * cell))
+                   for x, z in centers]
         asked = []
 
         class Recorded(RegionIndex):
-            def members(self, region):
-                asked.append(region)
-                return super().members(region)
+            def members(self, center):
+                asked.append(tuple(center))
+                return super().members(center)
 
-        got = Recorded(cloud, self.band, cell).occupied(regions)
+        got = Recorded(cloud, shape).occupied([r.center for r in regions])
         assert got.dtype == bool and got.shape == (len(regions),)
         assert got.tolist() == [
             len(cylinder_members_reference(cloud.points, region)) > 0
             for region in regions]
         assert asked == [
-            region for region in regions
+            region.center for region in regions
             if not block_certificate_reference(cloud.points, region, cell)]
 
     @pytest.mark.parametrize("far", [None, (1e30, 0.0), (-1e30, 1e30),
@@ -403,11 +398,11 @@ class TestRegionIndex:
     def test_both_sides_of_the_table_bound(self, far):
         """A grid of at most max(2**16, 4 * band points) cells is counted
         in a table; a far point stretches the grid beyond that, and the
-        index sorts at build instead.  Either way every answer is the scan
-        of every point, whether members() runs before or after the first
-        occupied() call."""
+        index sorts at construction instead.  Either way every answer is
+        the scan of every point, whether members() runs before or after
+        the first occupied() call."""
         rng = np.random.default_rng(3)
-        radius, cell = 2.0, 2.0 / 3
+        shape, cell = self.shape(2.0), 2.0 / 3
         xz = rng.uniform(-12.0, 12.0, (3000, 2))
         # points on cell edges, and in the grid's four corner cells, where
         # the z-run of the last column ends at the table's last entry
@@ -418,20 +413,20 @@ class TestRegionIndex:
         if far is not None:
             rows = np.vstack((rows, [far[0], 0.5, far[1], 0.0]))
         cloud = PointCloud(rows, frame="camera")
-        centers = np.vstack((rng.uniform(-16.0, 16.0, (80, 2)), xz[:4],
-                             [(13.0, 13.0), (-13.5, 0.0), (0.0, 14.0)]))
-        regions = [ProposalRegion((x, 0.0, z), radius, self.band)
-                   for x, z in centers]
-        want = [cylinder_members_reference(rows, r) for r in regions]
-        assert 0 < sum(len(w) > 0 for w in want) < len(regions)
+        xz_centers = np.vstack((rng.uniform(-16.0, 16.0, (80, 2)), xz[:4],
+                                [(13.0, 13.0), (-13.5, 0.0), (0.0, 14.0)]))
+        centers = [(x, 0.0, z) for x, z in xz_centers.tolist()]
+        want = [cylinder_members_reference(rows, shape.recentered(c))
+                for c in centers]
+        assert 0 < sum(len(w) > 0 for w in want) < len(centers)
 
-        first = RegionIndex(cloud, self.band, cell)
-        before = [first.members(r) for r in regions]
-        occupied_after = first.occupied(regions)
-        after = [first.members(r) for r in regions]
-        fresh = RegionIndex(cloud, self.band, cell)
-        occupied_first = fresh.occupied(regions)
-        fresh_members = [fresh.members(r) for r in regions]
+        first = RegionIndex(cloud, shape)
+        before = [first.members(c) for c in centers]
+        occupied_after = first.occupied(centers)
+        after = [first.members(c) for c in centers]
+        fresh = RegionIndex(cloud, shape)
+        occupied_first = fresh.occupied(centers)
+        fresh_members = [fresh.members(c) for c in centers]
         for found in (occupied_after, occupied_first):
             assert found.tolist() == [len(w) > 0 for w in want]
         for got in (before, after, fresh_members):
@@ -443,12 +438,11 @@ class TestRegionIndex:
     def test_far_points_build_no_large_table(self, far):
         rows = [[0.0, 0.5, 0.0, 0.0], [far, 0.5, -far, 0.0],
                 [1.0, 0.5, far, 0.0]]
-        index = RegionIndex(camera_cloud(rows), self.band, 2.0 / 3)
-        region = ProposalRegion((0.0, 0.0, 0.0), 2.0, self.band)
-        assert index.occupied([region]).tolist() == [True]
+        index = RegionIndex(camera_cloud(rows), self.shape(2.0))
+        assert index.occupied([(0.0, 0.0, 0.0)]).tolist() == [True]
         starts = index._starts
         assert starts is None or len(starts) <= max(2**16, 4 * len(rows)) + 1
-        np.testing.assert_array_equal(index.members(region), [0])
+        np.testing.assert_array_equal(index.members((0.0, 0.0, 0.0)), [0])
 
     # the overflows to +-inf are the case under test, and warn of nothing
     @pytest.mark.filterwarnings("error")
@@ -462,16 +456,18 @@ class TestRegionIndex:
         absent."""
         rows = [[0.0, 0.5, 0.0, 0.0], [1.0, 0.5, 2.0, 0.0]]
         rows += [[x, 0.5, z, 0.0] for x, z in far]
-        index = RegionIndex(camera_cloud(rows), self.band, 0.5)
-        regions = [ProposalRegion(center, 1.5, self.band) for center in (
-            (1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 0.0, 1e308),
-            (0.0, 0.0, -1e308), (0.0, 0.0, 0.0))]
+        # cells of 0.5
+        shape = self.shape(1.5)
+        index = RegionIndex(camera_cloud(rows), shape)
+        centers = [(1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 0.0, 1e308),
+                   (0.0, 0.0, -1e308), (0.0, 0.0, 0.0)]
         # the reference scan's squares overflow too
         with np.errstate(over="ignore"):
-            want = [cylinder_members_reference(rows, r) for r in regions]
-        assert index.occupied(regions).tolist() == [len(w) > 0 for w in want]
-        for region, w in zip(regions, want, strict=True):
-            np.testing.assert_array_equal(index.members(region), w)
+            want = [cylinder_members_reference(rows, shape.recentered(c))
+                    for c in centers]
+        assert index.occupied(centers).tolist() == [len(w) > 0 for w in want]
+        for center, w in zip(centers, want, strict=True):
+            np.testing.assert_array_equal(index.members(center), w)
 
     def test_a_loaded_frame_is_counted_not_sorted(self, monkeypatch):
         # every point of a 58k-point frame lies in the band; the oracle
@@ -486,9 +482,9 @@ class TestRegionIndex:
             sorts.append(index)
             return sort(index)
 
-        def counted_occupied(index, regions):
-            asked.extend(regions)
-            return occupied(index, regions)
+        def counted_occupied(index, centers):
+            asked.extend(centers)
+            return occupied(index, centers)
 
         monkeypatch.setattr(RegionIndex, "_sort", counted_sort)
         monkeypatch.setattr(RegionIndex, "occupied", counted_occupied)
@@ -500,13 +496,7 @@ class TestRegionIndex:
     def test_a_lidar_cloud_is_rejected_at_construction(self):
         with pytest.raises(WrongFrame, match="expected camera frame"):
             RegionIndex(PointCloud([[0, 0, 0, 0]], frame="lidar"),
-                        self.band, 2.0)
-
-    def test_region_band_must_be_the_index_band(self):
-        index = RegionIndex(camera_cloud([[0.0, 0.0, 0.0]]), self.band, 2.0)
-        for query in (index.members, lambda r: index.occupied([r])):
-            with pytest.raises(RuntimeError, match="band"):
-                query(ProposalRegion((0.0, 0.0, 0.0), 2.0, (-2.0, 3.0)))
+                        self.shape(2.0))
 
 
 class TestVoxelDownsample:
@@ -636,8 +626,7 @@ class TestRegionPointsFingerprint:
         regions = empty = 0
         for frame in self.frames():
             frame_hash = stable_id_hash(frame.frame_id)
-            index = RegionIndex(frame.cloud, config.region_y_extent,
-                                config.region_radius / 3)
+            index = RegionIndex(frame.cloud, config.region)
             for obj_idx, seed_idx, _, region in seed_proposals(
                     frame, monocular, config):
                 seed = derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0)
@@ -1338,8 +1327,7 @@ class TestPointPreparation:
 
         monkeypatch.setattr(pipeline, "derive_seed", recorded_seed)
         calls = []
-        index = RegionIndex(self.frame.cloud, config.region_y_extent,
-                            config.region_radius / 3)
+        index = RegionIndex(self.frame.cloud, config.region)
 
         def head(name, oracle):
             def read(points, region, frame):
@@ -1585,13 +1573,32 @@ class TestPipelineConfig:
         ("region_bounds", (2.0, 0.0, 2.0)),
         ("region_bounds", (2.0, 2.0, math.nan)), ("region_bounds", (2.0, 2.0)),
         ("region_radius", math.inf), ("region_bounds", (2.0, math.inf, 2.0)),
+        ("region_bounds", (2.0, 2.0, -1.0)),
     ])
     def test_region_settings_are_checked(self, field, value):
         # checked by ProposalRegion's own rules, whose messages name the
         # field without its prefix: a bad region used to fail every
         # proposal, which read as recall 0 rather than a bad setting
-        with pytest.raises(ValueError, match=field.removeprefix("region_")):
+        name = field.removeprefix("region_")
+        with pytest.raises(ValueError, match=name) as want:
+            ProposalRegion((0.0, 0.0, 0.0), **{name: value})
+        with pytest.raises(ValueError) as got:
             PipelineConfig(**{field: value})
+        assert str(got.value) == str(want.value)
+
+    def test_region_is_the_shape_of_every_proposal(self):
+        config = PipelineConfig(region_radius=3, region_y_extent=(-2, 2.5),
+                                region_bounds=(1.5, 2, 2.5))
+        shape = config.region
+        assert shape == ProposalRegion((0.0, 0.0, 0.0), 3.0, (-2.0, 2.5),
+                                       (1.5, 2.0, 2.5))
+        frame = make_frame("000007", seed=7, n_cars=3)
+        proposals = seed_proposals(frame, OracleMonocularPredictor(), config)
+        assert len(proposals) > 3
+        for *_, region in proposals:
+            assert region == shape.recentered(region.center)
+            assert all(type(v) is float for v in (
+                region.radius, *region.y_extent, *region.bounds))
 
     def test_settings_at_their_limits_are_accepted(self):
         for threshold in (0.0, 1.0):
