@@ -76,7 +76,7 @@ class Box3D:
         dims = tuple(float(v) for v in self.dims)
         if len(center) != 3 or len(dims) != 3:
             raise ValueError("center and dims must be 3-vectors")
-        if not all(math.isfinite(v) for v in center + dims):
+        if not all(math.isfinite(v) for v in (*center, *dims, self.yaw)):
             raise ValueError("box fields must be finite")
         if min(dims) <= 0.0:
             raise ValueError(f"dims must be strictly positive, got {dims}")

@@ -21,6 +21,7 @@ of a (4, N) result.  For input of either layout they give, bit for bit,
 the row-major products xyz @ M.T.  PointCloud accepts any layout.
 """
 
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -34,6 +35,10 @@ DIFFICULTIES = ("easy", "moderate", "hard", "ignored")
 
 _CALIB_KEYS = {"P2": (3, 4), "R0_rect": (3, 3), "Tr_velo_to_cam": (3, 4)}
 _ORTHONORMAL_TOL = 1e-4
+# the numeric fields of a label line, after its type
+_LABEL_FIELDS = ("truncated", "occluded", "alpha", "left", "top", "right",
+                 "bottom", "height", "width", "length", "x", "y", "z",
+                 "rotation_y")
 
 
 class KittiFormatError(ValueError):
@@ -217,7 +222,9 @@ def parse_labels(text, classes=("Car",)):
     """Parse KITTI label text into GroundTruthLabel objects.
 
     classes filters by object type; pass None to admit every class.
-    "DontCare" rows carry no valid 3D box and are always dropped.
+    "DontCare" rows carry no valid 3D box and are always dropped.  A
+    number that is not finite, or an occlusion that is not whole, raises
+    MalformedNumber naming its line and field.
     """
     labels = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -238,6 +245,13 @@ def parse_labels(text, classes=("Car",)):
             nums = [float(t) for t in fields[1:]]
         except ValueError as exc:
             raise MalformedNumber(f"line {lineno}: {exc}") from None
+        for field, value in zip(_LABEL_FIELDS, nums):
+            if not math.isfinite(value):
+                raise MalformedNumber(
+                    f"line {lineno}: {field} must be finite, got {value}")
+        if not nums[1].is_integer():
+            raise MalformedNumber(f"line {lineno}: occluded must be a whole "
+                                  f"number, got {nums[1]}")
         truncation, occlusion, alpha = nums[0], int(nums[1]), nums[2]
         bbox = Box2D(*nums[3:7])
         labels.append(

@@ -19,20 +19,19 @@ projected 3D box, then bird's-eye-view NMS removes duplicates.
 
 Predictors are callables: monocular(frame) -> [Mono2DDetection];
 rpn(points, region, frame) -> RpnOutput; brn(points, region, frame) ->
-BrnOutput.  run_proposals runs the stages of (b) and (c) stage-major, for
+BrnOutput, where points() returns the region's prepared PointCloud
+(gather, voxel, sample), so a head that never calls it costs no point
+work.  run_proposals runs the stages of (b) and (c) stage-major, for
 detect_frame and the objectness sweep alike: each stage runs over every
-region of the frame that the stage before kept, and dropped proposals are
-logged at the frame's end in (object, seed) order.  A point head is called
-once per region.  Every region of a run is PipelineConfig.region
-recentered; each frame has one RegionIndex, built from that shape, which
-picks its own cells and rejects a cloud not in the camera frame with
-WrongFrame.  A head receives region_points(index, ...) of its region
-unless it sets the class attribute uses_points = False, in which case
-points is None, no gather, voxel or sample work is done for it, and the
-stage asks the index once for the occupancy of all its regions.  The index
+region of the frame that the stage before kept, drops an empty one with
+EmptyCloud, from one occupancy query, before its head runs, and dropped
+proposals are logged at the frame's end in (object, seed) order.  Every
+region of a run is PipelineConfig.region recentered; each frame has one
+RegionIndex, built from that shape, which picks its own cells and
+rejects a cloud not in the camera frame with WrongFrame.  The index
 counts the points per cell when built, and sorts them only for the first
 members query: a head that reads points, or a center its counts cannot
-settle.  An empty region is dropped with EmptyCloud before the head runs.
+settle.
 Oracle implementations backed by ground truth (with optional seeded noise)
 stand in for trained networks; the point-head oracles read no points, and
 the two of an oracle_predictors bundle share one label table, bound to the
@@ -41,6 +40,7 @@ labels in plain floats: each label's noise is drawn, and its box encoded,
 once per frame.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -493,8 +493,6 @@ class OracleRpnPredictor:
     (noised) nearest ground truth when it lies within the region bounds,
     with objectness graded by the true center's normalized offset."""
 
-    uses_points = False
-
     def __init__(self, cfg=OracleConfig()):
         self.table = _LabelTable(cfg)
 
@@ -518,8 +516,6 @@ class OracleBrnPredictor:
     """Box-head oracle, reading no points: encodings of the (noised)
     nearest ground truth via the location codec and its label table's
     rotation bins and size clusters."""
-
-    uses_points = False
 
     def __init__(self, cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
                  bins=DEFAULT_ROTATION_BINS):
@@ -622,16 +618,18 @@ def decode_box(brn_out, region, clusters, bins):
     return Box3D(tuple(center), (w, h, length), yaw)
 
 
-def region_points(index, region, config, sample_seed):
+def region_points(index, region, config, *seed_parts):
     """The point-head input for one region of the frame whose RegionIndex
     is index: gather, voxel-downsample, then sample config.sample_count
-    points.  Raises EmptyCloud when the region holds no point."""
+    points, seeded with derive_seed(*seed_parts).  Raises EmptyCloud when
+    the region holds no point."""
     members = index.members(region.center)
     if len(members) == 0:
         raise EmptyCloud("no points inside the proposal region")
     gathered = index.points(members, region.center)
     downsampled = voxel_downsample(gathered, config.voxel_resolution)
-    return sample_points(downsampled, config.sample_count, sample_seed)
+    return sample_points(downsampled, config.sample_count,
+                         derive_seed(*seed_parts))
 
 
 def solve_poses(frame, monocular, config=PipelineConfig()):
@@ -690,13 +688,13 @@ def run_proposals(frame, predictors, config, heads, step):
     None to drop it.  Proposals are (obj_idx, seed_idx, det2d, region)
     tuples; the last stage's results are returned in seed order.
 
-    A head that reads points receives region_points(index, ...) of its
-    region from the frame's RegionIndex, sampled with derive_seed(
-    config.seed, frame hash, obj_idx, seed_idx, k); for a head that sets
-    uses_points = False, the stage asks the index once whether each region
-    holds a point.  An empty region is dropped with EmptyCloud before its
-    head runs.  A cloud not in the camera frame fails the whole frame with
-    WrongFrame, raised when the index is built.
+    Each stage asks the frame's RegionIndex once which of its regions hold
+    a point, and drops an empty one with EmptyCloud before its head runs.
+    A head's points() returns region_points(index, region, config,
+    config.seed, frame hash, obj_idx, seed_idx, k), prepared again on each
+    call, not cached: a head that needs them twice keeps them.  A cloud
+    not in the camera frame fails the whole frame with WrongFrame, raised
+    when the index is built.
 
     A proposal that raises a data error (any ValueError: EmptyCloud for an
     empty region, BehindCamera, OutOfBounds, NonPositiveDims,
@@ -711,19 +709,16 @@ def run_proposals(frame, predictors, config, heads, step):
     drops = []
     for stage, name in enumerate(heads):
         head = getattr(predictors, name)
-        reads_points = getattr(head, "uses_points", True)
-        if not reads_points:
-            occupied = index.occupied([p[3].center for p in proposals])
+        occupied = index.occupied([p[3].center for p in proposals])
         kept = []
-        for i, proposal in enumerate(proposals):
+        for proposal, full in zip(proposals, occupied.tolist()):
             obj_idx, seed_idx, _, region = proposal
             try:
-                points = None
-                if reads_points:
-                    points = region_points(index, region, config, derive_seed(
-                        config.seed, frame_hash, obj_idx, seed_idx, stage))
-                elif not occupied[i]:
+                if not full:
                     raise EmptyCloud("no points inside the proposal region")
+                points = functools.partial(
+                    region_points, index, region, config, config.seed,
+                    frame_hash, obj_idx, seed_idx, stage)
                 result = step(stage, proposal, head(points, region, frame))
             except ValueError as exc:
                 # without its traceback, which would hold this frame and

@@ -229,6 +229,22 @@ class TestDetect:
         failing.update(frame.frame_id for frame in frames)
         assert main(args + ["--output-dir", str(tmp_path / "all")]) == 2
 
+    def test_an_infinite_occlusion_is_data_error(self, tmp_path, capsys):
+        # int(inf) used to raise OverflowError: exit 3 with a traceback
+        root = str(tmp_path / "data")
+        split = write_dataset(root, make_frames(2, seed=40))
+        path = os.path.join(root, "label_2", "000001.txt")
+        with open(path, encoding="utf-8") as fh:
+            fields = fh.read().split()
+        fields[2] = "inf"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(" ".join(fields[:15]) + "\n")
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("error: line 1: occluded must be finite, got inf"
+                in capsys.readouterr().err)
+
     def test_programming_error_is_internal_error(self, dataset, tmp_path,
                                                  monkeypatch):
         root, split, _ = dataset

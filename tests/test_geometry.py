@@ -44,6 +44,12 @@ class TestBoxTypes:
         with pytest.raises(ValueError):
             Box3D((0, 0, 10), (1.0, 0.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("yaw", [math.nan, math.inf, -math.inf])
+    def test_box3d_requires_a_finite_yaw(self, yaw):
+        # a NaN yaw used to be stored, and an infinite one wrapped to NaN
+        with pytest.raises(ValueError, match="box fields must be finite"):
+            Box3D((0, 0, 10), (1, 1, 1), yaw)
+
     def test_yaw_normalized_to_half_open_interval(self):
         assert Box3D((0, 0, 1), (1, 1, 1), math.pi).yaw == -math.pi
         assert Box3D((0, 0, 1), (1, 1, 1), 3 * math.pi / 2).yaw == pytest.approx(

@@ -127,6 +127,32 @@ class TestLabels:
         with pytest.raises(MalformedNumber):
             parse_labels(self.LINE.replace("10.0", "ten"))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position, field", enumerate(
+        ["truncated", "occluded", "alpha", "left", "top", "right", "bottom",
+         "height", "width", "length", "x", "y", "z", "rotation_y"], start=1))
+    def test_a_number_that_is_not_finite_is_malformed(self, position, field,
+                                                       token):
+        # an infinite occlusion used to raise OverflowError, a NaN one a
+        # bare ValueError, and a NaN truncation made the car "ignored"
+        fields = self.LINE.split()
+        fields[position] = token
+        with pytest.raises(MalformedNumber, match=(
+                f"^line 2: {field} must be finite, got {float(token)}$")):
+            parse_labels(self.LINE + "\n" + " ".join(fields))
+
+    @pytest.mark.parametrize("token", ["0.5", "1.25", "-0.5"])
+    def test_a_fractional_occlusion_is_malformed(self, token):
+        # int() used to truncate it
+        line = self.LINE.replace("0.0 0 0.0", f"0.0 {token} 0.0", 1)
+        with pytest.raises(MalformedNumber, match=(
+                f"^line 1: occluded must be a whole number, got {token}$")):
+            parse_labels(line)
+
+    def test_a_whole_occlusion_may_be_written_as_a_float(self):
+        (label,) = parse_labels(self.LINE.replace("0.0 0 0.0", "0.0 2.0 0.0"))
+        assert label.occlusion == 2 and type(label.occlusion) is int
+
     def test_class_filter(self):
         lines = self.LINE + "\n" + self.LINE.replace("Car", "Pedestrian")
         assert len(parse_labels(lines)) == 1

@@ -45,7 +45,7 @@ from cyldet import (
     voxel_downsample,
 )
 from cyldet.evalbench import DesyncConfig, desync_frame
-from cyldet.kitti import camera_to_lidar, stable_id_hash
+from cyldet.kitti import camera_to_lidar, load_frame, stable_id_hash
 from cyldet.pipeline import (
     Mono2DDetection,
     OracleBrnPredictor,
@@ -60,7 +60,7 @@ from cyldet.pipeline import (
     scatter_proposals,
     solve_poses,
 )
-from cyldet.synthetic import make_frame, make_frames
+from cyldet.synthetic import make_frame, make_frames, write_dataset
 from oracles import (
     _LabelTableReference,
     agreement_search_reference,
@@ -72,6 +72,15 @@ from oracles import (
     oracle_rpn_reference,
     spatial_scatter_reference,
 )
+
+
+def reading_head(oracle):
+    """A point head that reads its region's points, then answers as oracle
+    does."""
+    def read(points, region, frame):
+        points()
+        return oracle(points, region, frame)
+    return read
 
 
 def camera_cloud(points):
@@ -603,9 +612,10 @@ class TestSamplePoints:
 
 
 class TestRegionPointsFingerprint:
-    """The sha256 of every seed region's point-head input on a few frames.
-    The oracle heads ignore their points, so no detection document pins
-    gather, voxel and sample; this digest does."""
+    """The sha256 of every seed region's point-head input on a few frames,
+    and of every points() result at every stage.  The oracle heads never
+    call points(), so no detection document pins gather, voxel and sample;
+    these digests do."""
 
     # recorded with a scan of every point per region: region points must
     # not depend on how a region's points are found
@@ -629,10 +639,11 @@ class TestRegionPointsFingerprint:
             index = RegionIndex(frame.cloud, config.region)
             for obj_idx, seed_idx, _, region in seed_proposals(
                     frame, monocular, config):
-                seed = derive_seed(config.seed, frame_hash, obj_idx, seed_idx, 0)
                 regions += 1
                 try:
-                    points = region_points(index, region, config, seed).points
+                    points = region_points(index, region, config, config.seed,
+                                           frame_hash, obj_idx, seed_idx,
+                                           0).points
                 except EmptyCloud:
                     empty += 1
                     digest.update(b"empty")
@@ -640,6 +651,45 @@ class TestRegionPointsFingerprint:
                 digest.update(points.tobytes())
         assert (regions, empty) == (309, 16)
         assert digest.hexdigest() == self.DIGEST
+
+    # every points() result of every stage in the three modes, through
+    # detect_frame, on frames() and loaded_frame(); recorded from the points
+    # a plain-function head was handed before heads called points()
+    STAGE_DIGEST = (
+        "dc1a21b9e384d38e762963dd5fce0a5e868eb24813fcfb6a8762ad0f08356eb5")
+
+    @staticmethod
+    def loaded_frame(root):
+        """A 5-car frame with 58k ground points written as a KITTI tree and
+        read back: a column-major cloud, whose index sorts its points on the
+        first members query."""
+        frame = make_frames(1, seed=4, cars_per_frame=(5, 5),
+                            ground_points=58000)[0]
+        write_dataset(root, [frame])
+        return load_frame(root, frame.frame_id)
+
+    def test_stage_digest_is_unchanged(self, tmp_path):
+        frames = self.frames() + [self.loaded_frame(str(tmp_path))]
+        assert frames[-1].cloud.points.flags.f_contiguous
+        oracles = oracle_predictors(OracleConfig(dims_noise_sigma=0.1,
+                                                 yaw_noise_sigma=0.1))
+        digest = hashlib.sha256()
+
+        def head(name, oracle):
+            def read(points, region, frame):
+                digest.update(name.encode())
+                digest.update(points().points.tobytes())
+                return oracle(points, region, frame)
+            return read
+
+        reading = Predictors(oracles.monocular, head("rpn", oracles.rpn),
+                             head("brn", oracles.brn))
+        for mode in pipeline.PIPELINE_MODES:
+            config = PipelineConfig(mode=mode)
+            for frame in frames:
+                assert (detect_frame(frame, reading, config)
+                        == detect_frame(frame, oracles, config))
+        assert digest.hexdigest() == self.STAGE_DIGEST
 
 
 class TestOracleMonocular:
@@ -1187,14 +1237,36 @@ class TestDetectFrame:
         lidar = dataclasses.replace(
             frame, cloud=camera_to_lidar(frame.cloud, frame.calib))
         oracles = oracle_predictors()
-        reading = dataclasses.replace(oracles,
-                                      rpn=lambda *args: oracles.rpn(*args),
-                                      brn=lambda *args: oracles.brn(*args))
+        reading = dataclasses.replace(oracles, rpn=reading_head(oracles.rpn),
+                                      brn=reading_head(oracles.brn))
         for predictors in (oracles, reading):
             with pytest.raises(WrongFrame, match="expected camera frame"):
                 detect_frame(lidar, predictors, PipelineConfig())
             with pytest.raises(WrongFrame, match="expected camera frame"):
                 sweep_objectness([lidar], predictors, [0.25], PipelineConfig())
+
+    @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
+    def test_a_nan_rotation_residual_drops_its_proposal(self, mode, caplog):
+        # its NaN yaw used to be ignored at an intermediate stage, and to
+        # fail as an unordered Box2D at the last
+        frame = make_frame("000018", seed=18, n_cars=2)
+        oracles = oracle_predictors()
+
+        def brn(points, region, frame):
+            out = oracles.brn(points, region, frame)
+            return dataclasses.replace(out, rot_residuals=np.full_like(
+                out.rot_residuals, math.nan))
+
+        predictors = dataclasses.replace(oracles, brn=brn)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            assert detect_frame(frame, predictors,
+                                PipelineConfig(mode=mode)) == []
+        lines = [r.getMessage() for r in caplog.records
+                 if " dropped: " in r.getMessage()]
+        assert lines and all(
+            line.endswith("dropped: ValueError: box fields must be finite")
+            for line in lines if "EmptyCloud" not in line)
 
     def test_head_config_arity_mismatch_propagates(self):
         # oracle heads encode 12 rotation bins; the config decodes 8
@@ -1282,7 +1354,7 @@ class TestModeStages:
 
 
 class TestPointPreparation:
-    """Points are prepared only for a head that reads them; the empty-region
+    """Points are prepared only when a head calls points(); the empty-region
     drop applies to every head."""
 
     # a dense frame: far cars and ground, so some seed regions are empty
@@ -1301,20 +1373,34 @@ class TestPointPreparation:
                                     self.config)
         return dets, rows, [r.getMessage() for r in caplog.records]
 
-    def test_oracle_heads_prepare_no_points(self, monkeypatch, caplog):
-        # plain functions have no uses_points: they get region points
-        reading = Predictors(self.oracles.monocular,
-                             lambda *args: self.oracles.rpn(*args),
-                             lambda *args: self.oracles.brn(*args))
-        expected = self.outputs(reading, caplog)
-        assert any("EmptyCloud" in line for line in expected[2])
-
+    @staticmethod
+    def refuse_points(monkeypatch):
         def refuse(*args):
             raise AssertionError("points prepared for an oracle head")
 
-        monkeypatch.setattr(pipeline, "voxel_downsample", refuse)
-        monkeypatch.setattr(pipeline, "sample_points", refuse)
+        for name in ("voxel_downsample", "sample_points", "derive_seed"):
+            monkeypatch.setattr(pipeline, name, refuse)
+
+    def test_oracle_heads_prepare_no_points(self, monkeypatch, caplog):
+        # heads that call points() get the outputs of heads that do not
+        reading = Predictors(self.oracles.monocular,
+                             reading_head(self.oracles.rpn),
+                             reading_head(self.oracles.brn))
+        expected = self.outputs(reading, caplog)
+        assert any("EmptyCloud" in line for line in expected[2])
+        self.refuse_points(monkeypatch)
         assert self.outputs(self.oracles, caplog) == expected
+
+    def test_wrapped_oracle_heads_prepare_no_points(self, monkeypatch,
+                                                    caplog):
+        # a plain function around an oracle, as a tracer wraps a head,
+        # takes the oracle's path: nothing is prepared unless it is asked
+        expected = self.outputs(self.oracles, caplog)
+        wrapped = Predictors(self.oracles.monocular,
+                             lambda *args: self.oracles.rpn(*args),
+                             lambda *args: self.oracles.brn(*args))
+        self.refuse_points(monkeypatch)
+        assert self.outputs(wrapped, caplog) == expected
 
     @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
     def test_point_heads_receive_region_points(self, monkeypatch, mode):
@@ -1331,9 +1417,11 @@ class TestPointPreparation:
 
         def head(name, oracle):
             def read(points, region, frame):
-                expected = region_points(index, region, config,
-                                         derive_seed(*seeds[-1]))
-                np.testing.assert_array_equal(points.points, expected.points)
+                got = points().points
+                expected = region_points(index, region, config, *seeds[-1])
+                np.testing.assert_array_equal(got, expected.points)
+                # prepared again on each call, with the same bits
+                np.testing.assert_array_equal(points().points, got)
                 calls.append((name, seeds[-1][-1]))
                 return oracle(points, region, frame)
             return read
@@ -1382,8 +1470,9 @@ class TestStageMajor:
         calls = []
 
         def head(oracle):
-            # a plain function reads points, so its seed names its call
+            # the seed of the points it reads names its call
             def read(points, region, frame):
+                points()
                 triple = parts[-1][2:]
                 calls.append(triple)
                 if triple in raise_at:
@@ -1436,8 +1525,6 @@ class TestStageMajor:
         scored, spoiled = [], set()
 
         class NanRpn:
-            uses_points = False
-
             def __call__(self, points, region, frame):
                 out = oracles.rpn(points, region, frame)
                 if (pipeline.objectness(out.t_obj)
@@ -1482,8 +1569,6 @@ class TestNanObjectness:
         rpn, calls = self.oracles.rpn, []
 
         class Rpn:
-            uses_points = False
-
             def __call__(self, points, region, frame):
                 out = rpn(points, region, frame)
                 calls.append(region)
