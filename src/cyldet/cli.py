@@ -219,8 +219,11 @@ def _pipeline_config(settings):
     )
 
 
-def _load_frames(settings):
-    """The split's frames, loaded one at a time as the caller reads them."""
+def _load_frames(settings, cloud=True):
+    """The split's frames, loaded one at a time as the caller reads them.
+    With cloud=False each frame reads no point cloud (its cloud is None),
+    for a command whose output depends on calibration and labels alone;
+    every frame file must still exist."""
     root = settings["run"]["dataset_root"]
     split = settings["run"]["split"]
     if not root or not split:
@@ -229,7 +232,7 @@ def _load_frames(settings):
     split_path = split if os.path.exists(split) else os.path.join(root, split)
     if not os.path.exists(split_path):
         raise MissingFile(f"split list {split} not found")
-    return iter_split(split_path, root)
+    return iter_split(split_path, root, cloud=cloud)
 
 
 def _parse_float(token):
@@ -316,9 +319,10 @@ def cmd_solve_pose(args):
     return EXIT_OK
 
 
-def _prepare_run(args):
+def _prepare_run(args, cloud=True):
     """Settings, output directory, frames, pipeline config, predictors and
-    eval config of a detect or sweep run, echoed once all are checked."""
+    eval config of a detect or sweep run, echoed once all are checked;
+    cloud as for _load_frames."""
     settings = _resolve_settings(args)
     output_dir = settings["run"]["output_dir"]
     if not output_dir:
@@ -330,7 +334,7 @@ def _prepare_run(args):
     seeds = settings["desync"]["seeds"]
     if seeds < 1:
         raise ValueError(f"[desync] seeds must be >= 1, got {seeds!r}")
-    frames = _load_frames(settings)
+    frames = _load_frames(settings, cloud=cloud)
     config = _pipeline_config(settings)
     # the [oracle] and [eval] keys are the fields of their config classes
     oracle = OracleConfig(**settings["oracle"], rng_seed=config.seed)
@@ -389,8 +393,9 @@ def cmd_sweep(args):
         values = check_sweep_values(args.kind, _parse_values(args.values))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # the scatter sweep solves poses from labels and calibration alone
     settings, output_dir, frames, config, predictors, evaluation = (
-        _prepare_run(args))
+        _prepare_run(args, cloud=args.kind != "scatter"))
     if args.kind == "scatter":
         rows = sweep_scatter(frames, predictors.monocular, values, config)
         path = os.path.join(output_dir, "sweep_scatter.csv")
@@ -415,7 +420,7 @@ def cmd_sweep(args):
 def cmd_fit_sizes(args):
     settings = _resolve_settings(args)
     check_cluster_count(args.clusters)
-    frames = _load_frames(settings)
+    frames = _load_frames(settings, cloud=False)
     labels = [lab for frame in frames for lab in frame.labels]
     clusters = fit_size_clusters(labels, args.clusters,
                                  seed=settings["run"]["seed"])

@@ -267,9 +267,10 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     failure logged once), and all of its s values are scattered in one
     stacked solve; a ground truth is captured at s when a seed of s lies
     within the region radius, read from one ground-truth by seed distance
-    table per frame.  No region is built.  frames may be any iterable; it
-    is read once, and each row adds a frame's counts as the frame
-    finishes.  Returns (s, recall, proposals_per_gt) rows.
+    table per frame.  No region is built and no point cloud is read, so a
+    frame's cloud may be None.  frames may be any iterable; it is read
+    once, and each row adds a frame's counts as the frame finishes.
+    Returns (s, recall, proposals_per_gt) rows.
     """
     s_values = check_sweep_values("scatter", s_values)
     # ScatterParams requires s strictly inside (0, 1); the s = 0 sweep row

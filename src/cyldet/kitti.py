@@ -19,6 +19,12 @@ array: parse_velodyne transposes the float32 records once, and the two
 frame transforms multiply the coordinate rows, returning the transpose
 of a (4, N) result.  For input of either layout they give, bit for bit,
 the row-major products xyz @ M.T.  PointCloud accepts any layout.
+
+A frame may be loaded without its scan (load_frame's cloud=False), for
+work that reads only calibration and labels; its cloud is then None.  The
+scan must exist either way, so a split's completeness check is the same
+for every caller.  A file that does not parse raises its error's own
+type, its message prefixed with the file's path.
 """
 
 import math
@@ -126,7 +132,12 @@ class PointCloud:
     frame: str
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 4)
+        pts = np.asarray(self.points, dtype=float)
+        if pts.size == 0:
+            pts = pts.reshape(0, 4)
+        if pts.ndim != 2 or pts.shape[1] != 4:
+            raise ValueError("points must be an (N, 4) array of x, y, z, "
+                             f"reflectance, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud has non-finite coordinates")
         if self.frame not in ("lidar", "camera"):
@@ -144,6 +155,9 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class FrameData:
+    """One frame's calibration, labels and camera-frame cloud; the cloud
+    is None for a frame loaded without its scan."""
+
     frame_id: str
     calib: CalibrationSet
     labels: tuple
@@ -337,10 +351,25 @@ def read_split_ids(list_path):
         return [line.strip() for line in fh if line.strip()]
 
 
-def load_frame(dataset_root, frame_id):
+def _parse_file(path, parse, text=True):
+    """parse of the file's contents.  A ValueError it raises keeps its
+    type, so that callers still tell the kinds apart, and gains the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if text:  # outside the try: a UnicodeDecodeError takes five arguments
+        data = data.decode("utf-8")
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def load_frame(dataset_root, frame_id, cloud=True):
     """Load one frame, with its Car labels, from the {calib, label_2,
     velodyne} directory layout.  The Lidar scan is converted to the camera
-    frame, so the whole downstream geometry shares one coordinate system."""
+    frame, so the whole downstream geometry shares one coordinate system.
+    With cloud=False the scan is checked to exist but not read, and the
+    frame's cloud is None."""
     paths = {
         "calib": os.path.join(dataset_root, "calib", frame_id + ".txt"),
         "label": os.path.join(dataset_root, "label_2", frame_id + ".txt"),
@@ -349,25 +378,25 @@ def load_frame(dataset_root, frame_id):
     for kind, path in paths.items():
         if not os.path.exists(path):
             raise MissingFile(f"frame {frame_id}: missing {kind} file {path}")
-    with open(paths["calib"], "r", encoding="utf-8") as fh:
-        calib = parse_calibration(fh.read())
-    with open(paths["label"], "r", encoding="utf-8") as fh:
-        labels = parse_labels(fh.read())
-    with open(paths["velodyne"], "rb") as fh:
-        cloud = parse_velodyne(fh.read())
+    calib = _parse_file(paths["calib"], parse_calibration)
+    labels = _parse_file(paths["label"], parse_labels)
+    camera = None
+    if cloud:
+        lidar = _parse_file(paths["velodyne"], parse_velodyne, text=False)
+        camera = lidar_to_camera(lidar, calib)
     return FrameData(
         frame_id=frame_id,
         calib=calib,
         labels=tuple(labels),
-        cloud=lidar_to_camera(cloud, calib),
+        cloud=camera,
     )
 
 
-def iter_split(list_path, dataset_root):
+def iter_split(list_path, dataset_root, cloud=True):
     """Yield the frames named in a split list file in list order, loading
-    each one only when the caller reaches it."""
+    each one only when the caller reaches it; cloud as for load_frame."""
     for frame_id in read_split_ids(list_path):
-        yield load_frame(dataset_root, frame_id)
+        yield load_frame(dataset_root, frame_id, cloud=cloud)
 
 
 def stable_id_hash(frame_id):

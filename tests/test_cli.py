@@ -242,7 +242,7 @@ class TestDetect:
         rc = main(["detect", "--dataset-root", root, "--split", split,
                    "--output-dir", str(tmp_path / "out")])
         assert rc == 2
-        assert ("error: line 1: occluded must be finite, got inf"
+        assert (f"error: {path}: line 1: occluded must be finite, got inf"
                 in capsys.readouterr().err)
 
     def test_programming_error_is_internal_error(self, dataset, tmp_path,
@@ -934,3 +934,107 @@ class TestFitSizes:
         rc = main(["fit-sizes", "--dataset-root", str(root), "--split", split,
                    "--clusters", "5", "--output", str(tmp_path / "s.txt")])
         assert rc == 2
+
+
+# SCATTER and fit-sizes --clusters 2 --seed 3 on the dataset fixture's
+# tree, recorded while every command read every scan
+SCATTER_CSV = (b"s,recall,proposals_per_gt\n0,0.3333333333,1\n"
+               b"0.1,0.4444444444,3.222222222\n0.3,0.6666666667,8.777777778\n")
+SIZES_TXT = (b"1.4273872897149928 1.6637397229963813 4.18770734138212\n"
+             b"1.4953206462919253 1.7172591098959855 3.6998039207163793\n")
+SCATTER = ["sweep", "scatter", "--values", "0,0.1,0.3", "--seed", "7",
+           "--dims-noise", "0.2", "--box2d-noise", "3"]
+
+
+def _output(command, out_dir):
+    if command[0] == "fit-sizes":
+        return ["--output", os.path.join(out_dir, "sizes.txt")]
+    return ["--output-dir", out_dir]
+
+
+class TestFrameFilesRead:
+    """sweep scatter and fit-sizes read calibration and labels alone; the
+    other commands read each frame's scan too.  Every command needs all
+    three files of every frame."""
+
+    COMMANDS = [["detect"], ["sweep", "scatter", "--values", "0.3"],
+                ["sweep", "objectness", "--values", "0.3"],
+                ["sweep", "desync", "--values", "0.2"],
+                ["fit-sizes", "--clusters", "1"]]
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = str(tmp_path / "data")
+        split = write_dataset(root, make_frames(3, seed=40))
+        return root, ["--dataset-root", root, "--split", split]
+
+    def test_scatter_sweep_and_fit_sizes_read_no_scan(self, dataset, tmp_path,
+                                                      monkeypatch):
+        root, split, _ = dataset
+
+        def no_scan(data):
+            raise AssertionError("a scan was read")
+
+        monkeypatch.setattr(cyldet.kitti, "parse_velodyne", no_scan)
+        where = ["--dataset-root", root, "--split", split]
+        out_dir = str(tmp_path)
+        assert main(SCATTER + where + ["--output-dir", out_dir]) == 0
+        assert main(["fit-sizes", "--clusters", "2", "--seed", "3"] + where
+                    + _output(["fit-sizes"], out_dir)) == 0
+        assert (tmp_path / "sweep_scatter.csv").read_bytes() == SCATTER_CSV
+        assert (tmp_path / "sizes.txt").read_bytes() == SIZES_TXT
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "nan"])
+    def test_a_bad_scan_fails_only_the_commands_that_read_scans(
+            self, tree, tmp_path, corrupt):
+        root, where = tree
+        intact = tmp_path / "intact"
+        assert main(SCATTER + where + ["--output-dir", str(intact)]) == 0
+        path = os.path.join(root, "velodyne", "000001.bin")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            if corrupt == "truncated":
+                fh.write(data[:-4])
+            else:
+                fh.write(np.float32(np.nan).tobytes() + data[4:])
+        bad = tmp_path / "bad"
+        assert main(SCATTER + where + ["--output-dir", str(bad)]) == 0
+        assert ((bad / "sweep_scatter.csv").read_bytes()
+                == (intact / "sweep_scatter.csv").read_bytes())
+        for command in (["detect"], ["sweep", "objectness", "--values", "0.3"]):
+            assert main(command + where + _output(command, str(tmp_path))) == 2
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_a_missing_scan_fails_every_command(self, tree, tmp_path, capsys,
+                                                command):
+        root, where = tree
+        path = os.path.join(root, "velodyne", "000001.bin")
+        os.remove(path)
+        assert main(command + where + _output(command, str(tmp_path))) == 2
+        assert (f"error: frame 000001: missing velodyne file {path}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("calib/000001.txt", b"P2: 1 0 0 0 0 1 0 0 0 0 1 x\n",
+         "line 1: key P2: could not convert string to float: 'x'"),
+        ("label_2/000001.txt",
+         b"Car 0 inf 0 600 150 700 250 1.5 1.6 3.9 0 1.7 20 0\n",
+         "line 1: occluded must be finite, got inf"),
+        ("velodyne/000001.bin", b"\x00" * 100,
+         "velodyne stream of 100 bytes is not a multiple of 16"),
+        ("velodyne/000001.bin",
+         np.array([[0, np.nan, 0, 0]], dtype="<f4").tobytes(),
+         "point cloud has non-finite coordinates"),
+    ], ids=["calib", "label", "truncated scan", "nan scan"])
+    def test_a_file_that_does_not_parse_is_named(self, tree, tmp_path,
+                                                 capsys, name, content,
+                                                 message):
+        # the message used to name neither the frame nor the file
+        root, where = tree
+        path = os.path.join(root, *name.split("/"))
+        with open(path, "wb") as fh:
+            fh.write(content)
+        rc = main(["detect"] + where + ["--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"error: {path}: {message}\n" in capsys.readouterr().err

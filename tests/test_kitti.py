@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cyldet import (
     emit_velodyne,
     iter_split,
     lidar_to_camera,
+    load_frame,
     parse_calibration,
     parse_labels,
     parse_velodyne,
@@ -220,6 +222,21 @@ class TestVelodyne:
         np.testing.assert_array_equal(back.points, cloud.points)
 
 
+class TestPointCloudShape:
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 5), (4,), (2, 2, 4)])
+    def test_points_not_n_by_4_are_rejected(self, shape):
+        # a (4, 3) array used to be read as three points of four values
+        pts = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(ValueError,
+                           match=rf"\(N, 4\) array .* got shape "
+                                 rf"{re.escape(str(shape))}"):
+            PointCloud(pts, frame="camera")
+
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 4)), np.zeros((0,))])
+    def test_empty_points_are_an_empty_cloud(self, points):
+        assert PointCloud(points, frame="camera").points.shape == (0, 4)
+
+
 class TestFrameTransforms:
     def test_identity_transform(self):
         calib = parse_calibration(IDENTITY_CALIB)
@@ -389,6 +406,48 @@ class TestDatasetLoading:
         os.remove(tmp_path / "velodyne" / "000001.bin")
         with pytest.raises(MissingFile, match="000001"):
             list(iter_split(split, str(tmp_path)))
+
+    def test_a_frame_loaded_without_its_scan(self, tmp_path):
+        write_dataset(str(tmp_path), make_frames(2, seed=13))
+        for frame_id in ("000000", "000001"):
+            full = load_frame(str(tmp_path), frame_id)
+            bare = load_frame(str(tmp_path), frame_id, cloud=False)
+            assert bare.cloud is None
+            assert bare.frame_id == frame_id
+            for name in ("p2", "r0_rect", "tr_velo_to_cam"):
+                np.testing.assert_array_equal(getattr(bare.calib, name),
+                                              getattr(full.calib, name))
+            assert bare.labels == full.labels
+
+    def test_a_frame_loaded_without_its_scan_needs_the_scan(self, tmp_path):
+        split = write_dataset(str(tmp_path), make_frames(2, seed=13))
+        os.remove(tmp_path / "velodyne" / "000001.bin")
+        with pytest.raises(MissingFile, match="000001"):
+            list(iter_split(split, str(tmp_path), cloud=False))
+
+    @pytest.mark.parametrize("sub, name, content, error, message", [
+        ("calib", "000000.txt", "P2: 1 0 0 0 0 1 0 0 0 0 1 x\n",
+         MalformedNumber, "line 1: key P2"),
+        ("label_2", "000000.txt",
+         "Car 0 inf 0 600 150 700 250 1.5 1.6 3.9 0 1.7 20 0\n",
+         MalformedNumber, "line 1: occluded must be finite, got inf"),
+        ("velodyne", "000000.bin", b"\x00" * 100, TruncatedRecord,
+         "velodyne stream of 100 bytes is not a multiple of 16"),
+        ("velodyne", "000000.bin",
+         np.array([[0, np.nan, 0, 0]], dtype="<f4").tobytes(), ValueError,
+         "point cloud has non-finite coordinates"),
+    ], ids=["calib", "label", "truncated scan", "nan scan"])
+    def test_a_file_that_does_not_parse_names_its_path(
+            self, tmp_path, sub, name, content, error, message):
+        write_dataset(str(tmp_path), make_frames(1, seed=13))
+        path = os.path.join(str(tmp_path), sub, name)
+        with open(path, "wb") as fh:
+            fh.write(content.encode() if isinstance(content, str) else content)
+        with pytest.raises(error) as info:
+            load_frame(str(tmp_path), "000000")
+        # the type is kept, and the message is the old one after the path
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{path}: {message}")
 
     def test_calibration_consistency(self, tmp_path):
         frames = make_frames(1, seed=12)
