@@ -23,6 +23,7 @@ import traceback
 from collections import namedtuple
 
 from .codec import (
+    ProposalRegion,
     RotationBins,
     check_cluster_count,
     fit_size_clusters,
@@ -48,7 +49,6 @@ from .mono import (
     DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
     ScatterParams,
-    check_residual_cap,
     geometric_agreement_search,
 )
 from .pipeline import (
@@ -101,10 +101,10 @@ _SCHEMA = [_Setting(*row) for row in (
      "--center-noise"),
     ("oracle", "box2d_noise_sigma", float, _ORACLE.box2d_noise_sigma,
      "--box2d-noise"),
-    ("pipeline", "radius", float, _PIPELINE.region_radius, "--radius"),
-    ("pipeline", "y_min", float, _PIPELINE.region_y_extent[0]),
-    ("pipeline", "y_max", float, _PIPELINE.region_y_extent[1]),
-    ("pipeline", "bound", float, _PIPELINE.region_bounds[0]),
+    ("pipeline", "radius", float, _PIPELINE.region.radius, "--radius"),
+    ("pipeline", "y_min", float, _PIPELINE.region.y_extent[0]),
+    ("pipeline", "y_max", float, _PIPELINE.region.y_extent[1]),
+    ("pipeline", "bound", float, _PIPELINE.region.bounds[0]),
     ("pipeline", "voxel_resolution", float, _PIPELINE.voxel_resolution),
     ("pipeline", "sample_count", int, _PIPELINE.sample_count),
     ("pipeline", "residual_cap", float, _PIPELINE.residual_cap,
@@ -207,9 +207,9 @@ def _pipeline_config(settings):
         mode=settings["run"]["mode"],
         objectness_threshold=settings["thresholds"]["objectness"],
         nms_threshold=settings["thresholds"]["nms"],
-        region_radius=pipe["radius"],
-        region_y_extent=(pipe["y_min"], pipe["y_max"]),
-        region_bounds=(pipe["bound"],) * 3,
+        region=ProposalRegion((0.0, 0.0, 0.0), pipe["radius"],
+                              (pipe["y_min"], pipe["y_max"]),
+                              (pipe["bound"],) * 3),
         voxel_resolution=pipe["voxel_resolution"],
         sample_count=pipe["sample_count"],
         residual_cap=pipe["residual_cap"],
@@ -281,7 +281,6 @@ def _parse_values(text):
 
 
 def cmd_solve_pose(args):
-    check_residual_cap(args.residual_cap)
     coords = _parse_floats(args.box2d)
     dims = _parse_floats(args.dims)
     if len(coords) != 4 or len(dims) != 3:

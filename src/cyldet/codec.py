@@ -181,6 +181,8 @@ class SizeClusters:
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=float).reshape(-1, 3)
+        if len(c) == 0:
+            raise ValueError("centroids must hold at least one cluster")
         if not np.isfinite(c).all():
             raise ValueError("centroids must be finite")
         if np.any(c <= 0.0):
@@ -313,12 +315,27 @@ def save_size_clusters(clusters, path):
 
 
 def load_size_clusters(path):
+    """SizeClusters from a file of one 'H W L' line per cluster, blank
+    lines skipped; a ValueError names the path, and the line of a line
+    that is not three numbers."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append([float(t) for t in line.split()])
-    return SizeClusters(np.array(rows))
+        for n, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            try:
+                row = [float(t) for t in tokens]
+            except ValueError:
+                row = ()
+            if len(row) != 3:
+                raise ValueError(f"{path}: line {n}: want three numbers "
+                                 f"H W L, got {line.strip()!r}")
+            rows.append(row)
+    try:
+        return SizeClusters(np.array(rows))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

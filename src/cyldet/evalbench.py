@@ -291,7 +291,7 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
             # each s's seeds are a nonempty run of the table's columns
             starts = np.cumsum(counts) - counts
             captured += np.logical_or.reduceat(
-                _within_radius(seeds, frame.labels, config.region_radius),
+                _within_radius(seeds, frame.labels, config.region.radius),
                 starts, axis=1).sum(axis=0)
     return _capture_rows(s_values, captured, gts, seeds_total)
 
@@ -325,7 +325,7 @@ def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
         scores = np.array([score for score, _ in scored], dtype=float)
         centers = np.array([center for _, center in scored],
                            dtype=float).reshape(-1, 3)
-        within = _within_radius(centers, frame.labels, config.region_radius)
+        within = _within_radius(centers, frame.labels, config.region.radius)
         best = np.where(within, scores, -np.inf).max(axis=1, initial=-np.inf)
         gts += len(frame.labels)
         captured += np.count_nonzero(best[:, None] >= ts, axis=0)

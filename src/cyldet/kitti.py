@@ -353,13 +353,14 @@ def read_split_ids(list_path):
 
 def _parse_file(path, parse, text=True):
     """parse of the file's contents.  A ValueError it raises keeps its
-    type, so that callers still tell the kinds apart, and gains the path."""
+    type, so that callers still tell the kinds apart, and gains the path;
+    a text file that is not UTF-8 is a KittiFormatError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if text:  # outside the try: a UnicodeDecodeError takes five arguments
-        data = data.decode("utf-8")
     try:
-        return parse(data)
+        return parse(data.decode("utf-8") if text else data)
+    except UnicodeDecodeError as exc:
+        raise KittiFormatError(f"{path}: not UTF-8 text: {exc}") from None
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

@@ -268,8 +268,10 @@ def solve_translation(box2d, dims, yaw, config, p, residual_cap=DEFAULT_RESIDUAL
     geometrically infeasible (center behind the camera, mirror-image
     projection, side ordering violated, or residual above the cap).
     Raises SingularSystem for rank-deficient or structurally degenerate
-    configurations (one corner pinned to both members of opposite sides).
+    configurations (one corner pinned to both members of opposite sides),
+    and ValueError for a residual cap not above 0.
     """
+    check_residual_cap(residual_cap)
     table = _config_table(config)
     offsets = _corner_offsets([dims], _rotations([yaw]))
     a, k, coords, pinv, s, singular = _side_systems([box2d], p)
@@ -338,8 +340,10 @@ def agreement_search_frame(boxes, dims, yaws, p,
     their projections read no y, so corners i and i + 4 (one vertical
     edge) pin those sides alike: the rows of a group (see _search_table)
     solve and score alike, bit for bit, and only its representative, which
-    wins their tie, is searched.
+    wins their tie, is searched.  A residual cap not above 0 is a
+    ValueError, whatever the objects.
     """
+    check_residual_cap(residual_cap)
     p = np.asarray(p, dtype=float)
     outcomes = [None] * len(boxes)
     if not outcomes:

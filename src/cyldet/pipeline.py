@@ -32,12 +32,11 @@ rejects a cloud not in the camera frame with WrongFrame.  The index
 counts the points per cell when built, and sorts them only for the first
 members query: a head that reads points, or a center its counts cannot
 settle.
-Oracle implementations backed by ground truth (with optional seeded noise)
-stand in for trained networks; the point-head oracles read no points, and
-the two of an oracle_predictors bundle share one label table, bound to the
-bundle's size clusters and rotation bins, which keeps the last frame's
-labels in plain floats: each label's noise is drawn, and its box encoded,
-once per frame.
+Oracles backed by ground truth (with optional seeded noise) stand in for
+trained networks: oracle_predictors bundles the three methods of one
+object, whose point heads read no points and share a table of the last
+frame's labels in plain floats, filled when a frame first reaches them:
+each label's noise is drawn, and its box encoded, once per frame.
 """
 
 import functools
@@ -363,33 +362,6 @@ def _label_rng(cfg, frame_id, label_idx, stream):
     )
 
 
-class OracleMonocularPredictor:
-    """Emits each ground-truth car's 2D box, dims, and heading with
-    configurable seeded noise; the noise draw is a pure function of
-    (seed, frame id, label index), so reruns are reproducible."""
-
-    def __init__(self, cfg=OracleConfig()):
-        self.cfg = cfg
-
-    def __call__(self, frame):
-        out = []
-        for idx, lab in enumerate(frame.labels):
-            rng = _label_rng(self.cfg, frame.frame_id, idx, stream=1)
-            dims, yaw = _noised_dims_yaw(self.cfg, lab.box3d, rng)
-            b = lab.bbox2d
-            coords = np.array([b.xmin, b.ymin, b.xmax, b.ymax])
-            coords += self.cfg.box2d_noise_sigma * rng.standard_normal(4)
-            xmin, xmax = sorted((coords[0], coords[2]))
-            ymin, ymax = sorted((coords[1], coords[3]))
-            if xmax - xmin < 1.0:
-                xmin, xmax = xmin - 0.5, xmin + 0.5
-            if ymax - ymin < 1.0:
-                ymin, ymax = ymin - 0.5, ymin + 0.5
-            out.append(Mono2DDetection(Box2D(xmin, ymin, xmax, ymax),
-                                       tuple(dims), yaw))
-        return out
-
-
 def _noised_dims_yaw(cfg, box3d, rng):
     """Dims (W, H, L) with relative noise, floored at a fifth of the true
     dims, and yaw with absolute noise; draws three normals, then one."""
@@ -397,70 +369,6 @@ def _noised_dims_yaw(cfg, box3d, rng):
     noised = dims * (1.0 + cfg.dims_noise_sigma * rng.standard_normal(3))
     yaw = box3d.yaw + cfg.yaw_noise_sigma * rng.standard_normal()
     return np.maximum(noised, 0.2 * dims), yaw
-
-
-class _LabelTable:
-    """The labels of the last frame asked for, their centers, and each
-    label's noised box and box-head codes under one box head's size
-    clusters and rotation bins, computed once, as plain floats.  It keeps
-    the frame's id and labels, not the frame, so it holds no point cloud;
-    holding the labels also keeps their identity unique."""
-
-    def __init__(self, cfg, clusters=DEFAULT_SIZE_CLUSTERS,
-                 bins=DEFAULT_ROTATION_BINS):
-        self.cfg = cfg
-        self.clusters = clusters
-        self.bins = bins
-        self.frame_id = self.labels = None
-
-    def of(self, frame):
-        """The table, reset to frame's labels unless it holds them."""
-        if self.frame_id != frame.frame_id or self.labels is not frame.labels:
-            self.frame_id = frame.frame_id
-            self.labels = frame.labels
-            self.centers = [lab.box3d.center for lab in frame.labels]
-            self._truths = {}
-            self._codes = {}
-        return self
-
-    def nearest(self, region):
-        """(index, center) of the label nearest the region center, the
-        first of equally near ones, or (None, None) for a frame without
-        labels.  The distances round as np.linalg.norm's rows do."""
-        best, best_d = None, math.inf
-        rx, ry, rz = region.center
-        for idx, (x, y, z) in enumerate(self.centers):
-            dx, dy, dz = x - rx, y - ry, z - rz
-            d = math.sqrt((dx * dx + dy * dy) + dz * dz)
-            if best is None or d < best_d:
-                best, best_d = idx, d
-        if best is None:
-            return None, None
-        return best, self.centers[best]
-
-    def truth(self, idx):
-        """Noised copy of label idx's box, shared by both point-head
-        oracles: (center, dims, yaw)."""
-        if idx not in self._truths:
-            box = self.labels[idx].box3d
-            rng = _label_rng(self.cfg, self.frame_id, idx, stream=2)
-            sigma = self.cfg.center_noise_sigma
-            center = tuple(c + sigma * n for c, n in
-                           zip(box.center, rng.standard_normal(3).tolist()))
-            self._truths[idx] = (center, *_noised_dims_yaw(self.cfg, box, rng))
-        return self._truths[idx]
-
-    def codes(self, idx):
-        """encode_rotation and encode_size of label idx's noised box under
-        the table's bins and clusters, kept per label, read-only."""
-        if idx not in self._codes:
-            _, (w, h, length), yaw = self.truth(idx)
-            arrays = (*encode_rotation(yaw, self.bins),
-                      *encode_size((h, w, length), self.clusters))
-            for array in arrays:
-                array.flags.writeable = False
-            self._codes[idx] = arrays
-        return self._codes[idx]
 
 
 def _graded_objectness(ground_dist, radius):
@@ -488,19 +396,80 @@ def _clamped_encode(center, region):
     return encode_location(target, region)
 
 
-class OracleRpnPredictor:
-    """Proposal-head oracle, reading no points: location encoding of the
-    (noised) nearest ground truth when it lies within the region bounds,
-    with objectness graded by the true center's normalized offset."""
+class _Oracles:
+    """The ground-truth-backed predictors of one bundle, as the methods
+    monocular, rpn and brn.  The point heads read no points; they share a
+    table of the last frame's labels in plain floats, filled when a frame
+    first reaches them: each label's center, noised box and box-head codes
+    under the bundle's size clusters and rotation bins.  The table keeps
+    the frame's id and labels, not the frame, so it holds no point cloud;
+    holding the labels also keeps their identity unique."""
 
-    def __init__(self, cfg=OracleConfig()):
-        self.table = _LabelTable(cfg)
+    def __init__(self, cfg, clusters, bins):
+        self.cfg = cfg
+        self.clusters = clusters
+        self.bins = bins
+        self.frame_id = self.labels = None
 
-    def __call__(self, points, region, frame):
-        table = self.table.of(frame)
-        idx, true_center = table.nearest(region)
+    def monocular(self, frame):
+        """Each ground-truth car's 2D box, dims and heading with seeded
+        noise, a pure function of (seed, frame id, label index)."""
+        out = []
+        for idx, lab in enumerate(frame.labels):
+            rng = _label_rng(self.cfg, frame.frame_id, idx, stream=1)
+            dims, yaw = _noised_dims_yaw(self.cfg, lab.box3d, rng)
+            b = lab.bbox2d
+            coords = np.array([b.xmin, b.ymin, b.xmax, b.ymax])
+            coords += self.cfg.box2d_noise_sigma * rng.standard_normal(4)
+            xmin, xmax = sorted((coords[0], coords[2]))
+            ymin, ymax = sorted((coords[1], coords[3]))
+            if xmax - xmin < 1.0:
+                xmin, xmax = xmin - 0.5, xmin + 0.5
+            if ymax - ymin < 1.0:
+                ymin, ymax = ymin - 0.5, ymin + 0.5
+            out.append(Mono2DDetection(Box2D(xmin, ymin, xmax, ymax),
+                                       tuple(dims), yaw))
+        return out
+
+    def nearest(self, frame, region):
+        """Index of the label of frame nearest the region center, the first
+        of equally near ones, or None for a frame without labels, after
+        filling the table unless it holds frame's labels.  The distances
+        round as np.linalg.norm's rows do."""
+        if self.frame_id != frame.frame_id or self.labels is not frame.labels:
+            self.frame_id, self.labels = frame.frame_id, frame.labels
+            self.centers, self.noised, self.codes = [], [], []
+            sigma = self.cfg.center_noise_sigma
+            for idx, lab in enumerate(frame.labels):
+                box = lab.box3d
+                rng = _label_rng(self.cfg, frame.frame_id, idx, stream=2)
+                self.centers.append(box.center)
+                self.noised.append(tuple(
+                    c + sigma * n for c, n in
+                    zip(box.center, rng.standard_normal(3).tolist())))
+                (w, h, length), yaw = _noised_dims_yaw(self.cfg, box, rng)
+                codes = (*encode_rotation(yaw, self.bins),
+                         *encode_size((h, w, length), self.clusters))
+                for array in codes:
+                    array.flags.writeable = False
+                self.codes.append(codes)
+        best, best_d = None, math.inf
+        rx, ry, rz = region.center
+        for idx, (x, y, z) in enumerate(self.centers):
+            dx, dy, dz = x - rx, y - ry, z - rz
+            d = math.sqrt((dx * dx + dy * dy) + dz * dz)
+            if best is None or d < best_d:
+                best, best_d = idx, d
+        return best
+
+    def rpn(self, points, region, frame):
+        """Proposal head: the location encoding of the nearest label's
+        noised center when its true center lies within the region bounds,
+        with objectness graded by the true center's ground distance."""
+        idx = self.nearest(frame, region)
         if idx is None:
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=logit(0.01))
+        true_center = self.centers[idx]
         ground_dist = math.hypot(
             true_center[0] - region.center[0], true_center[2] - region.center[2]
         )
@@ -508,35 +477,26 @@ class OracleRpnPredictor:
         t_obj = logit(prob)
         if not _within_bounds(true_center, region):
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=t_obj)
-        center, _, _ = table.truth(idx)
-        return RpnOutput(t_loc=_clamped_encode(center, region), t_obj=t_obj)
+        return RpnOutput(t_loc=_clamped_encode(self.noised[idx], region),
+                         t_obj=t_obj)
 
-
-class OracleBrnPredictor:
-    """Box-head oracle, reading no points: encodings of the (noised)
-    nearest ground truth via the location codec and its label table's
-    rotation bins and size clusters."""
-
-    def __init__(self, cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
-                 bins=DEFAULT_ROTATION_BINS):
-        self.table = _LabelTable(cfg, clusters, bins)
-
-    def __call__(self, points, region, frame):
-        table = self.table.of(frame)
-        idx, true_center = table.nearest(region)
-        if idx is None or not _within_bounds(true_center, region):
+    def brn(self, points, region, frame):
+        """Box head: the nearest label's noised center and its read-only
+        rotation and size codes, when its true center lies within the
+        region bounds; zero codes otherwise."""
+        idx = self.nearest(frame, region)
+        if idx is None or not _within_bounds(self.centers[idx], region):
             return BrnOutput(
                 t_loc=(0.0, 0.0, 0.0),
-                rot_logits=np.zeros(table.bins.n_bins),
-                rot_residuals=np.zeros(table.bins.n_bins),
-                size_logits=np.zeros(table.clusters.n_clusters),
-                size_residuals=np.zeros((table.clusters.n_clusters, 3)),
+                rot_logits=np.zeros(self.bins.n_bins),
+                rot_residuals=np.zeros(self.bins.n_bins),
+                size_logits=np.zeros(self.clusters.n_clusters),
+                size_residuals=np.zeros((self.clusters.n_clusters, 3)),
             )
-        center, _, _ = table.truth(idx)
-        rot_logits, rot_residuals, size_logits, size_residuals = table.codes(
-            idx)
+        (rot_logits, rot_residuals, size_logits,
+         size_residuals) = self.codes[idx]
         return BrnOutput(
-            t_loc=_clamped_encode(center, region),
+            t_loc=_clamped_encode(self.noised[idx], region),
             rot_logits=rot_logits,
             rot_residuals=rot_residuals,
             size_logits=size_logits,
@@ -553,13 +513,10 @@ class Predictors:
 
 def oracle_predictors(cfg=OracleConfig(), clusters=DEFAULT_SIZE_CLUSTERS,
                       bins=DEFAULT_ROTATION_BINS):
-    """Bundle of the three ground-truth-backed predictors; the two point
-    heads share the box head's label table."""
-    rpn = OracleRpnPredictor(cfg)
-    brn = OracleBrnPredictor(cfg, clusters, bins)
-    rpn.table = brn.table
-    return Predictors(monocular=OracleMonocularPredictor(cfg), rpn=rpn,
-                      brn=brn)
+    """Bundle of the three ground-truth-backed predictors, the methods of
+    one _Oracles, whose point heads share its label table."""
+    o = _Oracles(cfg, clusters, bins)
+    return Predictors(monocular=o.monocular, rpn=o.rpn, brn=o.brn)
 
 
 @dataclass(frozen=True)
@@ -579,21 +536,14 @@ class PipelineConfig:
     mode: str = "rpn_brn_brn"
     objectness_threshold: float = 0.25
     nms_threshold: float = 0.05
-    region_radius: float = ProposalRegion.radius
-    region_y_extent: tuple = ProposalRegion.y_extent
-    region_bounds: tuple = ProposalRegion.bounds
+    # the shape of every proposal's region; its center is not read
+    region: ProposalRegion = ProposalRegion((0.0, 0.0, 0.0))
     voxel_resolution: float = 0.1
     sample_count: int = PREDICT_SAMPLE_COUNT
     residual_cap: float = DEFAULT_RESIDUAL_CAP
     clusters: SizeClusters = DEFAULT_SIZE_CLUSTERS
     bins: RotationBins = DEFAULT_ROTATION_BINS
     seed: int = 0
-
-    @property
-    def region(self):
-        """The shape of every proposal's region, at the origin."""
-        return ProposalRegion((0.0, 0.0, 0.0), self.region_radius,
-                              self.region_y_extent, self.region_bounds)
 
     def __post_init__(self):
         if self.mode not in PIPELINE_MODES:
@@ -607,7 +557,6 @@ class PipelineConfig:
             raise ValueError("nms_threshold must be in [0, 1]")
         if not 0.0 <= self.objectness_threshold <= 1.0:
             raise ValueError("objectness_threshold must be in [0, 1]")
-        self.region  # checks the region fields
 
 
 def decode_box(brn_out, region, clusters, bins):

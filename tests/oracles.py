@@ -690,7 +690,7 @@ def clamped_scatter_reference(config, s):
 def sweep_scatter_reference(frames, monocular, s_values,
                             config=PipelineConfig()):
     rows = [(s, clamped_scatter_reference(config, s),
-             Captures(config.region_radius))
+             Captures(config.region.radius))
             for s in check_sweep_values("scatter", s_values)]
     for frame in frames:
         poses = solve_poses(frame, monocular, config)
@@ -703,7 +703,7 @@ def sweep_scatter_reference(frames, monocular, s_values,
 
 def sweep_objectness_reference(frames, predictors, thresholds,
                                config=PipelineConfig()):
-    rows = [(threshold, Captures(config.region_radius))
+    rows = [(threshold, Captures(config.region.radius))
             for threshold in check_sweep_values("objectness", thresholds)]
     for frame in frames:
         scored = run_proposals(

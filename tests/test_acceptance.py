@@ -368,8 +368,8 @@ def test_criterion_6_end_to_end_identity():
             # precondition: every car offers at least 50 in-cylinder points
             for lab in frame.labels:
                 region = ProposalRegion(lab.box3d.center,
-                                        radius=config.region_radius,
-                                        y_extent=config.region_y_extent)
+                                        radius=config.region.radius,
+                                        y_extent=config.region.y_extent)
                 assert len(gather_cylinder(frame.cloud, region)) >= 50
             detections = detect_frame(frame, predictors, config)
             assert len(detections) == len(frame.labels)  # zero duplicates

@@ -392,6 +392,29 @@ class TestDetect:
         assert "centroids must be" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.4 1.5 3.4 1\n1.5 1.6 3.9 1\n1.8 1.9 4.6 1\n",
+         "line 1: want three numbers H W L, got '1.4 1.5 3.4 1'"),
+        ("1.4 1.5\n", "line 1: want three numbers H W L, got '1.4 1.5'"),
+        ("", "centroids must hold at least one cluster"),
+        ("1.4 1.5 abc\n",
+         "line 1: want three numbers H W L, got '1.4 1.5 abc'"),
+    ], ids=["4 columns", "2 columns", "empty", "bad token"])
+    def test_size_clusters_file_not_of_h_w_l_lines_is_data_error(
+            self, dataset, tmp_path, capsys, text, message):
+        # 4 columns and an empty file used to exit 0, the empty one with
+        # recall 0, and a bad token failed without naming the file
+        root, split, _ = dataset
+        clusters = tmp_path / "clusters.txt"
+        clusters.write_text(text)
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir),
+                   "--size-clusters-file", str(clusters)])
+        assert rc == 2
+        assert f"error: {clusters}: {message}\n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_failed_frame_removes_its_old_document(self, dataset, tmp_path,
                                                    monkeypatch, capsys):
         root, split, frames = dataset
@@ -1014,6 +1037,20 @@ class TestFrameFilesRead:
         assert main(command + where + _output(command, str(tmp_path))) == 2
         assert (f"error: frame 000001: missing velodyne file {path}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_a_label_file_that_is_not_utf8_is_named(self, tree, tmp_path,
+                                                    capsys, command):
+        # it used to exit 2 printing only the decode error
+        root, where = tree
+        path = os.path.join(root, "label_2", "000001.txt")
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        out_dir = str(tmp_path / "out")
+        assert main(command + where + _output(command, out_dir)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: not UTF-8 text: " in err
+        assert "can't decode byte 0xff" in err
 
     @pytest.mark.parametrize("name, content, message", [
         ("calib/000001.txt", b"P2: 1 0 0 0 0 1 0 0 0 0 1 x\n",

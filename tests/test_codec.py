@@ -195,6 +195,34 @@ class TestSizeClusters:
         loaded = load_size_clusters(path)
         np.testing.assert_array_equal(loaded.centroids, clusters.centroids)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1.4 1.5 3.4 1.0\n1.5 1.6 3.9 1.0\n1.8 1.9 4.6 1.0\n", 1),
+        ("1.4 1.5 3.4\n\n1.5 1.6\n", 3),
+        ("1.4 1.5 3.4\n1.5 abc 3.9\n", 2),
+    ], ids=["4 columns", "2 columns", "bad token"])
+    def test_a_line_that_is_not_three_numbers_is_named(self, tmp_path, text,
+                                                       line):
+        # 4 columns used to load as scrambled clusters, 4 to the 3 lines
+        path = tmp_path / "sizes.txt"
+        path.write_text(text)
+        bad = text.splitlines()[line - 1]
+        with pytest.raises(ValueError) as info:
+            load_size_clusters(path)
+        assert str(info.value) == (f"{path}: line {line}: want three numbers "
+                                   f"H W L, got {bad!r}")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_a_file_without_a_cluster_is_rejected(self, tmp_path, text):
+        # it used to load as 0 clusters, and every proposal then failed
+        path = tmp_path / "sizes.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_size_clusters(path)
+        assert str(info.value) == (f"{path}: centroids must hold at least "
+                                   "one cluster")
+        with pytest.raises(ValueError, match="at least one cluster"):
+            SizeClusters(np.zeros((0, 3)))
+
 
 class TestSizeCodec:
     clusters = SizeClusters(np.array([[1.4, 1.5, 3.4], [1.8, 1.9, 4.6]]))

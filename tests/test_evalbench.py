@@ -36,7 +36,6 @@ from cyldet.kitti import DIFFICULTIES
 from cyldet.mono import spatial_scatter_frame
 from cyldet.pipeline import (
     Detection,
-    OracleMonocularPredictor,
     nms_bev,
     run_proposals,
     seed_proposals,
@@ -323,7 +322,7 @@ class TestSweeps:
         seeded = []
         for s in s_values:
             cfg = clamped_scatter_reference(config, s)
-            captures = Captures(cfg.region_radius)
+            captures = Captures(cfg.region.radius)
             for frame in self.frames:
                 captures.add([r.center for _, _, _, r in
                               seed_proposals(frame, preds.monocular, cfg)],
@@ -467,7 +466,7 @@ class _FailingMonocular:
     index is in failing made NaN, so that its pose fails."""
 
     def __init__(self, cfg, failing):
-        self.oracle = OracleMonocularPredictor(cfg)
+        self.oracle = oracle_predictors(cfg).monocular
         self.failing = failing
 
     def __call__(self, frame):

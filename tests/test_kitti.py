@@ -449,6 +449,19 @@ class TestDatasetLoading:
         assert type(info.value) is error
         assert str(info.value).startswith(f"{path}: {message}")
 
+    @pytest.mark.parametrize("sub", ["calib", "label_2"])
+    def test_a_text_file_that_is_not_utf8_names_its_path(self, tmp_path,
+                                                         sub):
+        # the decode error used to name neither the frame nor the file
+        write_dataset(str(tmp_path), make_frames(1, seed=13))
+        path = os.path.join(str(tmp_path), sub, "000000.txt")
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        with pytest.raises(cyldet.KittiFormatError) as info:
+            load_frame(str(tmp_path), "000000", cloud=False)
+        assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
+        assert "can't decode byte 0xff" in str(info.value)
+
     def test_calibration_consistency(self, tmp_path):
         frames = make_frames(1, seed=12)
         write_dataset(str(tmp_path), frames)

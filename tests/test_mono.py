@@ -584,6 +584,23 @@ def _input_message(dims, yaw):
             f"and yaw {yaw}")
 
 
+@pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
+def test_a_residual_cap_not_above_zero_is_a_setting_error(calib, cap):
+    # it used to be searched and report no feasible configuration, which
+    # blames the data
+    box = random_car_box(np.random.default_rng(3))
+    b2d = project_box(box, calib.p2)
+    config = tight_configuration(box, calib.p2)
+    with pytest.raises(ValueError, match="residual_cap must be positive"):
+        solve_translation(b2d, box.dims, box.yaw, config, calib.p2,
+                          residual_cap=cap)
+    for boxes in ([b2d], []):
+        with pytest.raises(ValueError, match="residual_cap must be positive"):
+            agreement_search_frame(boxes, [box.dims] * len(boxes),
+                                   [box.yaw] * len(boxes), calib.p2,
+                                   residual_cap=cap)
+
+
 class TestInputsCheckedUpFront:
     """An object whose dims are not all finite and > 0, or whose yaw is not
     finite, fails first, with a NoFeasibleConfiguration that names them.

@@ -48,9 +48,6 @@ from cyldet.evalbench import DesyncConfig, desync_frame
 from cyldet.kitti import camera_to_lidar, load_frame, stable_id_hash
 from cyldet.pipeline import (
     Mono2DDetection,
-    OracleBrnPredictor,
-    OracleMonocularPredictor,
-    OracleRpnPredictor,
     Predictors,
     RegionIndex,
     derive_seed,
@@ -630,8 +627,8 @@ class TestRegionPointsFingerprint:
 
     def test_digest_is_unchanged(self):
         config = PipelineConfig()
-        monocular = OracleMonocularPredictor(
-            OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1))
+        monocular = oracle_predictors(
+            OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1)).monocular
         digest = hashlib.sha256()
         regions = empty = 0
         for frame in self.frames():
@@ -695,7 +692,7 @@ class TestRegionPointsFingerprint:
 class TestOracleMonocular:
     def test_zero_noise_is_exact(self):
         frame = make_frame("000000", seed=5, n_cars=3)
-        dets = OracleMonocularPredictor(OracleConfig())(frame)
+        dets = oracle_predictors(OracleConfig()).monocular(frame)
         assert len(dets) == len(frame.labels)
         for det, lab in zip(dets, frame.labels):
             assert det.box2d == lab.bbox2d
@@ -706,8 +703,8 @@ class TestOracleMonocular:
         frame = make_frame("000001", seed=6, n_cars=2)
         cfg = OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1,
                            box2d_noise_sigma=2.0, rng_seed=9)
-        a = OracleMonocularPredictor(cfg)(frame)
-        b = OracleMonocularPredictor(cfg)(frame)
+        a = oracle_predictors(cfg).monocular(frame)
+        b = oracle_predictors(cfg).monocular(frame)
         assert a == b
 
     def test_dims_noise_calibration(self):
@@ -718,7 +715,7 @@ class TestOracleMonocular:
         ratios = []
         for k in range(10_000):
             cfg = OracleConfig(dims_noise_sigma=0.1, rng_seed=k)
-            det = OracleMonocularPredictor(cfg)(frame)[0]
+            det = oracle_predictors(cfg).monocular(frame)[0]
             ratios.append(det.dims[0] / true_dims[0])
         std = np.std(ratios)
         assert abs(std - 0.1) < 0.005
@@ -736,8 +733,8 @@ class TestOraclePointHeads:
 
     def test_centered_region_decodes_exactly(self):
         region = self.region_at(self.label.box3d.center)
-        brn = OracleBrnPredictor(clusters=self.config.clusters,
-                                 bins=self.config.bins)
+        brn = oracle_predictors(clusters=self.config.clusters,
+                                bins=self.config.bins).brn
         out = brn(None, region, self.frame)
         box = decode_box(out, region, self.config.clusters, self.config.bins)
         np.testing.assert_allclose(box.center, self.label.box3d.center,
@@ -747,18 +744,18 @@ class TestOraclePointHeads:
 
     def test_far_region_scores_low(self):
         center = np.array(self.label.box3d.center) + [10.0, 0.0, 0.0]
-        rpn = OracleRpnPredictor()
+        rpn = oracle_predictors().rpn
         out = rpn(None, self.region_at(center), self.frame)
         assert cyldet.objectness(out.t_obj) < 0.5
 
     def test_near_region_scores_high(self):
-        rpn = OracleRpnPredictor()
+        rpn = oracle_predictors().rpn
         out = rpn(None, self.region_at(self.label.box3d.center), self.frame)
         assert cyldet.objectness(out.t_obj) > 0.9
 
     def test_decoded_location_always_within_bounds(self):
         rng = np.random.default_rng(9)
-        rpn = OracleRpnPredictor(OracleConfig(center_noise_sigma=1.0))
+        rpn = oracle_predictors(OracleConfig(center_noise_sigma=1.0)).rpn
         for _ in range(50):
             center = np.array(self.label.box3d.center) + rng.uniform(-4, 4, 3)
             region = self.region_at(center)
@@ -769,8 +766,8 @@ class TestOraclePointHeads:
 
 
 class TestOracleLabelTable:
-    """An oracle point head keeps the label table of the last frame it
-    saw; its outputs must not depend on the frames it saw before."""
+    """The point heads of a bundle keep the label table of the last frame
+    they saw; their outputs must not depend on the frames seen before."""
 
     cfg = OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1,
                        center_noise_sigma=0.3, rng_seed=4)
@@ -797,13 +794,14 @@ class TestOracleLabelTable:
                    for offset in ((0.3, 0.0, -0.2), (-0.5, 0.1, 0.4))]
         regions = [ProposalRegion(tuple(c)) for c in centers]
         regions.append(ProposalRegion((30.0, 0.0, 80.0)))
-        rpn, brn = OracleRpnPredictor(self.cfg), OracleBrnPredictor(self.cfg)
+        oracles = oracle_predictors(self.cfg)
+        rpn, brn = oracles.rpn, oracles.brn
         for make in (lambda: a, *shifted, lambda: a, lambda: renamed,
                      lambda: a):
             frame = make()
             for region in regions:
-                for oracle, fresh in ((rpn, OracleRpnPredictor(self.cfg)),
-                                      (brn, OracleBrnPredictor(self.cfg))):
+                for oracle, fresh in ((rpn, oracle_predictors(self.cfg).rpn),
+                                      (brn, oracle_predictors(self.cfg).brn)):
                     self.assert_same(oracle(None, region, frame),
                                      fresh(None, region, frame))
 
@@ -873,7 +871,8 @@ class TestOracleHeadsMatchReference:
     def test_outputs_equal_the_reference_bit_for_bit(self, case):
         frame, regions, cfg, brn_first = case
         oracles = oracle_predictors(cfg)
-        clusters, bins = oracles.brn.table.clusters, oracles.brn.table.bins
+        table = oracles.brn.__self__
+        clusters, bins = table.clusters, table.bins
         for region in regions:
             calls = [(oracles.rpn, lambda: oracle_rpn_reference(
                 cfg, region, frame)),
@@ -890,8 +889,8 @@ class TestOracleHeadsMatchReference:
         bins = RotationBins(5)
         oracles = oracle_predictors(cfg, clusters, bins)
         # one table, bound to the bundle's codecs, serves both heads
-        table = oracles.brn.table
-        assert oracles.rpn.table is table
+        table = oracles.brn.__self__
+        assert oracles.rpn.__self__ is table
         assert table.clusters is clusters and table.bins is bins
         regions = [ProposalRegion(np.add(lab.box3d.center, 0.2))
                    for lab in frame.labels]
@@ -929,8 +928,9 @@ class TestOracleHeadsMatchReference:
         region = ProposalRegion(region_center)
         want = _LabelTableReference(OracleConfig(), frame).nearest(region)
         assert want[0] == wins
-        got = pipeline._LabelTable(OracleConfig()).of(frame).nearest(region)
-        assert got == (wins, centers[wins])
+        table = oracle_predictors().rpn.__self__
+        got = table.nearest(frame, region)
+        assert (got, table.centers[got]) == (wins, centers[wins])
 
 
 class TestWorkDoneOnce:
@@ -1009,7 +1009,7 @@ class TestWorkDoneOnce:
 
     def test_the_scatter_reuses_the_search_system(self, monkeypatch):
         calls = self.count_side_systems(monkeypatch)
-        monocular = OracleMonocularPredictor(self.noisy)
+        monocular = oracle_predictors(self.noisy).monocular
         config = PipelineConfig()
         for frame in make_frames(4, seed=6, cars_per_frame=(2, 4)):
             calls.clear()
@@ -1040,7 +1040,7 @@ class TestWorkDoneOnce:
 
     def test_the_scatter_sweep_solves_each_object_once(self, monkeypatch):
         frames = make_frames(4, seed=7)
-        monocular = OracleMonocularPredictor(self.noisy)
+        monocular = oracle_predictors(self.noisy).monocular
         poses = [len(solve_poses(f, monocular)) for f in frames]
         calls = self.count_side_systems(monkeypatch)
         solves, regions = [], []
@@ -1294,7 +1294,7 @@ class TestModeStages:
 
     def run(self, mode):
         config = PipelineConfig(mode=mode, scatter=ScatterParams(s=1e-3))
-        monocular = OracleMonocularPredictor()
+        monocular = oracle_predictors().monocular
         (_, _, _, seed_region), = seed_proposals(self.frame, monocular, config)
         calls = []
         probs = iter([0.6, 0.9])
@@ -1661,24 +1661,24 @@ class TestPipelineConfig:
         ("region_bounds", (2.0, 2.0, -1.0)),
     ])
     def test_region_settings_are_checked(self, field, value):
-        # checked by ProposalRegion's own rules, whose messages name the
-        # field without its prefix: a bad region used to fail every
+        # the region is a ProposalRegion, checked by its own rules, whose
+        # messages name the field: a bad region used to fail every
         # proposal, which read as recall 0 rather than a bad setting
         name = field.removeprefix("region_")
         with pytest.raises(ValueError, match=name) as want:
             ProposalRegion((0.0, 0.0, 0.0), **{name: value})
         with pytest.raises(ValueError) as got:
-            PipelineConfig(**{field: value})
+            PipelineConfig(region=ProposalRegion((0, 0, 0), **{name: value}))
         assert str(got.value) == str(want.value)
 
     def test_region_is_the_shape_of_every_proposal(self):
-        config = PipelineConfig(region_radius=3, region_y_extent=(-2, 2.5),
-                                region_bounds=(1.5, 2, 2.5))
+        config = PipelineConfig(region=ProposalRegion(
+            (0, 0, 0), radius=3, y_extent=(-2, 2.5), bounds=(1.5, 2, 2.5)))
         shape = config.region
         assert shape == ProposalRegion((0.0, 0.0, 0.0), 3.0, (-2.0, 2.5),
                                        (1.5, 2.0, 2.5))
         frame = make_frame("000007", seed=7, n_cars=3)
-        proposals = seed_proposals(frame, OracleMonocularPredictor(), config)
+        proposals = seed_proposals(frame, oracle_predictors().monocular, config)
         assert len(proposals) > 3
         for *_, region in proposals:
             assert region == shape.recentered(region.center)
