@@ -56,6 +56,7 @@ from .geometry import (
     iou_bev,
     normalize_yaw,
     project_box,
+    project_boxes,
 )
 from .kitti import (
     CalibrationSet,
@@ -102,6 +103,7 @@ from .pipeline import (
     PipelineConfig,
     Predictors,
     decode_box,
+    decode_boxes,
     detect_frame,
     gather_cylinder,
     nms_bev,

@@ -160,15 +160,31 @@ def encode_rotation(yaw, bins):
     return logits, residuals
 
 
-def decode_rotation(logits, residuals, bins):
-    """Heading in [0, pi) from the winning bin center plus its residual."""
+def rotation_codes(logits, residuals, bins):
+    """One head output's rotation logits and residuals as float arrays.
+    The arity is checked here, before any stacking: when the head and the
+    config disagree on the bins, that is a wiring bug, not data, and it
+    raises TypeError."""
     logits = np.asarray(logits, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     if logits.shape != (bins.n_bins,) or residuals.shape != (bins.n_bins,):
-        # the head and the config disagree on the bins: a wiring bug, not data
         raise TypeError("encoding arity does not match the bin count")
-    idx = int(np.argmax(logits))
-    return ((idx + 0.5) * bins.width + residuals[idx]) % math.pi
+    return logits, residuals
+
+
+def decode_rotations(logits, residuals, bins):
+    """Headings in [0, pi) of stacked (N, n_bins) logits and residuals:
+    each row's winning bin center plus its residual."""
+    idx = np.argmax(logits, axis=1)
+    return ((idx + 0.5) * bins.width
+            + residuals[np.arange(len(idx)), idx]) % math.pi
+
+
+def decode_rotation(logits, residuals, bins):
+    """Heading in [0, pi) from the winning bin center plus its residual;
+    the one-item call of decode_rotations."""
+    logits, residuals = rotation_codes(logits, residuals, bins)
+    return decode_rotations(logits[None], residuals[None], bins)[0]
 
 
 @dataclass(frozen=True)
@@ -180,9 +196,12 @@ class SizeClusters:
     sse_history: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.centroids, dtype=float).reshape(-1, 3)
-        if len(c) == 0:
+        c = np.asarray(self.centroids, dtype=float)
+        if c.size == 0:
             raise ValueError("centroids must hold at least one cluster")
+        if c.ndim != 2 or c.shape[1] != 3:
+            raise ValueError(f"centroids must be a (K, 3) array, got shape "
+                             f"{c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("centroids must be finite")
         if np.any(c <= 0.0):
@@ -294,16 +313,35 @@ def encode_size(dims_hwl, clusters):
     return logits, residuals
 
 
-def decode_size(logits, residuals, clusters):
-    """(H, W, L) from the winning centroid plus its residual triple."""
+def size_codes(logits, residuals, clusters):
+    """One head output's size logits and (K, 3) residuals as float arrays,
+    checked against the cluster count as rotation_codes checks the bins."""
     logits = np.asarray(logits, dtype=float)
     residuals = np.asarray(residuals, dtype=float).reshape(-1, 3)
     if logits.shape != (clusters.n_clusters,) or len(residuals) != clusters.n_clusters:
         raise TypeError("encoding arity does not match the cluster count")
-    idx = int(np.argmax(logits))
-    dims = clusters.centroids[idx] + residuals[idx]
-    if np.any(dims <= 0.0):
-        raise NonPositiveDims(f"decoded dims {tuple(dims)} not strictly positive")
+    return logits, residuals
+
+
+def decode_sizes(logits, residuals, clusters):
+    """For stacked (N, K) logits and (N, K, 3) residuals, each row's
+    winning centroid plus its residual triple, (H, W, L), or the
+    NonPositiveDims that rejects a triple with a dim at or below 0 (NaN
+    passes)."""
+    idx = np.argmax(logits, axis=1)
+    dims = clusters.centroids[idx] + residuals[np.arange(len(idx)), idx]
+    return [NonPositiveDims(f"decoded dims {tuple(row)} not strictly positive")
+            if bad else row
+            for row, bad in zip(dims, (dims <= 0.0).any(axis=1).tolist())]
+
+
+def decode_size(logits, residuals, clusters):
+    """(H, W, L) from the winning centroid plus its residual triple; the
+    one-item call of decode_sizes."""
+    logits, residuals = size_codes(logits, residuals, clusters)
+    (dims,) = decode_sizes(logits[None], residuals[None], clusters)
+    if isinstance(dims, ValueError):
+        raise dims
     return dims
 
 
@@ -316,22 +354,26 @@ def save_size_clusters(clusters, path):
 
 def load_size_clusters(path):
     """SizeClusters from a file of one 'H W L' line per cluster, blank
-    lines skipped; a ValueError names the path, and the line of a line
-    that is not three numbers."""
+    lines skipped.  A ValueError names the path: of a file that is not
+    UTF-8 text, of invalid centroids, and of a line that is not three
+    numbers, with its line number."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                row = [float(t) for t in tokens]
-            except ValueError:
-                row = ()
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {n}: want three numbers "
-                                 f"H W L, got {line.strip()!r}")
-            rows.append(row)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                tokens = line.split()
+                if not tokens:
+                    continue
+                try:
+                    row = [float(t) for t in tokens]
+                except ValueError:
+                    row = ()
+                if len(row) != 3:
+                    raise ValueError(f"{path}: line {n}: want three numbers "
+                                     f"H W L, got {line.strip()!r}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         return SizeClusters(np.array(rows))
     except ValueError as exc:

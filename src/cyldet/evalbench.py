@@ -19,6 +19,7 @@ from .kitti import DIFFICULTIES, FrameData, PointCloud, WrongFrame
 from .kitti import stable_id_hash
 from .pipeline import (
     PipelineConfig,
+    data_outcome,
     detect_frame,
     derive_seed,
     objectness,
@@ -296,9 +297,15 @@ def sweep_scatter(frames, monocular, s_values, config=PipelineConfig()):
     return _capture_rows(s_values, captured, gts, seeds_total)
 
 
-def _score_seed_region(stage, proposal, out):
-    """Stage-0 objectness of one seed region, with the region center."""
+def _score(proposal, out):
     return objectness(out.t_obj), proposal[3].center
+
+
+def _score_seed_regions(stage, proposals, outputs):
+    """Stage-0 objectness of each seed region, with the region center, or
+    the ValueError of a NaN objectness."""
+    return [data_outcome(_score, proposal, out)
+            for proposal, out in zip(proposals, outputs)]
 
 
 def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
@@ -321,7 +328,7 @@ def sweep_objectness(frames, predictors, thresholds, config=PipelineConfig()):
     gts = 0
     for frame in frames:
         scored = run_proposals(frame, predictors, config, ("rpn",),
-                               _score_seed_region)
+                               _score_seed_regions)
         scores = np.array([score for score, _ in scored], dtype=float)
         centers = np.array([center for _, center in scored],
                            dtype=float).reshape(-1, 3)

@@ -90,10 +90,20 @@ class Box3D:
         return w * h * length
 
 
+def rotations_about_y(yaws):
+    """The 3x3 rotation matrix about the camera y axis of each yaw, as one
+    (N, 3, 3) stack, from math's cosine and sine of each."""
+    flat = []
+    for yaw in yaws:
+        c, s = math.cos(yaw), math.sin(yaw)
+        flat += (c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)
+    return np.array(flat).reshape(-1, 3, 3)
+
+
 def rotation_about_y(yaw):
-    """3x3 rotation matrix about the camera y axis."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    """3x3 rotation matrix about the camera y axis; the one-yaw call of
+    rotations_about_y."""
+    return rotations_about_y([yaw])[0]
 
 
 # Half-extent signs for the 8 corners: bottom face (y = +H/2, camera y points
@@ -114,11 +124,19 @@ _CORNER_SIGNS = np.array(
 )
 
 
+def stacked_corner_offsets(dims, rotations):
+    """Rotated offsets of the 8 corners from the box center for each (dims,
+    rotation) pair, as one (N, 8, 3) stack, for N dims (W, H, L) and
+    rotations (N, 3, 3) from rotations_about_y.  Each slice of the stacked
+    matrix product makes the call that one box's own product would."""
+    local = _CORNER_SIGNS * (0.5 * np.asarray(dims, dtype=float))[:, None, :]
+    return local @ rotations.transpose(0, 2, 1)
+
+
 def corner_offsets(dims, yaw):
-    """Rotated offsets of the 8 corners from the box center, shape (8, 3)."""
-    w, h, length = dims
-    local = _CORNER_SIGNS * (0.5 * np.array([w, h, length]))
-    return local @ rotation_about_y(yaw).T
+    """Rotated offsets of the 8 corners from the box center, shape (8, 3);
+    the one-box call of stacked_corner_offsets."""
+    return stacked_corner_offsets([dims], rotations_about_y([yaw]))[0]
 
 
 def box3d_corners(box):
@@ -133,16 +151,48 @@ def project_points(points, p):
     return hom[:, :2] / hom[:, 2:3]
 
 
+def project_boxes(boxes, p):
+    """For each 3D box, the axis-aligned pixel hull of its 8 projected
+    corners, or the ValueError that rejects it: BehindCamera when any
+    corner has camera-frame z <= 0, or Box2D's own for a hull that is not
+    well ordered.  The corners of the boxes ahead of the camera are
+    projected as one (R * 8, 3) matrix product, whose rows round as each
+    box's own (8, 3) product does."""
+    p = np.asarray(p, dtype=float)
+    if not boxes:
+        return []
+    corners = np.array([box.center for box in boxes])[:, None, :] + (
+        stacked_corner_offsets([box.dims for box in boxes],
+                               rotations_about_y([box.yaw for box in boxes])))
+    behind = (corners[:, :, 2] <= 0.0).any(axis=1).tolist()
+    if any(behind):
+        corners = corners[np.logical_not(behind)]
+    uv = project_points(corners.reshape(-1, 3), p).reshape(-1, 8, 2)
+    hulls = iter(zip(uv.min(axis=1).tolist(), uv.max(axis=1).tolist()))
+    out = []
+    for box, back in zip(boxes, behind):
+        if back:
+            out.append(BehindCamera(
+                f"box at {box.center} has corners with z <= 0"))
+            continue
+        (umin, vmin), (umax, vmax) = next(hulls)
+        try:
+            out.append(Box2D(umin, vmin, umax, vmax))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
 def project_box(box, p):
-    """Axis-aligned pixel hull of the 8 projected corners of a 3D box.
+    """Axis-aligned pixel hull of the 8 projected corners of a 3D box;
+    the one-box call of project_boxes.
 
     Raises BehindCamera when any corner has camera-frame z <= 0.
     """
-    corners = box3d_corners(box)
-    if np.any(corners[:, 2] <= 0.0):
-        raise BehindCamera(f"box at {box.center} has corners with z <= 0")
-    uv = project_points(corners, np.asarray(p, dtype=float))
-    return Box2D(uv[:, 0].min(), uv[:, 1].min(), uv[:, 0].max(), uv[:, 1].max())
+    (hull,) = project_boxes([box], p)
+    if isinstance(hull, ValueError):
+        raise hull
+    return hull
 
 
 def iou_2d(a, b):

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _CORNER_SIGNS, Box2D, rotation_about_y
+from .geometry import Box2D, rotations_about_y, stacked_corner_offsets
 # perfbench/layers.py patches these names on this module
 from .geometry import iou_2d, project_box  # noqa: F401
 
@@ -198,18 +198,6 @@ def _config_table(config):
     return np.array([[config.left, config.right, config.top, config.bottom]])
 
 
-def _rotations(yaws):
-    """rotation_about_y of each yaw, as one (N, 3, 3) stack."""
-    return np.array([rotation_about_y(yaw) for yaw in yaws]).reshape(-1, 3, 3)
-
-
-def _corner_offsets(dims, rotations):
-    """geometry.corner_offsets of each (dims, rotation) pair, as one
-    (N, 8, 3) stack, for rotations (N, 3, 3) from _rotations."""
-    local = _CORNER_SIGNS * (0.5 * np.asarray(dims, dtype=float))[:, None, :]
-    return local @ np.swapaxes(rotations, 1, 2)
-
-
 def _solve_configs(a, k, pinv, offsets, configs):
     """Least-squares translations (N, M, 3) of N systems (a, k, pinv) for
     their corner offsets (N, 8, 3) and configuration tables configs, one
@@ -273,7 +261,7 @@ def solve_translation(box2d, dims, yaw, config, p, residual_cap=DEFAULT_RESIDUAL
     """
     check_residual_cap(residual_cap)
     table = _config_table(config)
-    offsets = _corner_offsets([dims], _rotations([yaw]))
+    offsets = stacked_corner_offsets([dims], rotations_about_y([yaw]))
     a, k, coords, pinv, s, singular = _side_systems([box2d], p)
     if singular[0]:
         raise SingularSystem(_system_message(box2d, s[0]))
@@ -353,8 +341,9 @@ def agreement_search_frame(boxes, dims, yaws, p,
     bad = ~(np.all(np.isfinite(dims) & (dims > 0.0), axis=1)
             & np.isfinite(yaws))
     # a bad object is searched as a unit cube, so that nothing warns
-    offsets = _corner_offsets(np.where(bad[:, None], 1.0, dims),
-                              _rotations(np.where(bad, 0.0, yaws)))
+    offsets = stacked_corner_offsets(
+        np.where(bad[:, None], 1.0, dims),
+        rotations_about_y(np.where(bad, 0.0, yaws)))
     every_row, representatives = _SEARCH_TABLES
     configs, config_index = (
         representatives if p[0, 1] == 0.0 and p[2, 1] == 0.0 else every_row)
@@ -491,9 +480,9 @@ def spatial_scatter_frame(estimates, params, p):
     dims = np.array([est.dims for est in estimates], dtype=float)
     every = np.tile(np.arange(n), 2 * m)
     a, k, pinv = (np.stack(part)[every] for part in zip(*systems))
-    offsets = _corner_offsets(
+    offsets = stacked_corner_offsets(
         (scales.reshape(-1, 1, 1) * dims).reshape(-1, 3),
-        _rotations([est.yaw for est in estimates])[every])
+        rotations_about_y([est.yaw for est in estimates])[every])
     ends = _solve_configs(a, k, pinv, offsets, tables[every])[:, 0]
     ends = ends.reshape(m, 2, n, 3)
     p1, p2 = ends[:, 0], ends[:, 1]

@@ -24,8 +24,13 @@ BrnOutput, where points() returns the region's prepared PointCloud
 work.  run_proposals runs the stages of (b) and (c) stage-major, for
 detect_frame and the objectness sweep alike: each stage runs over every
 region of the frame that the stage before kept, drops an empty one with
-EmptyCloud, from one occupancy query, before its head runs, and dropped
-proposals are logged at the frame's end in (object, seed) order.  Every
+EmptyCloud, from one occupancy query, before its head runs, calls the
+head once per region, then hands the whole stage to one step call, which
+returns one outcome per proposal; dropped proposals are logged at the
+frame's end in (object, seed) order.  detect_frame's step decodes a
+box-head stage's outputs as one stack (decode_boxes) and projects the
+last stage's boxes as one stack (geometry.project_boxes), bit for bit as
+one box at a time; objectness and locations stay scalar math.  Every
 region of a run is PipelineConfig.region recentered; each frame has one
 RegionIndex, built from that shape, which picks its own cells and
 rejects a cloud not in the camera frame with WrongFrame.  The index
@@ -53,15 +58,21 @@ from .codec import (
     RpnOutput,
     SizeClusters,
     decode_location,
-    decode_rotation,
-    decode_size,
+    decode_rotations,
+    decode_sizes,
     encode_location,
     encode_rotation,
     encode_size,
     logit,
     objectness,
+    rotation_codes,
+    size_codes,
 )
-from .geometry import Box2D, Box3D, iou_2d, iou_bev, project_box
+from .geometry import Box2D, Box3D, iou_2d, iou_bev, project_boxes
+# the step decodes and projects a stage at once; perfbench/layers.py
+# patches these one-item names on this module
+from .codec import decode_rotation, decode_size  # noqa: F401
+from .geometry import project_box  # noqa: F401
 from .kitti import PointCloud, WrongFrame, stable_id_hash
 from .kitti import box_from_fields, box_to_fields
 from .mono import (
@@ -559,12 +570,57 @@ class PipelineConfig:
             raise ValueError("objectness_threshold must be in [0, 1]")
 
 
+def data_outcome(fn, *args):
+    """fn(*args), or the ValueError it raises, as a step's outcome."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def decode_boxes(outputs, regions, clusters, bins):
+    """For each box-head output, the Box3D it decodes to relative to its
+    region, or the ValueError that rejects it (NonPositiveDims, a box
+    that is not finite), in order.  Each output's location is decoded on
+    its own, in scalar floats, and its codes are checked against bins and
+    clusters (a TypeError, before any stacking); then the rotation and
+    size codes of all outputs are decoded as one stack."""
+    outcomes, centers, codes = [], [], []
+    for out, region in zip(outputs, regions, strict=True):
+        try:
+            center = decode_location(out.t_loc, region)
+            code = (*rotation_codes(out.rot_logits, out.rot_residuals, bins),
+                    *size_codes(out.size_logits, out.size_residuals,
+                                clusters))
+        except ValueError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(None)
+        centers.append(center)
+        codes.append(code)
+    if not codes:
+        return outcomes
+    # the codes were checked above, so each stack is one array, not ragged
+    rot_logits, rot_residuals, size_logits, size_residuals = map(
+        np.array, zip(*codes))
+    yaws = decode_rotations(rot_logits, rot_residuals, bins).tolist()
+    sizes = decode_sizes(size_logits, size_residuals, clusters)
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    for i, center, hwl, yaw in zip(live, centers, sizes, yaws):
+        if not isinstance(hwl, ValueError):
+            h, w, length = hwl.tolist()
+            hwl = data_outcome(Box3D, tuple(center), (w, h, length), yaw)
+        outcomes[i] = hwl
+    return outcomes
+
+
 def decode_box(brn_out, region, clusters, bins):
-    """Box3D from a box-head output relative to its region."""
-    center = decode_location(brn_out.t_loc, region)
-    yaw = decode_rotation(brn_out.rot_logits, brn_out.rot_residuals, bins)
-    h, w, length = decode_size(brn_out.size_logits, brn_out.size_residuals, clusters)
-    return Box3D(tuple(center), (w, h, length), yaw)
+    """Box3D from a box-head output relative to its region; the one-item
+    call of decode_boxes."""
+    (box,) = decode_boxes([brn_out], [region], clusters, bins)
+    if isinstance(box, ValueError):
+        raise box
+    return box
 
 
 def region_points(index, region, config, *seed_parts):
@@ -632,10 +688,12 @@ def seed_proposals(frame, monocular, config=PipelineConfig()):
 def run_proposals(frame, predictors, config, heads, step):
     """The frame's seeded proposals through one stage per name in heads,
     stage-major: stage k runs that head on the region of every proposal
-    the stage before kept, in seed order, then step(k, proposal, output)
-    gives the proposal for stage k + 1 (the result, at the last stage), or
-    None to drop it.  Proposals are (obj_idx, seed_idx, det2d, region)
-    tuples; the last stage's results are returned in seed order.
+    the stage before kept, in seed order, then hands the whole stage to
+    step(k, proposals, outputs), which returns one outcome per proposal:
+    its proposal for stage k + 1 (its result, at the last stage), None to
+    drop it unlogged, or the ValueError that drops it.  Proposals are
+    (obj_idx, seed_idx, det2d, region) tuples; the last stage's results
+    are returned in seed order.
 
     Each stage asks the frame's RegionIndex once which of its regions hold
     a point, and drops an empty one with EmptyCloud before its head runs.
@@ -645,12 +703,13 @@ def run_proposals(frame, predictors, config, heads, step):
     not in the camera frame fails the whole frame with WrongFrame, raised
     when the index is built.
 
-    A proposal that raises a data error (any ValueError: EmptyCloud for an
-    empty region, BehindCamera, OutOfBounds, NonPositiveDims,
-    SingularSystem, a NaN objectness, or an invalid box) is dropped, and
-    logged at the end of the frame in (obj_idx, seed_idx) order; it never
-    aborts the frame.  Any other exception is a programming error and
-    propagates.
+    A proposal whose head raises a data error (any ValueError), or whose
+    outcome is one (EmptyCloud for an empty region, BehindCamera,
+    OutOfBounds, NonPositiveDims, SingularSystem, a NaN objectness, or an
+    invalid box), is dropped, and logged at the end of the frame in
+    (obj_idx, seed_idx) order; it never aborts the frame.  Any exception
+    raised by step, and any other exception from a head, is a programming
+    error and propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
     index = RegionIndex(frame.cloud, config.region)
@@ -659,7 +718,7 @@ def run_proposals(frame, predictors, config, heads, step):
     for stage, name in enumerate(heads):
         head = getattr(predictors, name)
         occupied = index.occupied([p[3].center for p in proposals])
-        kept = []
+        ran, outputs = [], []
         for proposal, full in zip(proposals, occupied.tolist()):
             obj_idx, seed_idx, _, region = proposal
             try:
@@ -668,15 +727,21 @@ def run_proposals(frame, predictors, config, heads, step):
                 points = functools.partial(
                     region_points, index, region, config, config.seed,
                     frame_hash, obj_idx, seed_idx, stage)
-                result = step(stage, proposal, head(points, region, frame))
+                outputs.append(head(points, region, frame))
             except ValueError as exc:
                 # without its traceback, which would hold this frame and
                 # its index in a reference cycle until the next collection
                 drops.append((obj_idx, seed_idx, exc.with_traceback(None)))
                 continue
-            if result is not None:
-                kept.append(result)
-        proposals = kept
+            ran.append(proposal)
+        proposals = []
+        for (obj_idx, seed_idx, _, _), outcome in zip(
+                ran, step(stage, ran, outputs), strict=True):
+            if isinstance(outcome, ValueError):
+                drops.append((obj_idx, seed_idx,
+                              outcome.with_traceback(None)))
+            elif outcome is not None:
+                proposals.append(outcome)
     for obj_idx, seed_idx, exc in sorted(drops, key=lambda d: d[:2]):
         logger.warning(
             "frame %s proposal obj%d.seed%d dropped: %s: %s",
@@ -687,33 +752,52 @@ def run_proposals(frame, predictors, config, heads, step):
 
 def detect_frame(frame, predictors, config=PipelineConfig()):
     """Run the staged pipeline on one frame and return NMS-kept detections;
-    dropped proposals are handled as in run_proposals."""
+    dropped proposals are handled as in run_proposals.  A proposal-head
+    stage gates and re-centers its proposals one by one, in scalar floats;
+    a box-head stage decodes its boxes with decode_boxes, and the last
+    stage projects them with project_boxes, each as one stack."""
     stages = MODE_STAGES[config.mode]
     scores = {}
 
-    def step(stage, proposal, out):
+    def gate(recenter, proposal, out):
         obj_idx, seed_idx, det2d, region = proposal
-        head, recenter = stages[stage]
-        if head == "rpn":
-            score = objectness(out.t_obj)
-            if score < config.objectness_threshold:
-                return None
-            scores[obj_idx, seed_idx] = score
-            center = decode_location(out.t_loc, region)
-        else:
-            box = decode_box(out, region, config.clusters, config.bins)
-            center = box.center
+        score = objectness(out.t_obj)
+        if score < config.objectness_threshold:
+            return None
+        scores[obj_idx, seed_idx] = score
+        center = decode_location(out.t_loc, region)
         if recenter:
             region = region.recentered(center)
+        return obj_idx, seed_idx, det2d, region
+
+    def step(stage, proposals, outputs):
+        head, recenter = stages[stage]
+        if head == "rpn":
+            return [data_outcome(gate, recenter, proposal, out)
+                    for proposal, out in zip(proposals, outputs)]
+        outcomes = decode_boxes(outputs, [p[3] for p in proposals],
+                                config.clusters, config.bins)
+        live = [i for i, box in enumerate(outcomes)
+                if not isinstance(box, ValueError)]
         if stage + 1 < len(stages):
-            return obj_idx, seed_idx, det2d, region
-        confidence = iou_2d(det2d.box2d, project_box(box, frame.calib.p2))
-        return Detection(
-            box3d=box,
-            box2d_source=det2d.box2d,
-            objectness=float(scores[obj_idx, seed_idx]),
-            confidence=float(confidence),
-        )
+            for i in live:
+                obj_idx, seed_idx, det2d, region = proposals[i]
+                if recenter:
+                    region = region.recentered(outcomes[i].center)
+                outcomes[i] = obj_idx, seed_idx, det2d, region
+            return outcomes
+        hulls = project_boxes([outcomes[i] for i in live], frame.calib.p2)
+        for i, hull in zip(live, hulls):
+            obj_idx, seed_idx, det2d, _ = proposals[i]
+            if not isinstance(hull, ValueError):
+                hull = Detection(
+                    box3d=outcomes[i],
+                    box2d_source=det2d.box2d,
+                    objectness=float(scores[obj_idx, seed_idx]),
+                    confidence=float(iou_2d(det2d.box2d, hull)),
+                )
+            outcomes[i] = hull
+        return outcomes
 
     detections = run_proposals(frame, predictors, config,
                                [head for head, _ in stages], step)

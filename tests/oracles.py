@@ -2,15 +2,16 @@
 
 Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
-code paths.  The pose-search, point-head, frame-transform, overlap and sweep
-references at the end are the exception: they are the earlier, slower
-forms of the library's search, scatter, oracle heads, row-major cloud
-transforms, of its IoUs, NMS and matching, and of its recall sweeps, one
-object, region, pair or sweep row at a time where the library stacks or
-memoizes them, built on the library's noise draws, corner offsets and
-pipeline stages, with their own copy of the constraint rows and of the
-numpy arithmetic the library has since replaced, so that the two can be
-compared bit for bit.
+code paths.  The pose-search, point-head, frame-transform, overlap, sweep
+and box-step references at the end are the exception: they are the
+earlier, slower forms of the library's search, scatter, oracle heads,
+row-major cloud transforms, of its IoUs, NMS and matching, of its recall
+sweeps and of its box decode and projection, one object, region, pair,
+sweep row or box at a time where the library stacks or memoizes them,
+built on the library's noise draws, corner offsets and pipeline stages,
+with their own copy of the constraint rows and of the numpy arithmetic
+the library has since replaced, so that the two can be compared bit for
+bit.
 """
 
 import itertools
@@ -21,7 +22,9 @@ import numpy as np
 
 from cyldet.codec import (
     BrnOutput,
+    NonPositiveDims,
     RpnOutput,
+    decode_location,
     encode_location,
     encode_rotation,
     encode_size,
@@ -29,6 +32,7 @@ from cyldet.codec import (
     objectness,
 )
 from cyldet.evalbench import _ACTIVE, MatchResult, check_sweep_values
+from cyldet.geometry import _CORNER_SIGNS, BehindCamera, Box2D, Box3D
 from cyldet.geometry import corner_offsets
 from cyldet.kitti import PointCloud
 from cyldet.mono import (
@@ -701,17 +705,84 @@ def sweep_scatter_reference(frames, monocular, s_values,
     return [captures.row(s) for s, _, captures in rows]
 
 
+def _score_one_by_one(stage, proposals, outputs):
+    scored = []
+    for proposal, out in zip(proposals, outputs):
+        try:
+            scored.append((objectness(out.t_obj), proposal[3].center))
+        except ValueError as exc:
+            scored.append(exc)
+    return scored
+
+
 def sweep_objectness_reference(frames, predictors, thresholds,
                                config=PipelineConfig()):
     rows = [(threshold, Captures(config.region.radius))
             for threshold in check_sweep_values("objectness", thresholds)]
     for frame in frames:
-        scored = run_proposals(
-            frame, predictors, config, ("rpn",),
-            lambda stage, proposal, out: (objectness(out.t_obj),
-                                          proposal[3].center))
+        scored = run_proposals(frame, predictors, config, ("rpn",),
+                               _score_one_by_one)
         for threshold, captures in rows:
             captures.add(
                 [center for score, center in scored if score >= threshold],
                 frame.labels)
     return [captures.row(threshold) for threshold, captures in rows]
+
+
+# The box-head step as it was before a stage's boxes were decoded and
+# projected as one stack: one output, or one box, at a time.
+def decode_box_reference(brn_out, region, clusters, bins):
+    center = decode_location(brn_out.t_loc, region)
+    logits = np.asarray(brn_out.rot_logits, dtype=float)
+    residuals = np.asarray(brn_out.rot_residuals, dtype=float)
+    if logits.shape != (bins.n_bins,) or residuals.shape != (bins.n_bins,):
+        raise TypeError("encoding arity does not match the bin count")
+    idx = int(np.argmax(logits))
+    yaw = ((idx + 0.5) * bins.width + residuals[idx]) % math.pi
+    logits = np.asarray(brn_out.size_logits, dtype=float)
+    residuals = np.asarray(brn_out.size_residuals, dtype=float).reshape(-1, 3)
+    if (logits.shape != (clusters.n_clusters,)
+            or len(residuals) != clusters.n_clusters):
+        raise TypeError("encoding arity does not match the cluster count")
+    idx = int(np.argmax(logits))
+    dims = clusters.centroids[idx] + residuals[idx]
+    if np.any(dims <= 0.0):
+        raise NonPositiveDims(
+            f"decoded dims {tuple(dims)} not strictly positive")
+    h, w, length = dims
+    return Box3D(tuple(center), (w, h, length), yaw)
+
+
+def project_box_reference(box, p):
+    w, h, length = box.dims
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rotation = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    local = _CORNER_SIGNS * (0.5 * np.array([w, h, length]))
+    corners = np.asarray(box.center) + local @ rotation.T
+    if np.any(corners[:, 2] <= 0.0):
+        raise BehindCamera(f"box at {box.center} has corners with z <= 0")
+    p = np.asarray(p, dtype=float)
+    hom = corners @ p[:, :3].T + p[:, 3]
+    uv = hom[:, :2] / hom[:, 2:3]
+    return Box2D(uv[:, 0].min(), uv[:, 1].min(), uv[:, 0].max(),
+                 uv[:, 1].max())
+
+
+def outcome_of(fn, *args):
+    """fn(*args), or the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def outcome_bits(outcome):
+    """What the box-step tests compare: an error's type and message, or
+    the bytes of a Box2D's or a Box3D's floats."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    if isinstance(outcome, Box2D):
+        values = (outcome.xmin, outcome.ymin, outcome.xmax, outcome.ymax)
+    else:
+        values = (*outcome.center, *outcome.dims, outcome.yaw)
+    return np.array(values).tobytes()

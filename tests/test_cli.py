@@ -415,6 +415,20 @@ class TestDetect:
         assert f"error: {clusters}: {message}\n" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_size_clusters_file_not_utf8_is_data_error(self, dataset,
+                                                       tmp_path, capsys):
+        # it used to exit 2 with the bare UnicodeDecodeError text
+        root, split, _ = dataset
+        clusters = tmp_path / "clusters.txt"
+        clusters.write_bytes(b"1.4 1.5 3.4\n\xff")
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir),
+                   "--size-clusters-file", str(clusters)])
+        assert rc == 2
+        assert f"error: {clusters}: not UTF-8 text: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_failed_frame_removes_its_old_document(self, dataset, tmp_path,
                                                    monkeypatch, capsys):
         root, split, frames = dataset

@@ -223,6 +223,27 @@ class TestSizeClusters:
         with pytest.raises(ValueError, match="at least one cluster"):
             SizeClusters(np.zeros((0, 3)))
 
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path):
+        # it used to fail with the bare UnicodeDecodeError text
+        path = tmp_path / "sizes.txt"
+        path.write_bytes(b"1.4 1.5 3.4\n\xff")
+        with pytest.raises(ValueError) as info:
+            load_size_clusters(path)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("centroids", [
+        [[1.4, 1.5, 3.4, 1.5, 1.6, 3.9]], [1.4, 1.5, 3.4],
+        [[1.4, 1.5], [3.4, 1.5], [1.6, 3.9]], [[[1.4, 1.5, 3.4]]],
+    ], ids=["1x6", "flat 3", "3x2", "1x1x3"])
+    def test_centroids_not_k_by_3_are_rejected(self, centroids):
+        # a (1, 6) array used to be re-cut into 2 clusters
+        shape = np.shape(centroids)
+        with pytest.raises(ValueError) as info:
+            SizeClusters(np.array(centroids))
+        assert str(info.value) == (
+            f"centroids must be a (K, 3) array, got shape {shape}")
+
 
 class TestSizeCodec:
     clusters = SizeClusters(np.array([[1.4, 1.5, 3.4], [1.8, 1.9, 4.6]]))

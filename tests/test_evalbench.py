@@ -521,7 +521,7 @@ class TestSweepMatchesReference:
         # thresholds equal to some of the scores, which the rows count as
         # kept, and repeated
         scores = [score for frame in frames for score, _ in run_proposals(
-            frame, preds, config, ("rpn",), evalbench._score_seed_region)]
+            frame, preds, config, ("rpn",), evalbench._score_seed_regions)]
         if scores:
             thresholds = thresholds + [scores[i % len(scores)]
                                        for i in at_scores]

@@ -17,8 +17,10 @@ from cyldet import (
     nms_bev,
     normalize_yaw,
     project_box,
+    project_boxes,
 )
 from cyldet import geometry
+from cyldet.synthetic import make_calibration
 from conftest import random_car_box
 from oracles import (
     iou_3d_reference,
@@ -26,7 +28,10 @@ from oracles import (
     mc_iou_3d,
     mc_iou_bev,
     nms_bev_reference,
+    outcome_bits,
+    outcome_of,
     polygon_area_reference,
+    project_box_reference,
     project_corners_reference,
 )
 
@@ -124,6 +129,62 @@ class TestProjectBox:
             assert moved.xmin > previous.xmin
             assert moved.xmax > previous.xmax
             previous = moved
+
+
+# yaws at and beside +-pi, where Box3D's wrap flips the sign
+_NEAR_PI = [v for pi in (math.pi, -math.pi)
+            for v in (pi, math.nextafter(pi, 0.0), math.nextafter(pi, 2 * pi))]
+
+
+@st.composite
+def _boxes(draw):
+    center = draw(st.tuples(st.floats(-30.0, 30.0), st.floats(-3.0, 3.0),
+                            st.floats(-8.0, 70.0)))
+    dims = draw(st.tuples(*[st.floats(0.05, 12.0)] * 3))
+    yaw = draw(st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_NEAR_PI)))
+    return Box3D(center, dims, yaw)
+
+
+@st.composite
+def _projections(draw):
+    """KITTI's P2, or a skewed 3x4 matrix whose last row reads x and y."""
+    if draw(st.booleans()):
+        return make_calibration().p2
+    entry = st.floats(-1000.0, 1000.0)
+    small = st.floats(-0.5, 0.5)
+    return np.array([
+        [draw(st.floats(100.0, 1000.0)), draw(entry), draw(entry), draw(entry)],
+        [draw(small), draw(st.floats(100.0, 1000.0)), draw(entry), draw(entry)],
+        [draw(small) * 0.01, draw(small) * 0.01, 1.0, draw(small)],
+    ])
+
+
+class TestProjectBoxesMatchesReference:
+    """project_boxes against the one-box projection it replaced, box by
+    box, bit for bit: the hulls' float bytes, and the type and message of
+    each rejection.  The stacked (R * 8, 3) product is a BLAS call, so CI
+    runs this with one BLAS thread too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=st.lists(_boxes(), max_size=10), p=_projections())
+    @example(boxes=[], p=make_calibration().p2)
+    # corners on the camera plane, z == 0, are behind it too
+    @example(boxes=[Box3D((0.0, 0.0, 2.0), (1.0, 1.0, 4.0), 0.0)],
+             p=make_calibration().p2)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_each_box_as_the_reference_projects_it(self, boxes, p):
+        want = [outcome_bits(outcome_of(project_box_reference, box, p))
+                for box in boxes]
+        assert [outcome_bits(hull) for hull in project_boxes(boxes, p)] == want
+        assert [outcome_bits(outcome_of(project_box, box, p))
+                for box in boxes] == want
+
+    def test_behind_camera_boxes_keep_their_places(self, calib):
+        ahead = Box3D((1.0, 1.0, 20.0), (1.6, 1.5, 3.9), 0.3)
+        behind = Box3D((1.0, 1.0, 1.0), (1.6, 1.5, 3.9), 0.3)
+        hulls = project_boxes([behind, ahead, behind, ahead], calib.p2)
+        assert [type(h) for h in hulls] == [BehindCamera, Box2D] * 2
+        assert hulls[1] == hulls[3] == project_box(ahead, calib.p2)
 
 
 class TestIou2d:

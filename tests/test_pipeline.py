@@ -29,6 +29,7 @@ from cyldet import (
     ScatterParams,
     WrongFrame,
     decode_box,
+    decode_boxes,
     decode_location,
     detect_frame,
     gather_cylinder,
@@ -63,10 +64,13 @@ from oracles import (
     agreement_search_reference,
     block_certificate_reference,
     cylinder_members_reference,
+    decode_box_reference,
     greedy_nms_reference,
     optimal_match_count,
     oracle_brn_reference,
     oracle_rpn_reference,
+    outcome_bits,
+    outcome_of,
     spatial_scatter_reference,
 )
 
@@ -1283,6 +1287,82 @@ class TestDetectFrame:
             assert len(dets) == 2
 
 
+_WILD = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _brn_outputs(draw, n_bins, n_clusters):
+    """A box-head output whose location and codes may be NaN or infinite,
+    and whose size residuals may decode to dims at or below 0."""
+    def floats(lo, hi, n):
+        return draw(st.lists(st.one_of(st.floats(lo, hi), _WILD),
+                             min_size=n, max_size=n))
+
+    return BrnOutput(
+        t_loc=floats(-30.0, 30.0, 3),
+        rot_logits=floats(-20.0, 20.0, n_bins),
+        rot_residuals=floats(-4.0, 4.0, n_bins),
+        size_logits=floats(-20.0, 20.0, n_clusters),
+        size_residuals=np.reshape(floats(-6.0, 3.0, 3 * n_clusters), (-1, 3)),
+    )
+
+
+@st.composite
+def _decode_cases(draw):
+    """(outputs, regions, clusters, bins), with 0 to 8 outputs."""
+    bins = RotationBins(draw(st.integers(1, 13)))
+    clusters = cyldet.SizeClusters(np.array(draw(st.lists(
+        st.tuples(*[st.floats(0.5, 5.0)] * 3), min_size=1, max_size=4,
+        unique=True))))
+    n = draw(st.integers(0, 8))
+    outputs = [draw(_brn_outputs(bins.n_bins, clusters.n_clusters))
+               for _ in range(n)]
+    regions = [ProposalRegion(draw(st.tuples(*[st.floats(-50.0, 50.0)] * 3)),
+                              bounds=draw(st.tuples(*[st.floats(0.1, 5.0)] * 3)))
+               for _ in range(n)]
+    return outputs, regions, clusters, bins
+
+
+class TestDecodeBoxesMatchesReference:
+    """decode_boxes against the one-output decode it replaced, output by
+    output, bit for bit: the boxes' float bytes, and the type and message
+    of each rejection."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_decode_cases())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_each_output_as_the_reference_decodes_it(self, case):
+        outputs, regions, clusters, bins = case
+        want = [outcome_bits(outcome_of(decode_box_reference, out, region,
+                                        clusters, bins))
+                for out, region in zip(outputs, regions)]
+        got = decode_boxes(outputs, regions, clusters, bins)
+        assert [outcome_bits(box) for box in got] == want
+        assert [outcome_bits(outcome_of(decode_box, out, region, clusters,
+                                        bins))
+                for out, region in zip(outputs, regions)] == want
+
+    def test_an_arity_mismatch_raises_before_stacking(self):
+        # stacked, the 8-bin output beside 12-bin ones would make a ragged
+        # array, whose ValueError would pass for a data error and drop it
+        config = PipelineConfig()
+        region = ProposalRegion((0.0, 1.0, 20.0))
+        codes = {"rot_logits": np.zeros(12), "rot_residuals": np.zeros(12),
+                 "size_logits": np.zeros(3),
+                 "size_residuals": np.zeros((3, 3))}
+        good = BrnOutput(t_loc=(0.0, 0.0, 0.0), **codes)
+        nan = BrnOutput(t_loc=(math.nan, 0.0, 0.0), **codes)
+        for name, size in (("rot_logits", 8), ("size_logits", 2)):
+            odd = dataclasses.replace(good, **{
+                name: np.zeros(size),
+                name.replace("logits", "residuals"):
+                    np.zeros((size, 3) if name == "size_logits" else size)})
+            for outputs in ([good, odd, good], [nan, odd], [odd]):
+                with pytest.raises(TypeError, match="arity"):
+                    decode_boxes(outputs, [region] * len(outputs),
+                                 config.clusters, config.bins)
+
+
 class TestModeStages:
     """Each mode's head sequence on one proposal, logged as (head, region
     center) by point heads that move every region by a fixed encoded
@@ -1554,6 +1634,74 @@ class TestStageMajor:
             assert lines.pop(key).endswith(
                 "dropped: ValueError: center must be finite")
         assert lines == {k: v for k, v in plain.items() if k not in spoiled}
+
+
+class TestStackedStepMatchesReference:
+    """Heads that return a NaN objectness, NaN or infinite locations,
+    non-positive dims, or boxes reaching behind the camera at chosen
+    regions, in all three modes: the drop lines and the documents hash to
+    the digests recorded from the per-proposal step, which decoded and
+    projected one box at a time.  Every kind of drop occurs."""
+
+    frames = make_frames(2, seed=5) + [TestPointPreparation.frame]
+    oracles = TestPointPreparation.oracles
+    DIGESTS = {
+        "single_stage": (
+            "00efce88c8fd618ccdfe951dffbc19f098af96bac1ea98422592ed8b59714b1a",
+            "f0a569bccd30757298c82a2b642f054654a7d0161e3e03a60ab2bce800113bc4"),
+        "single_stage_twice": (
+            "eaee83a7aebaea66b5a0c889689484070e8086710646732549033541851997a4",
+            "66907233fae6edebe8a0fcd2d3008a3f8015e94a438d541398bcf621984ce735"),
+        "rpn_brn_brn": (
+            "4b68422b66a7ec70dcf20783f00c59a020d0518be4f82a9e22beb764abc1104c",
+            "936f57fec2019271b6f9d1f9b454a733b42e7dfb1d0a5704aa0a4bbf2f9cadcb"),
+    }
+    KINDS = ("EmptyCloud", "BehindCamera", "NonPositiveDims",
+             "ValueError: box fields must be finite",
+             "ValueError: objectness output is NaN")
+
+    @staticmethod
+    def chosen(region):
+        return round(region.center[2] * 1e3) % 7
+
+    def spoiled(self):
+        def rpn(points, region, frame):
+            out = self.oracles.rpn(points, region, frame)
+            if self.chosen(region) == 0:
+                return RpnOutput(out.t_loc, math.nan)
+            return out
+
+        def brn(points, region, frame):
+            out = self.oracles.brn(points, region, frame)
+            residuals = out.size_residuals
+            change = {
+                1: {"size_residuals": residuals - 10.0},
+                # a box 200 m long reaches behind the camera
+                2: {"size_residuals": residuals + [0.0, 0.0, 200.0]},
+                3: {"t_loc": (math.nan, 0.0, math.inf)},
+            }.get(self.chosen(region))
+            return dataclasses.replace(out, **change) if change else out
+
+        return Predictors(self.oracles.monocular, rpn, brn)
+
+    @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_drop_lines_and_documents_are_unchanged(self, mode, caplog):
+        config = PipelineConfig(mode=mode, objectness_threshold=0.05)
+        predictors = self.spoiled()
+        documents = []
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cyldet"):
+            for frame in self.frames:
+                documents += [format_detection(frame.frame_id, det) for det
+                              in detect_frame(frame, predictors, config)]
+        lines = [r.getMessage() for r in caplog.records
+                 if " dropped: " in r.getMessage()]
+        assert all(any(f"dropped: {kind}" in line for line in lines)
+                   for kind in self.KINDS)
+        assert (hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+                hashlib.sha256("\n".join(documents).encode()).hexdigest()
+                ) == self.DIGESTS[mode]
 
 
 class TestNanObjectness:
