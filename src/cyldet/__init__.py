@@ -102,7 +102,6 @@ from .pipeline import (
     OracleConfig,
     PipelineConfig,
     Predictors,
-    decode_box,
     decode_boxes,
     detect_frame,
     gather_cylinder,

@@ -382,7 +382,8 @@ def load_size_clusters(path):
 
 @dataclass(frozen=True)
 class RpnOutput:
-    """Region-proposal head output: location offsets plus raw objectness."""
+    """Region-proposal head output: location offsets plus raw objectness.
+    A t_loc that is not a 3-vector is a wiring bug and raises TypeError."""
 
     t_loc: tuple
     t_obj: float
@@ -390,13 +391,16 @@ class RpnOutput:
     def __post_init__(self):
         t = tuple(float(v) for v in self.t_loc)
         if len(t) != 3:
-            raise ValueError("t_loc must be a 3-vector")
+            raise TypeError("t_loc must be a 3-vector")
         object.__setattr__(self, "t_loc", t)
 
 
 @dataclass(frozen=True)
 class BrnOutput:
-    """Box-regression head output: location, rotation cls+reg, size cls+reg."""
+    """Box-regression head output: location, rotation cls+reg, size cls+reg.
+    A t_loc that is not a 3-vector, or logits and residuals that disagree
+    in length, is a wiring bug and raises TypeError, as rotation_codes
+    does."""
 
     t_loc: tuple
     rot_logits: np.ndarray
@@ -407,15 +411,15 @@ class BrnOutput:
     def __post_init__(self):
         t = tuple(float(v) for v in self.t_loc)
         if len(t) != 3:
-            raise ValueError("t_loc must be a 3-vector")
+            raise TypeError("t_loc must be a 3-vector")
         rl = np.asarray(self.rot_logits, dtype=float).ravel()
         rr = np.asarray(self.rot_residuals, dtype=float).ravel()
         sl = np.asarray(self.size_logits, dtype=float).ravel()
         sr = np.asarray(self.size_residuals, dtype=float).reshape(-1, 3)
         if rl.shape != rr.shape:
-            raise ValueError("rotation logits and residuals disagree in length")
+            raise TypeError("rotation logits and residuals disagree in length")
         if sl.shape[0] != sr.shape[0]:
-            raise ValueError("size logits and residuals disagree in length")
+            raise TypeError("size logits and residuals disagree in length")
         object.__setattr__(self, "t_loc", t)
         for name, arr in (
             ("rot_logits", rl),

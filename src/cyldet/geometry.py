@@ -100,12 +100,6 @@ def rotations_about_y(yaws):
     return np.array(flat).reshape(-1, 3, 3)
 
 
-def rotation_about_y(yaw):
-    """3x3 rotation matrix about the camera y axis; the one-yaw call of
-    rotations_about_y."""
-    return rotations_about_y([yaw])[0]
-
-
 # Half-extent signs for the 8 corners: bottom face (y = +H/2, camera y points
 # down) first, counter-clockwise in the x-z plane; top face in the same x-z
 # order.  Vertical edges pair corner i with corner i + 4.
@@ -133,15 +127,10 @@ def stacked_corner_offsets(dims, rotations):
     return local @ rotations.transpose(0, 2, 1)
 
 
-def corner_offsets(dims, yaw):
-    """Rotated offsets of the 8 corners from the box center, shape (8, 3);
-    the one-box call of stacked_corner_offsets."""
-    return stacked_corner_offsets([dims], rotations_about_y([yaw]))[0]
-
-
 def box3d_corners(box):
     """8 corner points of a Box3D in the camera frame, shape (8, 3)."""
-    return np.asarray(box.center) + corner_offsets(box.dims, box.yaw)
+    return np.asarray(box.center) + stacked_corner_offsets(
+        [box.dims], rotations_about_y([box.yaw]))[0]
 
 
 def project_points(points, p):

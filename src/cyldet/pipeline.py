@@ -27,16 +27,16 @@ region of the frame that the stage before kept, drops an empty one with
 EmptyCloud, from one occupancy query, before its head runs, calls the
 head once per region, then hands the whole stage to one step call, which
 returns one outcome per proposal; dropped proposals are logged at the
-frame's end in (object, seed) order.  detect_frame's step decodes a
-box-head stage's outputs as one stack (decode_boxes) and projects the
-last stage's boxes as one stack (geometry.project_boxes), bit for bit as
-one box at a time; objectness and locations stay scalar math.  Every
-region of a run is PipelineConfig.region recentered; each frame has one
-RegionIndex, built from that shape, which picks its own cells and
-rejects a cloud not in the camera frame with WrongFrame.  The index
-counts the points per cell when built, and sorts them only for the first
-members query: a head that reads points, or a center its counts cannot
-settle.
+frame's end in (object, seed) order.  detect_frame's step decodes the
+rotations and sizes of a box-head stage as one stack (decode_boxes) and
+projects the last stage's boxes as one stack (geometry.project_boxes),
+each box bit for bit as it would come alone; objectness and locations
+stay scalar math.  Every region of a run is PipelineConfig.region
+recentered; each frame has one RegionIndex, built from that shape, which
+picks its own cells and rejects a cloud not in the camera frame with
+WrongFrame.  The index counts the points per cell when built, and sorts
+them only for the first members query: a head that reads points, or a
+center its counts cannot settle.
 Oracles backed by ground truth (with optional seeded noise) stand in for
 trained networks: oracle_predictors bundles the three methods of one
 object, whose point heads read no points and share a table of the last
@@ -342,10 +342,8 @@ class Mono2DDetection:
     yaw: float
 
     def __post_init__(self):
-        dims = tuple(float(v) for v in self.dims)
-        if min(dims) <= 0.0:
-            raise ValueError("dims must be strictly positive")
-        object.__setattr__(self, "dims", dims)
+        # the pose search checks the dims, failing this object alone
+        object.__setattr__(self, "dims", tuple(float(v) for v in self.dims))
 
 
 @dataclass(frozen=True)
@@ -581,46 +579,29 @@ def data_outcome(fn, *args):
 def decode_boxes(outputs, regions, clusters, bins):
     """For each box-head output, the Box3D it decodes to relative to its
     region, or the ValueError that rejects it (NonPositiveDims, a box
-    that is not finite), in order.  Each output's location is decoded on
-    its own, in scalar floats, and its codes are checked against bins and
-    clusters (a TypeError, before any stacking); then the rotation and
-    size codes of all outputs are decoded as one stack."""
-    outcomes, centers, codes = [], [], []
-    for out, region in zip(outputs, regions, strict=True):
-        try:
-            center = decode_location(out.t_loc, region)
-            code = (*rotation_codes(out.rot_logits, out.rot_residuals, bins),
-                    *size_codes(out.size_logits, out.size_residuals,
-                                clusters))
-        except ValueError as exc:
-            outcomes.append(exc)
-            continue
-        outcomes.append(None)
-        centers.append(center)
-        codes.append(code)
+    that is not finite), in order.  Every output's codes are checked
+    against bins and clusters first (a TypeError, before any stacking);
+    then the rotation and size codes of all outputs are decoded as one
+    stack, and each location in scalar floats as its box is built."""
+    codes = [(*rotation_codes(out.rot_logits, out.rot_residuals, bins),
+              *size_codes(out.size_logits, out.size_residuals, clusters))
+             for out in outputs]
     if not codes:
-        return outcomes
+        return []
     # the codes were checked above, so each stack is one array, not ragged
     rot_logits, rot_residuals, size_logits, size_residuals = map(
         np.array, zip(*codes))
     yaws = decode_rotations(rot_logits, rot_residuals, bins).tolist()
     sizes = decode_sizes(size_logits, size_residuals, clusters)
-    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    for i, center, hwl, yaw in zip(live, centers, sizes, yaws):
+    outcomes = []
+    for out, region, hwl, yaw in zip(outputs, regions, sizes, yaws,
+                                     strict=True):
         if not isinstance(hwl, ValueError):
             h, w, length = hwl.tolist()
-            hwl = data_outcome(Box3D, tuple(center), (w, h, length), yaw)
-        outcomes[i] = hwl
+            center = tuple(decode_location(out.t_loc, region))
+            hwl = data_outcome(Box3D, center, (w, h, length), yaw)
+        outcomes.append(hwl)
     return outcomes
-
-
-def decode_box(brn_out, region, clusters, bins):
-    """Box3D from a box-head output relative to its region; the one-item
-    call of decode_boxes."""
-    (box,) = decode_boxes([brn_out], [region], clusters, bins)
-    if isinstance(box, ValueError):
-        raise box
-    return box
 
 
 def region_points(index, region, config, *seed_parts):

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .geometry import BehindCamera, Box3D, project_box, rotation_about_y
+from .geometry import BehindCamera, Box3D, project_box, rotations_about_y
 from .kitti import (
     DEFAULT_IMAGE_SIZE,
     CalibrationSet,
@@ -128,7 +128,7 @@ def box_surface_points(box, n, rng):
         local[m, other[0]] = u[m]
         local[m, other[1]] = v[m]
     local *= np.array([w, h, length])
-    return local @ rotation_about_y(box.yaw).T + np.asarray(box.center)
+    return local @ rotations_about_y([box.yaw])[0].T + np.asarray(box.center)
 
 
 def make_frame(frame_id, seed, n_cars=3, ground_points=2000,

@@ -2,18 +2,19 @@
 
 Everything here works from the box definitions alone (center, dims, yaw
 about the vertical axis) and deliberately avoids the library's geometry
-code paths.  The pose-search, point-head, frame-transform, overlap, sweep
-and box-step references at the end are the exception: they are the
-earlier, slower forms of the library's search, scatter, oracle heads,
-row-major cloud transforms, of its IoUs, NMS and matching, of its recall
-sweeps and of its box decode and projection, one object, region, pair,
-sweep row or box at a time where the library stacks or memoizes them,
-built on the library's noise draws, corner offsets and pipeline stages,
-with their own copy of the constraint rows and of the numpy arithmetic
-the library has since replaced, so that the two can be compared bit for
-bit.
+code paths.  The pose-search, point-head, frame-transform, overlap, sweep,
+box-step and whole-pipeline references at the end are the exception: they
+are the earlier, slower forms of the library's search, scatter, oracle
+heads, row-major cloud transforms, of its IoUs, NMS and matching, of its
+recall sweeps, of its box decode and projection and of detect_frame, one
+object, region, pair, sweep row, box or proposal at a time where the
+library stacks or memoizes them, built on the library's noise draws and
+pipeline stages, with their own corner table and copy of the constraint
+rows, of the point preparation and of the numpy arithmetic the library
+has since replaced, so that the two can be compared bit for bit.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -23,6 +24,7 @@ import numpy as np
 from cyldet.codec import (
     BrnOutput,
     NonPositiveDims,
+    ProposalRegion,
     RpnOutput,
     decode_location,
     encode_location,
@@ -32,9 +34,8 @@ from cyldet.codec import (
     objectness,
 )
 from cyldet.evalbench import _ACTIVE, MatchResult, check_sweep_values
-from cyldet.geometry import _CORNER_SIGNS, BehindCamera, Box2D, Box3D
-from cyldet.geometry import corner_offsets
-from cyldet.kitti import PointCloud
+from cyldet.geometry import BehindCamera, Box2D, Box3D, iou_2d
+from cyldet.kitti import PointCloud, stable_id_hash
 from cyldet.mono import (
     DEFAULT_RESIDUAL_CAP,
     CornerConfiguration,
@@ -46,6 +47,8 @@ from cyldet.mono import (
     _config_table,
 )
 from cyldet.pipeline import (
+    Detection,
+    EmptyCloud,
     PipelineConfig,
     _graded_objectness,
     _label_rng,
@@ -191,6 +194,25 @@ def project_corners_reference(box, p):
     return min(us), min(vs), max(us), max(vs)
 
 
+# Half-extent signs of the 8 corners, in the library's corner order: the
+# bottom face (y = +H/2) counter-clockwise in the x-z plane, then the top
+# face in the same order.
+_CORNER_SIGNS_REFERENCE = np.array([
+    [+1, +1, +1], [-1, +1, +1], [-1, +1, -1], [+1, +1, -1],
+    [+1, -1, +1], [-1, -1, +1], [-1, -1, -1], [+1, -1, -1],
+], dtype=float)
+
+
+def corner_offsets_reference(dims, yaw):
+    """Offsets of the 8 corners from the box center, (8, 3): the local
+    half-extents times the transposed rotation about the y axis."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    rotation = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    w, h, length = dims
+    local = _CORNER_SIGNS_REFERENCE * (0.5 * np.array([w, h, length]))
+    return local @ rotation.T
+
+
 def cylinder_members_reference(points, region):
     """Indices of the (N, 4) points inside a standing-cylinder region, by a
     scan of every point: dx*dx + dz*dz <= r**2 on the ground plane and the
@@ -330,7 +352,7 @@ def agreement_search_reference(box2d, dims, yaw, p,
     (one corner pinned to two opposite sides) are masked after the solve.
     The agreement is the IoU that the winner was ranked by."""
     p = np.asarray(p, dtype=float)
-    offsets = corner_offsets(dims, yaw)
+    offsets = corner_offsets_reference(dims, yaw)
     configs = _ALL_CONFIGURATIONS
     sel_offsets = np.take(offsets, configs, axis=0)   # (M, 4, 3)
     try:
@@ -389,7 +411,7 @@ def agreement_search_reference(box2d, dims, yaw, p,
 def solve_translation_reference(box2d, dims, yaw, config, p,
                                 residual_cap=DEFAULT_RESIDUAL_CAP):
     """One configuration's (center, rms) or None, from its own gather."""
-    sel_offsets = corner_offsets(dims, yaw)[_config_table(config)]
+    sel_offsets = corner_offsets_reference(dims, yaw)[_config_table(config)]
     system = side_system_reference(box2d, p)
     centers = _solve_rows_reference(system, sel_offsets)
     rms, feasible = _feasibility_reference(system, sel_offsets, p,
@@ -407,7 +429,7 @@ def spatial_scatter_reference(est, params, p):
     system = side_system_reference(est.box2d, p)
     p1, p2 = (
         _solve_rows_reference(
-            system, corner_offsets(dims * scale, est.yaw)[table])[0]
+            system, corner_offsets_reference(dims * scale, est.yaw)[table])[0]
         for scale in (1.0 - params.s, 1.0 + params.s)
     )
     span = float(np.linalg.norm(p2 - p1))
@@ -519,7 +541,8 @@ _CLIP_EPS = 1e-12
 
 
 def footprint_polygon_reference(box):
-    corners = np.asarray(box.center) + corner_offsets(box.dims, box.yaw)
+    corners = np.asarray(box.center) + corner_offsets_reference(box.dims,
+                                                             box.yaw)
     return corners[:4][:, [0, 2]]
 
 
@@ -754,11 +777,8 @@ def decode_box_reference(brn_out, region, clusters, bins):
 
 
 def project_box_reference(box, p):
-    w, h, length = box.dims
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rotation = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    local = _CORNER_SIGNS * (0.5 * np.array([w, h, length]))
-    corners = np.asarray(box.center) + local @ rotation.T
+    corners = np.asarray(box.center) + corner_offsets_reference(box.dims,
+                                                                box.yaw)
     if np.any(corners[:, 2] <= 0.0):
         raise BehindCamera(f"box at {box.center} has corners with z <= 0")
     p = np.asarray(p, dtype=float)
@@ -786,3 +806,127 @@ def outcome_bits(outcome):
     else:
         values = (*outcome.center, *outcome.dims, outcome.yaw)
     return np.array(values).tobytes()
+
+
+# The whole pipeline as it ran before it went stage-major: one proposal at
+# a time through every stage of its mode, each region found by a scan of
+# every point and its points prepared by the voxel step and the sampler
+# below, then the heads and the one-box decode and projection above.
+# (head, recenter the next stage's region on this stage's output) per stage
+_MODE_STAGES_REFERENCE = {
+    "single_stage": (("rpn", False), ("brn", False)),
+    "single_stage_twice": (("rpn", False), ("brn", True), ("rpn", False),
+                           ("brn", False)),
+    "rpn_brn_brn": (("rpn", True), ("brn", True), ("brn", False)),
+}
+
+
+def voxel_downsample_reference(points, resolution):
+    """One centroid per occupied voxel of an (N, 4) array, in the order of
+    np.unique(axis=0) over the voxel keys.  A centroid whose rounding
+    carried it out of its voxel is clipped, on that axis, to the range of
+    its own points."""
+    keys = np.floor(points[:, :3] / resolution).astype(np.int64)
+    voxels, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
+                                        return_counts=True)
+    inverse = inverse.reshape(-1)
+    sums = np.zeros((len(voxels), 4))
+    np.add.at(sums, inverse, points)
+    centroids = sums / counts[:, None]
+    lo = np.full((len(voxels), 3), math.inf)
+    hi = np.full((len(voxels), 3), -math.inf)
+    np.minimum.at(lo, inverse, points[:, :3])
+    np.maximum.at(hi, inverse, points[:, :3])
+    xyz = centroids[:, :3]
+    outside = np.floor(xyz / resolution) != voxels
+    centroids[:, :3] = np.where(outside, np.clip(xyz, lo, hi), xyz)
+    return centroids
+
+
+def region_points_reference(cloud, members, region, config, *seed_parts):
+    """The members of cloud relative to the region center, voxelized, then
+    config.sample_count of them drawn with a generator seeded from the
+    seed parts: without replacement from a large enough set, otherwise
+    all of them and the rest drawn with replacement."""
+    rel = cloud.points[members] - np.array([*region.center, 0.0])
+    pts = voxel_downsample_reference(rel, config.voxel_resolution)
+    seed = np.random.SeedSequence([p & 0xFFFFFFFF for p in seed_parts])
+    rng = np.random.default_rng(int(seed.generate_state(1)[0]))
+    n = config.sample_count
+    if len(pts) >= n:
+        idx = rng.choice(len(pts), size=n, replace=False)
+    else:
+        idx = np.concatenate([
+            np.arange(len(pts)),
+            rng.choice(len(pts), size=n - len(pts), replace=True)])
+    return PointCloud(pts[idx], frame="camera")
+
+
+def _proposal_reference(frame, predictors, config, obj_idx, seed_idx, det2d,
+                        region):
+    """One proposal through every stage: its Detection, or None when a
+    proposal head's objectness falls below the threshold.  A data error
+    raises."""
+    frame_hash = stable_id_hash(frame.frame_id)
+    score = box = None
+    for stage, (head, recenter) in enumerate(
+            _MODE_STAGES_REFERENCE[config.mode]):
+        with np.errstate(over="ignore"):   # a far point's square
+            members = cylinder_members_reference(frame.cloud.points, region)
+        if len(members) == 0:
+            raise EmptyCloud("no points inside the proposal region")
+        points = functools.partial(
+            region_points_reference, frame.cloud, members, region, config,
+            config.seed, frame_hash, obj_idx, seed_idx, stage)
+        out = getattr(predictors, head)(points, region, frame)
+        if head == "rpn":
+            score = objectness(out.t_obj)
+            if score < config.objectness_threshold:
+                return None
+            center = decode_location(out.t_loc, region)
+        else:
+            box = decode_box_reference(out, region, config.clusters,
+                                       config.bins)
+            center = box.center
+        if recenter:
+            region = ProposalRegion(center, region.radius, region.y_extent,
+                                    region.bounds)
+    hull = project_box_reference(box, frame.calib.p2)
+    return Detection(box3d=box, box2d_source=det2d.box2d,
+                     objectness=float(score),
+                     confidence=float(iou_2d(det2d.box2d, hull)))
+
+
+def detect_frame_reference(frame, predictors, config):
+    """(detections, log lines) of detect_frame: each object searched on
+    its own, each pose scattered on its own, then each seed's proposal run
+    through every stage before the next seed's, and the detections put
+    through the reference NMS.  The log lines are the pose failures, then
+    the dropped proposals, each in object and seed order."""
+    p = frame.calib.p2
+    lines, poses, detections = [], [], []
+    for obj_idx, det2d in enumerate(predictors.monocular(frame)):
+        try:
+            poses.append((obj_idx, det2d, agreement_search_reference(
+                det2d.box2d, det2d.dims, det2d.yaw, p,
+                residual_cap=config.residual_cap)))
+        except NoFeasibleConfiguration as exc:
+            lines.append(f"frame {frame.frame_id} object {obj_idx}: {exc}")
+    for obj_idx, det2d, est in poses:
+        seeds = spatial_scatter_reference(est, config.scatter, p).seed_points
+        for seed_idx, (x, _, z) in enumerate(seeds.tolist()):
+            region = ProposalRegion((x, est.solved_center[1], z),
+                                    config.region.radius,
+                                    config.region.y_extent,
+                                    config.region.bounds)
+            try:
+                det = _proposal_reference(frame, predictors, config, obj_idx,
+                                          seed_idx, det2d, region)
+            except ValueError as exc:
+                drop = f"{type(exc).__name__}: {exc}"
+                lines.append(f"frame {frame.frame_id} proposal "
+                             f"obj{obj_idx}.seed{seed_idx} dropped: {drop}")
+                continue
+            if det is not None:
+                detections.append(det)
+    return nms_bev_reference(detections, config.nms_threshold), lines

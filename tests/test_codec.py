@@ -13,6 +13,7 @@ from cyldet import (
     OutOfBounds,
     ProposalRegion,
     RotationBins,
+    RpnOutput,
     SizeClusters,
     decode_location,
     decode_rotation,
@@ -306,14 +307,19 @@ class TestObjectness:
 
 class TestHeadOutputArity:
     def test_mismatched_encodings_rejected(self):
-        with pytest.raises(ValueError):
-            BrnOutput(
-                t_loc=(0, 0, 0),
-                rot_logits=np.zeros(4),
-                rot_residuals=np.zeros(5),
-                size_logits=np.zeros(2),
-                size_residuals=np.zeros((2, 3)),
-            )
+        # a wiring bug, not data: it must not pass for a dropped proposal
+        codes = {"rot_logits": np.zeros(4), "rot_residuals": np.zeros(4),
+                 "size_logits": np.zeros(2), "size_residuals": np.zeros((2, 3))}
+        with pytest.raises(TypeError, match="rotation logits and residuals"):
+            BrnOutput(t_loc=(0, 0, 0), **{**codes,
+                                          "rot_residuals": np.zeros(5)})
+        with pytest.raises(TypeError, match="size logits and residuals"):
+            BrnOutput(t_loc=(0, 0, 0), **{**codes,
+                                          "size_residuals": np.zeros((3, 3))})
+        with pytest.raises(TypeError, match="t_loc must be a 3-vector"):
+            BrnOutput(t_loc=(0, 0, 0, 0), **codes)
+        with pytest.raises(TypeError, match="t_loc must be a 3-vector"):
+            RpnOutput(t_loc=(0, 0), t_obj=0.0)
 
 
 class TestProposalRegion:

@@ -23,6 +23,7 @@ from cyldet import geometry
 from cyldet.synthetic import make_calibration
 from conftest import random_car_box
 from oracles import (
+    corner_offsets_reference,
     iou_3d_reference,
     iou_bev_reference,
     mc_iou_3d,
@@ -407,7 +408,7 @@ def _near_touching_pairs(draw):
     distance = reach + draw(_GAPS)
     if draw(st.booleans()):
         corner = draw(st.integers(0, 3))
-        x, _, z = geometry.corner_offsets(a.dims, a.yaw)[corner]
+        x, _, z = corner_offsets_reference(a.dims, a.yaw)[corner]
         direction = math.atan2(z, x)
         # a yaw turns the footprint clockwise in the x-z plane; corner 0 of
         # the second box then points back along the center line

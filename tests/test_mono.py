@@ -21,7 +21,8 @@ from cyldet import (
     solve_translation,
     spatial_scatter,
 )
-from cyldet.geometry import corner_offsets, project_points
+from cyldet.geometry import (project_points, rotations_about_y,
+                             stacked_corner_offsets)
 from cyldet.mono import (
     _SEARCH_TABLES,
     agreement_search_frame,
@@ -155,7 +156,8 @@ class TestRepresentativeRows:
         for _ in range(10):
             box = random_car_box(rng)
             b2d = project_box(box, p)
-            offsets = corner_offsets(box.dims, box.yaw)[None]
+            offsets = stacked_corner_offsets([box.dims],
+                                             rotations_about_y([box.yaw]))
             a, k, coords, pinv, _, _ = _side_systems([b2d], p)
             centers = _solve_configs(a, k, pinv, offsets, configs)[0]
             rms, _ = _feasibility(coords[0], centers[:, None, :]

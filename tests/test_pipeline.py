@@ -28,7 +28,6 @@ from cyldet import (
     RpnOutput,
     ScatterParams,
     WrongFrame,
-    decode_box,
     decode_boxes,
     decode_location,
     detect_frame,
@@ -65,6 +64,7 @@ from oracles import (
     block_certificate_reference,
     cylinder_members_reference,
     decode_box_reference,
+    detect_frame_reference,
     greedy_nms_reference,
     optimal_match_count,
     oracle_brn_reference,
@@ -740,7 +740,8 @@ class TestOraclePointHeads:
         brn = oracle_predictors(clusters=self.config.clusters,
                                 bins=self.config.bins).brn
         out = brn(None, region, self.frame)
-        box = decode_box(out, region, self.config.clusters, self.config.bins)
+        (box,) = decode_boxes([out], [region], self.config.clusters,
+                              self.config.bins)
         np.testing.assert_allclose(box.center, self.label.box3d.center,
                                    atol=1e-6)
         np.testing.assert_allclose(box.dims, self.label.box3d.dims, atol=1e-6)
@@ -1120,18 +1121,24 @@ class TestSolvePosesLogs:
 
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("dims", [(-1.6, 1.5, 3.9), (0.0, 1.5, 3.9),
-                                      (math.nan, 1.5, 3.9),
-                                      (1.6, math.inf, 3.9)])
-    def test_bad_dims_fail_their_object_not_the_frame(self, caplog, dims):
-        # dims of -1.6 used to raise out of solve_poses, failing the frame
+    @pytest.mark.parametrize("dims, make", [
+        *[(dims, collections.namedtuple("Det", "box2d dims yaw"))
+          for dims in [(-1.6, 1.5, 3.9), (0.0, 1.5, 3.9),
+                       (math.nan, 1.5, 3.9), (1.6, math.inf, 3.9)]],
+        ((-1.6, 1.5, 3.9), Mono2DDetection), ((0.0, 1.5, 3.9), Mono2DDetection),
+    ], ids=["dims0", "dims1", "dims2", "dims3", "mono2d-dims0",
+            "mono2d-dims1"])
+    def test_bad_dims_fail_their_object_not_the_frame(self, caplog, dims,
+                                                      make):
+        # dims of -1.6 used to raise out of solve_poses, failing the frame,
+        # and a Mono2DDetection used to reject dims at or below 0 itself,
+        # which failed the frame of the predictor that built it
         frame = make_frame("000007", seed=7, n_cars=3)
         good = [Mono2DDetection(lab.bbox2d, lab.box3d.dims, lab.box3d.yaw)
                 for lab in frame.labels]
-        # Mono2DDetection rejects dims <= 0, but a predictor need not
-        # return one
-        bad = collections.namedtuple("Det", "box2d dims yaw")(
-            good[1].box2d, dims, good[1].yaw)
+        # a predictor need not return Mono2DDetections; the search checks
+        # the dims of whatever it returns
+        bad = make(good[1].box2d, dims, good[1].yaw)
         detections = [bad, good[0], good[1], bad, good[2]]
         alone = solve_poses(frame, lambda _: good, PipelineConfig())
 
@@ -1279,6 +1286,37 @@ class TestDetectFrame:
         with pytest.raises(TypeError, match="arity"):
             detect_frame(frame, oracle_predictors(), config)
 
+    def test_a_head_output_of_the_wrong_shape_propagates(self):
+        # a wiring bug, not data: every proposal used to be dropped with
+        # "ValueError: t_loc must be a 3-vector" or "ValueError: rotation
+        # logits and residuals disagree in length", and the frame kept no
+        # detection
+        frame = make_frames(1, seed=5)[0]
+        oracles = oracle_predictors()
+
+        def rpn(points, region, frame):
+            out = oracles.rpn(points, region, frame)
+            return dataclasses.replace(out, t_loc=out.t_loc[:2])
+
+        def brn(points, region, frame):
+            out = oracles.brn(points, region, frame)
+            return dataclasses.replace(
+                out, rot_residuals=out.rot_residuals[:-1])
+
+        short_t_loc = dataclasses.replace(oracles, rpn=rpn)
+        short_residuals = dataclasses.replace(oracles, brn=brn)
+        with pytest.raises(TypeError, match="t_loc must be a 3-vector"):
+            detect_frame(frame, short_t_loc, PipelineConfig())
+        with pytest.raises(TypeError, match="disagree in length"):
+            detect_frame(frame, short_residuals, PipelineConfig())
+        with pytest.raises(TypeError, match="t_loc must be a 3-vector"):
+            sweep_objectness([frame], short_t_loc, [0.25], PipelineConfig())
+        # the objectness sweep runs no box head
+        assert (sweep_objectness([frame], short_residuals, [0.25],
+                                 PipelineConfig())
+                == sweep_objectness([frame], oracles, [0.25],
+                                    PipelineConfig()))
+
     def test_all_modes_run(self):
         frame = make_frame("000016", seed=16, n_cars=2)
         for mode in ("single_stage", "single_stage_twice", "rpn_brn_brn"):
@@ -1338,9 +1376,6 @@ class TestDecodeBoxesMatchesReference:
                 for out, region in zip(outputs, regions)]
         got = decode_boxes(outputs, regions, clusters, bins)
         assert [outcome_bits(box) for box in got] == want
-        assert [outcome_bits(outcome_of(decode_box, out, region, clusters,
-                                        bins))
-                for out, region in zip(outputs, regions)] == want
 
     def test_an_arity_mismatch_raises_before_stacking(self):
         # stacked, the 8-bin output beside 12-bin ones would make a ragged
@@ -1664,15 +1699,15 @@ class TestStackedStepMatchesReference:
     def chosen(region):
         return round(region.center[2] * 1e3) % 7
 
-    def spoiled(self):
+    def spoiled(self, oracles):
         def rpn(points, region, frame):
-            out = self.oracles.rpn(points, region, frame)
+            out = oracles.rpn(points, region, frame)
             if self.chosen(region) == 0:
                 return RpnOutput(out.t_loc, math.nan)
             return out
 
         def brn(points, region, frame):
-            out = self.oracles.brn(points, region, frame)
+            out = oracles.brn(points, region, frame)
             residuals = out.size_residuals
             change = {
                 1: {"size_residuals": residuals - 10.0},
@@ -1682,13 +1717,13 @@ class TestStackedStepMatchesReference:
             }.get(self.chosen(region))
             return dataclasses.replace(out, **change) if change else out
 
-        return Predictors(self.oracles.monocular, rpn, brn)
+        return Predictors(oracles.monocular, rpn, brn)
 
     @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_drop_lines_and_documents_are_unchanged(self, mode, caplog):
         config = PipelineConfig(mode=mode, objectness_threshold=0.05)
-        predictors = self.spoiled()
+        predictors = self.spoiled(self.oracles)
         documents = []
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="cyldet"):
@@ -1702,6 +1737,110 @@ class TestStackedStepMatchesReference:
         assert (hashlib.sha256("\n".join(lines).encode()).hexdigest(),
                 hashlib.sha256("\n".join(documents).encode()).hexdigest()
                 ) == self.DIGESTS[mode]
+
+
+class _Lines(logging.Handler):
+    """The messages of the records logged while it is attached."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def _points_head(head):
+    """A head that prepares its region's points and answers as head does,
+    nudged by their digest: every stage's points reach the documents, and
+    a region whose digest is 0 mod 8 is dropped with a line that names
+    it."""
+    def read(points, region, frame):
+        digest = hashlib.sha256(points().points.tobytes()).hexdigest()
+        if int(digest, 16) % 8 == 0:
+            raise ValueError(f"points {digest[:16]}")
+        out = head(points, region, frame)
+        nudge = int(digest[:6], 16) * 2.0**-24 * 1e-4
+        t_loc = tuple(v + nudge for v in out.t_loc)
+        if isinstance(out, RpnOutput):
+            return RpnOutput(t_loc, out.t_obj + nudge)
+        return dataclasses.replace(out, t_loc=t_loc)
+    return read
+
+
+class TestDetectFrameMatchesReference:
+    """detect_frame against detect_frame_reference, which runs one
+    proposal at a time through every stage, finds each region's points by
+    a scan of every point and prepares them on its own: the same document
+    bytes and the same log lines, with pose failures, empty regions, far
+    points, heads that drop chosen regions, and heads that read their
+    points or do not, in all three modes."""
+
+    # a box of 1e-7 px, whose constraint matrix is rank deficient; a box
+    # wider than the image, which no configuration fits; and one whose only
+    # feasible solves put corners behind the camera
+    UNSOLVABLE = [
+        Mono2DDetection(Box2D(600.0, 180.0, 600.0 + 1e-7, 180.0 + 1e-7),
+                        (1.6, 1.5, 3.9), 0.3),
+        Mono2DDetection(Box2D(0.0, 0.0, 2000.0, 1000.0), (1.6, 1.5, 3.9), 0.3),
+        Mono2DDetection(Box2D(1092.0, -73.0, 5208.0, 1347.0),
+                        (1.6, 1.5, 3.9), 2.0)]
+
+    @staticmethod
+    def drawn_frame(seed, n_cars, ground_points, far):
+        frame = make_frame(f"{seed:06d}", seed=seed, n_cars=n_cars,
+                           ground_points=ground_points, z_range=(8.0, 45.0))
+        if far is None:
+            return frame
+        points = np.vstack([frame.cloud.points, [[far, 0.5, far, 0.5]]])
+        return dataclasses.replace(frame,
+                                   cloud=PointCloud(points, frame="camera"))
+
+    @pytest.mark.parametrize("reading", [False, True])
+    @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_cars=st.integers(1, 4),
+           ground_points=st.sampled_from([0, 300, 2000]),
+           far=st.sampled_from([None, 1e7, 1e300]),
+           noise=st.sampled_from([0.0, 0.1]),
+           unsolvable=st.lists(st.integers(0, 2), max_size=2),
+           spoil=st.booleans())
+    @example(seed=1, n_cars=3, ground_points=2000, far=1e300, noise=0.1,
+             unsolvable=[0, 1, 2], spoil=True)
+    @example(seed=2, n_cars=2, ground_points=0, far=None, noise=0.0,
+             unsolvable=[], spoil=False)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_documents_and_log_lines(self, mode, reading, seed, n_cars,
+                                     ground_points, far, noise, unsolvable,
+                                     spoil):
+        frame = self.drawn_frame(seed, n_cars, ground_points, far)
+        oracles = oracle_predictors(OracleConfig(
+            dims_noise_sigma=noise, yaw_noise_sigma=noise,
+            center_noise_sigma=noise, box2d_noise_sigma=noise))
+        if spoil:
+            oracles = TestStackedStepMatchesReference().spoiled(oracles)
+        rpn, brn = oracles.rpn, oracles.brn
+        if reading:
+            rpn, brn = _points_head(rpn), _points_head(brn)
+
+        def monocular(frame):
+            found = oracles.monocular(frame)
+            return ([self.UNSOLVABLE[i] for i in unsolvable[:1]] + found
+                    + [self.UNSOLVABLE[i] for i in unsolvable[1:]])
+
+        predictors = Predictors(monocular, rpn, brn)
+        config = PipelineConfig(mode=mode, objectness_threshold=0.05)
+        want, want_lines = detect_frame_reference(frame, predictors, config)
+        handler = _Lines()
+        log = logging.getLogger("cyldet")
+        log.addHandler(handler)
+        try:
+            got = detect_frame(frame, predictors, config)
+        finally:
+            log.removeHandler(handler)
+        assert handler.lines == want_lines
+        assert ([format_detection(frame.frame_id, d) for d in got]
+                == [format_detection(frame.frame_id, d) for d in want])
 
 
 class TestNanObjectness:
