@@ -434,17 +434,13 @@ def build_parser():
                      description="Cylinder-region 3D detection geometry")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_settings(p, sections):
+    def add_settings(p, keep):
+        """--config and the flag of each _SCHEMA row that keep admits."""
+        p.add_argument("--config", help="INI config file; flags override it")
         for row in _SCHEMA:
-            if row.flag and row.section in sections:
+            if row.flag and keep(row):
                 p.add_argument(row.flag, choices=row.choices, help=row.help,
                                type=None if row.cast is str else row.cast)
-
-    def add_common(p):
-        p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--jobs", dest="jobs", type=int,
-                       help="ignored: frames always run one at a time")
-        add_settings(p, {row.section for row in _SCHEMA} - {"desync"})
 
     p_solve = sub.add_parser("solve-pose",
                              help="solve one 3D pose from a 2D box")
@@ -461,21 +457,23 @@ def build_parser():
     p_solve.set_defaults(func=cmd_solve_pose)
 
     p_detect = sub.add_parser("detect", help="run detection over a split")
-    add_common(p_detect)
+    add_settings(p_detect, lambda row: row.section != "desync")
+    p_detect.add_argument("--jobs", dest="jobs", type=int,
+                          help="ignored: frames always run one at a time")
     p_detect.set_defaults(func=cmd_detect)
 
     p_sweep = sub.add_parser("sweep", help="scatter / objectness / desync sweeps")
     p_sweep.add_argument("kind", choices=("scatter", "objectness", "desync"))
     p_sweep.add_argument("--values", required=True,
                          help="comma list or start:stop:step (inclusive)")
-    add_settings(p_sweep, {"desync"})
-    add_common(p_sweep)
+    add_settings(p_sweep, lambda row: True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fit = sub.add_parser("fit-sizes", help="k-means size clusters from labels")
     p_fit.add_argument("--clusters", type=int, required=True)
     p_fit.add_argument("--output", required=True)
-    add_common(p_fit)
+    add_settings(p_fit, lambda row: row.key in ("dataset_root", "split",
+                                                "seed"))
     p_fit.set_defaults(func=cmd_fit_sizes)
 
     return parser

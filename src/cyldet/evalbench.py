@@ -19,6 +19,7 @@ from .kitti import DIFFICULTIES, FrameData, PointCloud, WrongFrame
 from .kitti import stable_id_hash
 from .pipeline import (
     PipelineConfig,
+    confidence_order,
     data_outcome,
     detect_frame,
     derive_seed,
@@ -92,15 +93,14 @@ def match_detections(detections, gts, cfg=EvalConfig()):
     Each detection takes the highest-IoU not-yet-matched active ground
     truth if that IoU clears the threshold.  Detections overlapping only
     harder-than-active or ignored ground truths are dropped from the
-    tally; everything else unmatched is a false positive.  Each box's
-    footprint is built once, when the box first reaches the clip.
+    tally; everything else unmatched is a false positive.  Detections
+    are walked in confidence_order.  A box that NMS already clipped
+    reuses its footprint (Box3D.footprint).
     """
     active = [i for i, g in enumerate(gts) if g.difficulty in _ACTIVE[cfg.difficulty]]
     ignore = [i for i in range(len(gts)) if i not in active]
     metric = cfg.metric
-    footprints = {}
-    order = sorted(range(len(detections)),
-                   key=lambda i: (-detections[i].confidence, i))
+    order = confidence_order([det.confidence for det in detections])
     matched_gts = set()
     matches, ignored_dets = [], []
     fp = 0
@@ -110,14 +110,14 @@ def match_detections(detections, gts, cfg=EvalConfig()):
         for gt_idx in active:
             if gt_idx in matched_gts:
                 continue
-            iou = metric(det.box3d, gts[gt_idx].box3d, footprints)
+            iou = metric(det.box3d, gts[gt_idx].box3d)
             if iou > best_iou:
                 best_iou, best_gt = iou, gt_idx
         if best_gt is not None and best_iou >= cfg.iou_threshold:
             matched_gts.add(best_gt)
             matches.append((det_idx, best_gt, best_iou))
             continue
-        if any(metric(det.box3d, gts[g].box3d, footprints)
+        if any(metric(det.box3d, gts[g].box3d)
                >= cfg.iou_threshold for g in ignore):
             ignored_dets.append(det_idx)
             continue
@@ -140,40 +140,26 @@ class PrCurve:
     mode: str = "r11"
 
 
-def _interpolated_ap(points, mode):
-    if mode == "r11":
-        grid = np.linspace(0.0, 1.0, 11)
-    else:
-        grid = np.arange(1, 41) / 40.0
-    if not points:
-        return 0.0
-    recalls = np.array([p[0] for p in points])
-    precisions = np.array([p[1] for p in points])
-    values = []
-    for r in grid:
-        mask = recalls >= r - 1e-12
-        values.append(precisions[mask].max() if np.any(mask) else 0.0)
-    return float(np.mean(values))
-
-
 def average_precision(scored, n_gt, mode="r11"):
     """PR curve and AP from (confidence, is_true_positive) pairs.
 
     scored need not be sorted; n_gt is the number of active ground truths
-    over the whole evaluation set.
+    over the whole evaluation set.  Point k holds the recall and precision
+    of the first k + 1 pairs in confidence_order.  The AP is the mean over
+    the r11 or r40 recall grid of the best precision at a recall of at
+    least the grid value less 1e-12, or 0.0 where there is none.
     """
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][0], i))
-    tp = fp = 0
-    points = []
-    for i in order:
-        if scored[i][1]:
-            tp += 1
-        else:
-            fp += 1
-        recall = tp / n_gt if n_gt else 0.0
-        points.append((recall, tp / (tp + fp)))
-    return PrCurve(points=tuple(points), ap=_interpolated_ap(points, mode),
-                   mode=mode)
+    order = confidence_order([confidence for confidence, _ in scored])
+    tp = np.cumsum([bool(scored[i][1]) for i in order], dtype=np.int64)
+    recall = tp / n_gt if n_gt else np.zeros(len(tp))
+    precision = tp / np.arange(1, len(tp) + 1)
+    grid = (np.linspace(0.0, 1.0, 11) if mode == "r11"
+            else np.arange(1, 41) / 40.0)
+    # the best precision at each rank or after it, then 0.0 past the end
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    ap = float(np.mean(best[np.searchsorted(recall, grid - 1e-12)]))
+    return PrCurve(points=tuple(zip(recall.tolist(), precision.tolist())),
+                   ap=ap, mode=mode)
 
 
 class _Tally:

@@ -7,10 +7,11 @@ at yaw 0 the width spans x and the length spans z.
 BEV and 3D IoU clip one footprint polygon by the other, except for two
 footprints whose circumscribed circles lie clearly apart: their
 intersection area is 0.0 without a clip, as the clip would find.  The
-clip runs on plain floats; a caller that scores many pairs (NMS,
-matching) passes a memo so that each box's footprint is built once.
+clip runs on plain floats; each box builds its footprint once, when it
+first reaches the clip, and keeps it (Box3D.footprint).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,6 +89,13 @@ class Box3D:
     def volume(self):
         w, h, length = self.dims
         return w * h * length
+
+    @functools.cached_property
+    def footprint(self):
+        """footprint_polygon as (x, z) pairs of plain floats, built on
+        first use and kept; not a field, so equality, hashing and repr
+        ignore it."""
+        return tuple(map(tuple, footprint_polygon(self).tolist()))
 
 
 def rotations_about_y(yaws):
@@ -261,32 +269,23 @@ def _footprints_apart(a, b):
     return math.hypot(ax - bx, az - bz) > reach + slack
 
 
-def _bev_intersection_area(a, b, memo):
+def _bev_intersection_area(a, b):
     # clip in a canonical operand order so iou_*(a, b) == iou_*(b, a)
     # exactly despite floating-point rounding in the clipper
     if (b.center, b.dims, b.yaw) < (a.center, a.dims, a.yaw):
         a, b = b, a
     if _footprints_apart(a, b):
         return 0.0
-    # keyed by identity: boxes that differ only in a signed zero are
-    # equal, yet their corners may not be
-    memo = {} if memo is None else memo
-    for box in (a, b):
-        if id(box) not in memo:
-            memo[id(box)] = footprint_polygon(box).tolist()
-    inter = clip_polygon(memo[id(a)], memo[id(b)])
+    inter = clip_polygon(a.footprint, b.footprint)
     return max(0.0, polygon_area(inter))
 
 
-def iou_bev(a, b, memo=None):
-    """IoU of the two yaw-rotated box footprints in the x-z ground plane.
-
-    memo, a dict that one caller passes to every pair it scores, holds
-    each box's footprint so that it is built once; the IoU is the same."""
+def iou_bev(a, b):
+    """IoU of the two yaw-rotated box footprints in the x-z ground plane."""
     area_a = a.dims[0] * a.dims[2]
     area_b = b.dims[0] * b.dims[2]
     # rounding in the clip can carry the intersection past either area
-    inter = min(_bev_intersection_area(a, b, memo), area_a, area_b)
+    inter = min(_bev_intersection_area(a, b), area_a, area_b)
     if inter <= 0.0:
         return 0.0
     return inter / (area_a + area_b - inter)
@@ -298,13 +297,12 @@ def _y_overlap(a, b):
     return max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
 
 
-def iou_3d(a, b, memo=None):
-    """Volumetric IoU: BEV intersection area times vertical overlap.
-    memo as for iou_bev."""
+def iou_3d(a, b):
+    """Volumetric IoU: BEV intersection area times vertical overlap."""
     overlap = _y_overlap(a, b)
     if overlap <= 0.0:
         return 0.0
-    inter = min(_bev_intersection_area(a, b, memo) * overlap, a.volume,
+    inter = min(_bev_intersection_area(a, b) * overlap, a.volume,
                 b.volume)
     if inter <= 0.0:
         return 0.0

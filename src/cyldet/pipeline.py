@@ -37,6 +37,9 @@ picks its own cells and rejects a cloud not in the camera frame with
 WrongFrame.  The index counts the points per cell when built, and sorts
 them only for the first members query: a head that reads points, or a
 center its counts cannot settle.
+At every predictor boundary a ValueError is data, and its object or
+proposal is dropped and logged; a TypeError is wiring (an output of the
+wrong type or shape), and propagates.
 Oracles backed by ground truth (with optional seeded noise) stand in for
 trained networks: oracle_predictors bundles the three methods of one
 object, whose point heads read no points and share a table of the last
@@ -342,8 +345,13 @@ class Mono2DDetection:
     yaw: float
 
     def __post_init__(self):
-        # the pose search checks the dims, failing this object alone
-        object.__setattr__(self, "dims", tuple(float(v) for v in self.dims))
+        # a wrong type or arity is a wiring bug; the pose search checks the
+        # dims' values, failing this object alone
+        dims = tuple(float(v) for v in self.dims)
+        if not isinstance(self.box2d, Box2D) or len(dims) != 3:
+            raise TypeError("want a Box2D and 3 dims (W, H, L), got "
+                            f"{type(self.box2d).__name__} and {dims}")
+        object.__setattr__(self, "dims", dims)
 
 
 @dataclass(frozen=True)
@@ -785,25 +793,27 @@ def detect_frame(frame, predictors, config=PipelineConfig()):
     return nms_bev(detections, config.nms_threshold)
 
 
+def confidence_order(confidences):
+    """Indices of confidences by descending value, ties in index order:
+    the one order in which NMS, matching and the PR curve walk
+    detections."""
+    return sorted(range(len(confidences)), key=lambda i: (-confidences[i], i))
+
+
 def nms_bev(detections, threshold):
-    """Greedy bird's-eye-view NMS: walk detections by descending
-    confidence (ties keep insertion order) and suppress any detection
-    whose footprint IoU with an already kept one exceeds the threshold.
-    Each footprint is built once, when its box first reaches the clip."""
+    """Greedy bird's-eye-view NMS: walk detections in confidence_order
+    and suppress any detection whose footprint IoU with an already kept
+    one exceeds the threshold.  A box keeps the footprint it builds
+    (Box3D.footprint), so matching the kept detections reuses it."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
     kept = []
-    kept_idx = []
-    footprints = {}
-    for i in order:
-        cand = detections[i]
-        if any(iou_bev(cand.box3d, detections[j].box3d, footprints) > threshold
-               for j in kept_idx):
-            continue
-        kept_idx.append(i)
-        kept.append(cand)
-    return kept
+    for i in confidence_order([det.confidence for det in detections]):
+        box = detections[i].box3d
+        if not any(iou_bev(box, detections[j].box3d) > threshold
+                   for j in kept):
+            kept.append(i)
+    return [detections[i] for i in kept]
 
 
 def format_detection(frame_id, det):
@@ -838,9 +848,14 @@ def parse_detection_line(line):
 
 
 def read_detections(path):
+    """parse_detection_line of each non-blank line.  A ValueError from a
+    line keeps its type and gains the path and line number."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             if line.strip():
-                out.append(parse_detection_line(line))
+                try:
+                    out.append(parse_detection_line(line))
+                except ValueError as exc:
+                    raise type(exc)(f"{path}: line {n}: {exc}") from None
     return out

@@ -5,10 +5,10 @@ about the vertical axis) and deliberately avoids the library's geometry
 code paths.  The pose-search, point-head, frame-transform, overlap, sweep,
 box-step and whole-pipeline references at the end are the exception: they
 are the earlier, slower forms of the library's search, scatter, oracle
-heads, row-major cloud transforms, of its IoUs, NMS and matching, of its
-recall sweeps, of its box decode and projection and of detect_frame, one
-object, region, pair, sweep row, box or proposal at a time where the
-library stacks or memoizes them, built on the library's noise draws and
+heads, row-major cloud transforms, of its IoUs, NMS, matching and average
+precision, of its recall sweeps, of its box decode and projection and of detect_frame, one
+object, region, pair, sweep row, box, ranked pair or proposal at a time
+where the library stacks or caches them, built on the library's noise draws and
 pipeline stages, with their own corner table and copy of the constraint
 rows, of the point preparation and of the numpy arithmetic the library
 has since replaced, so that the two can be compared bit for bit.
@@ -33,7 +33,12 @@ from cyldet.codec import (
     logit,
     objectness,
 )
-from cyldet.evalbench import _ACTIVE, MatchResult, check_sweep_values
+from cyldet.evalbench import (
+    _ACTIVE,
+    MatchResult,
+    PrCurve,
+    check_sweep_values,
+)
 from cyldet.geometry import BehindCamera, Box2D, Box3D, iou_2d
 from cyldet.kitti import PointCloud, stable_id_hash
 from cyldet.mono import (
@@ -665,6 +670,35 @@ def match_detections_reference(detections, gts, cfg):
         fp += 1
     return MatchResult(tp=len(matches), fp=fp, fn=len(active) - len(matches),
                        matches=tuple(matches), ignored_dets=tuple(ignored_dets))
+
+
+def average_precision_reference(scored, n_gt, mode="r11"):
+    """The PR curve as a running tally, one (confidence, is_tp) pair at a
+    time, and the AP as a masked maximum per recall grid value."""
+    order = sorted(range(len(scored)), key=lambda i: (-scored[i][0], i))
+    tp = fp = 0
+    points = []
+    for i in order:
+        if scored[i][1]:
+            tp += 1
+        else:
+            fp += 1
+        recall = tp / n_gt if n_gt else 0.0
+        points.append((recall, tp / (tp + fp)))
+    if mode == "r11":
+        grid = np.linspace(0.0, 1.0, 11)
+    else:
+        grid = np.arange(1, 41) / 40.0
+    ap = 0.0
+    if points:
+        recalls = np.array([p[0] for p in points])
+        precisions = np.array([p[1] for p in points])
+        values = []
+        for r in grid:
+            mask = recalls >= r - 1e-12
+            values.append(precisions[mask].max() if np.any(mask) else 0.0)
+        ap = float(np.mean(values))
+    return PrCurve(points=tuple(points), ap=ap, mode=mode)
 
 
 # The recall sweeps as they were before each frame's s values were

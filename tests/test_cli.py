@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -10,6 +11,7 @@ import cyldet.cli
 import cyldet.kitti
 from cyldet.cli import main
 from cyldet.codec import load_size_clusters
+from cyldet.pipeline import Mono2DDetection
 from cyldet.synthetic import make_frames, write_dataset
 
 
@@ -466,6 +468,27 @@ class TestDetect:
                    "--config", str(config)])
         assert rc == 3
 
+    def test_monocular_output_of_the_wrong_shape_is_internal_error(
+            self, dataset, tmp_path, monkeypatch):
+        # it used to fail each frame as a data error and exit 2
+        root, split, _ = dataset
+        oracle_predictors = cyldet.cli.oracle_predictors
+
+        def spoiled(*args, **kwargs):
+            oracles = oracle_predictors(*args, **kwargs)
+
+            def monocular(frame):
+                first, *rest = oracles.monocular(frame)
+                return [Mono2DDetection(first.box2d, first.dims[:2],
+                                        first.yaw), *rest]
+
+            return dataclasses.replace(oracles, monocular=monocular)
+
+        monkeypatch.setattr(cyldet.cli, "oracle_predictors", spoiled)
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 3
+
     def test_config_file_with_flag_override(self, dataset, tmp_path, capsys):
         root, split, _ = dataset
         config = tmp_path / "run.ini"
@@ -654,6 +677,22 @@ class TestSettings:
         echoes = [tree.pop("config_effective.ini").decode() for tree in trees]
         assert echoes[1].replace(str(second), str(first)) == echoes[0]
         assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("command", [
+        ["fit-sizes", "--clusters", "1", "--mode", "single_stage",
+         "--output", "sizes.txt"],
+        ["sweep", "scatter", "--values", "0.3", "--jobs", "1",
+         "--output-dir", "out"],
+    ], ids=["fit-sizes-mode", "sweep-jobs"])
+    def test_a_flag_the_command_never_reads_is_usage_error(
+            self, dataset, tmp_path, monkeypatch, capsys, command):
+        # both used to be accepted and ignored
+        root, split, _ = dataset
+        monkeypatch.chdir(tmp_path)
+        rc = main(command + ["--dataset-root", root, "--split", split])
+        assert rc == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestSweep:

@@ -44,6 +44,7 @@ from cyldet.pipeline import (
 from cyldet.synthetic import make_frame, make_frames
 from oracles import (
     Captures,
+    average_precision_reference,
     clamped_scatter_reference,
     match_detections_reference,
     optimal_match_count,
@@ -189,6 +190,68 @@ class TestMatchDetections:
         assert result.tp == optimal
         assert result.fp == len(detections) - optimal
         assert result.fn == len(labels) - optimal
+
+
+@st.composite
+def _scored_sets(draw):
+    """(confidence, is_tp) pairs with tied and NaN confidences, some all
+    true or all false, and a ground-truth count from 0 up."""
+    hit = draw(st.sampled_from([st.booleans(), st.just(True),
+                                st.just(False)]))
+    confidence = (st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])
+                  | st.floats(0.0, 1.0) | st.just(math.nan))
+    scored = draw(st.lists(st.tuples(confidence, hit), max_size=40))
+    n_gt = draw(st.integers(0, len(scored) + 3))
+    return scored, n_gt
+
+
+class TestAveragePrecisionMatchesReference:
+    """The PR curve from cumulative counts equals the running tally of
+    the reference, and so does its AP, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_scored_sets(), st.sampled_from(evalbench.AP_MODES))
+    @example(([], 0), "r11")
+    @example(([], 3), "r40")
+    @example(([(0.5, True)] * 3, 0), "r11")
+    @example(([(0.5, False), (0.5, True), (0.9, False)], 2), "r40")
+    def test_curve_and_ap_equal_the_reference(self, case, mode):
+        scored, n_gt = case
+        got = average_precision(scored, n_gt, mode)
+        want = average_precision_reference(scored, n_gt, mode)
+        assert got.mode == want.mode == mode
+        assert all(type(v) is float for point in got.points for v in point)
+        assert ([(r.hex(), p.hex()) for r, p in got.points]
+                == [(r.hex(), p.hex()) for r, p in want.points])
+        assert type(got.ap) is float
+        assert got.ap.hex() == want.ap.hex()
+
+
+class TestConfidenceOrder:
+    """NMS, matching and the PR curve walk detections in one order:
+    descending confidence, ties in index order."""
+
+    CONFIDENCES = [0.5, 0.9, 0.5, 0.9, 0.1]
+
+    def test_ties_keep_index_order(self):
+        assert pipeline.confidence_order(self.CONFIDENCES) == [1, 3, 0, 2, 4]
+        assert pipeline.confidence_order([]) == []
+
+    def test_every_caller_walks_in_it(self):
+        order = pipeline.confidence_order(self.CONFIDENCES)
+        # equal boxes on one ground truth: the first in order matches it,
+        # and NMS at threshold 1 keeps them all, in order
+        dets = [detection((0.0, 0.0, 10.0), confidence=c)
+                for c in self.CONFIDENCES]
+        assert [id(d) for d in nms_bev(dets, 1.0)] == [id(dets[i])
+                                                       for i in order]
+        result = match_detections(dets, [gt_label((0.0, 0.0, 10.0))])
+        assert [m[0] for m in result.matches] == [order[0]]
+        # the true positive is the second in order: 0, 1/2, 1/3, ...
+        scored = [(c, i == order[1]) for i, c in enumerate(self.CONFIDENCES)]
+        curve = average_precision(scored, n_gt=1)
+        assert [p for _, p in curve.points] == [0.0, 0.5, 1 / 3, 1 / 4,
+                                                1 / 5]
 
 
 class TestAveragePrecision:
@@ -831,7 +894,7 @@ def _match_cases(draw):
 class TestOverlapBits:
     """Matching equals the reference (the overlap code that rebuilt both
     footprints for every pair and clipped on numpy scalars) bit for bit,
-    and NMS and matching build each box's footprint at most once."""
+    and each box builds its footprint once, across NMS and matching."""
 
     @settings(max_examples=300, deadline=None)
     @given(_match_cases())
@@ -844,7 +907,8 @@ class TestOverlapBits:
         assert ([iou.hex() for _, _, iou in got.matches]
                 == [iou.hex() for _, _, iou in want.matches])
 
-    def test_each_footprint_is_built_at_most_once_per_call(self, monkeypatch):
+    def test_each_footprint_is_built_once_across_nms_and_matching(
+            self, monkeypatch):
         built = []
         footprint = geometry.footprint_polygon
 
@@ -859,19 +923,18 @@ class TestOverlapBits:
         # at threshold 1 nothing is suppressed, so every pair is scored
         dets = [detection(box.center, box.yaw, c) for box, c in
                 zip(boxes, rng.uniform(size=12))]
-        nms_bev(dets, 1.0)
+        kept = nms_bev(dets, 1.0)
         assert sorted(built) == sorted(id(d.box3d) for d in dets)
-        # every detection meets every ground truth, active and ignored
-        built.clear()
+        # every kept detection meets every ground truth, active and
+        # ignored, under both metrics, and builds nothing again
         gts = [gt_label(box.center, box.yaw, difficulty=difficulty)
                for box, difficulty in zip(boxes[:6], DIFFICULTIES * 2)]
         for metric in evalbench.MATCH_METRICS:
-            match_detections(dets, gts, EvalConfig(iou_threshold=1.0,
+            match_detections(kept, gts, EvalConfig(iou_threshold=1.0,
                                                    match_metric=metric))
-            assert sorted(built) == sorted(
-                id(box) for box in [d.box3d for d in dets]
-                + [g.box3d for g in gts])
-            built.clear()
+        assert sorted(built) == sorted(
+            id(box) for box in [d.box3d for d in dets]
+            + [g.box3d for g in gts])
 
 
 class TestEvaluateDetections:

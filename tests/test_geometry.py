@@ -63,6 +63,19 @@ class TestBoxTypes:
         )
         assert normalize_yaw(-math.pi) == -math.pi
 
+    def test_footprint_is_kept_per_box_and_is_not_a_field(self):
+        zero, negative_zero = (Box3D((x, 0.0, 10.0), (1.6, 1.5, 3.9), 0.4)
+                               for x in (0.0, -0.0))
+        before = (repr(zero), hash(zero))
+        for box in (zero, negative_zero):
+            want = geometry.footprint_polygon(box)
+            assert np.array(box.footprint).tobytes() == want.tobytes()
+            assert box.footprint is box.footprint
+        # equal boxes, each with its own footprint
+        assert zero == negative_zero
+        assert zero.footprint is not negative_zero.footprint
+        assert (repr(zero), hash(zero)) == before
+
 
 class TestCorners:
     def test_unit_cube_corners(self):
@@ -473,7 +486,7 @@ def _detection_sets(draw):
 class TestOverlapBits:
     """IoUs, areas and NMS equal the references (the overlap code that
     rebuilt both footprints for every pair and clipped on numpy scalars)
-    bit for bit, with and without a footprint memo."""
+    bit for bit, whether a box has built its footprint yet or not."""
 
     @settings(max_examples=500, deadline=None)
     @given(_near_touching_pairs() | _box_pairs(), st.booleans())
@@ -483,14 +496,17 @@ class TestOverlapBits:
     def test_ious_equal_the_reference(self, pair, zero_twins):
         a, b = pair
         boxes = [a, b] + (_signed_zero_twins(a) if zero_twins else [])
-        memo = {}
+        # equal boxes that meet the clip first as partners of built ones
+        fresh = [Box3D(box.center, box.dims, box.yaw) for box in boxes]
         for iou, reference in ((iou_bev, iou_bev_reference),
                                (iou_3d, iou_3d_reference)):
             for x in boxes:
-                for y in boxes:
+                for y in boxes + fresh:
                     want = reference(x, y).hex()
                     assert iou(x, y).hex() == want
-                    assert iou(x, y, memo).hex() == want
+                    # again, now that each box keeps what it built
+                    assert iou(x, y).hex() == want
+                    assert iou(y, x).hex() == reference(y, x).hex()
 
     @settings(max_examples=1000, deadline=None)
     @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))

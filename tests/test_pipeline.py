@@ -1126,8 +1126,9 @@ class TestSolvePosesLogs:
           for dims in [(-1.6, 1.5, 3.9), (0.0, 1.5, 3.9),
                        (math.nan, 1.5, 3.9), (1.6, math.inf, 3.9)]],
         ((-1.6, 1.5, 3.9), Mono2DDetection), ((0.0, 1.5, 3.9), Mono2DDetection),
+        ((math.nan, 1.5, 3.9), Mono2DDetection),
     ], ids=["dims0", "dims1", "dims2", "dims3", "mono2d-dims0",
-            "mono2d-dims1"])
+            "mono2d-dims1", "mono2d-dims2"])
     def test_bad_dims_fail_their_object_not_the_frame(self, caplog, dims,
                                                       make):
         # dims of -1.6 used to raise out of solve_poses, failing the frame,
@@ -1316,6 +1317,32 @@ class TestDetectFrame:
                                  PipelineConfig())
                 == sweep_objectness([frame], oracles, [0.25],
                                     PipelineConfig()))
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda det: (det.box2d, det.dims[:2]), r"3 dims .*, got Box2D and \("),
+        (lambda det: (det.box2d, det.dims * 2), r"3 dims .*, got Box2D and \("),
+        (lambda det: (dataclasses.astuple(det.box2d), det.dims),
+         r"want a Box2D .*, got tuple and \("),
+    ], ids=["two-dims", "six-dims", "tuple-box"])
+    def test_a_monocular_output_of_the_wrong_shape_propagates(self, spoil,
+                                                               message):
+        # a wiring bug, not data: dims of 2 or 6 values used to reach the
+        # pose search, whose np.asarray raised numpy's ValueError, so the
+        # frame failed as a data error
+        frame = make_frames(1, seed=5)[0]
+        oracles = oracle_predictors()
+
+        def monocular(frame):
+            first, *rest = oracles.monocular(frame)
+            return [Mono2DDetection(*spoil(first), first.yaw), *rest]
+
+        spoiled = dataclasses.replace(oracles, monocular=monocular)
+        with pytest.raises(TypeError, match=message):
+            detect_frame(frame, spoiled, PipelineConfig())
+        with pytest.raises(TypeError, match=message):
+            sweep_objectness([frame], spoiled, [0.25], PipelineConfig())
+        with pytest.raises(TypeError, match=message):
+            sweep_scatter([frame], monocular, [0.5], PipelineConfig())
 
     def test_all_modes_run(self):
         frame = make_frame("000016", seed=16, n_cars=2)
@@ -2079,3 +2106,22 @@ class TestDetectionDocument:
             assert fid == frame.frame_id
             np.testing.assert_allclose(det.box3d.center, want.box3d.center,
                                        atol=1e-6)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fields: fields[:5], "expected 15 fields, got 5"),
+        (lambda fields: fields[:8] + ["x"] + fields[9:],
+         "could not convert string to float: 'x'"),
+        (lambda fields: fields[:11] + ["inf"] + fields[12:],
+         "box fields must be finite"),
+    ], ids=["field-count", "not-a-number", "infinite-z"])
+    def test_a_bad_line_names_its_file_and_line(self, tmp_path, edit,
+                                                message):
+        # the message used to name neither the file nor the line
+        line = format_detection("000005", make_detection((1.0, 0.5, 17.5),
+                                                         0.8, 0.9))
+        path = tmp_path / "000005.txt"
+        path.write_text(f"{line}\n\n{' '.join(edit(line.split()))}\n")
+        with pytest.raises(ValueError) as info:
+            cyldet.read_detections(path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{path}: line 3: {message}"
