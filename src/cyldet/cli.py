@@ -44,7 +44,7 @@ from .evalbench import (
     write_csv,
 )
 from .geometry import Box2D
-from .kitti import MissingFile, iter_split, parse_calibration
+from .kitti import MissingFile, iter_split, parse_calibration, parse_file
 from .mono import (
     DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
@@ -156,12 +156,13 @@ def _check_config_keys(cfg, path):
 
 def _resolve_settings(args):
     """{section: {key: value}}: defaults, then the config file, then flags."""
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     config_path = getattr(args, "config", None)
     if config_path:
         if not os.path.exists(config_path):
             raise MissingFile(f"config file {config_path} not found")
-        cfg.read(config_path)
+        parse_file(config_path,
+                   lambda text: cfg.read_string(text, config_path))
         _check_config_keys(cfg, config_path)
     settings = {}
     for row in _SCHEMA:
@@ -187,7 +188,7 @@ def _resolve_settings(args):
 
 
 def _echo_settings(settings, output_dir):
-    echo = configparser.ConfigParser()
+    echo = configparser.ConfigParser(interpolation=None)
     for section, values in settings.items():
         echo[section] = {key: "" if value is None else value
                          for key, value in values.items()}
@@ -293,8 +294,7 @@ def cmd_solve_pose(args):
             raise MissingFile(f"calib file {path} not found")
     else:
         raise UsageError("provide --calib FILE or --dataset-root with --frame")
-    with open(path, "r", encoding="utf-8") as fh:
-        calib = parse_calibration(fh.read())
+    calib = parse_file(path, parse_calibration)
     box2d = Box2D(*coords)
     est = geometric_agreement_search(box2d, tuple(dims), args.yaw, calib.p2,
                                      residual_cap=args.residual_cap)
@@ -484,7 +484,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, configparser.Error) as exc:
+        # a configparser.Error is a config file that does not parse
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, FileNotFoundError, NoFeasibleConfiguration) as exc:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kitti import parse_file, parse_lines
+
 
 class OutOfBounds(ValueError):
     pass
@@ -96,12 +98,25 @@ def logit(p):
     return math.log(p / (1.0 - p))
 
 
+def _offsets(t_loc):
+    """A head output's t_loc as three floats; anything else, a value that
+    is not a number included, is a wiring bug and raises TypeError."""
+    try:
+        t = tuple(float(v) for v in t_loc)
+    except ValueError as exc:
+        raise TypeError(f"t_loc must hold numbers: {exc}") from None
+    if len(t) != 3:
+        raise TypeError("t_loc must be a 3-vector")
+    return t
+
+
 def decode_location(t, region):
     """Map raw (t_x, t_y, t_z) into a point bounded by the region:
-    axis = center + 2 * (sigmoid(t) - 0.5) * bound, one float per axis."""
+    axis = center + 2 * (sigmoid(t) - 0.5) * bound, one float per axis.
+    A t that is not three numbers is a wiring bug and raises TypeError."""
     return np.array([
-        c + 2.0 * (expit(float(v)) - 0.5) * m
-        for v, c, m in zip(t, region.center, region.bounds, strict=True)
+        c + 2.0 * (expit(v) - 0.5) * m
+        for v, c, m in zip(_offsets(t), region.center, region.bounds)
     ])
 
 
@@ -120,8 +135,12 @@ def encode_location(target, region):
 def objectness(t_o):
     """Sigmoid squashing of the raw objectness output, in float64.  A NaN
     output raises ValueError, as no threshold would reject it; +inf gives
-    1.0 and -inf 0.0."""
-    t_o = float(t_o)
+    1.0 and -inf 0.0.  An output that is not a number is a wiring bug and
+    raises TypeError."""
+    try:
+        t_o = float(t_o)
+    except ValueError as exc:
+        raise TypeError(f"objectness output is not a number: {exc}") from None
     if math.isnan(t_o):
         raise ValueError("objectness output is NaN")
     return expit(t_o)
@@ -160,13 +179,22 @@ def encode_rotation(yaw, bins):
     return logits, residuals
 
 
+def _float_array(values):
+    """values as a float array; a ragged nesting or an item that is not a
+    number is a head's wiring bug, not data, and raises TypeError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except ValueError as exc:
+        raise TypeError(f"want an array of numbers: {exc}") from None
+
+
 def rotation_codes(logits, residuals, bins):
     """One head output's rotation logits and residuals as float arrays.
     The arity is checked here, before any stacking: when the head and the
     config disagree on the bins, that is a wiring bug, not data, and it
     raises TypeError."""
-    logits = np.asarray(logits, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
+    logits = _float_array(logits)
+    residuals = _float_array(residuals)
     if logits.shape != (bins.n_bins,) or residuals.shape != (bins.n_bins,):
         raise TypeError("encoding arity does not match the bin count")
     return logits, residuals
@@ -316,11 +344,12 @@ def encode_size(dims_hwl, clusters):
 def size_codes(logits, residuals, clusters):
     """One head output's size logits and (K, 3) residuals as float arrays,
     checked against the cluster count as rotation_codes checks the bins."""
-    logits = np.asarray(logits, dtype=float)
-    residuals = np.asarray(residuals, dtype=float).reshape(-1, 3)
-    if logits.shape != (clusters.n_clusters,) or len(residuals) != clusters.n_clusters:
+    logits = _float_array(logits)
+    residuals = _float_array(residuals)
+    k = clusters.n_clusters
+    if logits.shape != (k,) or residuals.size != 3 * k:
         raise TypeError("encoding arity does not match the cluster count")
-    return logits, residuals
+    return logits, residuals.reshape(k, 3)
 
 
 def decode_sizes(logits, residuals, clusters):
@@ -352,32 +381,22 @@ def save_size_clusters(clusters, path):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _centroid_line(line):
+    try:
+        row = [float(t) for t in line.split()]
+    except ValueError:
+        row = ()
+    if len(row) != 3:
+        raise ValueError(f"want three numbers H W L, got {line!r}")
+    return row
+
+
 def load_size_clusters(path):
     """SizeClusters from a file of one 'H W L' line per cluster, blank
-    lines skipped.  A ValueError names the path: of a file that is not
-    UTF-8 text, of invalid centroids, and of a line that is not three
-    numbers, with its line number."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for n, line in enumerate(fh, 1):
-                tokens = line.split()
-                if not tokens:
-                    continue
-                try:
-                    row = [float(t) for t in tokens]
-                except ValueError:
-                    row = ()
-                if len(row) != 3:
-                    raise ValueError(f"{path}: line {n}: want three numbers "
-                                     f"H W L, got {line.strip()!r}")
-                rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    try:
-        return SizeClusters(np.array(rows))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    lines skipped, read by kitti.parse_file: an error names the path, and
+    a line that is not three numbers its line number too."""
+    return parse_file(path, lambda text: SizeClusters(
+        np.array(parse_lines(text, _centroid_line))))
 
 
 @dataclass(frozen=True)
@@ -389,10 +408,7 @@ class RpnOutput:
     t_obj: float
 
     def __post_init__(self):
-        t = tuple(float(v) for v in self.t_loc)
-        if len(t) != 3:
-            raise TypeError("t_loc must be a 3-vector")
-        object.__setattr__(self, "t_loc", t)
+        object.__setattr__(self, "t_loc", _offsets(self.t_loc))
 
 
 @dataclass(frozen=True)
@@ -409,17 +425,16 @@ class BrnOutput:
     size_residuals: np.ndarray
 
     def __post_init__(self):
-        t = tuple(float(v) for v in self.t_loc)
-        if len(t) != 3:
-            raise TypeError("t_loc must be a 3-vector")
-        rl = np.asarray(self.rot_logits, dtype=float).ravel()
-        rr = np.asarray(self.rot_residuals, dtype=float).ravel()
-        sl = np.asarray(self.size_logits, dtype=float).ravel()
-        sr = np.asarray(self.size_residuals, dtype=float).reshape(-1, 3)
+        t = _offsets(self.t_loc)
+        rl = _float_array(self.rot_logits).ravel()
+        rr = _float_array(self.rot_residuals).ravel()
+        sl = _float_array(self.size_logits).ravel()
+        sr = _float_array(self.size_residuals).ravel()
         if rl.shape != rr.shape:
             raise TypeError("rotation logits and residuals disagree in length")
-        if sl.shape[0] != sr.shape[0]:
+        if sr.size != 3 * sl.size:
             raise TypeError("size logits and residuals disagree in length")
+        sr = sr.reshape(-1, 3)
         object.__setattr__(self, "t_loc", t)
         for name, arr in (
             ("rot_logits", rl),

@@ -23,8 +23,10 @@ the row-major products xyz @ M.T.  PointCloud accepts any layout.
 A frame may be loaded without its scan (load_frame's cloud=False), for
 work that reads only calibration and labels; its cloud is then None.  The
 scan must exist either way, so a split's completeness check is the same
-for every caller.  A file that does not parse raises its error's own
-type, its message prefixed with the file's path.
+for every caller.  parse_file reads every input file of the package and
+parse_lines splits every line format, so an error keeps its type and
+names its file and, in a line format, its line; a text file that is not
+UTF-8 is a KittiFormatError.
 """
 
 import math
@@ -48,7 +50,8 @@ _LABEL_FIELDS = ("truncated", "occluded", "alpha", "left", "top", "right",
 
 
 class KittiFormatError(ValueError):
-    """Base class for malformed KITTI files."""
+    """Base class for malformed KITTI files; raised itself for any input
+    file that is not UTF-8 text."""
 
 
 class MissingKey(KittiFormatError):
@@ -167,27 +170,26 @@ class FrameData:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
+def _calibration_line(line):
+    """(key, matrix) of a line that holds a required key, else None."""
+    key, colon, payload = line.partition(":")
+    key = key.strip()
+    if not colon or key not in _CALIB_KEYS:
+        return None
+    rows, cols = _CALIB_KEYS[key]
+    tokens = payload.split()
+    if len(tokens) != rows * cols:
+        raise FieldCountMismatch(
+            f"key {key} expects {rows * cols} values, got {len(tokens)}")
+    try:
+        return key, np.array([float(t) for t in tokens]).reshape(rows, cols)
+    except ValueError as exc:
+        raise MalformedNumber(f"key {key}: {exc}") from None
+
+
 def parse_calibration(text):
     """Parse KITTI calibration text into a CalibrationSet."""
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or ":" not in line:
-            continue
-        key, payload = line.split(":", 1)
-        key = key.strip()
-        if key not in _CALIB_KEYS:
-            continue
-        rows, cols = _CALIB_KEYS[key]
-        tokens = payload.split()
-        if len(tokens) != rows * cols:
-            raise FieldCountMismatch(
-                f"line {lineno}: key {key} expects {rows * cols} values, got {len(tokens)}"
-            )
-        try:
-            values[key] = np.array([float(t) for t in tokens]).reshape(rows, cols)
-        except ValueError as exc:
-            raise MalformedNumber(f"line {lineno}: key {key}: {exc}") from None
+    values = dict(parse_lines(text, _calibration_line))
     for key in _CALIB_KEYS:
         if key not in values:
             raise MissingKey(f"calibration key {key} not found")
@@ -232,54 +234,46 @@ def box_from_fields(fields):
     return Box3D((x, y_bottom - h / 2.0, z), (w, h, length), yaw)
 
 
+def _label_line(line, classes):
+    """The GroundTruthLabel of a line whose type classes admits, else None."""
+    fields = line.split()
+    if len(fields) != 15:
+        raise FieldCountMismatch(f"expected 15 fields, got {len(fields)}")
+    name = fields[0]
+    if name == "DontCare" or (classes is not None and name not in classes):
+        return None
+    try:
+        nums = [float(t) for t in fields[1:]]
+    except ValueError as exc:
+        raise MalformedNumber(str(exc)) from None
+    for field, value in zip(_LABEL_FIELDS, nums):
+        if not math.isfinite(value):
+            raise MalformedNumber(f"{field} must be finite, got {value}")
+    if not nums[1].is_integer():
+        raise MalformedNumber(
+            f"occluded must be a whole number, got {nums[1]}")
+    truncation, occlusion, alpha = nums[0], int(nums[1]), nums[2]
+    bbox = Box2D(*nums[3:7])
+    return GroundTruthLabel(
+        class_name=name,
+        truncation=truncation,
+        occlusion=occlusion,
+        alpha=alpha,
+        bbox2d=bbox,
+        box3d=box_from_fields(nums[7:14]),
+        difficulty=assign_difficulty(bbox, occlusion, truncation),
+    )
+
+
 def parse_labels(text, classes=("Car",)):
     """Parse KITTI label text into GroundTruthLabel objects.
 
     classes filters by object type; pass None to admit every class.
     "DontCare" rows carry no valid 3D box and are always dropped.  A
     number that is not finite, or an occlusion that is not whole, raises
-    MalformedNumber naming its line and field.
+    MalformedNumber naming its field; every error names its line.
     """
-    labels = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 15:
-            raise FieldCountMismatch(
-                f"line {lineno}: expected 15 fields, got {len(fields)}"
-            )
-        name = fields[0]
-        if name == "DontCare":
-            continue
-        if classes is not None and name not in classes:
-            continue
-        try:
-            nums = [float(t) for t in fields[1:]]
-        except ValueError as exc:
-            raise MalformedNumber(f"line {lineno}: {exc}") from None
-        for field, value in zip(_LABEL_FIELDS, nums):
-            if not math.isfinite(value):
-                raise MalformedNumber(
-                    f"line {lineno}: {field} must be finite, got {value}")
-        if not nums[1].is_integer():
-            raise MalformedNumber(f"line {lineno}: occluded must be a whole "
-                                  f"number, got {nums[1]}")
-        truncation, occlusion, alpha = nums[0], int(nums[1]), nums[2]
-        bbox = Box2D(*nums[3:7])
-        labels.append(
-            GroundTruthLabel(
-                class_name=name,
-                truncation=truncation,
-                occlusion=occlusion,
-                alpha=alpha,
-                bbox2d=bbox,
-                box3d=box_from_fields(nums[7:14]),
-                difficulty=assign_difficulty(bbox, occlusion, truncation),
-            )
-        )
-    return labels
+    return parse_lines(text, lambda line: _label_line(line, classes))
 
 
 def emit_labels(labels):
@@ -345,16 +339,28 @@ def camera_to_lidar(cloud, calib):
     return _moved(cloud, calib.r0_rect.T, -tr[:, 3], tr[:, :3].T, "lidar")
 
 
-def read_split_ids(list_path):
-    """Frame ids from a split list file, one per line."""
-    with open(list_path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+def parse_lines(text, parse_line):
+    """parse_line of each stripped non-blank line of text, in order, less
+    the None it returns for a line it skips.  A ValueError it raises keeps
+    its type and gains "line {n}: ", counting every line from 1."""
+    out = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line:
+            try:
+                item = parse_line(line)
+            except ValueError as exc:
+                raise type(exc)(f"line {n}: {exc}") from None
+            if item is not None:
+                out.append(item)
+    return out
 
 
-def _parse_file(path, parse, text=True):
-    """parse of the file's contents.  A ValueError it raises keeps its
-    type, so that callers still tell the kinds apart, and gains the path;
-    a text file that is not UTF-8 is a KittiFormatError naming it."""
+def parse_file(path, parse, text=True):
+    """parse of the file's contents, UTF-8 text unless text is False.  A
+    ValueError it raises keeps its type, so that callers still tell the
+    kinds apart, and gains the path; a text file that is not UTF-8 is a
+    KittiFormatError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -363,6 +369,11 @@ def _parse_file(path, parse, text=True):
         raise KittiFormatError(f"{path}: not UTF-8 text: {exc}") from None
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def read_split_ids(list_path):
+    """Frame ids from a split list file, one per line."""
+    return parse_file(list_path, lambda text: parse_lines(text, str))
 
 
 def load_frame(dataset_root, frame_id, cloud=True):
@@ -379,11 +390,11 @@ def load_frame(dataset_root, frame_id, cloud=True):
     for kind, path in paths.items():
         if not os.path.exists(path):
             raise MissingFile(f"frame {frame_id}: missing {kind} file {path}")
-    calib = _parse_file(paths["calib"], parse_calibration)
-    labels = _parse_file(paths["label"], parse_labels)
+    calib = parse_file(paths["calib"], parse_calibration)
+    labels = parse_file(paths["label"], parse_labels)
     camera = None
     if cloud:
-        lidar = _parse_file(paths["velodyne"], parse_velodyne, text=False)
+        lidar = parse_file(paths["velodyne"], parse_velodyne, text=False)
         camera = lidar_to_camera(lidar, calib)
     return FrameData(
         frame_id=frame_id,
@@ -394,10 +405,11 @@ def load_frame(dataset_root, frame_id, cloud=True):
 
 
 def iter_split(list_path, dataset_root, cloud=True):
-    """Yield the frames named in a split list file in list order, loading
-    each one only when the caller reaches it; cloud as for load_frame."""
-    for frame_id in read_split_ids(list_path):
-        yield load_frame(dataset_root, frame_id, cloud=cloud)
+    """The frames named in a split list file, in list order, each loaded
+    when the caller reaches it; the list is read by this call, before any
+    frame.  cloud as for load_frame."""
+    return (load_frame(dataset_root, frame_id, cloud=cloud)
+            for frame_id in read_split_ids(list_path))
 
 
 def stable_id_hash(frame_id):

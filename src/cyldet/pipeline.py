@@ -77,7 +77,7 @@ from .geometry import Box2D, Box3D, iou_2d, iou_bev, project_boxes
 from .codec import decode_rotation, decode_size  # noqa: F401
 from .geometry import project_box  # noqa: F401
 from .kitti import PointCloud, WrongFrame, stable_id_hash
-from .kitti import box_from_fields, box_to_fields
+from .kitti import box_from_fields, box_to_fields, parse_file, parse_lines
 from .mono import (
     DEFAULT_RESIDUAL_CAP,
     NoFeasibleConfiguration,
@@ -345,13 +345,25 @@ class Mono2DDetection:
     yaw: float
 
     def __post_init__(self):
-        # a wrong type or arity is a wiring bug; the pose search checks the
-        # dims' values, failing this object alone
-        dims = tuple(float(v) for v in self.dims)
-        if not isinstance(self.box2d, Box2D) or len(dims) != 3:
-            raise TypeError("want a Box2D and 3 dims (W, H, L), got "
-                            f"{type(self.box2d).__name__} and {dims}")
+        dims, yaw = _monocular_fields(self)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "yaw", yaw)
+
+
+def _monocular_fields(det2d):
+    """The dims of a monocular output as three floats, and its yaw as a
+    float.  A box that is not a Box2D, dims that are not three numbers or
+    a yaw that is not one are a wiring bug and raise TypeError; the pose
+    search checks their values, failing this object alone."""
+    try:
+        dims = tuple(float(v) for v in det2d.dims)
+        yaw = float(det2d.yaw)
+    except ValueError as exc:
+        raise TypeError(f"dims and yaw must be numbers: {exc}") from None
+    if not isinstance(det2d.box2d, Box2D) or len(dims) != 3:
+        raise TypeError("want a Box2D and 3 dims (W, H, L), got "
+                        f"{type(det2d.box2d).__name__} and {dims}")
+    return dims, yaw
 
 
 @dataclass(frozen=True)
@@ -632,12 +644,13 @@ def solve_poses(frame, monocular, config=PipelineConfig()):
     det2d, estimate) tuples.  An object whose pose cannot be solved,
     invalid dims or yaw included, is logged with its
     NoFeasibleConfiguration, in object order, and skipped: no object
-    fails its frame."""
+    fails its frame.  Every output, Mono2DDetection or not, passes
+    _monocular_fields, so one of the wrong type or shape raises TypeError."""
     detections = list(monocular(frame))
+    fields = [_monocular_fields(det2d) for det2d in detections]
     outcomes = agreement_search_frame(
         [det2d.box2d for det2d in detections],
-        [det2d.dims for det2d in detections],
-        [det2d.yaw for det2d in detections],
+        [dims for dims, _ in fields], [yaw for _, yaw in fields],
         frame.calib.p2, residual_cap=config.residual_cap,
     )
     poses = []
@@ -848,14 +861,7 @@ def parse_detection_line(line):
 
 
 def read_detections(path):
-    """parse_detection_line of each non-blank line.  A ValueError from a
-    line keeps its type and gains the path and line number."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    out.append(parse_detection_line(line))
-                except ValueError as exc:
-                    raise type(exc)(f"{path}: line {n}: {exc}") from None
-    return out
+    """parse_detection_line of each non-blank line, read by
+    kitti.parse_file: an error names the path and the line."""
+    return parse_file(path,
+                      lambda text: parse_lines(text, parse_detection_line))

@@ -127,6 +127,23 @@ class TestSolvePose:
         assert out in captured.out and err in captured.err
         assert "expected one argument" not in captured.err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"P2: 1 2 3\n", "line 1: key P2 expects 12 values, got 3"),
+        (None, "not UTF-8 text: "),
+    ], ids=["malformed", "not-utf8"])
+    def test_a_calib_file_that_does_not_parse_is_named(
+            self, dataset, tmp_path, capsys, content, message):
+        # both used to exit 2 naming no file
+        args, _ = self.solve_args(dataset)
+        path = tmp_path / "calib.txt"
+        if content is None:  # a good file, then byte 0xff
+            with open(args[args.index("--calib") + 1], "rb") as fh:
+                content = fh.read() + b"\xff"
+        path.write_bytes(content)
+        args[args.index("--calib") + 1] = str(path)
+        assert main(args) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
     def test_reduced_search_flag_is_gone(self, dataset, capsys):
         # the 128-row configuration set it selected was deleted: every
         # search runs over the 4096-row set
@@ -661,6 +678,43 @@ class TestSettings:
             f"got {text!r}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 5\n", "File contains no section headers."),
+        ("[run]\nseed = 5\nseed = 6\n",
+         "option 'seed' in section 'run' already exists"),
+        ("[run]\nseed = 5\n[run]\nmode = single_stage\n",
+         "section 'run' already exists"),
+    ], ids=["no-section", "duplicate-option", "duplicate-section"])
+    def test_a_config_file_that_does_not_parse_is_usage_error(
+            self, dataset, tmp_path, capsys, text, message):
+        # each used to exit 3 with configparser's traceback
+        root, split, _ = dataset
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        out_dir = tmp_path / "out"
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(out_dir), "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert message in err and repr(str(config)) in err
+        assert not out_dir.exists()
+
+    def test_a_percent_sign_is_literal(self, dataset, tmp_path):
+        # "pct%1" as --output-dir used to exit 2 (invalid interpolation
+        # syntax), and a config value holding "%" to exit 3
+        root, split, _ = dataset
+        where = ["--dataset-root", root, "--split", split]
+        flagged = tmp_path / "pct%1"
+        assert main(["detect", *where, "--output-dir", str(flagged)]) == 0
+        echo = (flagged / "config_effective.ini").read_text()
+        assert f"output_dir = {flagged}\n" in echo
+        for written, made in (("a%b", "a%b"), ("c%%d", "c%%d")):
+            config = tmp_path / "run.ini"
+            config.write_text(f"[run]\noutput_dir = {tmp_path / written}\n")
+            assert main(["detect", *where, "--config", str(config)]) == 0
+            assert (tmp_path / made / "summary.txt").exists()
+
     def test_echoed_config_reproduces_the_run(self, dataset, tmp_path):
         root, split, _ = dataset
         first = tmp_path / "first"
@@ -1090,6 +1144,22 @@ class TestFrameFilesRead:
         assert main(command + where + _output(command, str(tmp_path))) == 2
         assert (f"error: frame 000001: missing velodyne file {path}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_a_split_list_that_is_not_utf8_is_named(self, tree, tmp_path,
+                                                    capsys, command):
+        # it used to exit 2 printing only the decode error: the list was
+        # read with the first frame, after detect and sweep had made the
+        # output directory and echoed their configuration into it
+        root, where = tree
+        path = where[-1]
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        out_dir = str(tmp_path / "out")
+        assert main(command + where + _output(command, out_dir)) == 2
+        assert (f"error: {path}: not UTF-8 text: "
+                in capsys.readouterr().err)
+        assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
     def test_a_label_file_that_is_not_utf8_is_named(self, tree, tmp_path,

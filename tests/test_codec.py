@@ -9,6 +9,7 @@ from scipy import special
 from cyldet import (
     BrnOutput,
     InsufficientData,
+    KittiFormatError,
     NonPositiveDims,
     OutOfBounds,
     ProposalRegion,
@@ -230,7 +231,7 @@ class TestSizeClusters:
         path.write_bytes(b"1.4 1.5 3.4\n\xff")
         with pytest.raises(ValueError) as info:
             load_size_clusters(path)
-        assert type(info.value) is ValueError
+        assert type(info.value) is KittiFormatError
         assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
 
     @pytest.mark.parametrize("centroids", [

@@ -32,7 +32,7 @@ from cyldet import (
 from cyldet import synthetic
 from cyldet.evalbench import desync_frame
 from cyldet.geometry import Box3D
-from cyldet.kitti import CalibrationSet
+from cyldet.kitti import CalibrationSet, parse_lines
 from cyldet.synthetic import make_calibration, make_frames, write_dataset
 from oracles import camera_to_lidar_reference, lidar_to_camera_reference
 
@@ -110,6 +110,33 @@ class TestCalibration:
             parse_calibration(bad)
 
 
+class TestParseLines:
+    def test_lines_count_from_one_blank_lines_included(self):
+        seen = []
+
+        def parse_line(line):
+            seen.append(line)
+            if line == "bad":
+                raise MalformedNumber("no number")
+            return None if line == "skip" else line.upper()
+
+        assert parse_lines("a\n\n  skip \r\n\tb\n", parse_line) == ["A", "B"]
+        # each line stripped, blank ones never passed
+        assert seen == ["a", "skip", "b"]
+        with pytest.raises(MalformedNumber) as info:
+            parse_lines("a\n \nskip\n\nbad\nb\n", parse_line)
+        # the type is kept, and the line counts the blank lines before it
+        assert type(info.value) is MalformedNumber
+        assert str(info.value) == "line 5: no number"
+
+    def test_only_a_value_error_gains_the_line(self):
+        def parse_line(line):
+            raise TypeError("wiring")
+
+        with pytest.raises(TypeError, match="^wiring$"):
+            parse_lines("a\n", parse_line)
+
+
 class TestLabels:
     LINE = "Car 0.0 0 0.0 100 100 200 200 2.0 1.0 4.0 0.0 2.0 10.0 0.0"
 
@@ -150,6 +177,19 @@ class TestLabels:
         with pytest.raises(MalformedNumber, match=(
                 f"^line 1: occluded must be a whole number, got {token}$")):
             parse_labels(line)
+
+    def test_a_box_out_of_order_names_its_line(self, tmp_path):
+        # the message used to name the file but not the line
+        write_dataset(str(tmp_path), make_frames(1, seed=13))
+        fields = self.LINE.split()
+        fields[4], fields[6] = fields[6], fields[4]
+        path = tmp_path / "label_2" / "000000.txt"
+        path.write_text(f"{self.LINE}\n\n{' '.join(fields)}\n")
+        with pytest.raises(ValueError) as info:
+            load_frame(str(tmp_path), "000000", cloud=False)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(
+            f"{path}: line 3: Box2D must be well ordered")
 
     def test_a_whole_occlusion_may_be_written_as_a_float(self):
         (label,) = parse_labels(self.LINE.replace("0.0 0 0.0", "0.0 2.0 0.0"))

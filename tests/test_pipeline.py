@@ -1352,6 +1352,141 @@ class TestDetectFrame:
             assert len(dets) == 2
 
 
+# a duck type of each predictor's output, with its dataclass's fields
+_DUCKS = {
+    "monocular": collections.namedtuple("Mono", "box2d dims yaw"),
+    "rpn": collections.namedtuple("Rpn", "t_loc t_obj"),
+    "brn": collections.namedtuple(
+        "Brn", "t_loc rot_logits rot_residuals size_logits size_residuals"),
+}
+_CLASSES = {"monocular": Mono2DDetection, "rpn": RpnOutput, "brn": BrnOutput}
+_VECTOR_SPOILS = {
+    "short": lambda v: list(np.ravel(v))[:-1],
+    "long": lambda v: [*np.ravel(v), 0.5],
+    "ragged": lambda v: [list(np.ravel(v)[:2]), *np.ravel(v)[1:]],
+    "none": lambda v: None,
+    "object": lambda v: object(),
+    "text": lambda v: ["x"] * np.size(v),
+}
+_SCALAR_SPOILS = {
+    "pair": lambda v: [v, v],
+    "none": lambda v: None,
+    "object": lambda v: object(),
+    "text": lambda v: "x",
+}
+_BOX_SPOILS = {"tuple": dataclasses.astuple, "none": lambda v: None,
+               "text": lambda v: "x"}
+
+
+def _spoils_of(field):
+    if field == "box2d":
+        return _BOX_SPOILS
+    return _SCALAR_SPOILS if field in ("yaw", "t_obj") else _VECTOR_SPOILS
+
+
+def _spoiled(predictors, kind, make, field, spoil):
+    """predictors with every output of kind rebuilt by make, with field
+    replaced by spoil of its value."""
+    def rebuilt(out):
+        values = {name: getattr(out, name) for name in _DUCKS[kind]._fields}
+        values[field] = spoil(values[field])
+        return make(**values)
+
+    if kind == "monocular":
+        return dataclasses.replace(predictors, monocular=lambda frame: [
+            rebuilt(det2d) for det2d in predictors.monocular(frame)])
+    head = getattr(predictors, kind)
+    return dataclasses.replace(predictors, **{
+        kind: lambda points, region, frame: rebuilt(head(points, region,
+                                                         frame))})
+
+
+@st.composite
+def _malformed(draw):
+    """(kind, make, field, spoil): every output of one predictor kind,
+    built as its dataclass or a duck type, with one field of the wrong
+    arity or type, or ragged."""
+    kind = draw(st.sampled_from(sorted(_DUCKS)))
+    make = draw(st.sampled_from([_CLASSES[kind], _DUCKS[kind]]))
+    field = draw(st.sampled_from(_DUCKS[kind]._fields))
+    spoils = _spoils_of(field)
+    return kind, make, field, spoils[draw(st.sampled_from(sorted(spoils)))]
+
+
+@st.composite
+def _bad_values(draw):
+    """(kind, make, field, spoil): every output of one predictor kind,
+    well formed, with one field holding a value the pipeline rejects as
+    data: NaN, infinite or at or below 0."""
+    kind = draw(st.sampled_from(sorted(_DUCKS)))
+    make = draw(st.sampled_from([_CLASSES[kind], _DUCKS[kind]]))
+    field, values = draw(st.sampled_from({
+        "monocular": [("dims", [math.nan, math.inf, 0.0, -1.6]),
+                      ("yaw", [math.nan, math.inf])],
+        "rpn": [("t_loc", [math.nan]), ("t_obj", [math.nan])],
+        "brn": [("t_loc", [math.nan]), ("rot_residuals", [math.nan]),
+                ("size_residuals", [math.nan, -100.0])],
+    }[kind]))
+    value = draw(st.sampled_from(values))
+    if field in ("yaw", "t_obj"):
+        return kind, make, field, lambda v: value
+    if field.endswith("residuals"):  # the winning bin's or cluster's too
+        return kind, make, field, lambda v: np.full_like(v, value)
+    i = draw(st.integers(0, 2))
+    return kind, make, field, lambda v: (*v[:i], value, *v[i + 1:])
+
+
+class TestWiringErrorsRaise:
+    """At every predictor boundary, an output of the wrong arity or type
+    (a string that is not a number included), or a ragged one, is wiring:
+    detect_frame, and sweep_objectness where it reads the field, raise
+    TypeError, whether the predictor returns the output's dataclass or a
+    duck type.  A well-formed output with a bad value is data: its object
+    or proposal is dropped and logged."""
+
+    frame = make_frames(1, seed=5)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_malformed(), mode=st.sampled_from(pipeline.PIPELINE_MODES))
+    def test_a_malformed_output_raises_type_error(self, case, mode):
+        kind, make, field, spoil = case
+        oracles = oracle_predictors()
+        spoiled = _spoiled(oracles, kind, make, field, spoil)
+        config = PipelineConfig(mode=mode)
+        with pytest.raises(TypeError):
+            detect_frame(self.frame, spoiled, config)
+        # the objectness sweep runs no box head, and reads only t_obj of a
+        # proposal head's output; a dataclass checks every field when built
+        if kind == "monocular" or (kind == "rpn" and (make is RpnOutput
+                                                      or field == "t_obj")):
+            with pytest.raises(TypeError):
+                sweep_objectness([self.frame], spoiled, [0.25], config)
+        else:
+            assert (sweep_objectness([self.frame], spoiled, [0.25], config)
+                    == sweep_objectness([self.frame], oracles, [0.25],
+                                        config))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_bad_values())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_bad_value_is_dropped_and_logged(self, case):
+        kind, make, field, spoil = case
+        spoiled = _spoiled(oracle_predictors(), kind, make, field, spoil)
+        lines = _Lines()
+        logger = logging.getLogger("cyldet")
+        logger.addHandler(lines)
+        try:
+            assert detect_frame(self.frame, spoiled, PipelineConfig()) == []
+            sweep_objectness([self.frame], spoiled, [0.25], PipelineConfig())
+        finally:
+            logger.removeHandler(lines)
+        assert lines.lines
+        # one line per object (monocular) or dropped proposal
+        assert all(re.fullmatch(r"frame 000000 (object \d+: dims must be "
+                                r"finite .*|proposal .* dropped: .*)", line)
+                   for line in lines.lines)
+
+
 _WILD = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -2125,3 +2260,13 @@ class TestDetectionDocument:
             cyldet.read_detections(path)
         assert type(info.value) is ValueError
         assert str(info.value) == f"{path}: line 3: {message}"
+
+    def test_a_document_that_is_not_utf8_is_named(self, tmp_path):
+        # it used to raise the bare UnicodeDecodeError, naming no file
+        line = format_detection("000005", make_detection((1.0, 0.5, 17.5),
+                                                         0.8, 0.9))
+        path = tmp_path / "000005.txt"
+        path.write_bytes(f"{line}\n".encode() + b"\xff")
+        with pytest.raises(cyldet.KittiFormatError) as info:
+            cyldet.read_detections(path)
+        assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
