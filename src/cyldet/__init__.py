@@ -15,6 +15,7 @@ imports scipy and no detection or evaluation path calls them.
 from .codec import (
     BrnOutput,
     InsufficientData,
+    NanLogits,
     NonPositiveDims,
     OutOfBounds,
     ProposalRegion,

@@ -4,9 +4,14 @@ Location offsets are squashed through a sigmoid so the decoded point can
 never leave the proposal's per-axis bounds.  The sigmoid (``expit``) and
 its inverse (``logit``) are scalar float64 functions on Python's ``math``
 (the C library's exp, log and log1p) in the form of ``scipy.special``, so
-they give scipy's bits without importing it.  Rotation and size use a
-hybrid class-plus-residual parameterization: rotation bins equally divide
-[0, pi), size classes are k-means clusters of (H, W, L) training dims.
+they give scipy's bits without importing it.  The location codec is one
+pair of functions on plain floats, decode_location_floats and
+encode_location_floats, which return tuples; the pipeline carries a
+proposal's location in them, and decode_location and encode_location are
+their numpy 3-vectors.  Rotation and size use a hybrid class-plus-residual
+parameterization: rotation bins equally divide [0, pi), size classes are
+k-means clusters of (H, W, L) training dims.  Logits that hold a NaN pick
+no class: their row decodes to NanLogits, a ValueError.
 """
 
 import math
@@ -26,6 +31,10 @@ class NonPositiveDims(ValueError):
 
 
 class InsufficientData(ValueError):
+    pass
+
+
+class NanLogits(ValueError):
     pass
 
 
@@ -102,7 +111,7 @@ def _offsets(t_loc):
     """A head output's t_loc as three floats; anything else, a value that
     is not a number included, is a wiring bug and raises TypeError."""
     try:
-        t = tuple(float(v) for v in t_loc)
+        t = tuple(map(float, t_loc))
     except ValueError as exc:
         raise TypeError(f"t_loc must hold numbers: {exc}") from None
     if len(t) != 3:
@@ -110,26 +119,38 @@ def _offsets(t_loc):
     return t
 
 
+def decode_location_floats(t, region):
+    """Map raw (t_x, t_y, t_z) into a point bounded by the region, as a
+    tuple of floats: axis = center + 2 * (sigmoid(t) - 0.5) * bound.  A t
+    that is not three numbers is a wiring bug and raises TypeError."""
+    (tx, ty, tz), (cx, cy, cz), (mx, my, mz) = (_offsets(t), region.center,
+                                                region.bounds)
+    return (cx + 2.0 * (expit(tx) - 0.5) * mx,
+            cy + 2.0 * (expit(ty) - 0.5) * my,
+            cz + 2.0 * (expit(tz) - 0.5) * mz)
+
+
 def decode_location(t, region):
-    """Map raw (t_x, t_y, t_z) into a point bounded by the region:
-    axis = center + 2 * (sigmoid(t) - 0.5) * bound, one float per axis.
-    A t that is not three numbers is a wiring bug and raises TypeError."""
-    return np.array([
-        c + 2.0 * (expit(v) - 0.5) * m
-        for v, c, m in zip(_offsets(t), region.center, region.bounds)
-    ])
+    """decode_location_floats as a numpy 3-vector."""
+    return np.array(decode_location_floats(t, region))
+
+
+def encode_location_floats(target, region):
+    """Inverse of decode_location_floats, as a tuple of floats; the target
+    must lie strictly inside the per-axis bounds, or OutOfBounds."""
+    x, y, z = target
+    (cx, cy, cz), (mx, my, mz) = region.center, region.bounds
+    ox, oy, oz = float(x) - cx, float(y) - cy, float(z) - cz
+    if abs(ox) >= mx or abs(oy) >= my or abs(oz) >= mz:
+        raise OutOfBounds(f"target offset {(ox, oy, oz)} not strictly "
+                          f"inside bounds {region.bounds}")
+    return (logit(ox / (2.0 * mx) + 0.5), logit(oy / (2.0 * my) + 0.5),
+            logit(oz / (2.0 * mz) + 0.5))
 
 
 def encode_location(target, region):
-    """Inverse of decode_location; the target must lie strictly inside the
-    per-axis bounds."""
-    off = [float(v) - c for v, c in zip(target, region.center, strict=True)]
-    m = region.bounds
-    if any(abs(o) >= b for o, b in zip(off, m)):
-        raise OutOfBounds(
-            f"target offset {tuple(off)} not strictly inside bounds {m}"
-        )
-    return np.array([logit(o / (2.0 * b) + 0.5) for o, b in zip(off, m)])
+    """encode_location_floats as a numpy 3-vector."""
+    return np.array(encode_location_floats(target, region))
 
 
 def objectness(t_o):
@@ -200,19 +221,31 @@ def rotation_codes(logits, residuals, bins):
     return logits, residuals
 
 
+def _one(outcomes):
+    """The outcome of a one-item decode, raised if it is an error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
 def decode_rotations(logits, residuals, bins):
-    """Headings in [0, pi) of stacked (N, n_bins) logits and residuals:
-    each row's winning bin center plus its residual."""
+    """For stacked (N, n_bins) logits and residuals, each row's heading in
+    [0, pi), its winning bin center plus its residual, or the NanLogits
+    that rejects a row whose logits hold a NaN."""
     idx = np.argmax(logits, axis=1)
-    return ((idx + 0.5) * bins.width
+    yaws = ((idx + 0.5) * bins.width
             + residuals[np.arange(len(idx)), idx]) % math.pi
+    nan = np.isnan(logits).any(axis=1).tolist()
+    return [NanLogits("rotation logits hold a NaN") if bad else yaw
+            for yaw, bad in zip(yaws.tolist(), nan)]
 
 
 def decode_rotation(logits, residuals, bins):
     """Heading in [0, pi) from the winning bin center plus its residual;
-    the one-item call of decode_rotations."""
+    the one-item call of decode_rotations, which raises its error."""
     logits, residuals = rotation_codes(logits, residuals, bins)
-    return decode_rotations(logits[None], residuals[None], bins)[0]
+    return _one(decode_rotations(logits[None], residuals[None], bins))
 
 
 @dataclass(frozen=True)
@@ -354,24 +387,24 @@ def size_codes(logits, residuals, clusters):
 
 def decode_sizes(logits, residuals, clusters):
     """For stacked (N, K) logits and (N, K, 3) residuals, each row's
-    winning centroid plus its residual triple, (H, W, L), or the
-    NonPositiveDims that rejects a triple with a dim at or below 0 (NaN
-    passes)."""
+    winning centroid plus its residual triple, (H, W, L), or the error
+    that rejects it: NanLogits for logits that hold a NaN, else
+    NonPositiveDims for a triple with a dim at or below 0 (NaN passes)."""
     idx = np.argmax(logits, axis=1)
     dims = clusters.centroids[idx] + residuals[np.arange(len(idx)), idx]
-    return [NonPositiveDims(f"decoded dims {tuple(row)} not strictly positive")
-            if bad else row
-            for row, bad in zip(dims, (dims <= 0.0).any(axis=1).tolist())]
+    nan = np.isnan(logits).any(axis=1).tolist()
+    small = (dims <= 0.0).any(axis=1).tolist()
+    return [NanLogits("size logits hold a NaN") if bad else
+            NonPositiveDims(f"decoded dims {tuple(row)} not strictly positive")
+            if too_small else row
+            for row, bad, too_small in zip(dims, nan, small)]
 
 
 def decode_size(logits, residuals, clusters):
     """(H, W, L) from the winning centroid plus its residual triple; the
-    one-item call of decode_sizes."""
+    one-item call of decode_sizes, which raises its error."""
     logits, residuals = size_codes(logits, residuals, clusters)
-    (dims,) = decode_sizes(logits[None], residuals[None], clusters)
-    if isinstance(dims, ValueError):
-        raise dims
-    return dims
+    return _one(decode_sizes(logits[None], residuals[None], clusters))
 
 
 def save_size_clusters(clusters, path):

@@ -31,7 +31,11 @@ frame's end in (object, seed) order.  detect_frame's step decodes the
 rotations and sizes of a box-head stage as one stack (decode_boxes) and
 projects the last stage's boxes as one stack (geometry.project_boxes),
 each box bit for bit as it would come alone; objectness and locations
-stay scalar math.  Every region of a run is PipelineConfig.region
+stay scalar math.  A proposal's location is a tuple of plain floats from
+the scatter to the last box head: the gate and decode_boxes decode it
+with codec.decode_location_floats, and no numpy 3-vector is built per
+region.  A box head's logits that hold a NaN drop its proposal with
+NanLogits.  Every region of a run is PipelineConfig.region
 recentered; each frame has one RegionIndex, built from that shape, which
 picks its own cells and rejects a cloud not in the camera frame with
 WrongFrame.  The index counts the points per cell when built, and sorts
@@ -44,7 +48,10 @@ Oracles backed by ground truth (with optional seeded noise) stand in for
 trained networks: oracle_predictors bundles the three methods of one
 object, whose point heads read no points and share a table of the last
 frame's labels in plain floats, filled when a frame first reaches them:
-each label's noise is drawn, and its box encoded, once per frame.
+each label's noise is drawn, and its box encoded, once per frame.  They
+encode a location in plain floats (codec.encode_location_floats), and
+the box head answers a region with no label in its bounds with its
+bundle's one set of read-only zero codes.
 """
 
 import functools
@@ -60,10 +67,10 @@ from .codec import (
     RotationBins,
     RpnOutput,
     SizeClusters,
-    decode_location,
+    decode_location_floats,
     decode_rotations,
     decode_sizes,
-    encode_location,
+    encode_location_floats,
     encode_rotation,
     encode_size,
     logit,
@@ -72,8 +79,10 @@ from .codec import (
     size_codes,
 )
 from .geometry import Box2D, Box3D, iou_2d, iou_bev, project_boxes
-# the step decodes and projects a stage at once; perfbench/layers.py
-# patches these one-item names on this module
+# the step decodes and projects a stage at once, and locations stay plain
+# floats; perfbench/layers.py patches these one-item and numpy names on
+# this module
+from .codec import decode_location, encode_location  # noqa: F401
 from .codec import decode_rotation, decode_size  # noqa: F401
 from .geometry import project_box  # noqa: F401
 from .kitti import PointCloud, WrongFrame, stable_id_hash
@@ -413,16 +422,29 @@ def _graded_objectness(ground_dist, radius):
 
 def _within_bounds(center, region):
     """Whether center lies strictly inside the region's location bounds."""
-    return all(abs((c - r) / m) < 1.0 for c, r, m in
-               zip(center, region.center, region.bounds))
+    x, y, z = center
+    (rx, ry, rz), (mx, my, mz) = region.center, region.bounds
+    return (abs((x - rx) / mx) < 1.0 and abs((y - ry) / my) < 1.0
+            and abs((z - rz) / mz) < 1.0)
 
 
 def _clamped_encode(center, region):
-    target = []
-    for c, r, m in zip(center, region.center, region.bounds):
-        limit = (1.0 - 1e-9) * m
-        target.append(r + min(max(c - r, -limit), limit))
-    return encode_location(target, region)
+    """encode_location_floats of center moved, on each axis, to within
+    (1 - 1e-9) of the region's bound; the move rounds, so far from the
+    origin it can land on the bound, which OutOfBounds rejects."""
+    x, y, z = center
+    (rx, ry, rz), (mx, my, mz) = region.center, region.bounds
+    lx, ly, lz = (1.0 - 1e-9) * mx, (1.0 - 1e-9) * my, (1.0 - 1e-9) * mz
+    return encode_location_floats((rx + min(max(x - rx, -lx), lx),
+                                   ry + min(max(y - ry, -ly), ly),
+                                   rz + min(max(z - rz, -lz), lz)), region)
+
+
+def _read_only(*arrays):
+    """arrays, each made read-only, as a tuple."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 class _Oracles:
@@ -432,13 +454,18 @@ class _Oracles:
     first reaches them: each label's center, noised box and box-head codes
     under the bundle's size clusters and rotation bins.  The table keeps
     the frame's id and labels, not the frame, so it holds no point cloud;
-    holding the labels also keeps their identity unique."""
+    holding the labels also keeps their identity unique.  The box head
+    answers a region with no label inside its bounds with the bundle's
+    one set of read-only zero codes."""
 
     def __init__(self, cfg, clusters, bins):
         self.cfg = cfg
         self.clusters = clusters
         self.bins = bins
         self.frame_id = self.labels = None
+        self.zero_codes = _read_only(
+            np.zeros(bins.n_bins), np.zeros(bins.n_bins),
+            np.zeros(clusters.n_clusters), np.zeros((clusters.n_clusters, 3)))
 
     def monocular(self, frame):
         """Each ground-truth car's 2D box, dims and heading with seeded
@@ -477,11 +504,9 @@ class _Oracles:
                     c + sigma * n for c, n in
                     zip(box.center, rng.standard_normal(3).tolist())))
                 (w, h, length), yaw = _noised_dims_yaw(self.cfg, box, rng)
-                codes = (*encode_rotation(yaw, self.bins),
-                         *encode_size((h, w, length), self.clusters))
-                for array in codes:
-                    array.flags.writeable = False
-                self.codes.append(codes)
+                self.codes.append(_read_only(
+                    *encode_rotation(yaw, self.bins),
+                    *encode_size((h, w, length), self.clusters)))
         best, best_d = None, math.inf
         rx, ry, rz = region.center
         for idx, (x, y, z) in enumerate(self.centers):
@@ -499,11 +524,9 @@ class _Oracles:
         if idx is None:
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=logit(0.01))
         true_center = self.centers[idx]
-        ground_dist = math.hypot(
-            true_center[0] - region.center[0], true_center[2] - region.center[2]
-        )
-        prob = _graded_objectness(ground_dist, region.radius)
-        t_obj = logit(prob)
+        (x, _, z), (rx, _, rz) = true_center, region.center
+        t_obj = logit(_graded_objectness(math.hypot(x - rx, z - rz),
+                                         region.radius))
         if not _within_bounds(true_center, region):
             return RpnOutput(t_loc=(0.0, 0.0, 0.0), t_obj=t_obj)
         return RpnOutput(t_loc=_clamped_encode(self.noised[idx], region),
@@ -515,22 +538,11 @@ class _Oracles:
         region bounds; zero codes otherwise."""
         idx = self.nearest(frame, region)
         if idx is None or not _within_bounds(self.centers[idx], region):
-            return BrnOutput(
-                t_loc=(0.0, 0.0, 0.0),
-                rot_logits=np.zeros(self.bins.n_bins),
-                rot_residuals=np.zeros(self.bins.n_bins),
-                size_logits=np.zeros(self.clusters.n_clusters),
-                size_residuals=np.zeros((self.clusters.n_clusters, 3)),
-            )
-        (rot_logits, rot_residuals, size_logits,
-         size_residuals) = self.codes[idx]
-        return BrnOutput(
-            t_loc=_clamped_encode(self.noised[idx], region),
-            rot_logits=rot_logits,
-            rot_residuals=rot_residuals,
-            size_logits=size_logits,
-            size_residuals=size_residuals,
-        )
+            t_loc, codes = (0.0, 0.0, 0.0), self.zero_codes
+        else:
+            t_loc = _clamped_encode(self.noised[idx], region)
+            codes = self.codes[idx]
+        return BrnOutput(t_loc, *codes)
 
 
 @dataclass(frozen=True)
@@ -598,11 +610,12 @@ def data_outcome(fn, *args):
 
 def decode_boxes(outputs, regions, clusters, bins):
     """For each box-head output, the Box3D it decodes to relative to its
-    region, or the ValueError that rejects it (NonPositiveDims, a box
-    that is not finite), in order.  Every output's codes are checked
+    region, or the ValueError that rejects it (NanLogits, NonPositiveDims,
+    a box that is not finite), in order.  Every output's codes are checked
     against bins and clusters first (a TypeError, before any stacking);
     then the rotation and size codes of all outputs are decoded as one
-    stack, and each location in scalar floats as its box is built."""
+    stack (NanLogits rejects logits that hold a NaN, the rotation's
+    first), and each location in plain floats as its box is built."""
     codes = [(*rotation_codes(out.rot_logits, out.rot_residuals, bins),
               *size_codes(out.size_logits, out.size_residuals, clusters))
              for out in outputs]
@@ -611,14 +624,16 @@ def decode_boxes(outputs, regions, clusters, bins):
     # the codes were checked above, so each stack is one array, not ragged
     rot_logits, rot_residuals, size_logits, size_residuals = map(
         np.array, zip(*codes))
-    yaws = decode_rotations(rot_logits, rot_residuals, bins).tolist()
+    yaws = decode_rotations(rot_logits, rot_residuals, bins)
     sizes = decode_sizes(size_logits, size_residuals, clusters)
     outcomes = []
     for out, region, hwl, yaw in zip(outputs, regions, sizes, yaws,
                                      strict=True):
-        if not isinstance(hwl, ValueError):
+        if isinstance(yaw, ValueError):
+            hwl = yaw
+        elif not isinstance(hwl, ValueError):
             h, w, length = hwl.tolist()
-            center = tuple(decode_location(out.t_loc, region))
+            center = decode_location_floats(out.t_loc, region)
             hwl = data_outcome(Box3D, center, (w, h, length), yaw)
         outcomes.append(hwl)
     return outcomes
@@ -707,11 +722,11 @@ def run_proposals(frame, predictors, config, heads, step):
 
     A proposal whose head raises a data error (any ValueError), or whose
     outcome is one (EmptyCloud for an empty region, BehindCamera,
-    OutOfBounds, NonPositiveDims, SingularSystem, a NaN objectness, or an
-    invalid box), is dropped, and logged at the end of the frame in
-    (obj_idx, seed_idx) order; it never aborts the frame.  Any exception
-    raised by step, and any other exception from a head, is a programming
-    error and propagates.
+    OutOfBounds, NonPositiveDims, NanLogits, SingularSystem, a NaN
+    objectness, or an invalid box), is dropped, and logged at the end of
+    the frame in (obj_idx, seed_idx) order; it never aborts the frame.  Any
+    exception raised by step, and any other exception from a head, is a
+    programming error and propagates.
     """
     frame_hash = stable_id_hash(frame.frame_id)
     index = RegionIndex(frame.cloud, config.region)
@@ -767,7 +782,7 @@ def detect_frame(frame, predictors, config=PipelineConfig()):
         if score < config.objectness_threshold:
             return None
         scores[obj_idx, seed_idx] = score
-        center = decode_location(out.t_loc, region)
+        center = decode_location_floats(out.t_loc, region)
         if recenter:
             region = region.recentered(center)
         return obj_idx, seed_idx, det2d, region

@@ -23,6 +23,7 @@ import numpy as np
 
 from cyldet.codec import (
     BrnOutput,
+    NanLogits,
     NonPositiveDims,
     ProposalRegion,
     RpnOutput,
@@ -787,13 +788,16 @@ def sweep_objectness_reference(frames, predictors, thresholds,
 
 
 # The box-head step as it was before a stage's boxes were decoded and
-# projected as one stack: one output, or one box, at a time.
+# projected as one stack: one output, or one box, at a time.  Logits that
+# hold a NaN are rejected, as the library rejects them, before any argmax.
 def decode_box_reference(brn_out, region, clusters, bins):
     center = decode_location(brn_out.t_loc, region)
     logits = np.asarray(brn_out.rot_logits, dtype=float)
     residuals = np.asarray(brn_out.rot_residuals, dtype=float)
     if logits.shape != (bins.n_bins,) or residuals.shape != (bins.n_bins,):
         raise TypeError("encoding arity does not match the bin count")
+    if np.isnan(logits).any():
+        raise NanLogits("rotation logits hold a NaN")
     idx = int(np.argmax(logits))
     yaw = ((idx + 0.5) * bins.width + residuals[idx]) % math.pi
     logits = np.asarray(brn_out.size_logits, dtype=float)
@@ -801,6 +805,8 @@ def decode_box_reference(brn_out, region, clusters, bins):
     if (logits.shape != (clusters.n_clusters,)
             or len(residuals) != clusters.n_clusters):
         raise TypeError("encoding arity does not match the cluster count")
+    if np.isnan(logits).any():
+        raise NanLogits("size logits hold a NaN")
     idx = int(np.argmax(logits))
     dims = clusters.centroids[idx] + residuals[idx]
     if np.any(dims <= 0.0):

@@ -10,6 +10,7 @@ from cyldet import (
     BrnOutput,
     InsufficientData,
     KittiFormatError,
+    NanLogits,
     NonPositiveDims,
     OutOfBounds,
     ProposalRegion,
@@ -27,8 +28,16 @@ from cyldet import (
     objectness,
     save_size_clusters,
 )
-from cyldet.codec import expit, logit
-from oracles import exact_two_means
+from cyldet.codec import (
+    decode_location_floats,
+    decode_rotations,
+    decode_sizes,
+    encode_location_floats,
+    expit,
+    logit,
+)
+from cyldet.pipeline import _clamped_encode
+from oracles import _clamped_encode_reference, exact_two_means
 
 
 @pytest.fixture
@@ -86,6 +95,86 @@ class TestLocationCodec:
             assert np.all(off <= np.array(region.bounds) + 1e-12)
 
 
+# offsets that saturate the sigmoid, and NaN, beside ordinary ones
+_T = st.one_of(st.floats(-800.0, 800.0),
+               st.sampled_from([40.0, -40.0, math.nan]))
+# centers near the origin, and near +-1e7 m, where the float spacing,
+# 2**-29 m, exceeds twice 1e-9 of a bound below 0.93 m
+_CENTER = st.one_of(st.floats(-80.0, 80.0), st.floats(1e7 - 50.0, 1e7 + 50.0),
+                    st.floats(-1e7 - 50.0, -1e7 + 50.0))
+_BOUNDS = st.tuples(*[st.floats(0.1, 5.0)] * 3)
+
+
+def _all_floats(values):
+    return type(values) is tuple and all(type(v) is float for v in values)
+
+
+class TestLocationFloats:
+    """The plain-float location codec, which the pipeline's gate and box
+    decode and the oracle heads use: a tuple of Python floats whose numpy
+    3-vector is decode_location's or encode_location's, byte for byte,
+    and scipy's bits.  The oracle heads' clamp keeps the OutOfBounds
+    check where rounding lands the clamped target on the bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(center=st.tuples(*[_CENTER] * 3), bounds=_BOUNDS,
+           t=st.tuples(*[_T] * 3))
+    def test_decode(self, center, bounds, t):
+        region = ProposalRegion(center=center, bounds=bounds)
+        got = decode_location_floats(t, region)
+        assert _all_floats(got)
+        assert np.array(got).tobytes() == decode_location(t, region).tobytes()
+        _assert_same_bits(got, np.asarray(region.center) + 2.0 * (
+            special.expit(np.asarray(t)) - 0.5) * np.asarray(region.bounds))
+        if any(map(math.isnan, t)):
+            # the gate moves the region onto the decoded point, and drops it
+            with pytest.raises(ValueError, match="center must be finite"):
+                region.recentered(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(center=st.tuples(*[_CENTER] * 3), bounds=_BOUNDS,
+           fraction=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    def test_encode(self, center, bounds, fraction):
+        region = ProposalRegion(center=center, bounds=bounds)
+        target = np.asarray(region.center) + np.multiply(fraction,
+                                                         region.bounds)
+        off = target - np.asarray(region.center)
+        m = np.asarray(region.bounds)
+        if np.any(np.abs(off) >= m):
+            for encode in (encode_location_floats, encode_location):
+                with pytest.raises(OutOfBounds):
+                    encode(target, region)
+            return
+        got = encode_location_floats(target, region)
+        assert _all_floats(got)
+        assert np.array(got).tobytes() == encode_location(target,
+                                                          region).tobytes()
+        _assert_same_bits(got, special.logit(off / (2.0 * m) + 0.5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(center=st.tuples(*[_CENTER] * 3), bounds=_BOUNDS,
+           offset=st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+    def test_clamped_encode(self, center, bounds, offset):
+        region = ProposalRegion(center=center, bounds=bounds)
+        target = tuple(c + o for c, o in zip(region.center, offset))
+        try:
+            want = _clamped_encode_reference(target, region)
+        except OutOfBounds:
+            with pytest.raises(OutOfBounds):
+                _clamped_encode(target, region)
+            return
+        got = _clamped_encode(target, region)
+        assert _all_floats(got) and np.array(got).tobytes() == want.tobytes()
+
+    def test_the_clamp_can_land_on_the_bound(self):
+        # 1e-9 of a 0.5 m bound is below half the float spacing at 1e7 m,
+        # so the target clamped inside the bound rounds onto it
+        region = ProposalRegion(center=(1e7, 0.0, 1e7), bounds=(0.5, 0.5, 0.5))
+        for clamp in (_clamped_encode, _clamped_encode_reference):
+            with pytest.raises(OutOfBounds):
+                clamp((1e7 + 5.0, 0.0, 1e7), region)
+
+
 class TestRotationCodec:
     def test_winning_bin_center(self):
         bins = RotationBins(2)
@@ -138,6 +227,21 @@ class TestRotationCodec:
             assert decode_rotation(logits, residuals, bins) == pytest.approx(
                 yaw, abs=1e-9
             )
+
+    @pytest.mark.parametrize("nan_at", [[0], [5], list(range(12))])
+    def test_nan_logits_pick_no_bin(self, nan_at):
+        # argmax would pick the first NaN's bin and keep a heading
+        bins = RotationBins(12)
+        logits, residuals = encode_rotation(1.0, bins)
+        logits = logits.copy()
+        logits[nan_at] = math.nan
+        with pytest.raises(NanLogits, match="rotation logits hold a NaN"):
+            decode_rotation(logits, residuals, bins)
+        # stacked, only the row holding the NaN is rejected
+        good, _ = encode_rotation(2.0, bins)
+        yaws = decode_rotations(np.array([good, logits]),
+                                np.array([residuals, residuals]), bins)
+        assert isinstance(yaws[1], NanLogits) and isinstance(yaws[0], float)
 
 
 class TestSizeClusters:
@@ -285,6 +389,18 @@ class TestSizeCodec:
         residuals[0] = -self.clusters.centroids[0]
         with pytest.raises(NonPositiveDims):
             decode_size(logits, residuals, self.clusters)
+
+    @pytest.mark.parametrize("logits", [[math.nan, 0.0], [4.0, math.nan],
+                                        [math.nan, math.nan]])
+    def test_nan_logits_pick_no_cluster(self, logits):
+        # checked before the dims, which here would not be positive either
+        residuals = -np.array(self.clusters.centroids)
+        with pytest.raises(NanLogits, match="size logits hold a NaN"):
+            decode_size(logits, residuals, self.clusters)
+        dims = decode_sizes(np.array([[0.0, 4.0], logits]),
+                            np.zeros((2, 2, 3)), self.clusters)
+        assert isinstance(dims[1], NanLogits)
+        assert dims[0].tolist() == self.clusters.centroids[1].tolist()
 
 
 class TestObjectness:

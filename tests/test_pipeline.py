@@ -886,6 +886,25 @@ class TestOracleHeadsMatchReference:
             for head, reference in calls[::-1] if brn_first else calls:
                 self.assert_same_bits(head(None, region, frame), reference())
 
+    def test_the_zero_codes_are_the_bundles_and_read_only(self):
+        # a region with no label inside its bounds gets the zero codes
+        frame = make_frame("000041", seed=41, n_cars=3)
+        region = ProposalRegion((30.0, 0.0, 80.0))
+        names = ("rot_logits", "rot_residuals", "size_logits",
+                 "size_residuals")
+        brn = oracle_predictors().brn
+        first, again = brn(None, region, frame), brn(None, region, frame)
+        other = oracle_predictors(bins=RotationBins(5)).brn(None, region,
+                                                             frame)
+        assert other.rot_logits.shape == (5,)
+        for name in names:
+            code = getattr(first, name)
+            assert not code.any()
+            assert np.shares_memory(code, getattr(again, name))
+            assert not np.shares_memory(code, getattr(other, name))
+            with pytest.raises(ValueError):
+                code.flags.writeable = True
+
     def test_the_heads_of_a_bundle_share_one_table(self):
         frame = make_frame("000041", seed=41, n_cars=3)
         cfg = OracleConfig(dims_noise_sigma=0.1, yaw_noise_sigma=0.1)
@@ -2058,6 +2077,48 @@ class TestNanObjectness:
         minus_inf, _ = self.spoiled(every_other, -math.inf)
         assert document(nan) == document(minus_inf)
         assert all("nan" not in line for line in document(nan))
+
+
+class TestNanHeadOutputs:
+    """A box head's logits that hold a NaN pick no bin or cluster (an
+    argmax would pick the NaN's): its proposal is dropped and logged with
+    NanLogits in every mode, whether the head returns a BrnOutput or a
+    duck type.  A NaN location is dropped by the gate that moves the
+    region onto it."""
+
+    frame = make_frames(1, seed=5)[0]
+
+    def drop_lines(self, predictors, mode):
+        lines = _Lines()
+        logger = logging.getLogger("cyldet")
+        logger.addHandler(lines)
+        try:
+            assert detect_frame(self.frame, predictors,
+                                PipelineConfig(mode=mode)) == []
+        finally:
+            logger.removeHandler(lines)
+        assert all(re.fullmatch(r"frame 000000 proposal obj\d+\.seed\d+ "
+                                r"dropped: .*", line) for line in lines.lines)
+        return lines.lines
+
+    @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
+    @pytest.mark.parametrize("make", [BrnOutput, _DUCKS["brn"]],
+                             ids=["dataclass", "duck"])
+    @pytest.mark.parametrize("field, what", [("rot_logits", "rotation"),
+                                             ("size_logits", "size")])
+    def test_nan_logits_detect_nothing(self, field, what, make, mode):
+        spoiled = _spoiled(oracle_predictors(), "brn", make, field,
+                           lambda v: np.full_like(v, math.nan))
+        lines = self.drop_lines(spoiled, mode)
+        assert any(line.endswith(f"NanLogits: {what} logits hold a NaN")
+                   for line in lines)
+
+    def test_a_nan_location_is_dropped_where_the_region_moves_onto_it(self):
+        spoiled = _spoiled(oracle_predictors(), "rpn", RpnOutput, "t_loc",
+                           lambda v: (v[0], math.nan, v[2]))
+        lines = self.drop_lines(spoiled, "rpn_brn_brn")
+        assert any(line.endswith("ValueError: center must be finite")
+                   for line in lines)
 
 
 class TestOracleConfig:
