@@ -47,7 +47,6 @@ from .geometry import Box2D
 from .kitti import MissingFile, iter_split, parse_calibration, parse_file
 from .mono import (
     DEFAULT_RESIDUAL_CAP,
-    NoFeasibleConfiguration,
     ScatterParams,
     geometric_agreement_search,
 )
@@ -488,9 +487,9 @@ def main(argv=None):
         # a configparser.Error is a config file that does not parse
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError, NoFeasibleConfiguration) as exc:
-        # covers KittiFormatError, SingularSystem, InsufficientData, and
-        # bad numeric inputs: all data problems, not internal errors
+    except (ValueError, FileNotFoundError) as exc:
+        # every data problem is a ValueError (KittiFormatError, a pose
+        # that cannot be solved, InsufficientData, bad numeric inputs)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import single_result
 from .kitti import parse_file, parse_lines
 
 
@@ -221,14 +222,6 @@ def rotation_codes(logits, residuals, bins):
     return logits, residuals
 
 
-def _one(outcomes):
-    """The outcome of a one-item decode, raised if it is an error."""
-    (outcome,) = outcomes
-    if isinstance(outcome, ValueError):
-        raise outcome
-    return outcome
-
-
 def decode_rotations(logits, residuals, bins):
     """For stacked (N, n_bins) logits and residuals, each row's heading in
     [0, pi), its winning bin center plus its residual, or the NanLogits
@@ -245,7 +238,7 @@ def decode_rotation(logits, residuals, bins):
     """Heading in [0, pi) from the winning bin center plus its residual;
     the one-item call of decode_rotations, which raises its error."""
     logits, residuals = rotation_codes(logits, residuals, bins)
-    return _one(decode_rotations(logits[None], residuals[None], bins))
+    return single_result(decode_rotations(logits[None], residuals[None], bins))
 
 
 @dataclass(frozen=True)
@@ -404,7 +397,7 @@ def decode_size(logits, residuals, clusters):
     """(H, W, L) from the winning centroid plus its residual triple; the
     one-item call of decode_sizes, which raises its error."""
     logits, residuals = size_codes(logits, residuals, clusters)
-    return _one(decode_sizes(logits[None], residuals[None], clusters))
+    return single_result(decode_sizes(logits[None], residuals[None], clusters))
 
 
 def save_size_clusters(clusters, path):

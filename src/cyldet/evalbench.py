@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import iou_3d, iou_bev
+from .geometry import data_outcome, iou_3d, iou_bev
 from .kitti import DIFFICULTIES, FrameData, PointCloud, WrongFrame
 from .kitti import stable_id_hash
 from .pipeline import (
     PipelineConfig,
     confidence_order,
-    data_outcome,
     detect_frame,
     derive_seed,
     objectness,

@@ -24,6 +24,25 @@ class BehindCamera(ValueError):
     """Raised when a box corner lies at or behind the camera plane (z <= 0)."""
 
 
+def data_outcome(fn, *args):
+    """fn(*args), or the ValueError it raises, as an outcome: a data
+    failure is a ValueError, which a batch call returns in its item's
+    place and a one-item call raises (single_result)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def single_result(outcomes):
+    """The outcome of a one-item batch call, raised if it is a ValueError:
+    the inverse of data_outcome."""
+    (outcome,) = outcomes
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
 def normalize_yaw(yaw):
     """Wrap an angle into [-pi, pi)."""
     return (float(yaw) + math.pi) % (2.0 * math.pi) - math.pi
@@ -173,10 +192,7 @@ def project_boxes(boxes, p):
                 f"box at {box.center} has corners with z <= 0"))
             continue
         (umin, vmin), (umax, vmax) = next(hulls)
-        try:
-            out.append(Box2D(umin, vmin, umax, vmax))
-        except ValueError as exc:
-            out.append(exc)
+        out.append(data_outcome(Box2D, umin, vmin, umax, vmax))
     return out
 
 
@@ -186,10 +202,7 @@ def project_box(box, p):
 
     Raises BehindCamera when any corner has camera-frame z <= 0.
     """
-    (hull,) = project_boxes([box], p)
-    if isinstance(hull, ValueError):
-        raise hull
-    return hull
+    return single_result(project_boxes([box], p))
 
 
 def iou_2d(a, b):

@@ -98,18 +98,17 @@ class CalibrationSet:
     tr_velo_to_cam: np.ndarray
 
     def __post_init__(self):
-        p2 = np.asarray(self.p2, dtype=float).reshape(3, 4)
-        r0 = np.asarray(self.r0_rect, dtype=float).reshape(3, 3)
-        tr = np.asarray(self.tr_velo_to_cam, dtype=float).reshape(3, 4)
-        if not np.all(np.isfinite(p2)):
-            raise ValueError("P2 has non-finite entries")
-        if p2[0, 0] == 0.0 or p2[1, 1] == 0.0:
-            raise ValueError("P2 focal terms must be nonzero")
-        _check_rotation(r0, "R0_rect")
-        _check_rotation(tr[:, :3], "Tr_velo_to_cam")
-        for name, arr in (("p2", p2), ("r0_rect", r0), ("tr_velo_to_cam", tr)):
+        for name, (key, shape) in zip(("p2", "r0_rect", "tr_velo_to_cam"),
+                                      _CALIB_KEYS.items()):
+            arr = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            if not all(map(math.isfinite, arr.flat)):
+                raise ValueError(f"{key} has non-finite entries")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if self.p2[0, 0] == 0.0 or self.p2[1, 1] == 0.0:
+            raise ValueError("P2 focal terms must be nonzero")
+        _check_rotation(self.r0_rect, "R0_rect")
+        _check_rotation(self.tr_velo_to_cam[:, :3], "Tr_velo_to_cam")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ each slice of a stacked matmul, SVD or einsum makes the call that one
 object's own product makes, the flat (rows * corners, 3) products keep
 each object's rows in their order, and the rest is elementwise or
 reduces each row alone.  Every object's outcome is an estimate or a
-NoFeasibleConfiguration, and a failing object does not touch its
+NoFeasibleConfiguration, a ValueError, as every data failure is (see
+geometry.data_outcome), and a failing object does not touch its
 neighbours' values: the rows of an object whose dims, yaw or 2D box
 sides are invalid (checked first, up front) or whose system is rank
 deficient are skipped, and nothing warns.
@@ -51,7 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box2D, rotations_about_y, stacked_corner_offsets
+from .geometry import (Box2D, rotations_about_y, single_result,
+                       stacked_corner_offsets)
 # perfbench/layers.py patches these names on this module
 from .geometry import iou_2d, project_box  # noqa: F401
 
@@ -66,8 +68,9 @@ class SingularSystem(ValueError):
     """The 4x3 constraint system cannot determine a translation."""
 
 
-class NoFeasibleConfiguration(RuntimeError):
-    """Every corner configuration was infeasible for the given inputs."""
+class NoFeasibleConfiguration(ValueError):
+    """No pose is feasible: invalid inputs, or every corner configuration
+    infeasible.  An expected result of the search, so data."""
 
 
 def check_residual_cap(residual_cap):
@@ -333,7 +336,9 @@ def agreement_search_frame(boxes, dims, yaws, p,
     """
     check_residual_cap(residual_cap)
     p = np.asarray(p, dtype=float)
-    outcomes = [None] * len(boxes)
+    # an object that no later step settles has no feasible configuration
+    outcomes = [NoFeasibleConfiguration("no corner configuration yields a "
+                                        "feasible translation") for _ in boxes]
     if not outcomes:
         return outcomes
     dims = np.asarray(dims, dtype=float).reshape(-1, 3)
@@ -417,12 +422,7 @@ def agreement_search_frame(boxes, dims, yaws, p,
         else:
             outcomes[i] = NoFeasibleConfiguration(
                 "every feasible translation projects partly behind the camera")
-    return [
-        NoFeasibleConfiguration(
-            "no corner configuration yields a feasible translation")
-        if outcome is None else outcome
-        for outcome in outcomes
-    ]
+    return outcomes
 
 
 def geometric_agreement_search(box2d, dims, yaw, p,
@@ -431,11 +431,8 @@ def geometric_agreement_search(box2d, dims, yaw, p,
     configuration set: agreement_search_frame of this object alone.
     Returns its MonoEstimate, or raises the NoFeasibleConfiguration that
     the frame search returns for it."""
-    (outcome,) = agreement_search_frame([box2d], [dims], [yaw], p,
-                                        residual_cap)
-    if isinstance(outcome, NoFeasibleConfiguration):
-        raise outcome
-    return outcome
+    return single_result(agreement_search_frame([box2d], [dims], [yaw], p,
+                                                residual_cap))
 
 
 def spatial_scatter_frame(estimates, params, p):

@@ -41,9 +41,9 @@ picks its own cells and rejects a cloud not in the camera frame with
 WrongFrame.  The index counts the points per cell when built, and sorts
 them only for the first members query: a head that reads points, or a
 center its counts cannot settle.
-At every predictor boundary a ValueError is data, and its object or
-proposal is dropped and logged; a TypeError is wiring (an output of the
-wrong type or shape), and propagates.
+At every predictor boundary a ValueError is data, an infeasible pose
+included, and its object or proposal is dropped and logged; a TypeError
+is wiring (an output of the wrong type or shape), and propagates.
 Oracles backed by ground truth (with optional seeded noise) stand in for
 trained networks: oracle_predictors bundles the three methods of one
 object, whose point heads read no points and share a table of the last
@@ -78,7 +78,8 @@ from .codec import (
     rotation_codes,
     size_codes,
 )
-from .geometry import Box2D, Box3D, iou_2d, iou_bev, project_boxes
+from .geometry import (Box2D, Box3D, data_outcome, iou_2d, iou_bev,
+                       project_boxes)
 # the step decodes and projects a stage at once, and locations stay plain
 # floats; perfbench/layers.py patches these one-item and numpy names on
 # this module
@@ -89,7 +90,6 @@ from .kitti import PointCloud, WrongFrame, stable_id_hash
 from .kitti import box_from_fields, box_to_fields, parse_file, parse_lines
 from .mono import (
     DEFAULT_RESIDUAL_CAP,
-    NoFeasibleConfiguration,
     ScatterParams,
     agreement_search_frame,
     check_residual_cap,
@@ -600,18 +600,11 @@ class PipelineConfig:
             raise ValueError("objectness_threshold must be in [0, 1]")
 
 
-def data_outcome(fn, *args):
-    """fn(*args), or the ValueError it raises, as a step's outcome."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return exc
-
-
 def decode_boxes(outputs, regions, clusters, bins):
     """For each box-head output, the Box3D it decodes to relative to its
     region, or the ValueError that rejects it (NanLogits, NonPositiveDims,
-    a box that is not finite), in order.  Every output's codes are checked
+    a box that is not finite), in order: the outcomes of a batch call, as
+    geometry.data_outcome makes them.  Every output's codes are checked
     against bins and clusters first (a TypeError, before any stacking);
     then the rotation and size codes of all outputs are decoded as one
     stack (NanLogits rejects logits that hold a NaN, the rotation's
@@ -657,10 +650,11 @@ def solve_poses(frame, monocular, config=PipelineConfig()):
     """Stage (a), first half: monocular detections -> agreement search,
     one agreement_search_frame call for all of them.  Returns (obj_idx,
     det2d, estimate) tuples.  An object whose pose cannot be solved,
-    invalid dims or yaw included, is logged with its
-    NoFeasibleConfiguration, in object order, and skipped: no object
-    fails its frame.  Every output, Mono2DDetection or not, passes
-    _monocular_fields, so one of the wrong type or shape raises TypeError."""
+    invalid dims or yaw included, is data: it is logged with the
+    ValueError that the search returns for it, in object order, and
+    skipped, so no object fails its frame.  Every output, Mono2DDetection
+    or not, passes _monocular_fields, so one of the wrong type or shape
+    raises TypeError."""
     detections = list(monocular(frame))
     fields = [_monocular_fields(det2d) for det2d in detections]
     outcomes = agreement_search_frame(
@@ -670,7 +664,7 @@ def solve_poses(frame, monocular, config=PipelineConfig()):
     )
     poses = []
     for obj_idx, (det2d, est) in enumerate(zip(detections, outcomes)):
-        if isinstance(est, NoFeasibleConfiguration):
+        if isinstance(est, ValueError):
             logger.warning("frame %s object %d: %s", frame.frame_id, obj_idx, est)
         else:
             poses.append((obj_idx, det2d, est))
@@ -866,6 +860,11 @@ def parse_detection_line(line):
         raise ValueError(f"expected 15 fields, got {len(fields)}")
     frame_id, class_name = fields[0], fields[1]
     nums = [float(t) for t in fields[2:]]
+    # Box3D rejects a 3D box field that is not finite
+    for name, value in zip(("xmin", "ymin", "xmax", "ymax", "objectness",
+                            "confidence"), nums[:4] + nums[11:]):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     det = Detection(
         box3d=box_from_fields(nums[4:11]),
         box2d_source=Box2D(*nums[0:4]),

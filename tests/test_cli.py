@@ -95,6 +95,16 @@ class TestSolvePose:
         ])
         assert rc == 2
 
+    def test_no_feasible_configuration_is_a_data_error(self, dataset, capsys):
+        # the same exit and message now that the pose error is a ValueError
+        root, _, _ = dataset
+        rc = main(["solve-pose", "--calib", os.path.join(root, "calib", "000000.txt"),
+                   "--box2d", "600,180,700,300", "--dims", "1.6,1.5,3.9",
+                   "--yaw", "0.3", "--residual-cap", "1e-6"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no corner configuration yields a feasible translation\n")
+
     def test_dims_not_above_zero_are_a_data_error(self, dataset, capsys):
         # the search checks its inputs up front and names the dims; they
         # used to fail only if a winner was found, when Box3D rejected them
@@ -484,6 +494,32 @@ class TestDetect:
                    "--output-dir", str(tmp_path / "out"),
                    "--config", str(config)])
         assert rc == 3
+
+    def test_a_monocular_predictor_with_no_pose_fails_its_frame(
+            self, dataset, tmp_path, monkeypatch, capsys):
+        # NoFeasibleConfiguration was a RuntimeError, which the frame loop
+        # let through: the whole run stopped there with exit 2 and wrote no
+        # summary
+        root, split, frames = dataset
+        oracle_predictors = cyldet.cli.oracle_predictors
+
+        def spoiled(*args, **kwargs):
+            oracles = oracle_predictors(*args, **kwargs)
+
+            def monocular(frame):
+                if frame.frame_id == frames[1].frame_id:
+                    raise cyldet.NoFeasibleConfiguration("no pose")
+                return oracles.monocular(frame)
+
+            return dataclasses.replace(oracles, monocular=monocular)
+
+        monkeypatch.setattr(cyldet.cli, "oracle_predictors", spoiled)
+        rc = main(["detect", "--dataset-root", root, "--split", split,
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert f"frame {frames[1].frame_id} failed: no pose" in captured.err
+        assert captured.out.split()[-2:] == ["failed", "1"]
 
     def test_monocular_output_of_the_wrong_shape_is_internal_error(
             self, dataset, tmp_path, monkeypatch):
@@ -1174,6 +1210,29 @@ class TestFrameFilesRead:
         err = capsys.readouterr().err
         assert f"error: {path}: not UTF-8 text: " in err
         assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("key, index, value", [
+        ("R0_rect", 0, "nan"), ("Tr_velo_to_cam", 11, "inf"),
+    ], ids=["nan-rotation", "inf-translation"])
+    def test_a_calibration_that_is_not_finite_is_named(
+            self, tree, tmp_path, capsys, command, key, index, value):
+        # detect used to fail naming no file ("point cloud has non-finite
+        # coordinates"), and sweep scatter and fit-sizes to exit 0
+        root, where = tree
+        path = os.path.join(root, "calib", "000001.txt")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for n, line in enumerate(lines):
+            if line.startswith(key + ":"):
+                tokens = line.split()
+                tokens[1 + index] = value
+                lines[n] = " ".join(tokens)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(command + where + _output(command, str(tmp_path))) == 2
+        assert (f"error: {path}: {key} has non-finite entries\n"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("name, content, message", [
         ("calib/000001.txt", b"P2: 1 0 0 0 0 1 0 0 0 0 1 x\n",

@@ -59,3 +59,16 @@ def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cyldet.no_such_name  # noqa: B018
     assert not hasattr(cyldet, "no_such_name")
+
+
+def test_every_exported_failure_is_data():
+    # a pose that cannot be solved was a RuntimeError, which a caller that
+    # drops data errors (any ValueError) let through; MissingFile is a
+    # FileNotFoundError, and the lazily loaded losses are not listed here
+    failures = {name: value for name, value in vars(cyldet).items()
+                if isinstance(value, type) and issubclass(value, Exception)
+                and name != "MissingFile"}
+    assert {"NoFeasibleConfiguration", "SingularSystem", "KittiFormatError",
+            "NanLogits", "EmptyCloud"} <= set(failures)
+    assert [name for name, cls in failures.items()
+            if not issubclass(cls, ValueError)] == []

@@ -109,6 +109,25 @@ class TestCalibration:
         with pytest.raises(ValueError, match="orthonormal"):
             parse_calibration(bad)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key, old, new", [
+        ("P2", "P2: 1 0 0 0", "P2: 1 0 0 {}"),
+        ("R0_rect", "R0_rect: 1 0 0", "R0_rect: {} 0 0"),
+        ("Tr_velo_to_cam", "Tr_velo_to_cam: 1 0 0 0",
+         "Tr_velo_to_cam: {} 0 0 0"),
+        ("Tr_velo_to_cam", "Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0",
+         "Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 {}"),
+    ], ids=["P2", "R0_rect", "Tr-rotation", "Tr-translation"])
+    def test_rejects_non_finite_entries_naming_the_matrix(self, key, old, new,
+                                                          value):
+        # a NaN rotation passed the orthonormality test, whose deviation
+        # NaN is not above the tolerance, and no check read the translation
+        text = IDENTITY_CALIB.replace(old, new.format(value))
+        assert text != IDENTITY_CALIB
+        with pytest.raises(ValueError) as info:
+            parse_calibration(text)
+        assert str(info.value) == f"{key} has non-finite entries"
+
 
 class TestParseLines:
     def test_lines_count_from_one_blank_lines_included(self):

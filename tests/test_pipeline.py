@@ -2121,6 +2121,49 @@ class TestNanHeadOutputs:
                    for line in lines)
 
 
+class TestNoFeasibleHeads:
+    """A head that raises NoFeasibleConfiguration at chosen proposals has
+    them dropped and logged like any other data failure, in every mode:
+    the documents and drop lines are those of a head that raises a plain
+    ValueError there, but for the error's name."""
+
+    frame = make_frames(1, seed=5)[0]
+
+    @staticmethod
+    def failing(head, error):
+        def raising(points, region, frame):
+            if round(region.center[2] * 1e3) % 3 == 0:
+                raise error("no pose for this region")
+            return head(points, region, frame)
+
+        return raising
+
+    def run(self, mode, name, error):
+        oracles = oracle_predictors()
+        predictors = dataclasses.replace(
+            oracles, **{name: self.failing(getattr(oracles, name), error)})
+        lines = _Lines()
+        logger = logging.getLogger("cyldet")
+        logger.addHandler(lines)
+        try:
+            documents = [format_detection("000000", det) for det in
+                         detect_frame(self.frame, predictors,
+                                      PipelineConfig(mode=mode))]
+        finally:
+            logger.removeHandler(lines)
+        return documents, lines.lines
+
+    @pytest.mark.parametrize("name", ["rpn", "brn"])
+    @pytest.mark.parametrize("mode", pipeline.PIPELINE_MODES)
+    def test_dropped_and_logged_as_data(self, mode, name):
+        documents, lines = self.run(mode, name, NoFeasibleConfiguration)
+        assert any(line.endswith("dropped: NoFeasibleConfiguration: no pose "
+                                 "for this region") for line in lines)
+        renamed = [line.replace("NoFeasibleConfiguration", "ValueError")
+                   for line in lines]
+        assert (documents, renamed) == self.run(mode, name, ValueError)
+
+
 class TestOracleConfig:
     @pytest.mark.parametrize("field", ["dims_noise_sigma", "yaw_noise_sigma",
                                        "center_noise_sigma",
@@ -2309,7 +2352,20 @@ class TestDetectionDocument:
          "could not convert string to float: 'x'"),
         (lambda fields: fields[:11] + ["inf"] + fields[12:],
          "box fields must be finite"),
-    ], ids=["field-count", "not-a-number", "infinite-z"])
+        # these were read, and a NaN confidence breaks confidence_order
+        (lambda fields: fields[:13] + ["nan"] + fields[14:],
+         "objectness must be finite, got nan"),
+        (lambda fields: fields[:14] + ["inf"],
+         "confidence must be finite, got inf"),
+        (lambda fields: fields[:14] + ["nan"],
+         "confidence must be finite, got nan"),
+        (lambda fields: fields[:4] + ["inf"] + fields[5:],
+         "xmax must be finite, got inf"),
+        (lambda fields: fields[:2] + ["-inf"] + fields[3:],
+         "xmin must be finite, got -inf"),
+    ], ids=["field-count", "not-a-number", "infinite-z", "nan-objectness",
+            "infinite-confidence", "nan-confidence", "infinite-xmax",
+            "infinite-xmin"])
     def test_a_bad_line_names_its_file_and_line(self, tmp_path, edit,
                                                 message):
         # the message used to name neither the file nor the line
