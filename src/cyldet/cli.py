@@ -6,9 +6,13 @@ line flags, all declared by one table (_SCHEMA); a config-file key
 outside it is a usage error.  The dataset root additionally falls back
 to the ROARNET_DATASET_ROOT environment variable.  Every run echoes its
 effective configuration into the output directory, and every command
-honors --seed for full determinism.
+but solve-pose honors --seed for full determinism.  solve-pose, which
+draws nothing and writes no file, takes no config file and resolves
+only --dataset-root and --residual-cap through the table.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (an OSError on a
+path, such as a missing file or an output path under a file, included),
+3 internal error.
 """
 
 import argparse
@@ -45,11 +49,7 @@ from .evalbench import (
 )
 from .geometry import Box2D
 from .kitti import MissingFile, iter_split, parse_calibration, parse_file
-from .mono import (
-    DEFAULT_RESIDUAL_CAP,
-    ScatterParams,
-    geometric_agreement_search,
-)
+from .mono import ScatterParams, geometric_agreement_search
 from .pipeline import (
     DEFAULT_SIZE_CLUSTERS,
     PIPELINE_MODES,
@@ -285,10 +285,13 @@ def cmd_solve_pose(args):
     dims = _parse_floats(args.dims)
     if len(coords) != 4 or len(dims) != 3:
         raise UsageError("--box2d needs 4 values and --dims needs 3")
+    settings = _resolve_settings(args)
+    root = settings["run"]["dataset_root"]
+    cap = settings["pipeline"]["residual_cap"]
     if args.calib:
         path = args.calib
-    elif args.dataset_root and args.frame:
-        path = os.path.join(args.dataset_root, "calib", args.frame + ".txt")
+    elif root and args.frame:
+        path = os.path.join(root, "calib", args.frame + ".txt")
         if not os.path.exists(path):
             raise MissingFile(f"calib file {path} not found")
     else:
@@ -296,7 +299,7 @@ def cmd_solve_pose(args):
     calib = parse_file(path, parse_calibration)
     box2d = Box2D(*coords)
     est = geometric_agreement_search(box2d, tuple(dims), args.yaw, calib.p2,
-                                     residual_cap=args.residual_cap)
+                                     residual_cap=cap)
     cfg = est.best_config
     if args.json:
         print(json.dumps({
@@ -433,9 +436,12 @@ def build_parser():
                      description="Cylinder-region 3D detection geometry")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_settings(p, keep):
-        """--config and the flag of each _SCHEMA row that keep admits."""
-        p.add_argument("--config", help="INI config file; flags override it")
+    def add_settings(p, keep, config=True):
+        """--config, unless config is False, and the flag of each _SCHEMA
+        row that keep admits."""
+        if config:
+            p.add_argument("--config",
+                           help="INI config file; flags override it")
         for row in _SCHEMA:
             if row.flag and keep(row):
                 p.add_argument(row.flag, choices=row.choices, help=row.help,
@@ -444,15 +450,14 @@ def build_parser():
     p_solve = sub.add_parser("solve-pose",
                              help="solve one 3D pose from a 2D box")
     p_solve.add_argument("--calib", help="KITTI calibration file")
-    p_solve.add_argument("--dataset-root", dest="dataset_root")
     p_solve.add_argument("--frame", help="frame id for calib lookup")
     p_solve.add_argument("--box2d", required=True,
                          help="xmin,ymin,xmax,ymax in pixels")
     p_solve.add_argument("--dims", required=True, help="W,H,L in meters")
     p_solve.add_argument("--yaw", required=True, type=float)
-    p_solve.add_argument("--residual-cap", dest="residual_cap", type=float,
-                         default=DEFAULT_RESIDUAL_CAP)
     p_solve.add_argument("--json", action="store_true")
+    add_settings(p_solve, config=False, keep=lambda row: row.key in (
+        "dataset_root", "residual_cap"))
     p_solve.set_defaults(func=cmd_solve_pose)
 
     p_detect = sub.add_parser("detect", help="run detection over a split")
@@ -487,9 +492,11 @@ def main(argv=None):
         # a configparser.Error is a config file that does not parse
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         # every data problem is a ValueError (KittiFormatError, a pose
-        # that cannot be solved, InsufficientData, bad numeric inputs)
+        # that cannot be solved, InsufficientData, bad numeric inputs); a
+        # path the run cannot read or write, MissingFile included, is an
+        # OSError, whose message names the path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:

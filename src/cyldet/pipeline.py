@@ -853,6 +853,11 @@ def write_detections(path, frame_id, detections):
             fh.write(format_detection(frame_id, det) + "\n")
 
 
+# the numbers of a detection line, in format_detection's order
+_DETECTION_FIELDS = ("xmin", "ymin", "xmax", "ymax", "h", "w", "l", "x",
+                     "y", "z", "rotation_y", "objectness", "confidence")
+
+
 def parse_detection_line(line):
     """Inverse of format_detection; returns (frame_id, class, Detection)."""
     fields = line.split()
@@ -860,9 +865,7 @@ def parse_detection_line(line):
         raise ValueError(f"expected 15 fields, got {len(fields)}")
     frame_id, class_name = fields[0], fields[1]
     nums = [float(t) for t in fields[2:]]
-    # Box3D rejects a 3D box field that is not finite
-    for name, value in zip(("xmin", "ymin", "xmax", "ymax", "objectness",
-                            "confidence"), nums[:4] + nums[11:]):
+    for name, value in zip(_DETECTION_FIELDS, nums):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     det = Detection(

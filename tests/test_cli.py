@@ -173,6 +173,35 @@ class TestSolvePose:
                            "--output-dir", str(tmp_path / "out"),
                            "--residual-cap", cap]) == 2
 
+    @pytest.mark.parametrize("env", ["root", "elsewhere"])
+    def test_dataset_root_resolves_as_for_every_command(
+            self, dataset, tmp_path, monkeypatch, capsys, env):
+        # ROARNET_DATASET_ROOT used to be ignored: with --frame and no
+        # --dataset-root, solve-pose exited 1 asking for one
+        root, _, _ = dataset
+        args, _ = self.solve_args(dataset)
+        assert main(args) == 0
+        want = capsys.readouterr().out
+        at = args.index("--calib")
+        by_frame = args[:at] + ["--frame", "000000"] + args[at + 2:]
+        monkeypatch.setenv("ROARNET_DATASET_ROOT",
+                           root if env == "root" else str(tmp_path))
+        if env == "elsewhere":  # the flag wins over the variable
+            by_frame += ["--dataset-root", root]
+        assert main(by_frame) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--config", "run.ini"), ("--seed", "1"), ("--split", "synth.txt"),
+    ])
+    def test_no_config_file_or_other_setting(self, dataset, capsys, flag,
+                                             value):
+        # --dataset-root and --residual-cap are its only _SCHEMA settings
+        args, _ = self.solve_args(dataset, extra=[flag, value])
+        assert main(args) == 1
+        assert (f"unrecognized arguments: {flag} {value}"
+                in capsys.readouterr().err)
+
 
 class TestDetect:
     def test_zero_noise_summary(self, dataset, tmp_path, capsys):
@@ -1257,3 +1286,32 @@ class TestFrameFilesRead:
         rc = main(["detect"] + where + ["--output-dir", str(tmp_path)])
         assert rc == 2
         assert f"error: {path}: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["output-dir-is-a-file",
+                                  "output-under-a-file",
+                                  "split-is-a-directory"])
+def test_a_path_the_system_rejects_is_a_data_error(dataset, tmp_path,
+                                                   monkeypatch, capsys, case):
+    # each used to exit 3 with the OSError's traceback, while a missing
+    # file (FileNotFoundError) exited 2
+    root, split, _ = dataset
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    command, path = {
+        "output-dir-is-a-file": (["detect", "--split", split,
+                                  "--output-dir", "file"], "file"),
+        "output-under-a-file": (["fit-sizes", "--clusters", "1", "--split",
+                                 split, "--output", "file/sizes.txt"],
+                                "file/sizes.txt"),
+        "split-is-a-directory": (["detect", "--split", "dir",
+                                  "--output-dir", "out"], "dir"),
+    }[case]
+    before = read_tree(str(tmp_path))
+    assert main(command + ["--dataset-root", root]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(path) in err
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
+    assert read_tree(str(tmp_path)) == before

@@ -2350,8 +2350,14 @@ class TestDetectionDocument:
         (lambda fields: fields[:5], "expected 15 fields, got 5"),
         (lambda fields: fields[:8] + ["x"] + fields[9:],
          "could not convert string to float: 'x'"),
+        # Box3D used to reject the 3D box fields, naming none:
+        # "box fields must be finite"
         (lambda fields: fields[:11] + ["inf"] + fields[12:],
-         "box fields must be finite"),
+         "z must be finite, got inf"),
+        (lambda fields: fields[:6] + ["nan"] + fields[7:],
+         "h must be finite, got nan"),
+        (lambda fields: fields[:12] + ["inf"] + fields[13:],
+         "rotation_y must be finite, got inf"),
         # these were read, and a NaN confidence breaks confidence_order
         (lambda fields: fields[:13] + ["nan"] + fields[14:],
          "objectness must be finite, got nan"),
@@ -2363,9 +2369,9 @@ class TestDetectionDocument:
          "xmax must be finite, got inf"),
         (lambda fields: fields[:2] + ["-inf"] + fields[3:],
          "xmin must be finite, got -inf"),
-    ], ids=["field-count", "not-a-number", "infinite-z", "nan-objectness",
-            "infinite-confidence", "nan-confidence", "infinite-xmax",
-            "infinite-xmin"])
+    ], ids=["field-count", "not-a-number", "infinite-z", "nan-height",
+            "infinite-rotation-y", "nan-objectness", "infinite-confidence",
+            "nan-confidence", "infinite-xmax", "infinite-xmin"])
     def test_a_bad_line_names_its_file_and_line(self, tmp_path, edit,
                                                 message):
         # the message used to name neither the file nor the line
