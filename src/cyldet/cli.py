@@ -422,10 +422,18 @@ def cmd_fit_sizes(args):
     settings = _resolve_settings(args)
     check_cluster_count(args.clusters)
     frames = _load_frames(settings, cloud=False)
-    labels = [lab for frame in frames for lab in frame.labels]
-    clusters = fit_size_clusters(labels, args.clusters,
-                                 seed=settings["run"]["seed"])
-    save_size_clusters(clusters, args.output)
+    # --output is opened before any frame is read, so that a path the
+    # system rejects fails first; from there, a run that fails leaves no
+    # file at --output, not even an earlier run's
+    open(args.output, "w").close()
+    try:
+        labels = [lab for frame in frames for lab in frame.labels]
+        clusters = fit_size_clusters(labels, args.clusters,
+                                     seed=settings["run"]["seed"])
+        save_size_clusters(clusters, args.output)
+    except BaseException:
+        os.remove(args.output)
+        raise
     print(f"clusters {clusters.n_clusters} sse {clusters.sse:.6f} "
           f"-> {args.output}")
     return EXIT_OK

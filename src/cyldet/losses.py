@@ -11,9 +11,8 @@ once the proposal already overlaps the ground truth well.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
-from .codec import OutOfBounds, encode_rotation, encode_size
+from .codec import OutOfBounds, encode_rotation, encode_size, expit
 
 TERM_KEYS = ("obj", "loc", "rot_cls", "rot_reg", "size_cls", "size_reg")
 
@@ -65,15 +64,26 @@ def huber_grad(residual, delta):
     return delta * (1.0 if r > 0 else -1.0)
 
 
+def _check_target_index(logits, target_index):
+    if not 0 <= target_index < len(logits):
+        raise IndexOutOfRange(
+            f"target {target_index} outside logits of length {len(logits)}"
+        )
+
+
 def cross_entropy(logits, target_index):
     """Negative log softmax probability of the target class."""
     logits = np.asarray(logits, dtype=float)
     target_index = int(target_index)
-    if not 0 <= target_index < logits.shape[0]:
-        raise IndexOutOfRange(
-            f"target {target_index} outside logits of length {logits.shape[0]}"
-        )
-    return float(logsumexp(logits) - logits[target_index])
+    _check_target_index(logits, target_index)
+    # logsumexp in scipy.special.logsumexp's form, whose bits it gives: the
+    # m logits at the max are shifted out and the rest summed under log1p
+    top = logits == logits.max()
+    with np.errstate(all="ignore"):
+        m = np.sum(top, dtype=float)
+        rest = np.sum(np.exp(np.where(top, -np.inf, logits) - logits.max()))
+        lse = np.log1p(rest / m) + np.log(m) + logits.max()
+    return float(lse - logits[target_index])
 
 
 def binary_cross_entropy_logit(t, positive):
@@ -92,7 +102,7 @@ def _normalized_offsets(pred_t_loc, target_location, region):
         raise OutOfBounds(
             f"target offset {tuple(n_tgt * m)} outside region bounds {tuple(m)}"
         )
-    sig = expit(np.asarray(pred_t_loc, dtype=float))
+    sig = np.array([expit(float(t)) for t in pred_t_loc])
     n_pred = 2.0 * sig - 1.0
     return n_pred, n_tgt, sig
 
@@ -117,15 +127,19 @@ def _breakdown(terms, masks, lambda_obj):
     return LossBreakdown(total=float(total), terms=terms, active_masks=masks)
 
 
+def _check_rpn_target(target_is_object, target_location):
+    if target_is_object and target_location is None:
+        raise ValueError("object proposals need a target location")
+
+
 def rpn_loss(pred, target_is_object, target_location, region, cfg=LossConfig()):
     """Proposal-head loss: weighted objectness BCE plus, for object
     proposals only, the bounded-offset location regression."""
+    _check_rpn_target(target_is_object, target_location)
     terms = dict.fromkeys(TERM_KEYS, 0.0)
     masks = dict.fromkeys(TERM_KEYS, 0.0)
     terms["obj"] = binary_cross_entropy_logit(pred.t_obj, target_is_object)
     masks["obj"] = 1.0
-    if target_is_object and target_location is None:
-        raise ValueError("object proposals need a target location")
     if target_location is not None:
         terms["loc"] = _location_loss(
             pred.t_loc, target_location, region, cfg.huber_delta
@@ -136,13 +150,18 @@ def rpn_loss(pred, target_is_object, target_location, region, cfg=LossConfig()):
 
 def rpn_loss_gradients(pred, target_is_object, target_location, region,
                        cfg=LossConfig()):
-    """Partials of the proposal-head total w.r.t. (t_x, t_y, t_z, t_o)."""
+    """Partials of the proposal-head total w.r.t. (t_x, t_y, t_z, t_o).
+    A background proposal's target location, when given, must lie in the
+    region, as for rpn_loss, though its gradient is masked."""
+    _check_rpn_target(target_is_object, target_location)
     sig = expit(pred.t_obj)
     d_obj = cfg.lambda_obj * (sig - (1.0 if target_is_object else 0.0))
-    if target_is_object:
-        d_loc = _location_grad(pred.t_loc, target_location, region, cfg.huber_delta)
-    else:
-        d_loc = np.zeros(3)
+    d_loc = np.zeros(3)
+    if target_location is not None:
+        grad = _location_grad(pred.t_loc, target_location, region,
+                              cfg.huber_delta)
+        if target_is_object:
+            d_loc = grad
     return {"t_loc": d_loc, "t_obj": float(d_obj)}
 
 
@@ -152,10 +171,19 @@ def _brn_parts(pred, target_box, clusters, bins):
     w, h, length = target_box.dims
     tgt_size_logits, tgt_size_res = encode_size((h, w, length), clusters)
     size_class = int(np.argmax(tgt_size_logits))
+    _check_target_index(pred.rot_logits, rot_class)
+    _check_target_index(pred.size_logits, size_class)
     rot_agree = int(np.argmax(pred.rot_logits)) == rot_class
     size_agree = int(np.argmax(pred.size_logits)) == size_class
     return (rot_class, tgt_rot_res[rot_class], rot_agree,
             size_class, tgt_size_res[size_class], size_agree)
+
+
+def _brn_gate(proposal_box_iou, cfg):
+    """1.0 while the proposal's IoU is below the gate, else 0.0."""
+    if not 0.0 <= proposal_box_iou <= 1.0:
+        raise ValueError("proposal_box_iou must be in [0, 1]")
+    return 1.0 if proposal_box_iou < cfg.brn_iou_gate else 0.0
 
 
 def brn_loss(pred, target_box, region, clusters, bins, proposal_box_iou,
@@ -166,9 +194,7 @@ def brn_loss(pred, target_box, region, clusters, bins, proposal_box_iou,
     Rotation and size regression terms are additionally active only when
     the predicted class agrees with the target class.
     """
-    if not 0.0 <= proposal_box_iou <= 1.0:
-        raise ValueError("proposal_box_iou must be in [0, 1]")
-    gate = 1.0 if proposal_box_iou < cfg.brn_iou_gate else 0.0
+    gate = _brn_gate(proposal_box_iou, cfg)
     delta = cfg.huber_delta
     (rot_class, rot_target_res, rot_agree,
      size_class, size_target_res, size_agree) = _brn_parts(
@@ -199,18 +225,17 @@ def brn_loss_gradients(pred, target_box, region, clusters, bins,
                        proposal_box_iou, cfg=LossConfig()):
     """Partials of the box-regression total w.r.t. the regression inputs:
     t_loc, the rotation residual at the target bin, and the size residual
-    triple at the target cluster.  Masked terms contribute exactly zero."""
-    gate = 1.0 if proposal_box_iou < cfg.brn_iou_gate else 0.0
+    triple at the target cluster.  Masked terms contribute exactly zero;
+    the target center must lie in the region even when the gate is shut,
+    as for brn_loss."""
+    gate = _brn_gate(proposal_box_iou, cfg)
     delta = cfg.huber_delta
     (rot_class, rot_target_res, rot_agree,
      size_class, size_target_res, size_agree) = _brn_parts(
         pred, target_box, clusters, bins
     )
-    if gate:
-        d_loc = gate * _location_grad(
-            pred.t_loc, target_box.center, region, delta
-        )
-    else:
+    d_loc = _location_grad(pred.t_loc, target_box.center, region, delta)
+    if not gate:
         d_loc = np.zeros(3)
     d_rot = 0.0
     if gate and rot_agree:

@@ -1129,6 +1129,20 @@ class TestFitSizes:
         rc = main(["fit-sizes", "--dataset-root", str(root), "--split", split,
                    "--clusters", "5", "--output", str(tmp_path / "s.txt")])
         assert rc == 2
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_a_failed_fit_removes_an_earlier_file(self, tmp_path):
+        # --output is opened before the frames are read; an earlier run's
+        # clusters left there would pass for this run's
+        root = tmp_path / "tiny"
+        split = write_dataset(str(root), make_frames(1, seed=41,
+                                                     cars_per_frame=(1, 1)))
+        out_file = tmp_path / "s.txt"
+        out_file.write_bytes(SIZES_TXT)
+        rc = main(["fit-sizes", "--dataset-root", str(root), "--split", split,
+                   "--clusters", "5", "--output", str(out_file)])
+        assert rc == 2
+        assert not out_file.exists()
 
 
 # SCATTER and fit-sizes --clusters 2 --seed 3 on the dataset fixture's
@@ -1234,8 +1248,7 @@ class TestFrameFilesRead:
         path = os.path.join(root, "label_2", "000001.txt")
         with open(path, "ab") as fh:
             fh.write(b"\xff")
-        out_dir = str(tmp_path / "out")
-        assert main(command + where + _output(command, out_dir)) == 2
+        assert main(command + where + _output(command, str(tmp_path))) == 2
         err = capsys.readouterr().err
         assert f"error: {path}: not UTF-8 text: " in err
         assert "can't decode byte 0xff" in err
@@ -1290,21 +1303,36 @@ class TestFrameFilesRead:
 
 @pytest.mark.parametrize("case", ["output-dir-is-a-file",
                                   "output-under-a-file",
+                                  "output-under-a-file-missing-frame",
                                   "split-is-a-directory"])
 def test_a_path_the_system_rejects_is_a_data_error(dataset, tmp_path,
                                                    monkeypatch, capsys, case):
     # each used to exit 3 with the OSError's traceback, while a missing
-    # file (FileNotFoundError) exited 2
+    # file (FileNotFoundError) exited 2; fit-sizes used to read every frame
+    # before it found that --output could not be written, and so named a
+    # missing frame instead
     root, split, _ = dataset
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "missing.txt").write_text("000000\n999999\n")
+    loaded = []
+    load_frame = cyldet.kitti.load_frame
+
+    def recorded(*args, **kwargs):
+        loaded.append(args)
+        return load_frame(*args, **kwargs)
+
+    monkeypatch.setattr(cyldet.kitti, "load_frame", recorded)
     command, path = {
         "output-dir-is-a-file": (["detect", "--split", split,
                                   "--output-dir", "file"], "file"),
         "output-under-a-file": (["fit-sizes", "--clusters", "1", "--split",
                                  split, "--output", "file/sizes.txt"],
                                 "file/sizes.txt"),
+        "output-under-a-file-missing-frame": (
+            ["fit-sizes", "--clusters", "1", "--split", "dir/missing.txt",
+             "--output", "file/sizes.txt"], "file/sizes.txt"),
         "split-is-a-directory": (["detect", "--split", "dir",
                                   "--output-dir", "out"], "dir"),
     }[case]
@@ -1315,3 +1343,4 @@ def test_a_path_the_system_rejects_is_a_data_error(dataset, tmp_path,
     assert repr(path) in err
     assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
     assert read_tree(str(tmp_path)) == before
+    assert loaded == []

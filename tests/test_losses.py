@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cyldet import (
     Box3D,
@@ -335,3 +337,73 @@ class TestGradients:
             RpnOutput((0.3, 0.4, 0.5), 0.2), False, None, region
         )
         np.testing.assert_array_equal(not_object["t_loc"], 0.0)
+
+
+
+def _outside(region):
+    return tuple(np.array(region.center) + (0.0, 0.0, 2.5))
+
+
+@pytest.mark.parametrize("case", [
+    "object-without-target", "target-outside-background",
+    "iou-nan", "iou-above-one", "iou-negative", "target-outside-gated",
+    "fewer-logits-than-bins",
+])
+def test_a_loss_and_its_gradients_reject_the_same_inputs(region, case):
+    # the gradients used to return finite, meaningless values for each:
+    # a NaN target location, an IoU outside [0, 1], a target outside the
+    # region whose location term the mask shuts, and a target bin outside
+    # the head's rotation logits
+    rpn_pred = RpnOutput((0.3, 0.4, 0.5), 0.2)
+    pred, target = random_brn_inputs(np.random.default_rng(7), region)
+    outside = Box3D(_outside(region), target.dims, target.yaw)
+    turned = Box3D(target.center, target.dims, 2.0)  # rotation bin 5 of 8
+    short = dataclasses.replace(pred, rot_logits=pred.rot_logits[:5],
+                                rot_residuals=pred.rot_residuals[:5])
+    loss, gradients, args = {
+        "object-without-target": (rpn_loss, rpn_loss_gradients,
+                                  (rpn_pred, True, None, region)),
+        "target-outside-background": (rpn_loss, rpn_loss_gradients,
+                                      (rpn_pred, False, _outside(region),
+                                       region)),
+        "iou-nan": (brn_loss, brn_loss_gradients,
+                    (pred, target, region, CLUSTERS, BINS, math.nan)),
+        "iou-above-one": (brn_loss, brn_loss_gradients,
+                          (pred, target, region, CLUSTERS, BINS, 1.5)),
+        "iou-negative": (brn_loss, brn_loss_gradients,
+                         (pred, target, region, CLUSTERS, BINS, -1.0)),
+        "target-outside-gated": (brn_loss, brn_loss_gradients,
+                                 (pred, outside, region, CLUSTERS, BINS,
+                                  0.95)),
+        "fewer-logits-than-bins": (brn_loss, brn_loss_gradients,
+                                   (short, turned, region, CLUSTERS, BINS,
+                                    0.5)),
+    }[case]
+    # a data error is a ValueError; a target index outside the logits is a
+    # caller's wiring error, an IndexOutOfRange
+    with pytest.raises((ValueError, IndexOutOfRange)) as from_loss:
+        loss(*args)
+    with pytest.raises((ValueError, IndexOutOfRange)) as from_gradients:
+        gradients(*args)
+    assert type(from_gradients.value) is type(from_loss.value)
+    assert str(from_gradients.value) == str(from_loss.value)
+
+
+def test_cross_entropy_gives_scipy_logsumexp_bits():
+    # logsumexp is computed in scipy.special's own form, ties at the top
+    # and non-finite logits included; any NaN matches any NaN
+    rng = np.random.default_rng(8)
+    cases = [np.array(v) for v in ([40.0, 0.0], [1e308, 1e308], [-np.inf, 0.0],
+                                   [np.inf, 0.0], [np.nan, 1.0])]
+    for _ in range(2000):
+        logits = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3),
+                            int(rng.integers(1, 13)))
+        if rng.random() < 0.2:
+            logits[rng.integers(len(logits))] = logits.max()
+        cases.append(logits)
+    with np.errstate(invalid="ignore"):
+        for logits in cases:
+            got = cross_entropy(logits, len(logits) - 1)
+            want = special.logsumexp(logits) - logits[-1]
+            assert (np.float64(got).tobytes() == np.float64(want).tobytes()
+                    or math.isnan(got) and math.isnan(want)), logits
